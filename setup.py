@@ -4,20 +4,17 @@ The extension is a speedup only; if Cython or a C toolchain is missing the
 package installs pure-Python and selects the fallback kernel at import.
 """
 
-import os
-
 from setuptools import setup
 
 ext_modules = []
-if os.environ.get("WEILCALC_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            ["src/weilcalc/_kernel.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("Cython not available; building without the compiled kernel")
+    ext_modules = cythonize(
+        ["src/weilcalc/_kernel.pyx"],
+        compiler_directives={"language_level": "3"},
+    )
+except ImportError:
+    print("Cython not available; building without the compiled kernel")
 
 setup(ext_modules=ext_modules)

@@ -92,10 +92,6 @@ cpdef tuple rmul(tuple a, tuple b):
     return rnorm(a[0] * b[0], a[1] * b[1])
 
 
-cpdef tuple rneg(tuple a):
-    return (-a[0], a[1])
-
-
 cpdef dict padd(dict a, dict b):
     cdef dict out = dict(a)
     cdef tuple s

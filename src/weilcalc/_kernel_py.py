@@ -37,10 +37,6 @@ def rmul(a, b):
     return rnorm(a[0] * b[0], a[1] * b[1])
 
 
-def rneg(a):
-    return (-a[0], a[1])
-
-
 def padd(a, b):
     out = dict(a)
     for e, c in b.items():

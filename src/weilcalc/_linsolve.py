@@ -100,11 +100,3 @@ def nullspace_sparse(columns):
             x[pc] = acc
         basis.append(x)
     return basis
-
-
-def solve_dense(matrix, rhs):
-    """Exact solve of a small dense system (lists of Fractions); None if inconsistent."""
-    cols = [{i: row[j] for i, row in enumerate(matrix) if row[j]}
-            for j in range(len(matrix[0]) if matrix else 0)]
-    target = {i: v for i, v in enumerate(rhs) if v}
-    return solve_sparse(cols, target)

@@ -36,9 +36,17 @@ def sort_sign(idx):
     return tuple(idx[t] for t in perm), sign
 
 
-def merge_sign(left, right):
-    """Sign of sorting the concatenation of two increasing tuples; 0 on overlap."""
-    return sort_sign(tuple(left) + tuple(right))
+def sorted_multisets(r, length):
+    return itertools.combinations_with_replacement(range(1, r + 1), length)
+
+
+def symmetric_slots(J):
+    """Each distinct index j of a sorted multiset J once, as (j, J with one
+    copy of j removed, multiplicity of j in J)."""
+    for t in range(len(J)):
+        if t > 0 and J[t] == J[t - 1]:
+            continue
+        yield J[t], J[:t] + J[t + 1:], J.count(J[t])
 
 
 class Section:
@@ -191,11 +199,7 @@ class VForm:
         out = dict(self.comps)
         for key, p in other.comps.items():
             cur = out.get(key)
-            s = p if cur is None else cur + p
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = p if cur is None else cur + p
         return VForm(self.nvars, self.rank, self.degree, out)
 
     def __sub__(self, other):
@@ -249,12 +253,8 @@ class VForm:
                 rest = idx[:t] + idx[t + 1:]
                 q = xa * p if t % 2 == 0 else -(xa * p)
                 key = (b, rest)
-                s = acc.get(key)
-                s = q if s is None else s + q
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                cur = acc.get(key)
+                acc[key] = q if cur is None else cur + q
         return VForm(self.nvars, self.rank, self.degree - 1, acc)
 
     def lie(self, x):
@@ -277,12 +277,8 @@ def scalar_wedge(sf, vf):
                 continue
             q = sp * vp if sign > 0 else -(sp * vp)
             key = (b, srt)
-            s = acc.get(key)
-            s = q if s is None else s + q
-            if s.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
+            cur = acc.get(key)
+            acc[key] = q if cur is None else cur + q
     return VForm(vf.nvars, vf.rank, deg, acc)
 
 
@@ -328,15 +324,6 @@ class AlgebroidPresentation:
                 self.anchor[(i, a)] = p
         self._rho_cache = {}
         self._bracket_cache = {}
-
-    def struct(self, i, j, k):
-        """c^k_{ij} for arbitrary i, j, antisymmetrically extended."""
-        if i == j:
-            return Poly.zero(self.nvars)
-        if i < j:
-            return self.structure.get((i, j, k), Poly.zero(self.nvars))
-        p = self.structure.get((j, i, k))
-        return -p if p is not None else Poly.zero(self.nvars)
 
     def basis(self, i):
         return Section(self.nvars, [Poly.const(self.nvars, 1 if t == i else 0)

@@ -1,22 +1,9 @@
-"""Kernel backend selection.
+"""Kernel backend selection: the compiled extension when it is importable,
+else the pure-Python fallback."""
 
-The compiled extension is preferred when it importable; set
-``WEILCALC_BACKEND=py`` or ``WEILCALC_BACKEND=c`` to force a choice
-(forcing ``c`` raises if the extension was not built).
-"""
-
-import os
-
-_forced = os.environ.get("WEILCALC_BACKEND")
-
-if _forced == "py":
-    from . import _kernel_py as kernel
-elif _forced == "c":
+try:
     from . import _kernel as kernel  # type: ignore[attr-defined]
-else:
-    try:
-        from . import _kernel as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as kernel
+except ImportError:
+    from . import _kernel_py as kernel
 
 BACKEND_NAME = kernel.BACKEND

@@ -8,7 +8,7 @@ psi^b_{i c} u_b). End(V)-valued objects are polynomial matrices.
 
 import itertools
 
-from .algebroid import VForm, sort_sign
+from .algebroid import VForm, sort_sign, symmetric_slots
 from .errors import StructureError
 from .polyring import Poly
 from .report import CheckReport
@@ -51,7 +51,8 @@ class LinearConnection:
                 q = g * p
                 key = (b, srt)
                 q = q if sign > 0 else -q
-                extra[key] = extra.get(key, Poly.zero(self.nvars)) + q
+                cur = extra.get(key)
+                extra[key] = q if cur is None else cur + q
         if extra:
             out = out + VForm(self.nvars, self.rank, deg, extra)
         return out
@@ -73,8 +74,7 @@ class LinearConnection:
                     for e in range(1, self.rank + 1):
                         p = p + self.gamma(a1, b, e) * self.gamma(a2, e, c) \
                               - self.gamma(a2, b, e) * self.gamma(a1, e, c)
-                    if not p.is_zero:
-                        comps[(b, c, (a1, a2))] = p
+                    comps[(b, c, (a1, a2))] = p
         return EndForm(self.nvars, self.rank, 2, comps)
 
     def shifted(self, gamma):
@@ -84,11 +84,8 @@ class LinearConnection:
         table = dict(self.christoffels)
         for (b, c, (a,)), p in gamma.comps.items():
             key = (a, b, c)
-            s = table.get(key, Poly.zero(self.nvars)) + p
-            if s.is_zero:
-                table.pop(key, None)
-            else:
-                table[key] = s
+            cur = table.get(key)
+            table[key] = p if cur is None else cur + p
         return LinearConnection(self.nvars, self.rank, table)
 
     def __eq__(self, other):
@@ -168,11 +165,8 @@ class EndForm:
     def __add__(self, other):
         out = dict(self.comps)
         for key, p in other.comps.items():
-            s = out.get(key, Poly.zero(self.nvars)) + p
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            cur = out.get(key)
+            out[key] = p if cur is None else cur + p
         return EndForm(self.nvars, self.rank, self.degree, out)
 
     def __sub__(self, other):
@@ -208,11 +202,8 @@ class EndForm:
                 rest = idx[:t] + idx[t + 1:]
                 q = xa * p if t % 2 == 0 else -(xa * p)
                 key = (b, c, rest)
-                s = acc.get(key, Poly.zero(self.nvars)) + q
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                cur = acc.get(key)
+                acc[key] = q if cur is None else cur + q
         return EndForm(self.nvars, self.rank, self.degree - 1, acc)
 
     def wedge_vform(self, vf):
@@ -230,11 +221,8 @@ class EndForm:
                     continue
                 q = tp * vp if sign > 0 else -(tp * vp)
                 key = (b, srt)
-                s = acc.get(key, Poly.zero(self.nvars)) + q
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                cur = acc.get(key)
+                acc[key] = q if cur is None else cur + q
         return VForm(self.nvars, vf.rank, deg, acc)
 
     def act_vform(self, vf):
@@ -253,11 +241,8 @@ class EndForm:
                 if ee != e:
                     continue
                 key = (b, c, ())
-                s = acc.get(key, Poly.zero(self.nvars)) + p * q
-                if s.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
+                cur = acc.get(key)
+                acc[key] = p * q if cur is None else cur + p * q
         return EndForm(self.nvars, self.rank, 0, acc)
 
     def to_flat(self):
@@ -331,30 +316,21 @@ class SymForm:
         if self.arity == 0:
             raise StructureError("no symmetric slot to fill")
         acc = {}
-        for j, vf in self.table.items():
-            for t in range(len(j)):
-                if t > 0 and j[t] == j[t - 1]:
-                    continue
-                coeff = section.comps[j[t] - 1]
+        for J, vf in self.table.items():
+            for j, rest, _ in symmetric_slots(J):
+                coeff = section.comps[j - 1]
                 if coeff.is_zero:
                     continue
-                rest = j[:t] + j[t + 1:]
                 term = vf.scaled(coeff)
                 cur = acc.get(rest)
                 acc[rest] = term if cur is None else cur + term
-        out = SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree)
-        out.table = {j: vf for j, vf in acc.items() if not vf.is_zero}
-        return out
+        return SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree, acc)
 
     def __add__(self, other):
         out = dict(self.table)
         for j, vf in other.table.items():
             cur = out.get(j)
-            s = vf if cur is None else cur + vf
-            if s.is_zero:
-                out.pop(j, None)
-            else:
-                out[j] = s
+            out[j] = vf if cur is None else cur + vf
         return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree, out)
 
     def __sub__(self, other):
@@ -369,15 +345,9 @@ class SymForm:
                        {j: vf.scaled(c) for j, vf in self.table.items()})
 
     def iota(self, x):
-        table = {}
-        for j, vf in self.table.items():
-            w = vf.iota(x)
-            if not w.is_zero:
-                table[j] = w
-        out = SymForm.zero(self.nvars, self.rank, self.secrank, self.arity,
-                           max(self.degree - 1, 0))
-        out.table = table
-        return out
+        return SymForm(self.nvars, self.rank, self.secrank, self.arity,
+                       max(self.degree - 1, 0),
+                       {j: vf.iota(x) for j, vf in self.table.items()})
 
     @property
     def is_zero(self):
@@ -403,11 +373,8 @@ def lieA_vform(A, rep, alpha, vf):
     acc = {}
 
     def add(key, p):
-        s = acc.get(key, Poly.zero(n)) + p
-        if s.is_zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = s
+        cur = acc.get(key)
+        acc[key] = p if cur is None else cur + p
 
     # derivative of coefficients along the anchor
     for (b, idx), p in vf.comps.items():
@@ -460,11 +427,8 @@ def lieA_derivative(A, rep, alpha, gamma):
     multiplicity).
     """
     candidates = set(gamma.table)
-    for j in gamma.table:
-        for t in range(len(j)):
-            if t > 0 and j[t] == j[t - 1]:
-                continue
-            rest = j[:t] + j[t + 1:]
+    for J in gamma.table:
+        for _, rest, _ in symmetric_slots(J):
             for s in range(1, gamma.secrank + 1):
                 candidates.add(tuple(sorted(rest + (s,))))
     wcache = {}
@@ -472,15 +436,11 @@ def lieA_derivative(A, rep, alpha, gamma):
     for J in candidates:
         vf = gamma.table.get(J)
         acc = lieA_vform(A, rep, alpha, vf) if vf is not None else None
-        for t in range(len(J)):
-            if t > 0 and J[t] == J[t - 1]:
-                continue
-            mult = J.count(J[t])
-            w = wcache.get(J[t])
+        for j, rest, mult in symmetric_slots(J):
+            w = wcache.get(j)
             if w is None:
-                w = bracket_with_basis(A, alpha, J[t])
-                wcache[J[t]] = w
-            rest = J[:t] + J[t + 1:]
+                w = bracket_with_basis(A, alpha, j)
+                wcache[j] = w
             for l in range(1, gamma.secrank + 1):
                 wl = w.comps[l - 1]
                 if wl.is_zero:
@@ -491,11 +451,9 @@ def lieA_derivative(A, rep, alpha, gamma):
                 coeff = wl if mult == 1 else wl * mult
                 term = src.scaled(-coeff)
                 acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero:
+        if acc is not None:
             rows[J] = acc
-    out = SymForm.zero(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree)
-    out.table = rows
-    return out
+    return SymForm(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree, rows)
 
 
 def validate_rep(A, rep):
@@ -511,7 +469,8 @@ def validate_rep(A, rep):
             if wk.is_zero:
                 continue
             key = (b, c)
-            lhs[key] = lhs.get(key, Poly.zero(A.nvars)) + wk * p
+            cur = lhs.get(key)
+            lhs[key] = wk * p if cur is None else cur + wk * p
         ri, rj = A.rho_basis(i), A.rho_basis(j)
         ok = True
         for b in range(1, m + 1):
@@ -573,8 +532,7 @@ def invariance_form(A, conn, rep):
                     ra = A.anchor.get((i, a))
                     if ra is not None:
                         p = p - ra * conn.gamma(a, b, c)
-                if not p.is_zero:
-                    th[(b, c, ())] = p
+                th[(b, c, ())] = p
         theta[i] = EndForm(n, m, 0, th)
         rho_i = A.rho_basis(i)
         tcomps = {}
@@ -590,8 +548,7 @@ def invariance_form(A, conn, rep):
                         rb = A.anchor.get((i, be))
                         if rb is not None:
                             p = p - rb.diff(al - 1) * conn.gamma(be, b, c)
-                    if not p.is_zero:
-                        tcomps[(b, c, (al,))] = p
+                    tcomps[(b, c, (al,))] = p
         T[i] = EndForm(n, m, 1, tcomps)
     return InvarianceForm(n, m, T, theta)
 
@@ -612,11 +569,8 @@ def induced_end_connection(conn):
 
     def put(a, row, col, p):
         key = (a, row, col)
-        s = table.get(key, Poly.zero(conn.nvars)) + p
-        if s.is_zero:
-            table.pop(key, None)
-        else:
-            table[key] = s
+        cur = table.get(key)
+        table[key] = p if cur is None else cur + p
 
     for (a, b, c), g in conn.christoffels.items():
         for s in range(1, m + 1):
@@ -634,11 +588,8 @@ def induced_end_rep(rep):
 
     def put(i, row, col, p):
         key = (i, row, col)
-        s = table.get(key, Poly.zero(rep.nvars)) + p
-        if s.is_zero:
-            table.pop(key, None)
-        else:
-            table[key] = s
+        cur = table.get(key)
+        table[key] = p if cur is None else cur + p
 
     for (i, b, c), psi in rep.psi.items():
         for s in range(1, m + 1):

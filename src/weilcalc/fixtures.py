@@ -13,12 +13,12 @@ consistent by construction and exercise it at the same time:
 import random
 from fractions import Fraction
 
-from .algebroid import AlgebroidPresentation, Section, VForm
+from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
 from .connections import LinearConnection
 from .errors import StructureError
 from .ideals import IdealBundle, IMConnection, build_coupled, frame_splitting
 from .polyring import Poly
-from .weil import WeilCochain, increasing_tuples, monomials_upto, sorted_multisets
+from .weil import WeilCochain, increasing_tuples, monomials_upto
 
 FIXTURE_NAMES = ("F0_so3", "F1_abelian_2d", "F2_semisimple_2d", "F3_foliation_4d")
 
@@ -111,9 +111,7 @@ def random_vform(rng, nvars, rank, degree, bound):
     comps = {}
     for b in range(1, rank + 1):
         for idx in increasing_tuples(nvars, degree):
-            p = random_poly(rng, nvars, bound)
-            if not p.is_zero:
-                comps[(b, idx)] = p
+            comps[(b, idx)] = random_poly(rng, nvars, bound)
     return VForm(nvars, rank, degree, comps)
 
 
@@ -139,14 +137,10 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
         qk = q - k
         if qk > A.nvars:
             continue
-        tbl = {}
+        tbl = tables[k] = {}
         for I in increasing_tuples(A.rank, p - k):
             for J in sorted_multisets(A.rank, k):
-                vf = random_vform(rng, A.nvars, rep.rank, qk, degree_bound)
-                if not vf.is_zero:
-                    tbl[(I, J)] = vf
-        if tbl:
-            tables[k] = tbl
+                tbl[(I, J)] = random_vform(rng, A.nvars, rep.rank, qk, degree_bound)
     return WeilCochain(A, rep.rank, p, q, tables)
 
 
@@ -161,14 +155,9 @@ def random_symform(fix, arity, degree, seed, bound=1):
     from .connections import SymForm
     rng = random.Random(f"symform:{fix.name}:{arity}:{degree}:{seed}")
     A = fix.A
-    table = {}
-    for J in sorted_multisets(A.rank, arity):
-        vf = random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
-        if not vf.is_zero:
-            table[J] = vf
-    out = SymForm.zero(A.nvars, fix.ideal.m, A.rank, arity, degree)
-    out.table = table
-    return out
+    table = {J: random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
+             for J in sorted_multisets(A.rank, arity)}
+    return SymForm(A.nvars, fix.ideal.m, A.rank, arity, degree, table)
 
 
 def random_endform(fix, degree, seed, bound=1):
@@ -180,7 +169,5 @@ def random_endform(fix, degree, seed, bound=1):
     for b in range(1, m + 1):
         for c in range(1, m + 1):
             for idx in increasing_tuples(n, degree):
-                p = random_poly(rng, n, bound)
-                if not p.is_zero:
-                    comps[(b, c, idx)] = p
+                comps[(b, c, idx)] = random_poly(rng, n, bound)
     return EndForm(n, m, degree, comps)

@@ -231,7 +231,10 @@ def poly_from_str(s, nvars, names=None):
             factor = factor.strip()
             m = _RAT_RE.match(factor)
             if m:
-                coeff *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                den = int(m.group(2) or 1)
+                if den == 0:
+                    raise ValueError(f"zero denominator in polynomial {s!r}")
+                coeff *= Fraction(int(m.group(1)), den)
                 continue
             m = _VAR_RE.match(factor)
             if m and m.group(1) in index:

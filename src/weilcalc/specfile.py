@@ -41,8 +41,10 @@ def _poly(path, text, nvars, names):
         raise SpecError(path, str(exc))
 
 
-def _require(data, key, path, typ):
+def _require(data, key, path, typ, default=None):
     if key not in data:
+        if default is not None:
+            return default
         raise SpecError(f"{path}.{key}", "missing required field")
     val = data[key]
     if not isinstance(val, typ):
@@ -125,11 +127,7 @@ def vform_from_dict(data, nvars, names, path):
         bpart, apart = key.split("|", 1)
         b = _ints(kpath, bpart, 1)[0]
         idx = _ints(kpath, apart)
-        p = _poly(kpath, text, nvars, names)
-        try:
-            comps[(b, idx)] = p
-        except StructureError as exc:
-            raise SpecError(kpath, str(exc))
+        comps[(b, idx)] = _poly(kpath, text, nvars, names)
     try:
         return VForm(nvars, rank, degree, comps)
     except StructureError as exc:
@@ -153,17 +151,20 @@ def cochain_from_dict(data, A, names, path):
     q = _require(data, "q", path, int)
     rank = _require(data, "bundle_rank", path, int)
     tables = {}
-    for kstr, row in _require(data, "tables", path, dict).items():
+    tables_data = _require(data, "tables", path, dict)
+    for kstr in tables_data:
         kpath = f"{path}.tables.{kstr}"
         try:
             k = int(kstr)
         except ValueError:
             raise SpecError(kpath, "table key must be an integer level")
         tbl = {}
-        for ijkey, comps in row.items():
+        row = _require(tables_data, kstr, f"{path}.tables", dict)
+        for ijkey in row:
             epath = f"{kpath}.{ijkey}"
             if "|" not in ijkey:
                 raise SpecError(epath, "entry key must be 'I|J'")
+            comps = _require(row, ijkey, kpath, dict)
             ipart, jpart = ijkey.split("|", 1)
             I = _ints(epath, ipart)
             J = _ints(epath, jpart)
@@ -222,14 +223,14 @@ def load_spec(data):
     alg = _require(data, "algebroid", "$", dict)
     r = _require(alg, "rank", "algebroid", int)
     structure = {}
-    for key, text in alg.get("structure", {}).items():
+    for key, text in _require(alg, "structure", "algebroid", dict, {}).items():
         kpath = f"algebroid.structure.{key}"
         i, j, k = _ints(kpath, key, 3)
         if not (1 <= i < j <= r and 1 <= k <= r):
             raise SpecError(kpath, f"index out of range (need 1 <= i < j <= {r})")
         structure[(i, j, k)] = _poly(kpath, text, n, names)
     anchor = {}
-    for key, text in alg.get("anchor", {}).items():
+    for key, text in _require(alg, "anchor", "algebroid", dict, {}).items():
         kpath = f"algebroid.anchor.{key}"
         i, a = _ints(kpath, key, 2)
         if not (1 <= i <= r and 1 <= a <= n):

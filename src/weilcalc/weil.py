@@ -19,7 +19,8 @@ import itertools
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import VForm, d_scalar, scalar_wedge, sort_sign
+from .algebroid import (VForm, d_scalar, scalar_wedge, sort_sign, sorted_multisets,
+                        symmetric_slots)
 from .connections import SymForm, lieA_derivative, lieA_vform
 from .errors import ContractError, StructureError
 from .polyring import Poly
@@ -28,10 +29,6 @@ from .report import CheckReport
 
 def increasing_tuples(r, length):
     return itertools.combinations(range(1, r + 1), length)
-
-
-def sorted_multisets(r, length):
-    return itertools.combinations_with_replacement(range(1, r + 1), length)
 
 
 def monomials_upto(nvars, bound):
@@ -133,11 +130,7 @@ class WeilCochain:
             row = out.setdefault(k, {})
             for key, vf in tbl.items():
                 cur = row.get(key)
-                s = vf if cur is None else cur + vf
-                if s.is_zero:
-                    row.pop(key, None)
-                else:
-                    row[key] = s
+                row[key] = vf if cur is None else cur + vf
         return WeilCochain(self.A, self.rank, self.p, self.q, out)
 
     def __sub__(self, other):
@@ -228,16 +221,10 @@ def eval_row(c, k, sections):
         raise StructureError("wrong number of antisymmetric arguments")
     n, r = c.A.nvars, c.A.rank
     qk = c.q - k
-    out = SymForm.zero(n, c.rank, r, k, max(qk, 0))
     if qk < 0 or qk > n:
-        return out
-    table = {}
-    for J in sorted_multisets(r, k):
-        vf = _eval_basis(c, k, (), list(sections), J)
-        if not vf.is_zero:
-            table[J] = vf
-    out.table = table
-    return out
+        return SymForm.zero(n, c.rank, r, k, max(qk, 0))
+    return SymForm(n, c.rank, r, k, qk, {J: _eval_basis(c, k, (), list(sections), J)
+                                         for J in sorted_multisets(r, k)})
 
 
 def delta(A, rep, c):
@@ -287,14 +274,11 @@ def delta(A, rep, c):
                     if term.is_zero:
                         continue
                     acc = acc + term if sgn % 2 == 0 else acc - term
-                for t in range(len(J)):
-                    if t > 0 and J[t] == J[t - 1]:
-                        continue
-                    mult = J.count(J[t])
-                    sub = c.lookup(k - 1, I, J[:t] + J[t + 1:])
+                for j, rest, mult in symmetric_slots(J):
+                    sub = c.lookup(k - 1, I, rest)
                     if sub.is_zero:
                         continue
-                    term = sub.iota(A.rho_basis(J[t]))
+                    term = sub.iota(A.rho_basis(j))
                     if term.is_zero:
                         continue
                     acc = acc - term.scaled(mult)
@@ -330,11 +314,8 @@ def dnabla_cochain(conn, c):
                 src = c.lookup(k, I, J)
                 acc = conn.dnabla(src) if not src.is_zero \
                     else VForm.zero(n, c.rank, qk)
-                for t in range(len(J)):
-                    if t > 0 and J[t] == J[t - 1]:
-                        continue
-                    mult = J.count(J[t])
-                    sub = c.lookup(k - 1, (J[t],) + I, J[:t] + J[t + 1:])
+                for j, rest, mult in symmetric_slots(J):
+                    sub = c.lookup(k - 1, (j,) + I, rest)
                     if sub.is_zero:
                         continue
                     acc = acc - sub.scaled(mult)
@@ -374,14 +355,11 @@ def wedge_Ttheta(inv, c):
                     if term.is_zero:
                         continue
                     acc = acc + term if pos % 2 == 0 else acc - term
-                for t in range(len(J)):
-                    if t > 0 and J[t] == J[t - 1]:
-                        continue
-                    mult = J.count(J[t])
-                    sub = c.lookup(k - 1, I, J[:t] + J[t + 1:])
+                for j, rest, mult in symmetric_slots(J):
+                    sub = c.lookup(k - 1, I, rest)
                     if sub.is_zero:
                         continue
-                    term = inv.theta[J[t]].act_vform(sub)
+                    term = inv.theta[j].act_vform(sub)
                     if term.is_zero:
                         continue
                     acc = acc + term.scaled(mult)
@@ -395,13 +373,8 @@ def wedge_Ttheta(inv, c):
 def cochain_from_invariance(A, inv):
     """(T, theta) as a W^{1,1} cochain valued in the flattened End bundle."""
     m2 = inv.rank * inv.rank
-    t0, t1 = {}, {}
-    for i, ef in inv.T.items():
-        if not ef.is_zero:
-            t0[((i,), ())] = ef.to_flat()
-    for j, ef in inv.theta.items():
-        if not ef.is_zero:
-            t1[((), (j,))] = ef.to_flat()
+    t0 = {((i,), ()): ef.to_flat() for i, ef in inv.T.items()}
+    t1 = {((), (j,)): ef.to_flat() for j, ef in inv.theta.items()}
     return WeilCochain(A, m2, 1, 1, {0: t0, 1: t1})
 
 
@@ -519,7 +492,8 @@ def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
     if x is None:
         return None
     out = _assemble(A, target.rank, p, q, cells, x)
-    assert delta(A, rep, out) == target
+    if delta(A, rep, out) != target:
+        raise ContractError("solve_coboundary solution does not satisfy delta b = target")
     return out
 
 

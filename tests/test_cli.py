@@ -97,16 +97,31 @@ def test_malformed_spec_exits_two(tmp_path, capsys):
     assert doc["error"]["path"] == "$.algebroid"
 
 
-def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys):
+_TABLES = ("im_connection", "cochain", "tables")
+
+
+@pytest.mark.parametrize("field, value, where", [
+    (("algebroid", "structure", "1,2,3"), "x9 +", "algebroid.structure.1,2,3"),
+    (("algebroid", "structure", "1,2,3"), "1/0", "algebroid.structure.1,2,3"),
+    (("algebroid", "anchor"), [], "algebroid.anchor"),
+    (("algebroid", "structure"), 7, "algebroid.structure"),
+    (_TABLES + ("1",), [], "im_connection.cochain.tables.1"),
+    (_TABLES + ("1", "|2"), "1", "im_connection.cochain.tables.1.|2"),
+], ids=["malformed", "zero_denominator", "anchor_not_object", "structure_not_object",
+        "table_level_not_object", "table_entry_not_object"])
+def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, field, value, where):
     path = tmp_path / "f0.json"
     invoke(["fixture", "--name", "F0_so3", "--emit", str(path)], capsys)
     data = json.loads(path.read_text())
-    data["algebroid"]["structure"]["1,2,3"] = "x9 +"
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
     bad = tmp_path / "badpoly.json"
     bad.write_text(json.dumps(data))
     code, out = invoke(["validate", str(bad)], capsys)
     assert code == 2
-    assert "algebroid.structure.1,2,3" in json.loads(out)["error"]["path"]
+    assert where in json.loads(out)["error"]["path"]
 
 
 def test_delta_and_dhor_on_embedded_cochain(tmp_path, capsys):

@@ -1,0 +1,64 @@
+"""Polynomial kernel against an independent oracle: random small polynomials
+are checked against sympy's expansion."""
+
+import pytest
+
+from weilcalc import Poly, poly_from_str, poly_to_str
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_SYMS = sympy.symbols("x1:4")
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two random polynomials in the same 1-3 variables, total degree <= 3."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+    def one():
+        terms = draw(st.dictionaries(exps, coeff, max_size=4))
+        out = Poly.zero(n)
+        for e, c in terms.items():
+            out = out + Poly.monomial(n, e, c)
+        return out
+
+    return n, one(), one()
+
+
+def to_sympy(p):
+    return sum((sympy.Rational(num, den)
+                * sympy.Mul(*[s ** k for s, k in zip(_SYMS, e)])
+                for e, (num, den) in p.terms.items()), sympy.Integer(0))
+
+
+def same(expr, p):
+    return sympy.expand(expr - to_sympy(p)) == 0
+
+
+_oracle = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@_oracle
+@given(poly_pairs(), st.integers(0, 3))
+def test_arithmetic_matches_sympy(pair, k):
+    n, a, b = pair
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert same(sa + sb, a + b)
+    assert same(sa - sb, a - b)
+    assert same(sa * sb, a * b)
+    assert same(sa ** k, a ** k)
+    for i in range(n):
+        assert same(sympy.diff(sa, _SYMS[i]), a.diff(i))
+
+
+@_oracle
+@given(poly_pairs())
+def test_printer_roundtrip_matches_sympy(pair):
+    n, a, _ = pair
+    text = poly_to_str(a)
+    assert poly_from_str(text, n) == a
+    assert sympy.expand(sympy.sympify(text.replace("^", "**"))) == sympy.expand(to_sympy(a))

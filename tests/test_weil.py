@@ -394,6 +394,18 @@ def test_solver_rejects_non_cocycle(f1):
         solve_coboundary(f1.A, f1.rep, c, 1)
 
 
+def test_solver_rejects_wrong_solution(f0, monkeypatch):
+    # the result check must raise, not assert: python -O strips asserts
+    from weilcalc import weil
+    A, rep = f0.A, f0.rep
+    w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
+    target = delta(A, rep, w)
+    monkeypatch.setattr(weil._linsolve, "solve_sparse",
+                        lambda columns, rhs: [0] * len(columns))
+    with pytest.raises(ContractError):
+        solve_coboundary(A, rep, target, 0)
+
+
 def test_bounded_kernel_contains_coboundaries(f1):
     basis = bounded_kernel(f1.A, f1.rep, 1, 1, 1, horizontal_ideal=f1.ideal)
     assert basis
