@@ -8,7 +8,7 @@ psi^b_{i c} u_b). End(V)-valued objects are polynomial matrices.
 
 import itertools
 
-from .algebroid import VForm, sort_sign, symmetric_slots
+from .algebroid import VForm, bracket, sort_sign, symmetric_slots
 from .errors import StructureError
 from .polyring import Poly
 from .report import CheckReport
@@ -360,12 +360,6 @@ class SymForm:
                 and self.table == other.table)
 
 
-def bracket_with_basis(A, alpha, j):
-    """[alpha, e_j] as a section (Leibniz-expanded frame bracket)."""
-    from .algebroid import bracket
-    return bracket(A, alpha, A.basis(j))
-
-
 def lieA_vform(A, rep, alpha, vf):
     """Lie derivative on a plain V-valued form, by the chain rule."""
     n = A.nvars
@@ -439,7 +433,7 @@ def lieA_derivative(A, rep, alpha, gamma):
         for j, rest, mult in symmetric_slots(J):
             w = wcache.get(j)
             if w is None:
-                w = bracket_with_basis(A, alpha, j)
+                w = bracket(A, alpha, A.basis(j))
                 wcache[j] = w
             for l in range(1, gamma.secrank + 1):
                 wl = w.comps[l - 1]

@@ -16,9 +16,10 @@ from fractions import Fraction
 from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
 from .connections import LinearConnection
 from .errors import StructureError
-from .ideals import IdealBundle, IMConnection, build_coupled, frame_splitting
+from .ideals import (IdealBundle, IMConnection, build_coupled, frame_splitting,
+                     splitting_cochain)
 from .polyring import Poly
-from .weil import WeilCochain, increasing_tuples, monomials_upto
+from .weil import WeilCochain, frame_rows, increasing_tuples, monomials_upto
 
 FIXTURE_NAMES = ("F0_so3", "F1_abelian_2d", "F2_semisimple_2d", "F3_foliation_4d")
 
@@ -53,10 +54,10 @@ def build_fixture(name):
     if name == "F0_so3":
         A = AlgebroidPresentation(0, 3, _so3_fibre(0), {})
         ideal = IdealBundle(A, (1, 2, 3))
-        t1 = {((), (j,)): VForm(0, 3, 0, {(j, ()): Poly.const(0, 1)})
-              for j in range(1, 4)}
-        imc = IMConnection(ideal, WeilCochain(A, 3, 1, 1, {1: t1}))
-        return Fixture(name, A, ideal, imc, VForm.zero(0, 3, 2), frame_splitting(ideal))
+        vsecs = frame_splitting(ideal)
+        imc = IMConnection(ideal, splitting_cochain(A, ideal, vsecs,
+                                                    LinearConnection.trivial(0, 3)))
+        return Fixture(name, A, ideal, imc, VForm.zero(0, 3, 2), vsecs)
 
     if name == "F1_abelian_2d":
         B = _tangent_presentation(2)
@@ -133,14 +134,10 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
     if p == 0:
         return random_vform(rng, A.nvars, rep.rank, q, degree_bound)
     tables = {}
-    for k in range(0, min(p, q) + 1):
-        qk = q - k
-        if qk > A.nvars:
-            continue
-        tbl = tables[k] = {}
-        for I in increasing_tuples(A.rank, p - k):
-            for J in sorted_multisets(A.rank, k):
-                tbl[(I, J)] = random_vform(rng, A.nvars, rep.rank, qk, degree_bound)
+    for k, I, Js in frame_rows(A, p, q):
+        for J in Js:
+            vf = random_vform(rng, A.nvars, rep.rank, q - k, degree_bound)
+            tables.setdefault(k, {})[(I, J)] = vf
     return WeilCochain(A, rep.rank, p, q, tables)
 
 

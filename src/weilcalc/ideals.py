@@ -17,7 +17,7 @@ from .errors import ContractError, StructureError
 from .polyring import Poly
 from .report import CheckReport
 from .weil import (WeilCochain, check_IM, delta, dnabla_cochain, evaluate,
-                   is_horizontal)
+                   frame_rows, is_horizontal)
 
 
 class IdealBundle:
@@ -207,11 +207,6 @@ class IMConnection:
         return deform(self, L, lam)
 
 
-def apply_to_ideal_section(c, ideal, comps):
-    """Evaluate a level-1 cochain on an ideal-component section."""
-    return evaluate(c, [ideal.embed(comps)])
-
-
 # -- the pairing --------------------------------------------------------------
 
 
@@ -279,41 +274,35 @@ def hstar(imc, c):
     cforms = {i: imc.C0(i) for i in range(1, r + 1)}
     hsecs = {j: imc.h_basis(j) for j in range(1, r + 1)}
     out = {}
-    for k in range(0, min(p, q) + 1):
-        qk = q - k
-        if qk > n:
-            continue
-        tbl = {}
-        for I in itertools.combinations(range(1, r + 1), p - k):
-            for J in itertools.combinations_with_replacement(range(1, r + 1), k):
-                acc = VForm.zero(n, c.rank, qk)
-                for j_lvl in range(k, p + 1):
-                    if q - j_lvl < 0 or q - j_lvl > n:
+    for k, I, Js in frame_rows(A, p, q):
+        for J in Js:
+            acc = VForm.zero(n, c.rank, q - k)
+            for j_lvl in range(k, p + 1):
+                if q - j_lvl < 0 or q - j_lvl > n:
+                    continue
+                npick = j_lvl - k
+                for picks in itertools.combinations(range(p - k), npick):
+                    restpos = tuple(t for t in range(p - k) if t not in picks)
+                    _, sgn = sort_sign(picks + restpos)
+                    part1 = tuple(I[t] for t in picks)
+                    part2 = tuple(I[t] for t in restpos)
+                    row = c.symrow(j_lvl, part2)
+                    if row.is_zero:
                         continue
-                    npick = j_lvl - k
-                    for picks in itertools.combinations(range(p - k), npick):
-                        restpos = tuple(t for t in range(p - k) if t not in picks)
-                        _, sgn = sort_sign(picks + restpos)
-                        part1 = tuple(I[t] for t in picks)
-                        part2 = tuple(I[t] for t in restpos)
-                        row = c.symrow(j_lvl, part2)
+                    for jb in J:
+                        row = row.insert(hsecs[jb])
                         if row.is_zero:
-                            continue
-                        for jb in J:
-                            row = row.insert(hsecs[jb])
-                            if row.is_zero:
-                                break
-                        if row.is_zero:
-                            continue
-                        paired = wedgedot_multi(row, [cforms[i] for i in part1], ideal)
-                        term = paired.vform()
-                        if term.is_zero:
-                            continue
-                        if (npick % 2 == 1 and sgn > 0) or (npick % 2 == 0 and sgn < 0):
-                            term = -term
-                        acc = acc + term
-                tbl[(I, J)] = acc
-        out[k] = tbl
+                            break
+                    if row.is_zero:
+                        continue
+                    paired = wedgedot_multi(row, [cforms[i] for i in part1], ideal)
+                    term = paired.vform()
+                    if term.is_zero:
+                        continue
+                    if (npick % 2 == 1 and sgn > 0) or (npick % 2 == 0 and sgn < 0):
+                        term = -term
+                    acc = acc + term
+            out.setdefault(k, {})[(I, J)] = acc
     return WeilCochain(A, c.rank, p, q, out)
 
 
@@ -359,7 +348,7 @@ def c2(ideal, L):
     n, r = A.nvars, A.rank
 
     def apply_L(comps):
-        return apply_to_ideal_section(L, ideal, comps)
+        return evaluate(L, [ideal.embed(comps)])
 
     lead = {}
     for i in range(1, r + 1):
@@ -432,6 +421,11 @@ def obstruction_cocycle(A, ideal, vsecs, conn, U=None):
     """
     cv = splitting_cochain(A, ideal, vsecs, conn, U)
     return delta(A, ideal.adjoint_rep(), cv)
+
+
+def _horizontal_frame(A, ideal, vsecs):
+    """h(e_i) = e_i - v(e_i) for every frame index i of a splitting v."""
+    return {i: A.basis(i) - ideal.embed(vsecs[i]) for i in range(1, A.rank + 1)}
 
 
 def frame_splitting(ideal):
@@ -644,16 +638,8 @@ def build_coupled(B, m, fibre, conn, F):
     _check_coupling_inputs(B, m, fibre, conn, F)
     A = coupled_presentation(B, m, fibre, conn, F)
     ideal = IdealBundle(A, range(B.rank + 1, B.rank + m + 1))
-    n = A.nvars
-    t0, t1 = {}, {}
-    for i in range(1, B.rank + 1):
-        t0[((i,), ())] = F.iota(B.rho_basis(i))
-    for a in range(1, m + 1):
-        comps = {(b, (x,)): conn.gamma(x, b, a)
-                 for b in range(1, m + 1) for x in range(1, n + 1)}
-        t0[((B.rank + a,), ())] = VForm(n, m, 1, comps)
-        t1[((), (B.rank + a,))] = VForm(n, m, 0, {(a, ()): Poly.const(n, 1)})
-    cochain = WeilCochain(A, m, 1, 1, {0: t0, 1: t1})
+    U = {i: -F.iota(B.rho_basis(i)) for i in range(1, B.rank + 1)}
+    cochain = splitting_cochain(A, ideal, frame_splitting(ideal), conn, U)
     imc = IMConnection(ideal, cochain)
     return A, ideal, imc, F
 
@@ -666,13 +652,12 @@ class Curving:
 
     __slots__ = ("F", "G")
 
-    def __init__(self, imc, F, validate=True):
+    def __init__(self, imc, F):
         if F.degree != 2 or F.rank != imc.ideal.m:
             raise StructureError("curving must be an ideal-valued 2-form")
-        if validate:
-            omega = curvature(imc)
-            if delta(imc.A, imc.ideal.adjoint_rep(), F) != omega:
-                raise ContractError("delta^0 F does not equal the curvature")
+        omega = curvature(imc)
+        if delta(imc.A, imc.ideal.adjoint_rep(), F) != omega:
+            raise ContractError("delta^0 F does not equal the curvature")
         self.F = F
         self.G = imc.coupling_connection().dnabla(F)
 
@@ -729,10 +714,8 @@ def _constant_fibre(ideal):
     return _antisymmetric(out, Fraction(0))
 
 
-def _ad_columns(ideal):
+def _ad_columns(m, fib):
     """ad(u_a) flattened as columns of an (m^2 x m) rational matrix."""
-    m = ideal.m
-    fib = _constant_fibre(ideal)
     cols = []
     for a in range(1, m + 1):
         col = {}
@@ -745,13 +728,14 @@ def _ad_columns(ideal):
     return cols
 
 
-def check_semisimple(ideal):
-    """ad is injective and every fibre derivation is inner (exact linear algebra)."""
+def _semisimple_ad(ideal):
+    """The ad columns of a semisimple fibre (ad injective and every fibre
+    derivation inner, by exact linear algebra); None otherwise."""
     m = ideal.m
-    cols = _ad_columns(ideal)
-    if _linsolve.nullspace_sparse(cols):
-        return False
     fib = _constant_fibre(ideal)
+    cols = _ad_columns(m, fib)
+    if _linsolve.nullspace_sparse(cols):
+        return None
     # derivation constraints: D[u_a,u_b] = [D u_a, u_b] + [u_a, D u_b]
     dcols = []
     for row in range(1, m + 1):
@@ -779,8 +763,13 @@ def check_semisimple(ideal):
                 row, colm = divmod(idx, m)
                 flat[(row + 1, colm + 1)] = v
         if _linsolve.solve_sparse(cols, flat) is None:
-            return False
-    return True
+            return None
+    return cols
+
+
+def check_semisimple(ideal):
+    """ad is injective and every fibre derivation is inner (exact linear algebra)."""
+    return _semisimple_ad(ideal) is not None
 
 
 def ad_inverse(ideal, D):
@@ -790,10 +779,15 @@ def ad_inverse(ideal, D):
     unique form with -ad(gamma) = D. Rejects non-semisimple fibres and
     values outside the image of ad.
     """
-    if not check_semisimple(ideal):
+    cols = _semisimple_ad(ideal)
+    if cols is None:
         raise ContractError("fibre is not semisimple: ad is not invertible onto Der")
+    return _ad_solve(ideal, cols, D)
+
+
+def _ad_solve(ideal, cols, D):
+    """The form gamma with -ad(gamma) = D, given the ad columns of the fibre."""
     n = ideal.A.nvars
-    cols = _ad_columns(ideal)
     groups = {}
     for (b, d, idx), p in D.comps.items():
         for exps, (num, den) in p.terms.items():
@@ -823,17 +817,17 @@ def unique_curving(imc):
 def primitive_from_pair(A, ideal, vsecs, conn):
     """Build the primitive IM connection of a pair (v, nabla) over a
     semisimple ideal; the curving is implicitly defined by R = -ad F."""
-    if not check_semisimple(ideal):
+    cols = _semisimple_ad(ideal)
+    if cols is None:
         raise ContractError("pair construction needs a semisimple fibre")
     # nabla must be bracket-preserving and induce the orbit derivative
     if _bracket_failure(A.nvars, ideal.m, _ideal_fib(ideal), conn) is not None:
         raise ContractError("connection does not preserve the fibre bracket")
-    hsec = {i: A.basis(i) - ideal.embed(vsecs[i]) for i in range(1, A.rank + 1)}
+    hsec = _horizontal_frame(A, ideal, vsecs)
     if not _induces_orbit_derivative(A, ideal, conn, hsec.get):
         raise ContractError(
             "connection does not induce the orbit derivative nabla^A_h")
-    R = conn.curvature_R()
-    F = ad_inverse(ideal, R)
+    F = _ad_solve(ideal, cols, conn.curvature_R())
     U = {i: -F.iota(A.rho_basis(i)) for i in range(1, A.rank + 1)
          if i not in ideal.indices}
     cv = splitting_cochain(A, ideal, vsecs, conn, U)
@@ -847,11 +841,7 @@ def primitive_from_pair(A, ideal, vsecs, conn):
 def splitting_curvature(A, ideal, vsecs):
     """Curvature of a splitting: sigma [b_i, b_j]_B - [sigma b_i, sigma b_j],
     in ideal components, for pairs of non-ideal frame indices."""
-    n = A.nvars
-    hsec = {}
-    for i in range(1, A.rank + 1):
-        alpha = A.basis(i)
-        hsec[i] = alpha - ideal.embed(vsecs[i])
+    hsec = _horizontal_frame(A, ideal, vsecs)
     out = {}
     horiz = [i for i in range(1, A.rank + 1) if i not in ideal.indices]
     for i, j in itertools.combinations(horiz, 2):

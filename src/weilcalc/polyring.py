@@ -134,12 +134,6 @@ class Poly:
         c = self.terms.get(tuple(exps))
         return Fraction(*c) if c else Fraction(0)
 
-    def total_degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms

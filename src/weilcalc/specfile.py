@@ -42,7 +42,11 @@ def _poly(path, text, nvars, names):
 
 
 def _require(data, key, path, typ, default=None):
-    if key not in data:
+    if not isinstance(data, (dict, list, str)):
+        raise SpecError(path, "expected an object")
+    # a list or a string lacks every field; the report names the field, and
+    # perfbench/digests.json records those paths
+    if not isinstance(data, dict) or key not in data:
         if default is not None:
             return default
         raise SpecError(f"{path}.{key}", "missing required field")

@@ -15,6 +15,7 @@ respecting the symmetry constraints is accepted; evaluation-order
 consistency is a tested property, not a constructor precondition.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -39,6 +40,19 @@ def monomials_upto(nvars, bound):
         if sum(exps) <= bound:
             out.append(exps)
     return sorted(out)
+
+
+def frame_rows(A, p, q):
+    """The frame layout of W^{p,q}: (k, I, Js) for each correction level k
+    whose degree-(q-k) forms do not vanish on the chart, each increasing
+    tuple I of p-k antisymmetric slots, and Js the sorted k-multisets of
+    symmetric slots."""
+    for k in range(0, min(p, q) + 1):
+        if q - k > A.nvars:
+            continue
+        Js = tuple(sorted_multisets(A.rank, k))
+        for I in increasing_tuples(A.rank, p - k):
+            yield k, I, Js
 
 
 class WeilCochain:
@@ -95,26 +109,19 @@ class WeilCochain:
 
     def lookup(self, k, I, J):
         """Signed table access; I in any order, J any order. Zero when absent."""
-        qk = self.q - k
-        if k < 0 or k > self.p or qk < 0 or qk > self.A.nvars:
-            return VForm.zero(self.A.nvars, self.rank, max(qk, 0))
         srt, sign = sort_sign(I)
-        if sign == 0:
-            return VForm.zero(self.A.nvars, self.rank, qk)
-        vf = self.tables.get(k, {}).get((srt, tuple(sorted(J))))
+        vf = self.tables.get(k, {}).get((srt, tuple(sorted(J)))) if sign else None
         if vf is None:
-            return VForm.zero(self.A.nvars, self.rank, qk)
+            return VForm.zero(self.A.nvars, self.rank, max(self.q - k, 0))
         return vf if sign > 0 else -vf
 
     def symrow(self, k, I):
         """The map J -> c_k(e_I || e_J) as a symmetric-slot form."""
-        qk = self.q - k
         table = {}
-        if 0 <= k <= self.p and 0 <= qk <= self.A.nvars:
-            for (II, J), vf in self.tables.get(k, {}).items():
-                if II == I:
-                    table[J] = vf
-        return SymForm(self.A.nvars, self.rank, self.A.rank, k, max(qk, 0), table)
+        for (II, J), vf in self.tables.get(k, {}).items():
+            if II == I:
+                table[J] = vf
+        return SymForm(self.A.nvars, self.rank, self.A.rank, k, max(self.q - k, 0), table)
 
     # -- linear structure -----------------------------------------------------
 
@@ -169,26 +176,8 @@ def evaluate(c, antis, syms=()):
         raise StructureError(
             f"arity mismatch: got {len(antis)} antisymmetric and {k0} symmetric "
             f"arguments for a level-{c.p} cochain")
-    n, r = c.A.nvars, c.A.rank
-    qk = c.q - k0
-    out = VForm.zero(n, c.rank, max(qk, 0))
-    if qk < 0 or qk > n:
-        return out
-    for jvec in itertools.product(range(1, r + 1), repeat=k0):
-        coeff = Poly.const(n, 1)
-        dead = False
-        for t, j in enumerate(jvec):
-            cj = syms[t].comps[j - 1]
-            if cj.is_zero:
-                dead = True
-                break
-            coeff = coeff * cj
-        if dead:
-            continue
-        term = _eval_basis(c, k0, (), list(antis), tuple(sorted(jvec)))
-        if not term.is_zero:
-            out = out + term.scaled(coeff)
-    return out
+    row = eval_row(c, k0, antis)
+    return functools.reduce(SymForm.insert, syms, row).vform()
 
 
 def _eval_basis(c, k, prefix, rest, J):
@@ -238,56 +227,47 @@ def delta(A, rep, c):
         c = WeilCochain.from_vform(A, c)
     if rep.rank != c.rank or rep.secrank != A.rank:
         raise StructureError("representation does not match cochain")
-    p, q, n, r = c.p, c.q, A.nvars, A.rank
+    p, q, n = c.p, c.q, A.nvars
     out = {}
-    for k in range(0, min(p + 1, q) + 1):
-        qk = q - k
-        if qk < 0 or qk > n:
-            continue
-        tbl = {}
-        for I in increasing_tuples(r, p + 1 - k):
-            lds = []
+    for k, I, Js in frame_rows(A, p + 1, q):
+        lds = []
+        for pos in range(len(I)):
+            row = c.symrow(k, I[:pos] + I[pos + 1:])
+            if row.is_zero:
+                lds.append(None)
+            else:
+                lds.append(lieA_derivative(A, rep, A.basis(I[pos]), row))
+        brs = []
+        for s, t in itertools.combinations(range(len(I)), 2):
+            w = A.bracket_basis(I[s], I[t])
+            if not w.is_zero:
+                rest = [A.basis(I[u]) for u in range(len(I)) if u not in (s, t)]
+                brs.append((s + t, w, rest))
+        for J in Js:
+            acc = VForm.zero(n, c.rank, q - k)
             for pos in range(len(I)):
-                row = c.symrow(k, I[:pos] + I[pos + 1:])
-                if row.is_zero:
-                    lds.append(None)
-                else:
-                    lds.append(lieA_derivative(A, rep, A.basis(I[pos]), row))
-            brs = []
-            for s, t in itertools.combinations(range(len(I)), 2):
-                w = A.bracket_basis(I[s], I[t])
-                if not w.is_zero:
-                    rest = [A.basis(I[u]) for u in range(len(I)) if u not in (s, t)]
-                    brs.append((s + t, w, rest))
-            for J in sorted_multisets(r, k):
-                acc = VForm.zero(n, c.rank, qk)
-                for pos in range(len(I)):
-                    ld = lds[pos]
-                    if ld is None:
-                        continue
-                    term = ld.get(J)
-                    if term.is_zero:
-                        continue
-                    acc = acc + term if pos % 2 == 0 else acc - term
-                for sgn, w, rest in brs:
-                    term = _eval_basis(c, k, (), [w] + rest, J)
-                    if term.is_zero:
-                        continue
-                    acc = acc + term if sgn % 2 == 0 else acc - term
-                for j, rest, mult in symmetric_slots(J):
-                    sub = c.lookup(k - 1, I, rest)
-                    if sub.is_zero:
-                        continue
-                    term = sub.iota(A.rho_basis(j))
-                    if term.is_zero:
-                        continue
-                    acc = acc - term.scaled(mult)
-                if not acc.is_zero:
-                    if k % 2 == 1:
-                        acc = -acc
-                    tbl[(I, J)] = acc
-        if tbl:
-            out[k] = tbl
+                ld = lds[pos]
+                if ld is None:
+                    continue
+                term = ld.get(J)
+                if term.is_zero:
+                    continue
+                acc = acc + term if pos % 2 == 0 else acc - term
+            for sgn, w, rest in brs:
+                term = _eval_basis(c, k, (), [w] + rest, J)
+                if term.is_zero:
+                    continue
+                acc = acc + term if sgn % 2 == 0 else acc - term
+            for j, rest, mult in symmetric_slots(J):
+                sub = c.lookup(k - 1, I, rest)
+                if sub.is_zero:
+                    continue
+                term = sub.iota(A.rho_basis(j))
+                if term.is_zero:
+                    continue
+                acc = acc - term.scaled(mult)
+            if not acc.is_zero:
+                out.setdefault(k, {})[(I, J)] = -acc if k % 2 == 1 else acc
     return WeilCochain(A, c.rank, p + 1, q, out)
 
 
@@ -302,29 +282,20 @@ def dnabla_cochain(conn, c):
     if conn.rank != c.rank or conn.nvars != c.A.nvars:
         raise StructureError("connection does not match cochain bundle")
     A = c.A
-    p, q, n, r = c.p, c.q, A.nvars, A.rank
+    p, q = c.p, c.q
     out = {}
-    for k in range(0, min(p, q + 1) + 1):
-        qk = q + 1 - k
-        if qk > n:
-            continue
-        tbl = {}
-        for I in increasing_tuples(r, p - k):
-            for J in sorted_multisets(r, k):
-                src = c.lookup(k, I, J)
-                acc = conn.dnabla(src) if not src.is_zero \
-                    else VForm.zero(n, c.rank, qk)
-                for j, rest, mult in symmetric_slots(J):
-                    sub = c.lookup(k - 1, (j,) + I, rest)
-                    if sub.is_zero:
-                        continue
-                    acc = acc - sub.scaled(mult)
-                if not acc.is_zero:
-                    if k % 2 == 1:
-                        acc = -acc
-                    tbl[(I, J)] = acc
-        if tbl:
-            out[k] = tbl
+    for k, I, Js in frame_rows(A, p, q + 1):
+        for J in Js:
+            src = c.lookup(k, I, J)
+            acc = conn.dnabla(src) if not src.is_zero \
+                else VForm.zero(A.nvars, c.rank, q + 1 - k)
+            for j, rest, mult in symmetric_slots(J):
+                sub = c.lookup(k - 1, (j,) + I, rest)
+                if sub.is_zero:
+                    continue
+                acc = acc - sub.scaled(mult)
+            if not acc.is_zero:
+                out.setdefault(k, {})[(I, J)] = -acc if k % 2 == 1 else acc
     return WeilCochain(A, c.rank, p, q + 1, out)
 
 
@@ -337,36 +308,28 @@ def wedge_Ttheta(inv, c):
     A = c.A
     if inv.rank != c.rank:
         raise StructureError("invariance form acts on a different bundle")
-    p, q, n, r = c.p, c.q, A.nvars, A.rank
+    p, q = c.p, c.q
     out = {}
-    for k in range(0, min(p + 1, q + 1) + 1):
-        qk = q + 1 - k
-        if qk > n or qk < 0:
-            continue
-        tbl = {}
-        for I in increasing_tuples(r, p + 1 - k):
-            for J in sorted_multisets(r, k):
-                acc = VForm.zero(n, c.rank, qk)
-                for pos in range(len(I)):
-                    sub = c.lookup(k, I[:pos] + I[pos + 1:], J)
-                    if sub.is_zero:
-                        continue
-                    term = inv.T[I[pos]].wedge_vform(sub)
-                    if term.is_zero:
-                        continue
-                    acc = acc + term if pos % 2 == 0 else acc - term
-                for j, rest, mult in symmetric_slots(J):
-                    sub = c.lookup(k - 1, I, rest)
-                    if sub.is_zero:
-                        continue
-                    term = inv.theta[j].act_vform(sub)
-                    if term.is_zero:
-                        continue
-                    acc = acc + term.scaled(mult)
-                if not acc.is_zero:
-                    tbl[(I, J)] = acc
-        if tbl:
-            out[k] = tbl
+    for k, I, Js in frame_rows(A, p + 1, q + 1):
+        for J in Js:
+            acc = VForm.zero(A.nvars, c.rank, q + 1 - k)
+            for pos in range(len(I)):
+                sub = c.lookup(k, I[:pos] + I[pos + 1:], J)
+                if sub.is_zero:
+                    continue
+                term = inv.T[I[pos]].wedge_vform(sub)
+                if term.is_zero:
+                    continue
+                acc = acc + term if pos % 2 == 0 else acc - term
+            for j, rest, mult in symmetric_slots(J):
+                sub = c.lookup(k - 1, I, rest)
+                if sub.is_zero:
+                    continue
+                term = inv.theta[j].act_vform(sub)
+                if term.is_zero:
+                    continue
+                acc = acc + term.scaled(mult)
+            out.setdefault(k, {})[(I, J)] = acc
     return WeilCochain(A, c.rank, p + 1, q + 1, out)
 
 
@@ -441,20 +404,16 @@ def _flatten(c):
 
 def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
     cells = []
-    n, r = A.nvars, A.rank
+    n = A.nvars
     forbidden = set(horizontal_ideal.indices) if horizontal_ideal is not None else set()
-    for k in range(0, min(p, q) + 1):
-        qk = q - k
-        if qk < 0 or qk > n:
-            continue
-        for I in increasing_tuples(r, p - k):
-            for J in sorted_multisets(r, k):
-                if k > 0 and forbidden.intersection(J):
-                    continue
-                for b in range(1, rank + 1):
-                    for idx in itertools.combinations(range(1, n + 1), qk):
-                        for exps in monomials_upto(n, degree_bound):
-                            cells.append((k, I, J, b, idx, exps))
+    for k, I, Js in frame_rows(A, p, q):
+        for J in Js:
+            if k > 0 and forbidden.intersection(J):
+                continue
+            for b in range(1, rank + 1):
+                for idx in itertools.combinations(range(1, n + 1), q - k):
+                    for exps in monomials_upto(n, degree_bound):
+                        cells.append((k, I, J, b, idx, exps))
     return cells
 
 
@@ -462,6 +421,14 @@ def _cell_cochain(A, rank, p, q, cell):
     k, I, J, b, idx, exps = cell
     vf = VForm(A.nvars, rank, q - k, {(b, idx): Poly.monomial(A.nvars, exps, 1)})
     return WeilCochain(A, rank, p, q, {k: {(I, J): vf}})
+
+
+def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):
+    """The unknown cells of W^{p,q} and the flattened delta of each."""
+    cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
+    columns = [_flatten(delta(A, rep, _cell_cochain(A, rank, p, q, cell)))
+               for cell in cells]
+    return cells, columns
 
 
 def _assemble(A, rank, p, q, cells, coeffs):
@@ -485,9 +452,8 @@ def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
     if target.p == 0:
         raise ContractError("no level below a level-0 cochain")
     p, q = target.p - 1, target.q
-    cells = _unknown_cells(A, target.rank, p, q, degree_bound, horizontal_ideal)
-    columns = [_flatten(delta(A, rep, _cell_cochain(A, target.rank, p, q, cell)))
-               for cell in cells]
+    cells, columns = _delta_columns(A, rep, target.rank, p, q, degree_bound,
+                                    horizontal_ideal)
     x = _linsolve.solve_sparse(columns, _flatten(target))
     if x is None:
         return None
@@ -500,8 +466,6 @@ def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
 def bounded_kernel(A, rep, p, q, degree_bound, horizontal_ideal=None):
     """Basis of delta-cocycles at level p with coefficient degree <= bound."""
     rank = rep.rank
-    cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
-    columns = [_flatten(delta(A, rep, _cell_cochain(A, rank, p, q, cell)))
-               for cell in cells]
+    cells, columns = _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal)
     basis = _linsolve.nullspace_sparse(columns)
     return [_assemble(A, rank, p, q, cells, x) for x in basis]

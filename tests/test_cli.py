@@ -107,8 +107,15 @@ _TABLES = ("im_connection", "cochain", "tables")
     (("algebroid", "structure"), 7, "algebroid.structure"),
     (_TABLES + ("1",), [], "im_connection.cochain.tables.1"),
     (_TABLES + ("1", "|2"), "1", "im_connection.cochain.tables.1.|2"),
+    (("ideal",), 7, "ideal"),
+    (("connection",), None, "connection"),
+    (("im_connection",), True, "im_connection"),
+    (("curving",), 7, "curving"),
+    (("cochains",), [7], "cochains[0]"),
 ], ids=["malformed", "zero_denominator", "anchor_not_object", "structure_not_object",
-        "table_level_not_object", "table_entry_not_object"])
+        "table_level_not_object", "table_entry_not_object", "ideal_not_object",
+        "connection_null", "im_connection_bool", "curving_not_object",
+        "cochain_not_object"])
 def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, field, value, where):
     path = tmp_path / "f0.json"
     invoke(["fixture", "--name", "F0_so3", "--emit", str(path)], capsys)

@@ -1,0 +1,169 @@
+"""Forms layer against an independent oracle: exterior derivative, interior
+product, wedge and the algebroid Lie derivative of random bundle-valued
+forms are checked against their component formulas evaluated in sympy."""
+
+import functools
+import itertools
+
+import pytest
+
+from weilcalc import Section, VField, VForm, build_fixture, lieA_vform, scalar_wedge
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_polyring_oracle import polys  # noqa: E402
+
+# sympy's own sparse polynomial ring over QQ is the oracle's arithmetic
+_R, *_GENS = sympy.ring("x1:4", sympy.QQ)
+
+_oracle = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def vforms(draw, n, rank, degree):
+    """A random rank-``rank`` degree-``degree`` form on an n-variable chart."""
+    comps = {}
+    for b in range(1, rank + 1):
+        for idx in itertools.combinations(range(1, n + 1), degree):
+            comps[(b, idx)] = draw(polys(n))
+    return VForm(n, rank, degree, comps)
+
+
+@st.composite
+def chart_forms(draw):
+    """(n, form) with n <= 3 variables, bundle rank <= 2 and any degree."""
+    n = draw(st.integers(1, 3))
+    return n, draw(vforms(n, draw(st.integers(1, 2)), draw(st.integers(0, n))))
+
+
+# -- the oracle: forms as {(b, increasing index tuple): sympy polynomial} ------
+
+
+def to_ring(p):
+    pad = (0,) * (3 - p.nvars)
+    return _R.from_dict({e + pad: sympy.QQ(num, den) for e, (num, den) in p.terms.items()})
+
+
+def sym_form(vf):
+    return {key: to_ring(p) for key, p in vf.comps.items()}
+
+
+def perm_sign(idx):
+    """Sign of the permutation sorting idx by counting inversions; 0 on repeats."""
+    if len(set(idx)) != len(idx):
+        return 0
+    inversions = sum(1 for s, t in itertools.combinations(range(len(idx)), 2)
+                     if idx[s] > idx[t])
+    return -1 if inversions % 2 else 1
+
+
+def comp(form, b, idx):
+    """Component at an index tuple in any order, with its antisymmetry sign."""
+    sign = perm_sign(idx)
+    return sign * form.get((b, tuple(sorted(idx))), _R.zero) if sign else _R.zero
+
+
+def sym_d(form, n, rank, degree):
+    """(d w)_J = sum_t (-1)^t d_{J_t} w_{J minus J_t}."""
+    return {(b, J): sum(((-1) ** t * comp(form, b, J[:t] + J[t + 1:]).diff(_GENS[J[t] - 1])
+                         for t in range(degree + 1)), _R.zero)
+            for b in range(1, rank + 1)
+            for J in itertools.combinations(range(1, n + 1), degree + 1)}
+
+
+def sym_iota(X, form, n, rank, degree):
+    """(iota_X w)_J = sum_a X^a w_{(a) + J}."""
+    if degree == 0:
+        return {}
+    return {(b, J): sum((X[a - 1] * comp(form, b, (a,) + J) for a in range(1, n + 1)),
+                        _R.zero)
+            for b in range(1, rank + 1)
+            for J in itertools.combinations(range(1, n + 1), degree - 1)}
+
+
+def sym_wedge(theta, s, form, n, rank, degree):
+    """(theta ^ w)_K = sum over splittings K = S + T of sgn(S, T) theta_S w_T."""
+    out = {}
+    for b in range(1, rank + 1):
+        for K in itertools.combinations(range(1, n + 1), s + degree):
+            acc = _R.zero
+            for S in itertools.combinations(K, s):
+                T = tuple(a for a in K if a not in S)
+                acc += perm_sign(S + T) * comp(theta, 1, S) * comp(form, b, T)
+            out[(b, K)] = acc
+    return out
+
+
+def sym_add(*forms):
+    out = {}
+    for form in forms:
+        for key, e in form.items():
+            out[key] = out.get(key, _R.zero) + e
+    return out
+
+
+def matches(oracle, vf):
+    got = sym_form(vf)
+    return all(oracle.get(key, _R.zero) == got.get(key, _R.zero)
+               for key in set(oracle) | set(got))
+
+
+# -- VForm.d, VForm.iota, scalar_wedge ------------------------------------------
+
+
+@_oracle
+@given(chart_forms())
+def test_d_matches_component_formula(case):
+    n, w = case
+    assert matches(sym_d(sym_form(w), n, w.rank, w.degree), w.d())
+    assert w.d().d().is_zero
+
+
+@_oracle
+@given(st.data())
+def test_iota_matches_component_formula(data):
+    n, w = data.draw(chart_forms())
+    X = [data.draw(polys(n)) for _ in range(n)]
+    want = sym_iota([to_ring(x) for x in X], sym_form(w), n, w.rank, w.degree)
+    assert matches(want, w.iota(VField(n, X)))
+
+
+@_oracle
+@given(st.data())
+def test_scalar_wedge_matches_component_formula(data):
+    n, w = data.draw(chart_forms())
+    s = data.draw(st.integers(0, n))
+    theta = data.draw(vforms(n, 1, s))
+    want = sym_wedge(sym_form(theta), s, sym_form(w), n, w.rank, w.degree)
+    assert matches(want, scalar_wedge(theta, w))
+
+
+# -- lieA_vform: Cartan formula plus the representation ---------------------------
+
+_fixture = functools.lru_cache(maxsize=None)(build_fixture)
+
+
+@_oracle
+@given(st.sampled_from(["F1_abelian_2d", "F2_semisimple_2d"]), st.data())
+def test_lieA_vform_is_cartan_plus_representation(name, data):
+    fix = _fixture(name)
+    A, rep, n, m = fix.A, fix.rep, fix.A.nvars, fix.rep.rank
+    alpha = Section(n, [data.draw(polys(n)) for _ in range(A.rank)])
+    a = [to_ring(p) for p in alpha.comps]
+    X = [sum((a[i - 1] * to_ring(A.anchor[(i, x)])
+              for i in range(1, A.rank + 1) if (i, x) in A.anchor), _R.zero)
+         for x in range(1, n + 1)]
+    for degree in range(n + 1):
+        w = data.draw(vforms(n, m, degree))
+        sw = sym_form(w)
+        psi_w = {(b, idx): sum((a[i - 1] * to_ring(p) * comp(sw, c, idx)
+                                for (i, bb, c), p in rep.psi.items() if bb == b),
+                               _R.zero)
+                 for b in range(1, m + 1)
+                 for idx in itertools.combinations(range(1, n + 1), degree)}
+        want = sym_add(sym_iota(X, sym_d(sw, n, m, degree), n, m, degree + 1),
+                       sym_d(sym_iota(X, sw, n, m, degree), n, m, degree - 1)
+                       if degree else {},
+                       psi_w)
+        assert matches(want, lieA_vform(A, rep, alpha, w))

@@ -1,6 +1,8 @@
 """Polynomial kernel against an independent oracle: random small polynomials
 are checked against sympy's expansion."""
 
+import functools
+
 import pytest
 
 from weilcalc import Poly, poly_from_str, poly_to_str
@@ -12,21 +14,26 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 _SYMS = sympy.symbols("x1:4")
 
 
+def _from_terms(n, terms):
+    out = Poly.zero(n)
+    for e, c in terms.items():
+        out = out + Poly.monomial(n, e, c)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def polys(n):
+    """Random polynomials in n variables: total degree <= 3, at most 4 terms."""
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    return st.dictionaries(exps, coeff, max_size=4).map(lambda t: _from_terms(n, t))
+
+
 @st.composite
 def poly_pairs(draw):
     """Two random polynomials in the same 1-3 variables, total degree <= 3."""
     n = draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-
-    def one():
-        terms = draw(st.dictionaries(exps, coeff, max_size=4))
-        out = Poly.zero(n)
-        for e, c in terms.items():
-            out = out + Poly.monomial(n, e, c)
-        return out
-
-    return n, one(), one()
+    return n, draw(polys(n)), draw(polys(n))
 
 
 def to_sympy(p):
