@@ -30,7 +30,6 @@ from .ideals import (Curving, Dhor, IdealBundle, IMConnection, ad_inverse,
                      splitting_curvature, unique_curving, wedgedot,
                      wedgedot_multi)
 from .fixtures import (FIXTURE_NAMES, Fixture, build_fixture, random_cochain,
-                       random_endform, random_ideal_oneform, random_section,
-                       random_symform)
+                       random_endform, random_section, random_symform)
 
 __version__ = "0.1.0"

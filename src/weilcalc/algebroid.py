@@ -136,7 +136,54 @@ def vfield_bracket(x, y):
                             for xa, ya in zip(x.comps, y.comps)])
 
 
-class VForm:
+class SparseTable:
+    """Linear structure of a module element stored as a sparse table.
+
+    ``comps`` maps keys to nonzero values; ``_shape()`` gives the
+    constructor arguments in front of the table. Sums, negatives and
+    multiples are taken entry by entry and built through the subclass
+    constructor, which validates the keys and drops zero values; only
+    tables of one class and one shape can be added.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, *shape):
+        return cls(*shape)
+
+    def __add__(self, other):
+        shape = self._shape()
+        if type(other) is not type(self) or other._shape() != shape:
+            raise StructureError(f"{type(self).__name__} shape mismatch")
+        out = dict(self.comps)
+        for key, v in other.comps.items():
+            cur = out.get(key)
+            out[key] = v if cur is None else cur + v
+        return type(self)(*shape, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(*self._shape(), {key: -v for key, v in self.comps.items()})
+
+    def scaled(self, c):
+        """Scale by a rational or a Poly (module structure over the chart ring)."""
+        return type(self)(*self._shape(), {key: v * c for key, v in self.comps.items()})
+
+    __mul__ = scaled
+
+    @property
+    def is_zero(self):
+        return not self.comps
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._shape() == other._shape()
+                and self.comps == other.comps)
+
+
+class VForm(SparseTable):
     """Bundle-valued differential form.
 
     Components live in a dict (b, A) -> Poly with b a 1-based bundle index
@@ -162,9 +209,8 @@ class VForm:
                 clean[(b, idx)] = p
         self.comps = clean
 
-    @classmethod
-    def zero(cls, nvars, rank, degree):
-        return cls(nvars, rank, degree)
+    def _shape(self):
+        return self.nvars, self.rank, self.degree
 
     @classmethod
     def from_items(cls, nvars, rank, degree, items):
@@ -180,51 +226,20 @@ class VForm:
             acc[key] = q if cur is None else cur + q
         return cls(nvars, rank, degree, acc)
 
-    def get(self, b, idx):
-        """Component at an arbitrary-order index tuple, with antisymmetry sign."""
-        srt, sign = sort_sign(idx)
+    def get(self, *key):
+        """Component at value indices followed by an arbitrary-order form
+        index tuple, with antisymmetry sign."""
+        srt, sign = sort_sign(key[-1])
         if sign == 0:
             return Poly.zero(self.nvars)
-        p = self.comps.get((b, srt))
+        p = self.comps.get(key[:-1] + (srt,))
         if p is None:
             return Poly.zero(self.nvars)
         return p if sign > 0 else -p
 
-    def _like(self, other):
-        if (self.nvars, self.rank, self.degree) != (other.nvars, other.rank, other.degree):
-            raise StructureError("form shape mismatch")
-
-    def __add__(self, other):
-        self._like(other)
-        out = dict(self.comps)
-        for key, p in other.comps.items():
-            cur = out.get(key)
-            out[key] = p if cur is None else cur + p
-        return VForm(self.nvars, self.rank, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return VForm(self.nvars, self.rank, self.degree,
-                     {k: -p for k, p in self.comps.items()})
-
-    def scaled(self, c):
-        """Scale by a rational or a Poly (module structure over the chart ring)."""
-        return VForm(self.nvars, self.rank, self.degree,
-                     {k: p * c for k, p in self.comps.items()})
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, VForm) and self.nvars == other.nvars
-                and self.rank == other.rank and self.degree == other.degree
-                and self.comps == other.comps)
-
     def __repr__(self):
-        return f"VForm(q={self.degree}, m={self.rank}, {len(self.comps)} comps)"
+        name = type(self).__name__
+        return f"{name}(q={self.degree}, m={self.rank}, {len(self.comps)} comps)"
 
     # -- Cartan calculus ----------------------------------------------------
 
@@ -241,21 +256,20 @@ class VForm:
         return VForm.from_items(self.nvars, self.rank, self.degree + 1, items)
 
     def iota(self, x):
-        """Interior product with a vector field."""
-        if self.degree == 0:
-            return VForm.zero(self.nvars, self.rank, 0)
+        """Interior product with a vector field; on a 0-form, the zero form
+        of degree -1 (so that d of it is a zero 0-form)."""
         acc = {}
-        for (b, idx), p in self.comps.items():
+        for key, p in self.comps.items():
+            head, idx = key[:-1], key[-1]
             for t, a in enumerate(idx):
                 xa = x.comps[a - 1]
                 if xa.is_zero:
                     continue
-                rest = idx[:t] + idx[t + 1:]
                 q = xa * p if t % 2 == 0 else -(xa * p)
-                key = (b, rest)
-                cur = acc.get(key)
-                acc[key] = q if cur is None else cur + q
-        return VForm(self.nvars, self.rank, self.degree - 1, acc)
+                rest = head + (idx[:t] + idx[t + 1:],)
+                cur = acc.get(rest)
+                acc[rest] = q if cur is None else cur + q
+        return type(self)(self.nvars, self.rank, self.degree - 1, acc)
 
     def lie(self, x):
         """Lie derivative via the Cartan formula (trivial coefficients)."""

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from .algebroid import validate_algebroid
-from .connections import ARep, validate_rep
+from .connections import ARep, LinearConnection, validate_rep
 from .errors import ContractError, SpecError, StructureError
 from .fixtures import FIXTURE_NAMES, build_fixture, random_cochain
 from .ideals import (Dhor, IMConnection, bianchi_check, c2, coupling_checks,
@@ -35,6 +35,12 @@ def _adjoint_or_trivial(spec, cochain):
 def _need(spec, field, what):
     if getattr(spec, field) is None:
         raise SpecError(what, f"command needs the spec section {what!r}")
+
+
+def _nonnegative(value, flag):
+    if value < 0:
+        raise SpecError(flag, f"expected a nonnegative integer, got {value}")
+    return value
 
 
 def _imc(spec):
@@ -142,13 +148,16 @@ def cmd_bianchi(spec, args):
 
 def cmd_deform(spec, args):
     rep = CheckReport("deform")
+    try:
+        lam = Fraction(args.lam)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError("--lambda", f"expected a rational number, got {args.lam!r}")
     imc = _imc(spec)
     if args.with_index is None or not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
     if not 0 <= args.with_index < len(spec.cochains):
         raise SpecError("cochains", f"--with index {args.with_index} out of range")
     L = spec.cochains[args.with_index]
-    lam = Fraction(args.lam)
     try:
         imc2 = deform(imc, L, lam)
     except ContractError as exc:
@@ -166,6 +175,7 @@ def cmd_deform(spec, args):
 
 def cmd_obstruction(spec, args):
     rep = CheckReport("obstruction")
+    bound = _nonnegative(args.bound, "--bound")
     _need(spec, "ideal_indices", "ideal")
     ideal = spec.build_ideal()
     adjoint = ideal.adjoint_rep()
@@ -177,7 +187,6 @@ def cmd_obstruction(spec, args):
         conn = spec.conn or imc.coupling_connection()
     else:
         vsecs = frame_splitting(ideal)
-        from .connections import LinearConnection
         conn = spec.conn or LinearConnection.trivial(spec.A.nvars, ideal.m)
     U = None
     if args.use_coupling_u:
@@ -189,8 +198,8 @@ def cmd_obstruction(spec, args):
     rep.record("cocycle is horizontal", is_horizontal(obs, ideal))
     rep.record("cocycle is delta-closed", delta(spec.A, adjoint, obs).is_zero)
     result = {"cocycle": cochain_to_dict(obs, spec.names)}
-    corr = solve_coboundary(spec.A, adjoint, obs, args.bound, horizontal_ideal=ideal)
-    rep.record(f"horizontal corrector at degree bound {args.bound}",
+    corr = solve_coboundary(spec.A, adjoint, obs, bound, horizontal_ideal=ideal)
+    rep.record(f"horizontal corrector at degree bound {bound}",
                corr is not None,
                "" if corr is not None else "bound-relative verdict: infeasible")
     if corr is not None:
@@ -205,9 +214,10 @@ def cmd_curving(spec, args):
     rep = CheckReport("curving")
     imc = _imc(spec)
     if args.solve:
+        bound = _nonnegative(args.bound, "--bound")
         om = curvature(imc)
-        sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, args.bound)
-        rep.record(f"curving found at degree bound {args.bound}", sol is not None,
+        sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, bound)
+        rep.record(f"curving found at degree bound {bound}", sol is not None,
                    "" if sol is not None else "bound-relative verdict: infeasible")
         if sol is None:
             return rep, {}
@@ -229,7 +239,10 @@ def cmd_fixture(args):
             p, q = (int(t) for t in args.with_cochain.split(","))
         except ValueError:
             raise SpecError("--with-cochain", "expected 'p,q'")
-        c = random_cochain(fix.A, fix.rep, p, q, args.degree, args.seed)
+        if p < 0 or q < 0:
+            raise SpecError("--with-cochain", "expected a nonnegative bidegree 'p,q'")
+        degree = _nonnegative(args.degree, "--degree")
+        c = random_cochain(fix.A, fix.rep, p, q, degree, args.seed)
         if p == 0:
             c = WeilCochain.from_vform(fix.A, c)
         cochains.append(c)

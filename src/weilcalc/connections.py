@@ -8,7 +8,7 @@ psi^b_{i c} u_b). End(V)-valued objects are polynomial matrices.
 
 import itertools
 
-from .algebroid import VForm, bracket, sort_sign, symmetric_slots
+from .algebroid import SparseTable, VForm, bracket, sort_sign, symmetric_slots
 from .errors import StructureError
 from .polyring import Poly
 from .report import CheckReport
@@ -114,11 +114,6 @@ class ARep:
     def trivial(cls, nvars, secrank, rank):
         return cls(nvars, secrank, rank)
 
-    def matrix(self, i):
-        """psi_i as an End-valued 0-form."""
-        comps = {(b, c, ()): p for (ii, b, c), p in self.psi.items() if ii == i}
-        return EndForm(self.nvars, self.rank, 0, comps)
-
     def act(self, A, alpha, xi):
         """nabla^A_alpha applied to a value-bundle section (component tuple)."""
         rho = A.rho(alpha)
@@ -131,7 +126,7 @@ class ARep:
         return tuple(out)
 
 
-class EndForm:
+class EndForm(SparseTable):
     """End(V)-valued form: components (row, col, A) -> Poly in the frame."""
 
     __slots__ = ("nvars", "rank", "degree", "comps")
@@ -149,62 +144,11 @@ class EndForm:
                 clean[(b, c, idx)] = p
         self.comps = clean
 
-    @classmethod
-    def zero(cls, nvars, rank, degree):
-        return cls(nvars, rank, degree)
-
-    def get(self, b, c, idx):
-        srt, sign = sort_sign(idx)
-        if sign == 0:
-            return Poly.zero(self.nvars)
-        p = self.comps.get((b, c, srt))
-        if p is None:
-            return Poly.zero(self.nvars)
-        return p if sign > 0 else -p
-
-    def __add__(self, other):
-        out = dict(self.comps)
-        for key, p in other.comps.items():
-            cur = out.get(key)
-            out[key] = p if cur is None else cur + p
-        return EndForm(self.nvars, self.rank, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return EndForm(self.nvars, self.rank, self.degree,
-                       {k: -p for k, p in self.comps.items()})
-
-    def scaled(self, c):
-        return EndForm(self.nvars, self.rank, self.degree,
-                       {k: p * c for k, p in self.comps.items()})
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, EndForm)
-                and (self.nvars, self.rank, self.degree) ==
-                    (other.nvars, other.rank, other.degree)
-                and self.comps == other.comps)
-
-    def iota(self, x):
-        if self.degree == 0:
-            return EndForm.zero(self.nvars, self.rank, 0)
-        acc = {}
-        for (b, c, idx), p in self.comps.items():
-            for t, a in enumerate(idx):
-                xa = x.comps[a - 1]
-                if xa.is_zero:
-                    continue
-                rest = idx[:t] + idx[t + 1:]
-                q = xa * p if t % 2 == 0 else -(xa * p)
-                key = (b, c, rest)
-                cur = acc.get(key)
-                acc[key] = q if cur is None else cur + q
-        return EndForm(self.nvars, self.rank, self.degree - 1, acc)
+    # keys are VForm keys with the column index after the row index
+    _shape = VForm._shape
+    get = VForm.get
+    iota = VForm.iota
+    __repr__ = VForm.__repr__
 
     def wedge_vform(self, vf):
         """Matrix-acting wedge with a V-valued form: (T ^ w)^b = T^b_c ^ w^c."""
@@ -261,23 +205,20 @@ class EndForm:
             comps[(b + 1, c + 1, idx)] = p
         return cls(vf.nvars, rank, vf.degree, comps)
 
-    def __repr__(self):
-        return f"EndForm(q={self.degree}, m={self.rank}, {len(self.comps)} comps)"
 
-
-class SymForm:
+class SymForm(SparseTable):
     """Form valued in S^k(A*) (x) V: table of VForms keyed by sorted multisets."""
 
-    __slots__ = ("nvars", "rank", "secrank", "arity", "degree", "table")
+    __slots__ = ("nvars", "rank", "secrank", "arity", "degree", "comps")
 
-    def __init__(self, nvars, rank, secrank, arity, degree, table=None):
+    def __init__(self, nvars, rank, secrank, arity, degree, comps=None):
         self.nvars = nvars
         self.rank = rank
         self.secrank = secrank
         self.arity = arity
         self.degree = degree
         clean = {}
-        for j, vf in (table or {}).items():
+        for j, vf in (comps or {}).items():
             j = tuple(j)
             if len(j) != arity or any(not 1 <= t <= secrank for t in j) \
                     or tuple(sorted(j)) != j:
@@ -286,18 +227,13 @@ class SymForm:
                 raise StructureError("symmetric table entry has wrong shape")
             if not vf.is_zero:
                 clean[j] = vf
-        self.table = clean
+        self.comps = clean
 
-    @classmethod
-    def zero(cls, nvars, rank, secrank, arity, degree):
-        return cls(nvars, rank, secrank, arity, degree)
-
-    @classmethod
-    def from_vform(cls, vf, secrank):
-        return cls(vf.nvars, vf.rank, secrank, 0, vf.degree, {(): vf})
+    def _shape(self):
+        return self.nvars, self.rank, self.secrank, self.arity, self.degree
 
     def get(self, j):
-        vf = self.table.get(tuple(sorted(j)))
+        vf = self.comps.get(tuple(sorted(j)))
         if vf is None:
             return VForm.zero(self.nvars, self.rank, self.degree)
         return vf
@@ -316,7 +252,7 @@ class SymForm:
         if self.arity == 0:
             raise StructureError("no symmetric slot to fill")
         acc = {}
-        for J, vf in self.table.items():
+        for J, vf in self.comps.items():
             for j, rest, _ in symmetric_slots(J):
                 coeff = section.comps[j - 1]
                 if coeff.is_zero:
@@ -326,38 +262,9 @@ class SymForm:
                 acc[rest] = term if cur is None else cur + term
         return SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree, acc)
 
-    def __add__(self, other):
-        out = dict(self.table)
-        for j, vf in other.table.items():
-            cur = out.get(j)
-            out[j] = vf if cur is None else cur + vf
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree,
-                       {j: -vf for j, vf in self.table.items()})
-
-    def scaled(self, c):
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree,
-                       {j: vf.scaled(c) for j, vf in self.table.items()})
-
     def iota(self, x):
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity,
-                       max(self.degree - 1, 0),
-                       {j: vf.iota(x) for j, vf in self.table.items()})
-
-    @property
-    def is_zero(self):
-        return not self.table
-
-    def __eq__(self, other):
-        return (isinstance(other, SymForm)
-                and (self.nvars, self.rank, self.secrank, self.arity, self.degree)
-                == (other.nvars, other.rank, other.secrank, other.arity, other.degree)
-                and self.table == other.table)
+        return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree - 1,
+                       {j: vf.iota(x) for j, vf in self.comps.items()})
 
 
 def lieA_vform(A, rep, alpha, vf):
@@ -420,15 +327,15 @@ def lieA_derivative(A, rep, alpha, gamma):
     replaced by [a, e_{J_t}] (positions with equal index contribute with
     multiplicity).
     """
-    candidates = set(gamma.table)
-    for J in gamma.table:
+    candidates = set(gamma.comps)
+    for J in gamma.comps:
         for _, rest, _ in symmetric_slots(J):
             for s in range(1, gamma.secrank + 1):
                 candidates.add(tuple(sorted(rest + (s,))))
     wcache = {}
     rows = {}
     for J in candidates:
-        vf = gamma.table.get(J)
+        vf = gamma.comps.get(J)
         acc = lieA_vform(A, rep, alpha, vf) if vf is not None else None
         for j, rest, mult in symmetric_slots(J):
             w = wcache.get(j)
@@ -439,7 +346,7 @@ def lieA_derivative(A, rep, alpha, gamma):
                 wl = w.comps[l - 1]
                 if wl.is_zero:
                     continue
-                src = gamma.table.get(tuple(sorted(rest + (l,))))
+                src = gamma.comps.get(tuple(sorted(rest + (l,))))
                 if src is None:
                     continue
                 coeff = wl if mult == 1 else wl * mult

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
-from .connections import LinearConnection
+from .connections import EndForm, LinearConnection, SymForm
 from .errors import StructureError
 from .ideals import (IdealBundle, IMConnection, build_coupled, frame_splitting,
                      splitting_cochain)
@@ -133,23 +133,15 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
     rng = random.Random(f"cochain:{p}:{q}:{degree_bound}:{seed}")
     if p == 0:
         return random_vform(rng, A.nvars, rep.rank, q, degree_bound)
-    tables = {}
+    comps = {}
     for k, I, Js in frame_rows(A, p, q):
         for J in Js:
-            vf = random_vform(rng, A.nvars, rep.rank, q - k, degree_bound)
-            tables.setdefault(k, {})[(I, J)] = vf
-    return WeilCochain(A, rep.rank, p, q, tables)
-
-
-def random_ideal_oneform(fix, seed, bound=1):
-    """Random ideal-valued 1-form on a fixture's chart (for deformations)."""
-    rng = random.Random(f"gamma:{fix.name}:{seed}")
-    return random_vform(rng, fix.A.nvars, fix.ideal.m, 1, bound)
+            comps[(k, I, J)] = random_vform(rng, A.nvars, rep.rank, q - k, degree_bound)
+    return WeilCochain(A, rep.rank, p, q, comps)
 
 
 def random_symform(fix, arity, degree, seed, bound=1):
     """Random ideal-valued form with open symmetric slots (pairing tests)."""
-    from .connections import SymForm
     rng = random.Random(f"symform:{fix.name}:{arity}:{degree}:{seed}")
     A = fix.A
     table = {J: random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
@@ -159,7 +151,6 @@ def random_symform(fix, arity, degree, seed, bound=1):
 
 def random_endform(fix, degree, seed, bound=1):
     """Random End-valued form on a fixture's ideal bundle."""
-    from .connections import EndForm
     rng = random.Random(f"endform:{fix.name}:{degree}:{seed}")
     n, m = fix.A.nvars, fix.ideal.m
     comps = {}

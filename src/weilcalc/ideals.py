@@ -10,7 +10,8 @@ import itertools
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import Section, VForm, bracket, sort_sign, symmetric_slots
+from .algebroid import (AlgebroidPresentation, Section, VForm, bracket, sort_sign,
+                        symmetric_slots)
 from .connections import (ARep, EndForm, LinearConnection, SymForm,
                           is_A_invariant)
 from .errors import ContractError, StructureError
@@ -127,7 +128,7 @@ class IMConnection:
     """IM connection (C, v): a W^{1,1} ideal-valued cochain whose symbol
     restricts to the identity on the ideal."""
 
-    __slots__ = ("ideal", "cochain", "_conn", "_hsec", "_report")
+    __slots__ = ("ideal", "cochain", "_conn", "_hsec")
 
     def __init__(self, ideal, cochain, validate=True):
         A = ideal.A
@@ -137,7 +138,6 @@ class IMConnection:
         self.cochain = cochain
         self._conn = None
         self._hsec = {}
-        self._report = None
         for a, k in enumerate(ideal.indices, start=1):
             vk = cochain.lookup(1, (), (k,))
             unit = VForm(A.nvars, ideal.m, 0,
@@ -146,7 +146,6 @@ class IMConnection:
                 raise ContractError(f"symbol does not restrict to the identity at e_{k}")
         if validate:
             rep = check_IM(A, ideal.adjoint_rep(), cochain)
-            self._report = rep
             if not rep.passed:
                 raise ContractError(
                     "cochain is not infinitesimally multiplicative: "
@@ -229,7 +228,7 @@ def wedgedot(gamma, theta, ideal):
 
     for (tb, S), tp in theta.comps.items():
         sec_idx = ideal.indices[tb - 1]
-        for J, vf in gamma.table.items():
+        for J, vf in gamma.comps.items():
             for j, rest, _ in symmetric_slots(J):
                 if j != sec_idx:
                     continue
@@ -275,34 +274,34 @@ def hstar(imc, c):
     hsecs = {j: imc.h_basis(j) for j in range(1, r + 1)}
     out = {}
     for k, I, Js in frame_rows(A, p, q):
+        # the nonzero rows c_j(a's || .) of each split of I, with their pairings
+        # and signs; they do not depend on J
+        rows = []
+        for j_lvl in range(k, p + 1):
+            if q - j_lvl < 0 or q - j_lvl > n:
+                continue
+            npick = j_lvl - k
+            for picks in itertools.combinations(range(p - k), npick):
+                restpos = tuple(t for t in range(p - k) if t not in picks)
+                _, sgn = sort_sign(picks + restpos)
+                row = c.symrow(j_lvl, tuple(I[t] for t in restpos))
+                if not row.is_zero:
+                    rows.append((row, [cforms[I[t]] for t in picks],
+                                 (npick % 2 == 1) == (sgn > 0)))
         for J in Js:
             acc = VForm.zero(n, c.rank, q - k)
-            for j_lvl in range(k, p + 1):
-                if q - j_lvl < 0 or q - j_lvl > n:
+            for row, pairs, flip in rows:
+                for jb in J:
+                    row = row.insert(hsecs[jb])
+                    if row.is_zero:
+                        break
+                if row.is_zero:
                     continue
-                npick = j_lvl - k
-                for picks in itertools.combinations(range(p - k), npick):
-                    restpos = tuple(t for t in range(p - k) if t not in picks)
-                    _, sgn = sort_sign(picks + restpos)
-                    part1 = tuple(I[t] for t in picks)
-                    part2 = tuple(I[t] for t in restpos)
-                    row = c.symrow(j_lvl, part2)
-                    if row.is_zero:
-                        continue
-                    for jb in J:
-                        row = row.insert(hsecs[jb])
-                        if row.is_zero:
-                            break
-                    if row.is_zero:
-                        continue
-                    paired = wedgedot_multi(row, [cforms[i] for i in part1], ideal)
-                    term = paired.vform()
-                    if term.is_zero:
-                        continue
-                    if (npick % 2 == 1 and sgn > 0) or (npick % 2 == 0 and sgn < 0):
-                        term = -term
-                    acc = acc + term
-            out.setdefault(k, {})[(I, J)] = acc
+                term = wedgedot_multi(row, pairs, ideal).vform()
+                if term.is_zero:
+                    continue
+                acc = acc + (-term if flip else term)
+            out[(k, I, J)] = acc
     return WeilCochain(A, c.rank, p, q, out)
 
 
@@ -347,10 +346,10 @@ def c2(ideal, L):
     A = ideal.A
     n, r = A.nvars, A.rank
 
-    def apply_L(comps):
-        return evaluate(L, [ideal.embed(comps)])
+    def apply_L(xi):
+        return evaluate(L, [ideal.embed(xi)])
 
-    lead = {}
+    comps = {}
     for i in range(1, r + 1):
         Li = L.lookup(0, (i,), ())
         acc = VForm.zero(n, ideal.m, 2)
@@ -368,15 +367,14 @@ def c2(ideal, L):
                     val[cc] = val[cc] - vb.get(cc + 1, (a,))
             acc = acc + VForm(n, ideal.m, 2,
                               {(cc + 1, (a, bb)): val[cc] for cc in range(ideal.m)})
-        lead[((i,), ())] = -acc
-    symb = {}
+        comps[(0, (i,), ())] = -acc
     for j in range(1, r + 1):
         lj = L.lookup(1, (), (j,))
-        comps = tuple(lj.get(a, ()) for a in range(1, ideal.m + 1))
-        if all(p.is_zero for p in comps):
+        vj = tuple(lj.get(a, ()) for a in range(1, ideal.m + 1))
+        if all(p.is_zero for p in vj):
             continue
-        symb[((), (j,))] = -apply_L(comps)
-    return WeilCochain(A, ideal.m, 1, 2, {0: lead, 1: symb})
+        comps[(1, (), (j,))] = -apply_L(vj)
+    return WeilCochain(A, ideal.m, 1, 2, comps)
 
 
 # -- obstruction cocycle -------------------------------------------------------
@@ -401,16 +399,16 @@ def splitting_cochain(A, ideal, vsecs, conn, U=None):
     for i in U:
         if i in ideal.indices:
             raise ContractError("U is only defined on the horizontal frame")
-    t0, t1 = {}, {}
+    comps = {}
     for i in range(1, A.rank + 1):
         vform0 = VForm(n, ideal.m, 0, {(a + 1, ()): p for a, p in enumerate(vsecs[i])})
         cf = conn.dnabla(vform0)
         ui = U.get(i)
         if ui is not None:
             cf = cf - ui
-        t0[((i,), ())] = cf
-        t1[((), (i,))] = vform0
-    return WeilCochain(A, ideal.m, 1, 1, {0: t0, 1: t1})
+        comps[(0, (i,), ())] = cf
+        comps[(1, (), (i,))] = vform0
+    return WeilCochain(A, ideal.m, 1, 1, comps)
 
 
 def obstruction_cocycle(A, ideal, vsecs, conn, U=None):
@@ -621,7 +619,6 @@ def coupled_presentation(B, m, fibre, conn, F):
     for (a, b, c), p in fibre.items():
         structure[(rB + a, rB + b, rB + c)] = p
     anchor = {(i, x): p for (i, x), p in B.anchor.items()}
-    from .algebroid import AlgebroidPresentation
     return AlgebroidPresentation(n, r, structure, anchor)
 
 

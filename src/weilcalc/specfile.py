@@ -140,13 +140,11 @@ def vform_from_dict(data, nvars, names, path):
 
 def cochain_to_dict(c, names):
     tables = {}
-    for k, tbl in sorted(c.tables.items()):
-        row = {}
-        for (I, J), vf in sorted(tbl.items()):
-            key = f"{','.join(map(str, I))}|{','.join(map(str, J))}"
-            row[key] = {f"{b}|{','.join(map(str, idx))}": poly_to_str(p, names)
-                        for (b, idx), p in sorted(vf.comps.items())}
-        tables[str(k)] = row
+    for (k, I, J), vf in sorted(c.comps.items()):
+        key = f"{','.join(map(str, I))}|{','.join(map(str, J))}"
+        tables.setdefault(str(k), {})[key] = {
+            f"{b}|{','.join(map(str, idx))}": poly_to_str(p, names)
+            for (b, idx), p in sorted(vf.comps.items())}
     return {"p": c.p, "q": c.q, "bundle_rank": c.rank, "tables": tables}
 
 
@@ -154,7 +152,7 @@ def cochain_from_dict(data, A, names, path):
     p = _require(data, "p", path, int)
     q = _require(data, "q", path, int)
     rank = _require(data, "bundle_rank", path, int)
-    tables = {}
+    comps = {}
     tables_data = _require(data, "tables", path, dict)
     for kstr in tables_data:
         kpath = f"{path}.tables.{kstr}"
@@ -162,30 +160,28 @@ def cochain_from_dict(data, A, names, path):
             k = int(kstr)
         except ValueError:
             raise SpecError(kpath, "table key must be an integer level")
-        tbl = {}
         row = _require(tables_data, kstr, f"{path}.tables", dict)
         for ijkey in row:
             epath = f"{kpath}.{ijkey}"
             if "|" not in ijkey:
                 raise SpecError(epath, "entry key must be 'I|J'")
-            comps = _require(row, ijkey, kpath, dict)
+            entry = _require(row, ijkey, kpath, dict)
             ipart, jpart = ijkey.split("|", 1)
             I = _ints(epath, ipart)
             J = _ints(epath, jpart)
             vcomps = {}
-            for ckey, text in comps.items():
+            for ckey, text in entry.items():
                 cpath = f"{epath}.{ckey}"
                 bpart, apart = ckey.split("|", 1) if "|" in ckey else (ckey, "")
                 b = _ints(cpath, bpart, 1)[0]
                 idx = _ints(cpath, apart)
                 vcomps[(b, idx)] = _poly(cpath, text, A.nvars, names)
             try:
-                tbl[(I, J)] = VForm(A.nvars, rank, q - k, vcomps)
+                comps[(k, I, J)] = VForm(A.nvars, rank, q - k, vcomps)
             except StructureError as exc:
                 raise SpecError(epath, str(exc))
-        tables[k] = tbl
     try:
-        return WeilCochain(A, rank, p, q, tables)
+        return WeilCochain(A, rank, p, q, comps)
     except StructureError as exc:
         raise SpecError(path, str(exc))
 

@@ -1,11 +1,13 @@
 """The Weil complex W^{p,q}(A;V) over a trivialized algebroid.
 
-A cochain is stored by its value tables on frame tuples: for each
-correction index k, a dict from (I, J) to a degree-(q-k) bundle-valued
-form, where I is a strictly increasing tuple of p-k frame indices
-(antisymmetric slots) and J a sorted multiset of k frame indices
-(symmetric slots). Evaluation on arbitrary sections expands the
-antisymmetric arguments through the Leibniz identity
+A cochain is stored by its values on frame tuples, in one flat sparse
+table keyed (k, I, J): k is the correction index, I a strictly increasing
+tuple of p-k frame indices (antisymmetric slots), J a sorted multiset of
+k frame indices (symmetric slots), and the value a degree-(q-k)
+bundle-valued form; absent keys read as zero. Sums and multiples come
+from ``algebroid.SparseTable``, which the forms share. Evaluation on
+arbitrary sections expands the antisymmetric arguments through the
+Leibniz identity
 
     c_k(f a_1, a_2, ... || .) = f c_k(a_1, ... || .)
                                 + df ^ c_{k+1}(a_2, ... || a_1, .)
@@ -20,8 +22,8 @@ import itertools
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (VForm, d_scalar, scalar_wedge, sort_sign, sorted_multisets,
-                        symmetric_slots)
+from .algebroid import (SparseTable, VForm, d_scalar, scalar_wedge, sort_sign,
+                        sorted_multisets, symmetric_slots)
 from .connections import SymForm, lieA_derivative, lieA_vform
 from .errors import ContractError, StructureError
 from .polyring import Poly
@@ -55,50 +57,43 @@ def frame_rows(A, p, q):
             yield k, I, Js
 
 
-class WeilCochain:
+class WeilCochain(SparseTable):
     """Element of W^{p,q}(A;V) with a rank-``rank`` value bundle."""
 
-    __slots__ = ("A", "rank", "p", "q", "tables")
+    __slots__ = ("A", "rank", "p", "q", "comps")
 
-    def __init__(self, A, rank, p, q, tables=None):
+    def __init__(self, A, rank, p, q, comps=None):
         self.A = A
         self.rank = rank
         self.p = p
         self.q = q
         clean = {}
-        for k, tbl in (tables or {}).items():
+        for (k, I, J), vf in (comps or {}).items():
             if not 0 <= k <= min(p, q):
                 raise StructureError(f"correction index {k} out of range for W^{p},{q}")
             if q - k > A.nvars:
                 # degree q-k forms on the chart vanish identically
                 continue
-            row = {}
-            for (I, J), vf in tbl.items():
-                I, J = tuple(I), tuple(J)
-                if len(I) != p - k or any(not 1 <= i <= A.rank for i in I) \
-                        or any(I[t] >= I[t + 1] for t in range(len(I) - 1)):
-                    raise StructureError(f"bad antisymmetric index tuple {I}")
-                if len(J) != k or any(not 1 <= j <= A.rank for j in J) \
-                        or tuple(sorted(J)) != J:
-                    raise StructureError(f"bad symmetric index tuple {J}")
-                if vf.degree != q - k or vf.rank != self.rank or vf.nvars != A.nvars:
-                    raise StructureError("table entry has wrong shape")
-                if not vf.is_zero:
-                    row[(I, J)] = vf
-            if row:
-                clean[k] = row
-        self.tables = clean
+            I, J = tuple(I), tuple(J)
+            if len(I) != p - k or any(not 1 <= i <= A.rank for i in I) \
+                    or any(I[t] >= I[t + 1] for t in range(len(I) - 1)):
+                raise StructureError(f"bad antisymmetric index tuple {I}")
+            if len(J) != k or any(not 1 <= j <= A.rank for j in J) \
+                    or tuple(sorted(J)) != J:
+                raise StructureError(f"bad symmetric index tuple {J}")
+            if vf.degree != q - k or vf.rank != self.rank or vf.nvars != A.nvars:
+                raise StructureError("table entry has wrong shape")
+            if not vf.is_zero:
+                clean[(k, I, J)] = vf
+        self.comps = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, A, rank, p, q):
-        return cls(A, rank, p, q)
+    def _shape(self):
+        return self.A, self.rank, self.p, self.q
 
     @classmethod
     def from_vform(cls, A, vf):
         """A plain form as a level-0 cochain."""
-        return cls(A, vf.rank, 0, vf.degree, {0: {((), ()): vf}})
+        return cls(A, vf.rank, 0, vf.degree, {(0, (), ()): vf})
 
     def as_vform(self):
         if self.p != 0:
@@ -110,59 +105,20 @@ class WeilCochain:
     def lookup(self, k, I, J):
         """Signed table access; I in any order, J any order. Zero when absent."""
         srt, sign = sort_sign(I)
-        vf = self.tables.get(k, {}).get((srt, tuple(sorted(J)))) if sign else None
+        vf = self.comps.get((k, srt, tuple(sorted(J)))) if sign else None
         if vf is None:
-            return VForm.zero(self.A.nvars, self.rank, max(self.q - k, 0))
+            return VForm.zero(self.A.nvars, self.rank, self.q - k)
         return vf if sign > 0 else -vf
 
     def symrow(self, k, I):
-        """The map J -> c_k(e_I || e_J) as a symmetric-slot form."""
-        table = {}
-        for (II, J), vf in self.tables.get(k, {}).items():
-            if II == I:
-                table[J] = vf
-        return SymForm(self.A.nvars, self.rank, self.A.rank, k, max(self.q - k, 0), table)
-
-    # -- linear structure -----------------------------------------------------
-
-    def _like(self, other):
-        if (self.p, self.q, self.rank) != (other.p, other.q, other.rank) \
-                or self.A is not other.A and self.A != other.A:
-            raise StructureError("cochain shape mismatch")
-
-    def __add__(self, other):
-        self._like(other)
-        out = {k: dict(tbl) for k, tbl in self.tables.items()}
-        for k, tbl in other.tables.items():
-            row = out.setdefault(k, {})
-            for key, vf in tbl.items():
-                cur = row.get(key)
-                row[key] = vf if cur is None else cur + vf
-        return WeilCochain(self.A, self.rank, self.p, self.q, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, c):
-        return WeilCochain(self.A, self.rank, self.p, self.q,
-                           {k: {key: vf.scaled(c) for key, vf in tbl.items()}
-                            for k, tbl in self.tables.items()})
-
-    @property
-    def is_zero(self):
-        return not self.tables
-
-    def __eq__(self, other):
-        return (isinstance(other, WeilCochain)
-                and (self.p, self.q, self.rank) == (other.p, other.q, other.rank)
-                and self.tables == other.tables)
+        """The map J -> c_k(e_I || e_J) as a symmetric-slot form (I increasing)."""
+        get = self.comps.get
+        row = {J: vf for J in sorted_multisets(self.A.rank, k)
+               if (vf := get((k, I, J))) is not None}
+        return SymForm(self.A.nvars, self.rank, self.A.rank, k, self.q - k, row)
 
     def __repr__(self):
-        sizes = {k: len(tbl) for k, tbl in self.tables.items()}
-        return f"WeilCochain(p={self.p}, q={self.q}, m={self.rank}, tables={sizes})"
+        return f"WeilCochain(p={self.p}, q={self.q}, m={self.rank}, {len(self.comps)} comps)"
 
 
 def evaluate(c, antis, syms=()):
@@ -188,7 +144,7 @@ def _eval_basis(c, k, prefix, rest, J):
     alpha = rest[0]
     tail = rest[1:]
     pos = len(prefix)
-    out = VForm.zero(n, c.rank, max(c.q - k, 0))
+    out = VForm.zero(n, c.rank, c.q - k)
     for i in range(1, r + 1):
         ai = alpha.comps[i - 1]
         if not ai.is_zero:
@@ -211,7 +167,7 @@ def eval_row(c, k, sections):
     n, r = c.A.nvars, c.A.rank
     qk = c.q - k
     if qk < 0 or qk > n:
-        return SymForm.zero(n, c.rank, r, k, max(qk, 0))
+        return SymForm.zero(n, c.rank, r, k, qk)
     return SymForm(n, c.rank, r, k, qk, {J: _eval_basis(c, k, (), list(sections), J)
                                          for J in sorted_multisets(r, k)})
 
@@ -267,7 +223,7 @@ def delta(A, rep, c):
                     continue
                 acc = acc - term.scaled(mult)
             if not acc.is_zero:
-                out.setdefault(k, {})[(I, J)] = -acc if k % 2 == 1 else acc
+                out[(k, I, J)] = -acc if k % 2 == 1 else acc
     return WeilCochain(A, c.rank, p + 1, q, out)
 
 
@@ -295,7 +251,7 @@ def dnabla_cochain(conn, c):
                     continue
                 acc = acc - sub.scaled(mult)
             if not acc.is_zero:
-                out.setdefault(k, {})[(I, J)] = -acc if k % 2 == 1 else acc
+                out[(k, I, J)] = -acc if k % 2 == 1 else acc
     return WeilCochain(A, c.rank, p, q + 1, out)
 
 
@@ -329,16 +285,16 @@ def wedge_Ttheta(inv, c):
                 if term.is_zero:
                     continue
                 acc = acc + term.scaled(mult)
-            out.setdefault(k, {})[(I, J)] = acc
+            out[(k, I, J)] = acc
     return WeilCochain(A, c.rank, p + 1, q + 1, out)
 
 
 def cochain_from_invariance(A, inv):
     """(T, theta) as a W^{1,1} cochain valued in the flattened End bundle."""
     m2 = inv.rank * inv.rank
-    t0 = {((i,), ()): ef.to_flat() for i, ef in inv.T.items()}
-    t1 = {((), (j,)): ef.to_flat() for j, ef in inv.theta.items()}
-    return WeilCochain(A, m2, 1, 1, {0: t0, 1: t1})
+    comps = {(0, (i,), ()): ef.to_flat() for i, ef in inv.T.items()}
+    comps.update({(1, (), (j,)): ef.to_flat() for j, ef in inv.theta.items()})
+    return WeilCochain(A, m2, 1, 1, comps)
 
 
 def check_IM(A, rep, c):
@@ -380,13 +336,7 @@ def check_IM(A, rep, c):
 def is_horizontal(c, ideal):
     """Correction terms vanish whenever a symmetric slot carries an ideal index."""
     forbidden = set(ideal.indices)
-    for k, tbl in c.tables.items():
-        if k == 0:
-            continue
-        for (_, J) in tbl:
-            if forbidden.intersection(J):
-                return False
-    return True
+    return not any(k and forbidden.intersection(J) for k, _, J in c.comps)
 
 
 # -- bounded-degree linear solving -------------------------------------------
@@ -394,11 +344,10 @@ def is_horizontal(c, ideal):
 
 def _flatten(c):
     flat = {}
-    for k, tbl in c.tables.items():
-        for (I, J), vf in tbl.items():
-            for (b, idx), poly in vf.comps.items():
-                for exps, (num, den) in poly.terms.items():
-                    flat[(k, I, J, b, idx, exps)] = Fraction(num, den)
+    for (k, I, J), vf in c.comps.items():
+        for (b, idx), poly in vf.comps.items():
+            for exps, (num, den) in poly.terms.items():
+                flat[(k, I, J, b, idx, exps)] = Fraction(num, den)
     return flat
 
 
@@ -420,7 +369,7 @@ def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
 def _cell_cochain(A, rank, p, q, cell):
     k, I, J, b, idx, exps = cell
     vf = VForm(A.nvars, rank, q - k, {(b, idx): Poly.monomial(A.nvars, exps, 1)})
-    return WeilCochain(A, rank, p, q, {k: {(I, J): vf}})
+    return WeilCochain(A, rank, p, q, {(k, I, J): vf})
 
 
 def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):

@@ -130,7 +130,7 @@ def test_criterion_04_pairing_laws(f2):
         lhs = wedgedot_multi(g1, [simple, t2], ideal)
         inner = wedgedot(g1.insert(ideal.embed(xi)), t2, ideal)
         rhs = SymForm.zero(2, 3, 5, inner.arity, inner.degree + 1)
-        rhs.table = {j: scalar_wedge(th, vf) for j, vf in inner.table.items()
+        rhs.comps = {j: scalar_wedge(th, vf) for j, vf in inner.comps.items()
                      if not scalar_wedge(th, vf).is_zero}
         ok = ok and lhs == rhs
         # (iii) interior products
@@ -154,7 +154,7 @@ def test_criterion_04_pairing_laws(f2):
         corr = wedgedot(eval_row(c, 2, [A.basis(4)]).insert(A.basis(2)), t1, ideal)
         df = d_scalar(f, 2)
         wedged = SymForm.zero(2, 3, 5, row.arity, row.degree)
-        wedged.table = {j: scalar_wedge(df, vf) for j, vf in corr.table.items()
+        wedged.comps = {j: scalar_wedge(df, vf) for j, vf in corr.comps.items()
                         if not scalar_wedge(df, vf).is_zero}
         ok = ok and lhs5 == row.scaled(f) - wedged
         # sign relation dot-wedge vs End-wedge
@@ -162,7 +162,7 @@ def test_criterion_04_pairing_laws(f2):
             g = random_symform(f2, 1, k, seed=seed + 30 + k + l)
             t = random_vform(random.Random(f"i:{seed}:{k}:{l}"), 2, 3, l, 1)
             comps = {}
-            for (j,), vf in g.table.items():
+            for (j,), vf in g.comps.items():
                 if j in ideal.indices:
                     col = ideal.indices.index(j) + 1
                     for (b, idx), p in vf.comps.items():

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, Poly, Section, StructureError,
-                      VField, VForm, bracket, scalar_wedge, validate_algebroid,
-                      vfield_bracket)
+from weilcalc import (AlgebroidPresentation, EndForm, Poly, Section, StructureError,
+                      SymForm, VField, VForm, WeilCochain, bracket, scalar_wedge,
+                      validate_algebroid, vfield_bracket)
 from weilcalc.algebroid import d_scalar
 from weilcalc.fixtures import random_poly, random_section, random_vform
 
@@ -146,6 +146,27 @@ def test_degree_overflow_is_zero_object():
     assert w.d().d().degree == 4
     assert w.d().d().is_zero
     assert VForm.zero(2, 1, 5).is_zero
+
+
+def _mismatched_pair(kind, A):
+    one = Poly.const(2, 1)
+    if kind == "VForm":
+        return VForm(2, 1, 1, {(1, (1,)): one}), VForm(2, 2, 1, {(1, (1,)): one})
+    if kind == "EndForm":
+        return (EndForm(2, 3, 1, {(1, 1, (1,)): one}),
+                EndForm(2, 2, 1, {(1, 1, (1,)): one}))
+    if kind == "SymForm":
+        f = VForm(2, 1, 0, {(1, ()): one})
+        return SymForm(2, 1, 5, 1, 0, {(5,): f}), SymForm(2, 1, 3, 1, 0, {(1,): f})
+    return (WeilCochain(A, 1, 1, 1, {(0, (1,), ()): VForm(2, 1, 1, {(1, (1,)): one})}),
+            WeilCochain(A, 1, 1, 2, {(0, (1,), ()): VForm(2, 1, 2, {(1, (1, 2)): one})}))
+
+
+@pytest.mark.parametrize("kind", ["VForm", "EndForm", "SymForm", "WeilCochain"])
+def test_adding_mismatched_shapes_is_rejected(kind, f1):
+    left, right = _mismatched_pair(kind, f1.A)
+    with pytest.raises(StructureError):
+        left + right
 
 
 @pytest.mark.parametrize("seed", range(6))

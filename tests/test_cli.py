@@ -131,6 +131,27 @@ def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, field, value, wh
     assert where in json.loads(out)["error"]["path"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["deform", "SPEC", "--with", "0", "--lambda", "1/0"], "--lambda"),
+    (["deform", "SPEC", "--with", "0", "--lambda", "abc"], "--lambda"),
+    (["obstruction", "SPEC", "--bound", "-1"], "--bound"),
+    (["curving", "SPEC", "--solve", "--bound", "-1"], "--bound"),
+    (["fixture", "--name", "F1_abelian_2d", "--with-cochain=-1,1"], "--with-cochain"),
+    (["fixture", "--name", "F1_abelian_2d", "--with-cochain=1,1", "--degree", "-1"],
+     "--degree"),
+], ids=["lambda_zero_denominator", "lambda_not_rational", "obstruction_negative_bound",
+        "curving_negative_bound", "negative_bidegree", "negative_degree"])
+def test_bad_numeric_flag_is_located(tmp_path, capsys, argv, flag):
+    path = tmp_path / "f1c.json"
+    invoke(["fixture", "--name", "F1_abelian_2d", "--emit", str(path),
+            "--with-cochain", "1,1"], capsys)
+    code, out = invoke([str(path) if a == "SPEC" else a for a in argv], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "input_error"
+    assert doc["error"]["path"] == flag
+
+
 def test_delta_and_dhor_on_embedded_cochain(tmp_path, capsys):
     path = tmp_path / "f2c.json"
     code, _ = invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path),

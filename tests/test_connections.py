@@ -109,6 +109,24 @@ def test_lieA_vanishes_for_abelian_vertical_on_constants(f1):
     assert lieA_vform(f1.A, f1.rep, f1.A.basis(3), w).is_zero
 
 
+def test_lie_derivatives_of_a_function(f2):
+    # on a 0-form f: L_X f = X(f) componentwise, and the covariant Lie
+    # derivative is nabla_X f = X(f^b) + X^a Gamma^b_{a c} f^c
+    conn = f2.conn
+    f = random_vform(random.Random("lie0"), 2, 3, 0, 2)
+    rng = random.Random("lie0:X")
+    X = VField(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
+    assert f.lie(X) == VForm(2, 3, 0, {key: X.apply(p) for key, p in f.comps.items()})
+    want = {}
+    for b in range(1, 4):
+        p = X.apply(f.get(b, ()))
+        for a in range(1, 3):
+            for c in range(1, 4):
+                p = p + X.comps[a - 1] * conn.gamma(a, b, c) * f.get(c, ())
+        want[(b, ())] = p
+    assert conn.lie_nabla(X, f) == VForm(2, 3, 0, want)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_lieA_bracket_compatibility(seed, f2):
     # flatness on the Lie-derivative level: L_[a,b] = [L_a, L_b]

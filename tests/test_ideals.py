@@ -56,12 +56,12 @@ def test_pairing_simple_tensor(f2):
     lhs = wedgedot(gamma, simple, f2.ideal)
     inserted = gamma.insert(f2.ideal.embed(xi))
     rhs_tbl = {}
-    for j, vf in inserted.table.items():
+    for j, vf in inserted.comps.items():
         w = scalar_wedge(t, vf)
         if not w.is_zero:
             rhs_tbl[j] = w
     rhs = SymForm.zero(2, 3, 5, 1, 2)
-    rhs.table = rhs_tbl
+    rhs.comps = rhs_tbl
     assert lhs == rhs
 
 
@@ -106,13 +106,13 @@ def test_pairing_leibniz_interaction(seed, f2):
     corr = wedgedot(eval_row(c, 2, [A.basis(i2)]).insert(A.basis(i1)), theta, ideal)
     df = d_scalar(f, 2)
     corr_tbl = {}
-    for j, vf in corr.table.items():
+    for j, vf in corr.comps.items():
         w = scalar_wedge(df, vf)
         if not w.is_zero:
             corr_tbl[j] = w
     rhs = row.scaled(f)
     wedged = SymForm.zero(2, 3, 5, rhs.arity, rhs.degree)
-    wedged.table = corr_tbl
+    wedged.comps = corr_tbl
     assert lhs == rhs - wedged   # i = 1 pairing consumed, sign (-1)^1
 
 
@@ -123,7 +123,7 @@ def test_pairing_sign_relation(f2):
         theta = rvform(f2, l, seed=seed + 40)
         end = EndForm(2, 3, k, {})
         comps = {}
-        for (j,), vf in gamma.table.items():
+        for (j,), vf in gamma.comps.items():
             if j not in f2.ideal.indices:
                 continue
             col = f2.ideal.indices.index(j) + 1
@@ -448,8 +448,8 @@ def test_deform_rejects_bad_input(f2):
     c = random_cochain(f2.A, f2.rep, 1, 1, 1, seed=71)   # not IM
     with pytest.raises(ContractError):
         deform(f2.imc, c, 1)
-    vertical = WeilCochain(f2.A, 3, 1, 1, {1: {((), (3,)): VForm(
-        2, 3, 0, {(1, ()): Poly.const(2, 1)})}})          # not horizontal
+    vertical = WeilCochain(f2.A, 3, 1, 1, {(1, (), (3,)): VForm(
+        2, 3, 0, {(1, ()): Poly.const(2, 1)})})          # not horizontal
     with pytest.raises(ContractError):
         deform(f2.imc, vertical, 1)
 

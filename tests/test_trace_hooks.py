@@ -1,0 +1,35 @@
+"""The benchmark's tracer finds the constructors and functions it wraps.
+
+``perfbench/tracing.py`` patches ``VForm.__init__`` and ``Poly.__init__``
+on their classes and swaps wrappers into the module namespaces; a refactor
+that moves one of them would make the traced call counts read zero.
+"""
+
+import sys
+from pathlib import Path
+
+import weilcalc.cli  # noqa: F401  (the tracer wraps cli.main)
+from weilcalc import Poly, VForm, WeilCochain, build_fixture, weil
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.tracing import Tracer  # noqa: E402
+
+
+def test_tracer_counts_constructors_and_uninstalls():
+    fix = build_fixture("F1_abelian_2d")
+    originals = (VForm.__dict__["__init__"], Poly.__dict__["__init__"], weil.delta)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        x = Poly.var(2, 0)
+        w = VForm(2, 1, 1, {(1, (2,)): x}) + VForm(2, 1, 1, {(1, (1,)): x})
+        c = WeilCochain.from_vform(fix.A, w) + WeilCochain.from_vform(fix.A, w)
+        weil.delta(fix.A, fix.rep, c)
+        tracer.on = False
+        assert tracer.counts["algebroid.vform_init"] > 0
+        assert tracer.counts["polyring.init"] > 0
+        assert tracer.calls("weil.delta") == 1
+    finally:
+        tracer.uninstall()
+    assert (VForm.__dict__["__init__"], Poly.__dict__["__init__"], weil.delta) == originals

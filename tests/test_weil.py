@@ -233,16 +233,15 @@ def test_high_degree_tables_are_absent(f1):
     # q - k > dim M entries are never stored
     c = random_cochain(f1.A, f1.rep, 2, 2, 1, seed=3)
     dc = delta(f1.A, f1.rep, c)
-    for k, tbl in dc.tables.items():
-        for (_, _), vf in tbl.items():
-            assert vf.degree == dc.q - k <= f1.A.nvars
+    for (k, _, _), vf in dc.comps.items():
+        assert vf.degree == dc.q - k <= f1.A.nvars
 
 
 def test_degree_above_chart_dimension(f2):
     # q = 3 on a 2-dim chart: only the k >= 1 tables carry data, and the
     # complex axioms still hold on them
     c = random_cochain(f2.A, f2.rep, 2, 3, 1, seed=6)
-    assert set(c.tables) <= {1, 2}
+    assert {k for k, _, _ in c.comps} <= {1, 2}
     assert delta(f2.A, f2.rep, delta(f2.A, f2.rep, c)).is_zero
     antis = [random_section(f2.A, 55, bound=1)]
     syms = [random_section(f2.A, 56, bound=1)]
@@ -345,10 +344,10 @@ def test_check_IM_matches_delta_vanishing(f2):
 
 
 def test_tampered_symbol_fails_C2(f1):
-    tables = {k: dict(tbl) for k, tbl in f1.imc.cochain.tables.items()}
+    comps = dict(f1.imc.cochain.comps)
     x = Poly.var(2, 0)
-    tables[0][((1,), ())] = VForm(2, 1, 1, {(1, (2,)): x * x})   # C(f1) -> x^2 dy
-    bad = WeilCochain(f1.A, 1, 1, 1, tables)
+    comps[(0, (1,), ())] = VForm(2, 1, 1, {(1, (2,)): x * x})   # C(f1) -> x^2 dy
+    bad = WeilCochain(f1.A, 1, 1, 1, comps)
     report = check_IM(f1.A, f1.rep, bad)
     assert not report.passed
     labels = [label for label, _ in report.failures]
