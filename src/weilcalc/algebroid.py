@@ -7,7 +7,9 @@ and the anchor components rho^a_i. Sections, vector fields and
 bundle-valued forms are component tuples / sparse tables of Poly.
 """
 
+import bisect
 import itertools
+import operator
 
 from .errors import StructureError
 from .polyring import Poly
@@ -47,6 +49,13 @@ def symmetric_slots(J):
         if t > 0 and J[t] == J[t - 1]:
             continue
         yield J[t], J[:t] + J[t + 1:], J.count(J[t])
+
+
+def is_form_index(idx, degree, nvars):
+    """True iff idx is a strictly increasing tuple of ``degree`` chart indices."""
+    return len(idx) == degree and (
+        degree == 0 or (1 <= idx[0] and idx[-1] <= nvars
+                        and all(map(operator.lt, idx, idx[1:]))))
 
 
 class Section:
@@ -202,8 +211,7 @@ class VForm(SparseTable):
             idx = tuple(idx)
             if not 1 <= b <= rank:
                 raise StructureError(f"bundle index {b} out of range 1..{rank}")
-            if len(idx) != degree or any(not 1 <= a <= nvars for a in idx) \
-                    or any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1)):
+            if not is_form_index(idx, degree, nvars):
                 raise StructureError(f"bad form index tuple {idx}")
             if not p.is_zero:
                 clean[(b, idx)] = p
@@ -211,20 +219,6 @@ class VForm(SparseTable):
 
     def _shape(self):
         return self.nvars, self.rank, self.degree
-
-    @classmethod
-    def from_items(cls, nvars, rank, degree, items):
-        """Build from (b, index tuple in any order, Poly) items, applying signs."""
-        acc = {}
-        for b, idx, p in items:
-            srt, sign = sort_sign(idx)
-            if sign == 0 or p.is_zero:
-                continue
-            key = (b, srt)
-            cur = acc.get(key)
-            q = p if sign > 0 else -p
-            acc[key] = q if cur is None else cur + q
-        return cls(nvars, rank, degree, acc)
 
     def get(self, *key):
         """Component at value indices followed by an arbitrary-order form
@@ -244,16 +238,23 @@ class VForm(SparseTable):
     # -- Cartan calculus ----------------------------------------------------
 
     def d(self):
-        """Exterior derivative with trivial coefficients."""
-        items = []
-        for (b, idx), p in self.comps.items():
+        """Exterior derivative with trivial coefficients: d_a of each
+        component, with dx^a moved into place past the t smaller indices."""
+        acc = {}
+        for key, p in self.comps.items():
+            head, idx = key[:-1], key[-1]
             for a in range(1, self.nvars + 1):
                 if a in idx:
                     continue
                 dp = p.diff(a - 1)
-                if not dp.is_zero:
-                    items.append((b, (a,) + idx, dp))
-        return VForm.from_items(self.nvars, self.rank, self.degree + 1, items)
+                if dp.is_zero:
+                    continue
+                t = bisect.bisect(idx, a)
+                q = dp if t % 2 == 0 else -dp
+                out = head + (idx[:t] + (a,) + idx[t:],)
+                cur = acc.get(out)
+                acc[out] = q if cur is None else cur + q
+        return type(self)(self.nvars, self.rank, self.degree + 1, acc)
 
     def iota(self, x):
         """Interior product with a vector field; on a 0-form, the zero form
@@ -365,10 +366,6 @@ class AlgebroidPresentation:
                 if ra is not None:
                     comps[a] = comps[a] + ai * ra
         return VField(self.nvars, comps)
-
-    def rho_apply(self, alpha, f):
-        """rho(alpha)(f) as a polynomial."""
-        return self.rho(alpha).apply(f)
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a (cached) section."""

@@ -51,8 +51,7 @@ def _imc(spec):
 
 def cmd_validate(spec, args):
     rep = CheckReport("validate")
-    for label, ok, detail in validate_algebroid(spec.A).items:
-        rep.record(f"algebroid.{label}", ok, detail)
+    rep.extend(validate_algebroid(spec.A), "algebroid.")
     ideal = None
     if spec.ideal_indices is not None:
         try:
@@ -61,8 +60,7 @@ def cmd_validate(spec, args):
         except StructureError as exc:
             rep.record("ideal.structure", False, str(exc))
     if ideal is not None:
-        for label, ok, detail in validate_rep(spec.A, ideal.adjoint_rep()).items:
-            rep.record(f"adjoint_rep.{label}", ok, detail)
+        rep.extend(validate_rep(spec.A, ideal.adjoint_rep()), "adjoint_rep.")
         if spec.im_cochain is not None:
             try:
                 imc = IMConnection(ideal, spec.im_cochain)
@@ -75,18 +73,14 @@ def cmd_validate(spec, args):
                     if not ok:
                         rep.record(f"im_connection.{label}", ok, detail)
             if imc is not None:
-                for label, ok, detail in coupling_checks(imc).items:
-                    rep.record(f"coupling.{label}", ok, detail)
+                rep.extend(coupling_checks(imc), "coupling.")
                 if spec.curving is not None:
-                    for label, ok, detail in curving_suite(imc, spec.curving).items:
-                        rep.record(f"curving.{label}", ok, detail)
+                    rep.extend(curving_suite(imc, spec.curving), "curving.")
     return rep, {}
 
 
 def cmd_delta(spec, args):
     rep = CheckReport("delta")
-    if not spec.cochains:
-        raise SpecError("cochains", "command needs at least one cochain")
     out = []
     for c in _selected(spec, args):
         rep_obj = _adjoint_or_trivial(spec, c)
@@ -98,8 +92,6 @@ def cmd_delta(spec, args):
 def cmd_dnabla(spec, args):
     rep = CheckReport("dnabla")
     _need(spec, "conn", "connection")
-    if not spec.cochains:
-        raise SpecError("cochains", "command needs at least one cochain")
     out = [cochain_to_dict(dnabla_cochain(spec.conn, c), spec.names)
            for c in _selected(spec, args)]
     rep.record("computed", True)
@@ -109,8 +101,6 @@ def cmd_dnabla(spec, args):
 def cmd_hproj(spec, args):
     rep = CheckReport("hproj")
     imc = _imc(spec)
-    if not spec.cochains:
-        raise SpecError("cochains", "command needs at least one cochain")
     out = []
     for c in _selected(spec, args):
         h = hstar(imc, c)
@@ -122,8 +112,6 @@ def cmd_hproj(spec, args):
 def cmd_dhor(spec, args):
     rep = CheckReport("dhor")
     imc = _imc(spec)
-    if not spec.cochains:
-        raise SpecError("cochains", "command needs at least one cochain")
     out = [cochain_to_dict(Dhor(imc, c), spec.names) for c in _selected(spec, args)]
     rep.record("computed", True)
     return rep, {"dhor": out}
@@ -222,12 +210,10 @@ def cmd_curving(spec, args):
         if sol is None:
             return rep, {}
         F = sol.as_vform()
-        for label, ok, detail in curving_suite(imc, F).items:
-            rep.record(label, ok, detail)
+        rep.extend(curving_suite(imc, F))
         return rep, {"curving": vform_to_dict(F, spec.names)}
     _need(spec, "curving", "curving")
-    for label, ok, detail in curving_suite(imc, spec.curving).items:
-        rep.record(label, ok, detail)
+    rep.extend(curving_suite(imc, spec.curving))
     return rep, {}
 
 
@@ -275,6 +261,8 @@ _COMMANDS = {
 
 
 def _selected(spec, args):
+    if not spec.cochains:
+        raise SpecError("cochains", "command needs at least one cochain")
     idx = getattr(args, "index", None)
     if idx is None:
         return spec.cochains

@@ -1,97 +1,73 @@
 """Linear connections, algebroid representations, and the invariance form.
 
-All objects are frame-expanded over the chart: a connection is its
-Christoffel table Gamma^b_{a c} (nabla_{d_a} u_c = Gamma^b_{a c} u_b), a
-representation its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c =
-psi^b_{i c} u_b). End(V)-valued objects are polynomial matrices.
+All objects are frame-expanded over the chart. A connection nabla = d + Gamma
+is its End(V)-valued 1-form Gamma, with Gamma(d_a) u_c = Gamma^b_{a c} u_b
+stored as the End-form entry (b, c, (a,)); d-nabla, the curvature R = d Gamma
++ Gamma ^ Gamma and the invariance pair (T, theta) are End-form algebra on it.
+A representation is its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c =
+psi^b_{i c} u_b), with psi_i available as a degree-0 End-form.
 """
 
 import itertools
 
-from .algebroid import SparseTable, VForm, bracket, sort_sign, symmetric_slots
+from .algebroid import (SparseTable, VForm, bracket, is_form_index, sort_sign,
+                        symmetric_slots)
 from .errors import StructureError
-from .polyring import Poly
 from .report import CheckReport
 
 
 class LinearConnection:
-    """Connection on a trivialized rank-m bundle over the chart."""
+    """Connection on a trivialized rank-m bundle over the chart.
 
-    __slots__ = ("nvars", "rank", "christoffels")
+    The constructor takes the Christoffel table (a, b, c) -> Gamma^b_{a c}
+    and stores it as the End-valued 1-form ``form``.
+    """
+
+    __slots__ = ("nvars", "rank", "form")
 
     def __init__(self, nvars, rank, christoffels=None):
         self.nvars = nvars
         self.rank = rank
-        self.christoffels = {}
+        comps = {}
         for (a, b, c), p in (christoffels or {}).items():
             if not (1 <= a <= nvars and 1 <= b <= rank and 1 <= c <= rank):
                 raise StructureError(f"bad christoffel key {(a, b, c)}")
-            if not p.is_zero:
-                self.christoffels[(a, b, c)] = p
+            comps[(b, c, (a,))] = p
+        self.form = EndForm(nvars, rank, 1, comps)
 
     @classmethod
     def trivial(cls, nvars, rank):
         return cls(nvars, rank)
 
     def gamma(self, a, b, c):
-        return self.christoffels.get((a, b, c), Poly.zero(self.nvars))
+        return self.form.get(b, c, (a,))
 
     def dnabla(self, vf):
-        """Exterior covariant derivative of a bundle-valued form."""
+        """Exterior covariant derivative of a bundle-valued form, d + Gamma ^."""
         if vf.rank != self.rank or vf.nvars != self.nvars:
             raise StructureError("form does not match connection bundle")
-        out = vf.d()
-        deg = vf.degree + 1
-        extra = {}
-        for (a, b, c), g in self.christoffels.items():
-            for (cc, idx), p in vf.comps.items():
-                if cc != c or a in idx:
-                    continue
-                srt, sign = sort_sign((a,) + idx)
-                q = g * p
-                key = (b, srt)
-                q = q if sign > 0 else -q
-                cur = extra.get(key)
-                extra[key] = q if cur is None else cur + q
-        if extra:
-            out = out + VForm(self.nvars, self.rank, deg, extra)
-        return out
+        if self.form.is_zero:
+            return vf.d()
+        return vf.d() + self.form.wedge_vform(vf)
 
     def lie_nabla(self, x, vf):
         """Covariant Lie derivative via Cartan: d-nabla iota + iota d-nabla."""
         return self.dnabla(vf.iota(x)) + self.dnabla(vf).iota(x)
 
     def curvature_R(self):
-        """Curvature as an End-valued 2-form.
-
-        R(d_a, d_b) = d_a Gamma_b - d_b Gamma_a + [Gamma_a, Gamma_b].
-        """
-        comps = {}
-        for a1, a2 in itertools.combinations(range(1, self.nvars + 1), 2):
-            for b in range(1, self.rank + 1):
-                for c in range(1, self.rank + 1):
-                    p = self.gamma(a2, b, c).diff(a1 - 1) - self.gamma(a1, b, c).diff(a2 - 1)
-                    for e in range(1, self.rank + 1):
-                        p = p + self.gamma(a1, b, e) * self.gamma(a2, e, c) \
-                              - self.gamma(a2, b, e) * self.gamma(a1, e, c)
-                    comps[(b, c, (a1, a2))] = p
-        return EndForm(self.nvars, self.rank, 2, comps)
+        """Curvature as an End-valued 2-form, R = d Gamma + Gamma ^ Gamma."""
+        return self.form.d() + self.form.compose(self.form)
 
     def shifted(self, gamma):
         """The connection nabla + gamma for an End-valued 1-form gamma."""
         if gamma.degree != 1 or gamma.rank != self.rank:
             raise StructureError("shift must be an End-valued 1-form on the same bundle")
-        table = dict(self.christoffels)
-        for (b, c, (a,)), p in gamma.comps.items():
-            key = (a, b, c)
-            cur = table.get(key)
-            table[key] = p if cur is None else cur + p
-        return LinearConnection(self.nvars, self.rank, table)
+        out = LinearConnection(self.nvars, self.rank)
+        out.form = self.form + gamma
+        return out
 
     def __eq__(self, other):
-        return (isinstance(other, LinearConnection)
-                and (self.nvars, self.rank) == (other.nvars, other.rank)
-                and self.christoffels == other.christoffels)
+        return isinstance(other, LinearConnection) and self.form == other.form
 
 
 class ARep:
@@ -113,6 +89,11 @@ class ARep:
     @classmethod
     def trivial(cls, nvars, secrank, rank):
         return cls(nvars, secrank, rank)
+
+    def endo(self, i):
+        """psi_i = nabla^A_{e_i} - rho(e_i) as a degree-0 End-form."""
+        return EndForm(self.nvars, self.rank, 0,
+                       {(b, c, ()): p for (j, b, c), p in self.psi.items() if j == i})
 
     def act(self, A, alpha, xi):
         """nabla^A_alpha applied to a value-bundle section (component tuple)."""
@@ -138,7 +119,8 @@ class EndForm(SparseTable):
         clean = {}
         for (b, c, idx), p in (comps or {}).items():
             idx = tuple(idx)
-            if not (1 <= b <= rank and 1 <= c <= rank) or len(idx) != degree:
+            if not (1 <= b <= rank and 1 <= c <= rank) \
+                    or not is_form_index(idx, degree, nvars):
                 raise StructureError(f"bad End-form key {(b, c, idx)}")
             if not p.is_zero:
                 clean[(b, c, idx)] = p
@@ -148,6 +130,8 @@ class EndForm(SparseTable):
     _shape = VForm._shape
     get = VForm.get
     iota = VForm.iota
+    d = VForm.d
+    lie = VForm.lie
     __repr__ = VForm.__repr__
 
     def wedge_vform(self, vf):
@@ -176,18 +160,23 @@ class EndForm(SparseTable):
         return self.wedge_vform(vf)
 
     def compose(self, other):
-        """Matrix product of degree-0 End-forms."""
-        if self.degree != 0 or other.degree != 0:
-            raise StructureError("compose requires degree-0 End-forms")
+        """Wedge product with matrices multiplied in order:
+        (S ^ T)^b_c = S^b_e ^ T^e_c."""
+        if other.rank != self.rank or other.nvars != self.nvars:
+            raise StructureError("End-forms act on different bundles")
         acc = {}
-        for (b, e, _), p in self.comps.items():
-            for (ee, c, _), q in other.comps.items():
+        for (b, e, sidx), p in self.comps.items():
+            for (ee, c, tidx), q in other.comps.items():
                 if ee != e:
                     continue
-                key = (b, c, ())
+                srt, sign = sort_sign(sidx + tidx)
+                if sign == 0:
+                    continue
+                pq = p * q if sign > 0 else -(p * q)
+                key = (b, c, srt)
                 cur = acc.get(key)
-                acc[key] = p * q if cur is None else cur + p * q
-        return EndForm(self.nvars, self.rank, 0, acc)
+                acc[key] = pq if cur is None else cur + pq
+        return EndForm(self.nvars, self.rank, self.degree + other.degree, acc)
 
     def to_flat(self):
         """Flatten to a VForm over the rank-m^2 endomorphism bundle."""
@@ -358,33 +347,20 @@ def lieA_derivative(A, rep, alpha, gamma):
 
 
 def validate_rep(A, rep):
-    """Exact flatness check of a representation on all basis pairs."""
+    """Exact flatness check of a representation on all basis pairs:
+    sum_k [e_i, e_j]^k psi_k = L_{rho_i} psi_j - L_{rho_j} psi_i + [psi_i, psi_j]."""
     rep_report = CheckReport("representation axioms")
     rep_report.record("leibniz", True, "coefficient form satisfies the Leibniz rule by construction")
-    m = rep.rank
+    psi = {i: rep.endo(i) for i in range(1, A.rank + 1)}
     for i, j in itertools.combinations(range(1, A.rank + 1), 2):
         w = A.bracket_basis(i, j)
-        lhs = {}
-        for (k, b, c), p in rep.psi.items():
-            wk = w.comps[k - 1]
-            if wk.is_zero:
-                continue
-            key = (b, c)
-            cur = lhs.get(key)
-            lhs[key] = wk * p if cur is None else cur + wk * p
-        ri, rj = A.rho_basis(i), A.rho_basis(j)
-        ok = True
-        for b in range(1, m + 1):
-            for c in range(1, m + 1):
-                rhs = ri.apply(rep.psi.get((j, b, c), Poly.zero(A.nvars))) \
-                    - rj.apply(rep.psi.get((i, b, c), Poly.zero(A.nvars)))
-                for e in range(1, m + 1):
-                    rhs = rhs + rep.psi.get((i, b, e), Poly.zero(A.nvars)) \
-                        * rep.psi.get((j, e, c), Poly.zero(A.nvars))
-                    rhs = rhs - rep.psi.get((j, b, e), Poly.zero(A.nvars)) \
-                        * rep.psi.get((i, e, c), Poly.zero(A.nvars))
-                if lhs.get((b, c), Poly.zero(A.nvars)) != rhs:
-                    ok = False
+        lhs = EndForm.zero(A.nvars, rep.rank, 0)
+        for k, wk in enumerate(w.comps, start=1):
+            if not wk.is_zero:
+                lhs = lhs + psi[k].scaled(wk)
+        rhs = psi[j].lie(A.rho_basis(i)) - psi[i].lie(A.rho_basis(j)) \
+            + psi[i].compose(psi[j]) - psi[j].compose(psi[i])
+        ok = lhs == rhs
         rep_report.record(f"flatness({i},{j})", ok,
                           "" if ok else "nabla^A_[e_i,e_j] != [nabla^A_i, nabla^A_j]")
     return rep_report
@@ -419,39 +395,20 @@ class InvarianceForm:
 
 def invariance_form(A, conn, rep):
     """(T, theta) of a connection: theta(a) = nabla^A_a - nabla_{rho a},
-    T(a)(X) = nabla_X nabla^A_a - nabla^A_a nabla_X + nabla_{[rho a, X]}."""
+    T(a)(X) = nabla_X nabla^A_a - nabla^A_a nabla_X + nabla_{[rho a, X]}.
+
+    On the frame, theta_i = psi_i - iota_{rho_i} Gamma and
+    T_i = d psi_i + [Gamma, psi_i] - L_{rho_i} Gamma.
+    """
     if conn.rank != rep.rank:
         raise StructureError("connection and representation act on different bundles")
-    n, m, r = A.nvars, conn.rank, A.rank
+    gam = conn.form
     theta, T = {}, {}
-    for i in range(1, r + 1):
-        th = {}
-        for b in range(1, m + 1):
-            for c in range(1, m + 1):
-                p = rep.psi.get((i, b, c), Poly.zero(n))
-                for a in range(1, n + 1):
-                    ra = A.anchor.get((i, a))
-                    if ra is not None:
-                        p = p - ra * conn.gamma(a, b, c)
-                th[(b, c, ())] = p
-        theta[i] = EndForm(n, m, 0, th)
-        rho_i = A.rho_basis(i)
-        tcomps = {}
-        for al in range(1, n + 1):
-            for b in range(1, m + 1):
-                for c in range(1, m + 1):
-                    p = rep.psi.get((i, b, c), Poly.zero(n)).diff(al - 1)
-                    p = p - rho_i.apply(conn.gamma(al, b, c))
-                    for e in range(1, m + 1):
-                        p = p + conn.gamma(al, b, e) * rep.psi.get((i, e, c), Poly.zero(n))
-                        p = p - rep.psi.get((i, b, e), Poly.zero(n)) * conn.gamma(al, e, c)
-                    for be in range(1, n + 1):
-                        rb = A.anchor.get((i, be))
-                        if rb is not None:
-                            p = p - rb.diff(al - 1) * conn.gamma(be, b, c)
-                    tcomps[(b, c, (al,))] = p
-        T[i] = EndForm(n, m, 1, tcomps)
-    return InvarianceForm(n, m, T, theta)
+    for i in range(1, A.rank + 1):
+        psi, rho_i = rep.endo(i), A.rho_basis(i)
+        theta[i] = psi - gam.iota(rho_i)
+        T[i] = psi.d() + gam.compose(psi) - psi.compose(gam) - gam.lie(rho_i)
+    return InvarianceForm(A.nvars, conn.rank, T, theta)
 
 
 def is_A_invariant(A, conn, rep):
@@ -463,37 +420,33 @@ def is_A_invariant(A, conn, rep):
     return all(R.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))
 
 
-def induced_end_connection(conn):
-    """Connection on End(V) acting by commutator with the Christoffels."""
-    m = conn.rank
+def _commutator_table(m, entries):
+    """Coefficients of the commutator [M, .] on End(V), flattened by
+    E_{b s} -> (b - 1) m + s, for matrices given by (head, b, c) -> M^b_c;
+    keyed (head, row, col)."""
     table = {}
 
-    def put(a, row, col, p):
-        key = (a, row, col)
+    def put(key, p):
         cur = table.get(key)
         table[key] = p if cur is None else cur + p
 
-    for (a, b, c), g in conn.christoffels.items():
+    for (head, b, c), p in entries:
         for s in range(1, m + 1):
-            # coefficient of E_{b s} in Gamma_a . E_{c s}
-            put(a, (b - 1) * m + s, (c - 1) * m + s, g)
-            # coefficient of E_{s c} in -E_{s b} . Gamma_a
-            put(a, (s - 1) * m + c, (s - 1) * m + b, -g)
-    return LinearConnection(conn.nvars, m * m, table)
+            # coefficient of E_{b s} in M . E_{c s}
+            put((head, (b - 1) * m + s, (c - 1) * m + s), p)
+            # coefficient of E_{s c} in -E_{s b} . M
+            put((head, (s - 1) * m + c, (s - 1) * m + b), -p)
+    return table
+
+
+def induced_end_connection(conn):
+    """Connection on End(V) acting by commutator with Gamma."""
+    entries = (((a, b, c), p) for (b, c, (a,)), p in conn.form.comps.items())
+    return LinearConnection(conn.nvars, conn.rank ** 2,
+                            _commutator_table(conn.rank, entries))
 
 
 def induced_end_rep(rep):
     """Representation on End(V) acting by commutator with psi."""
-    m = rep.rank
-    table = {}
-
-    def put(i, row, col, p):
-        key = (i, row, col)
-        cur = table.get(key)
-        table[key] = p if cur is None else cur + p
-
-    for (i, b, c), psi in rep.psi.items():
-        for s in range(1, m + 1):
-            put(i, (b - 1) * m + s, (c - 1) * m + s, psi)
-            put(i, (s - 1) * m + c, (s - 1) * m + b, -psi)
-    return ARep(rep.nvars, rep.secrank, m * m, table)
+    return ARep(rep.nvars, rep.secrank, rep.rank ** 2,
+                _commutator_table(rep.rank, rep.psi.items()))

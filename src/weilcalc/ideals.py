@@ -482,20 +482,11 @@ def _induces_orbit_derivative(A, ideal, conn, sigma):
     and ideal frame vector u_d."""
     n, m = A.nvars, ideal.m
     for i in range(1, A.rank + 1):
-        rho_i = A.rho_basis(i)
+        g = conn.form.iota(A.rho_basis(i))
         for d in range(1, m + 1):
-            lhs = [Poly.zero(n) for _ in range(m)]
-            for a in range(1, n + 1):
-                xa = rho_i.comps[a - 1]
-                if xa.is_zero:
-                    continue
-                for b in range(1, m + 1):
-                    g = conn.gamma(a, b, d)
-                    if not g.is_zero:
-                        lhs[b - 1] = lhs[b - 1] + xa * g
+            lhs = tuple(g.get(b, d, ()) for b in range(1, m + 1))
             unit = tuple(Poly.const(n, 1 if t == d - 1 else 0) for t in range(m))
-            rhs = ideal.restrict(bracket(A, sigma(i), ideal.embed(unit)))
-            if tuple(lhs) != tuple(rhs):
+            if lhs != ideal.restrict(bracket(A, sigma(i), ideal.embed(unit))):
                 return False
     return True
 
@@ -607,15 +598,10 @@ def coupled_presentation(B, m, fibre, conn, F):
         for a in range(1, m + 1):
             structure[(i, j, rB + a)] = -val.get(a, ())
     for i in range(1, rB + 1):
-        rho_i = B.rho_basis(i)
+        g = conn.form.iota(B.rho_basis(i))
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                p = Poly.zero(n)
-                for x in range(1, n + 1):
-                    g = conn.gamma(x, b, a)
-                    if not g.is_zero:
-                        p = p + rho_i.comps[x - 1] * g
-                structure[(i, rB + a, rB + b)] = p
+                structure[(i, rB + a, rB + b)] = g.get(b, a, ())
     for (a, b, c), p in fibre.items():
         structure[(rB + a, rB + b, rB + c)] = p
     anchor = {(i, x): p for (i, x), p in B.anchor.items()}

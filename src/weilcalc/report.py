@@ -14,6 +14,11 @@ class CheckReport:
         self.items.append((label, bool(ok), detail))
         return ok
 
+    def extend(self, other, prefix=""):
+        """Record every item of another report, its label prefixed."""
+        for label, ok, detail in other.items:
+            self.record(prefix + label, ok, detail)
+
     @property
     def passed(self):
         return all(ok for _, ok, _ in self.items)

@@ -190,7 +190,7 @@ def connection_to_dict(conn, names):
     return {
         "bundle_rank": conn.rank,
         "christoffels": {f"{a},{b},{c}": poly_to_str(p, names)
-                         for (a, b, c), p in sorted(conn.christoffels.items())},
+                         for (b, c, (a,)), p in conn.form.comps.items()},
     }
 
 

@@ -95,7 +95,7 @@ def test_bracket_leibniz(seed, f2):
     b = random_section(A, 400 + seed)
     f = random_poly(random.Random(f"lb:{seed}"), A.nvars, 2)
     lhs = bracket(A, a, b.scaled(f))
-    rhs = bracket(A, a, b).scaled(f) + b.scaled(A.rho_apply(a, f))
+    rhs = bracket(A, a, b).scaled(f) + b.scaled(A.rho(a).apply(f))
     assert lhs == rhs
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weilcalc import (ARep, EndForm, LinearConnection, Poly, VForm,
+from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, VForm,
                       induced_end_connection, induced_end_rep, invariance_form,
                       is_A_invariant, lieA_derivative, lieA_vform,
                       validate_rep)
@@ -48,6 +48,12 @@ def test_curvature_f2_is_ad_e3(f2):
     want = EndForm(2, 3, 2, {(2, 1, (1, 2)): Poly.const(2, 1),
                              (1, 2, (1, 2)): Poly.const(2, -1)})
     assert R == want
+
+
+@pytest.mark.parametrize("idx", [(2, 1), (1, 7)], ids=["unsorted", "out_of_chart"])
+def test_endform_rejects_bad_form_index(idx):
+    with pytest.raises(StructureError):
+        EndForm(2, 1, 2, {(1, 1, idx): Poly.var(2, 0)})
 
 
 def test_bianchi_for_any_connection(f2):
@@ -193,7 +199,7 @@ def test_invariant_curvature_is_invariant_form(f3):
 
 
 def test_trivial_connection_induces_trivial_end():
-    assert not induced_end_connection(LinearConnection.trivial(2, 3)).christoffels
+    assert not induced_end_connection(LinearConnection.trivial(2, 3)).form.comps
 
 
 def test_end_connection_acts_by_commutator(f2):

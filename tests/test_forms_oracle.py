@@ -1,13 +1,16 @@
 """Forms layer against an independent oracle: exterior derivative, interior
 product, wedge and the algebroid Lie derivative of random bundle-valued
-forms are checked against their component formulas evaluated in sympy."""
+forms, and the End-form layer (End-form wedge, d-nabla, the curvature and
+the invariance pair (T, theta) of random connections) are checked against
+their component formulas evaluated in sympy."""
 
 import functools
 import itertools
 
 import pytest
 
-from weilcalc import Section, VField, VForm, build_fixture, lieA_vform, scalar_wedge
+from weilcalc import (EndForm, LinearConnection, Section, VField, VForm, build_fixture,
+                      invariance_form, lieA_vform, scalar_wedge)
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -167,3 +170,123 @@ def test_lieA_vform_is_cartan_plus_representation(name, data):
                        if degree else {},
                        psi_w)
         assert matches(want, lieA_vform(A, rep, alpha, w))
+
+
+# -- End-form layer: the index formulas of a connection Gamma^b_{a c} --------------
+
+_CHARTS = ["F1_abelian_2d", "F2_semisimple_2d"]
+
+
+@st.composite
+def endforms(draw, n, rank, degree):
+    comps = {(b, c, idx): draw(polys(n))
+             for b in range(1, rank + 1) for c in range(1, rank + 1)
+             for idx in itertools.combinations(range(1, n + 1), degree)}
+    return EndForm(n, rank, degree, comps)
+
+
+@st.composite
+def connections(draw, n, rank):
+    """A random connection, returned with its Christoffel table in sympy."""
+    table = {(a, b, c): draw(polys(n)) for a in range(1, n + 1)
+             for b in range(1, rank + 1) for c in range(1, rank + 1)}
+    return LinearConnection(n, rank, table), {k: to_ring(p) for k, p in table.items()}
+
+
+def sym_end(E):
+    return {(b, c, idx): to_ring(p) for (b, c, idx), p in E.comps.items()}
+
+
+def end_matches(oracle, E):
+    got = sym_end(E)
+    return all(oracle.get(key, _R.zero) == got.get(key, _R.zero)
+               for key in set(oracle) | set(got))
+
+
+def end_comp(E, b, c, idx):
+    sign = perm_sign(idx)
+    return sign * E.get((b, c, tuple(sorted(idx))), _R.zero) if sign else _R.zero
+
+
+def vf_apply(X, f, n):
+    return sum((X[a - 1] * f.diff(_GENS[a - 1]) for a in range(1, n + 1)), _R.zero)
+
+
+@_oracle
+@given(st.sampled_from(_CHARTS), st.sampled_from([0, 1]), st.data())
+def test_endform_compose_matches_component_formula(name, s, data):
+    n, m = 2, _fixture(name).rep.rank
+    S, T = data.draw(endforms(n, m, s)), data.draw(endforms(n, m, 1))
+    sS, sT = sym_end(S), sym_end(T)
+    want = {}
+    for b, c in itertools.product(range(1, m + 1), repeat=2):
+        for K in itertools.combinations(range(1, n + 1), s + 1):
+            acc = _R.zero
+            for I in itertools.combinations(K, s):
+                J = tuple(a for a in K if a not in I)
+                acc += perm_sign(I + J) * sum(
+                    (end_comp(sS, b, e, I) * end_comp(sT, e, c, J)
+                     for e in range(1, m + 1)), _R.zero)
+            want[(b, c, K)] = acc
+    assert end_matches(want, S.compose(T))
+
+
+@_oracle
+@given(st.sampled_from(_CHARTS), st.data())
+def test_curvature_matches_christoffel_formula(name, data):
+    n, m = 2, _fixture(name).rep.rank
+    conn, G = data.draw(connections(n, m))
+    g = lambda a, b, c: G.get((a, b, c), _R.zero)  # noqa: E731
+    want = {}
+    for a1, a2 in itertools.combinations(range(1, n + 1), 2):
+        for b, c in itertools.product(range(1, m + 1), repeat=2):
+            want[(b, c, (a1, a2))] = \
+                g(a2, b, c).diff(_GENS[a1 - 1]) - g(a1, b, c).diff(_GENS[a2 - 1]) \
+                + sum((g(a1, b, e) * g(a2, e, c) - g(a2, b, e) * g(a1, e, c)
+                       for e in range(1, m + 1)), _R.zero)
+    assert end_matches(want, conn.curvature_R())
+
+
+@_oracle
+@given(st.sampled_from(_CHARTS), st.data())
+def test_dnabla_matches_christoffel_formula(name, data):
+    n, m = 2, _fixture(name).rep.rank
+    conn, G = data.draw(connections(n, m))
+    for degree in range(n + 1):
+        w = data.draw(vforms(n, m, degree))
+        sw = sym_form(w)
+        # (d-nabla w)^b_J = (d w)^b_J + sum_t (-1)^t Gamma^b_{J_t c} w^c_{J minus J_t}
+        gw = {(b, J): sum(((-1) ** t * G.get((J[t], b, c), _R.zero)
+                           * comp(sw, c, J[:t] + J[t + 1:])
+                           for t in range(degree + 1) for c in range(1, m + 1)), _R.zero)
+              for b in range(1, m + 1)
+              for J in itertools.combinations(range(1, n + 1), degree + 1)}
+        assert matches(sym_add(sym_d(sw, n, m, degree), gw), conn.dnabla(w))
+
+
+@_oracle
+@given(st.sampled_from(_CHARTS), st.data())
+def test_invariance_form_matches_christoffel_formula(name, data):
+    A, rep = _fixture(name).A, _fixture(name).rep
+    n, m = A.nvars, rep.rank
+    conn, G = data.draw(connections(n, m))
+    g = lambda a, b, c: G.get((a, b, c), _R.zero)  # noqa: E731
+    inv = invariance_form(A, conn, rep)
+    for i in range(1, A.rank + 1):
+        rho = [to_ring(A.anchor[(i, a)]) if (i, a) in A.anchor else _R.zero
+               for a in range(1, n + 1)]
+        psi = lambda b, c: to_ring(rep.psi[(i, b, c)]) \
+            if (i, b, c) in rep.psi else _R.zero  # noqa: E731
+        theta, T = {}, {}
+        for b, c in itertools.product(range(1, m + 1), repeat=2):
+            theta[(b, c, ())] = psi(b, c) - sum((rho[a - 1] * g(a, b, c)
+                                                 for a in range(1, n + 1)), _R.zero)
+            for al in range(1, n + 1):
+                T[(b, c, (al,))] = \
+                    psi(b, c).diff(_GENS[al - 1]) - vf_apply(rho, g(al, b, c), n) \
+                    + sum((g(al, b, e) * psi(e, c) - psi(b, e) * g(al, e, c)
+                           for e in range(1, m + 1)), _R.zero) \
+                    - sum((rho[be - 1].diff(_GENS[al - 1]) * g(be, b, c)
+                           for be in range(1, n + 1)), _R.zero)
+        assert end_matches(theta, inv.theta[i])
+        assert end_matches(T, inv.T[i])
