@@ -8,7 +8,6 @@ projection and derivative for a bundle of ideals, curvature and
 obstruction machinery, and a spec-file CLI.
 """
 
-from .backend import BACKEND_NAME
 from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
 from .algebroid import (AlgebroidPresentation, Section, VField, VForm,

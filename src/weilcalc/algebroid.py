@@ -12,7 +12,7 @@ import itertools
 import operator
 
 from .errors import StructureError
-from .polyring import Poly
+from .polyring import Poly, poly_to_str
 from .report import CheckReport
 
 
@@ -102,7 +102,7 @@ class Section:
         return hash((self.nvars, self.comps))
 
     def __repr__(self):
-        return f"Section({[str(c.terms) for c in self.comps]})"
+        return f"Section({[poly_to_str(c) for c in self.comps]})"
 
 
 class VField:

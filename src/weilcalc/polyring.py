@@ -1,8 +1,17 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A :class:`Poly` in ``n`` variables stores a dict from exponent tuples to
-nonzero rational coefficients. All arithmetic is exact and delegated to
-the selected kernel backend; values are immutable after construction.
+A :class:`Poly` in ``n`` variables maps packed monomial keys to nonzero
+rational coefficients, each a normalized pair ``(num, den)`` with
+``den > 0`` and ``gcd(num, den) == 1``; the zero polynomial has no terms.
+A key packs an exponent vector ``(e1, ..., en)`` into one int: the total
+degree in the top field, then ``e1``, ..., ``en`` in fixed-width fields
+below it (Monagan & Pearce, CASC 2007). A monomial product is then one int
+addition, and descending key order is descending graded lex order. The
+layout is private to this module: other code reads exponent tuples through
+:meth:`Poly.items` and builds terms from them with the public constructors.
+No term may have total degree above :data:`MAX_DEGREE`, so no field can
+carry into its neighbour; a product that would exceed it raises
+:class:`StructureError`. All arithmetic is exact and values are immutable.
 
 The textual syntax is sums of terms ``<rational>*x1^e1*...*xn^en``,
 e.g. ``1/2*x1^2*x2 - 3``; ``poly_to_str`` emits terms in descending
@@ -11,22 +20,112 @@ graded lexicographic order, so output is canonical.
 
 import re
 from fractions import Fraction
+from math import gcd
 
-from .backend import kernel
 from .errors import StructureError
 
-_K = kernel
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+MAX_DEGREE = _MASK
+"""Largest total degree of a term (the width of one exponent field)."""
+
+
+def _pack(nvars, exps):
+    """The key of an exponent tuple; rejects bad tuples and degrees over MAX_DEGREE."""
+    exps = tuple(exps)
+    if len(exps) != nvars or any(e < 0 for e in exps):
+        raise StructureError(f"bad exponent tuple {exps} for {nvars} variables")
+    key = sum(exps)
+    if key > MAX_DEGREE:
+        raise StructureError(f"monomial degree {key} exceeds the limit {MAX_DEGREE}")
+    for e in exps:
+        key = (key << _BITS) | e
+    return key
+
+
+def _unpack(nvars, key):
+    return tuple((key >> s) & _MASK for s in range(_BITS * (nvars - 1), -1, -_BITS))
 
 
 def _pair(c):
-    """Coerce an int, Fraction, or (num, den) pair to a normalized pair."""
-    if isinstance(c, tuple):
-        return _K.rnorm(c[0], c[1])
+    """Coerce an int or Fraction to a normalized pair."""
     if isinstance(c, int):
         return (c, 1)
     if isinstance(c, Fraction):
         return (c.numerator, c.denominator)
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def _sum(a, b):
+    """Term dict of a + b, adding the shorter into a copy of the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for k, c in b.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = c
+            continue
+        num, den = cur
+        bn, bd = c
+        if den == bd:
+            num += bn
+        else:
+            num, den = num * bd + bn * den, den * bd
+        if not num:
+            del out[k]
+            continue
+        if den != 1:
+            g = gcd(num, den)
+            if g != 1:
+                num //= g
+                den //= g
+        out[k] = (num, den)
+    return out
+
+
+def _neg(a):
+    return {k: (-num, den) for k, (num, den) in a.items()}
+
+
+def _product(a, b):
+    """Term dict of a * b; keys add because exponents and degrees add."""
+    out = {}
+    get = out.get
+    bitems = list(b.items())
+    for ka, (an, ad) in a.items():
+        for kb, (bn, bd) in bitems:
+            k = ka + kb
+            num = an * bn
+            den = ad * bd
+            cur = get(k)
+            if cur is not None:
+                cn, cd = cur
+                if cd == den:
+                    num += cn
+                else:
+                    num, den = cn * den + num * cd, cd * den
+                if not num:
+                    del out[k]
+                    continue
+            if den != 1:
+                g = gcd(num, den)
+                if g != 1:
+                    num //= g
+                    den //= g
+            out[k] = (num, den)
+    return out
+
+
+_new = object.__new__
+
+
+def _make(nvars, terms):
+    """Wrap a packed term dict without copying or checking it."""
+    p = _new(Poly)
+    _set_nvars(p, nvars)
+    _set_terms(p, terms)
+    return p
 
 
 class Poly:
@@ -35,41 +134,41 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
+        """The sum of ``c * x^exps`` over a dict ``{exps: c}`` of exponent
+        tuples and exact rationals."""
+        packed = {}
+        for exps, c in (terms or {}).items():
+            key = _pack(nvars, exps)
+            c = _pair(c)
+            if c[0]:
+                packed[key] = c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        object.__setattr__(self, "terms", packed)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
+    @staticmethod
+    def zero(nvars):
+        return _make(nvars, {})
 
-    @classmethod
-    def const(cls, nvars, c):
-        p = _pair(c)
-        if p[0] == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: p})
+    @staticmethod
+    def const(nvars, c):
+        c = _pair(c)
+        return _make(nvars, {0: c} if c[0] else {})
 
     @classmethod
     def var(cls, nvars, i):
         """The variable with 0-based index ``i``."""
         if not 0 <= i < nvars:
             raise StructureError(f"variable index {i} out of range for {nvars} variables")
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {e: (1, 1)})
+        return cls(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
 
     @classmethod
     def monomial(cls, nvars, exps, c=1):
-        if len(exps) != nvars or any(e < 0 for e in exps):
-            raise StructureError(f"bad exponent tuple {exps} for {nvars} variables")
-        p = _pair(c)
-        if p[0] == 0:
-            return cls(nvars)
-        return cls(nvars, {tuple(exps): p})
+        return cls(nvars, {tuple(exps): c})
 
     # -- ring operations ---------------------------------------------------
 
@@ -82,27 +181,33 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return Poly(self.nvars, _K.padd(self.terms, other.terms))
+        return _make(self.nvars, _sum(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, _K.pneg(self.terms))
+        return _make(self.nvars, _neg(self.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return Poly(self.nvars, _K.psub(self.terms, other.terms))
+        return _make(self.nvars, _sum(self.terms, _neg(other.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly(self.nvars, _K.pscale(self.terms, _pair(other)))
+            other = Poly.const(self.nvars, other)
         self._check(other)
-        return Poly(self.nvars, _K.pmul(self.terms, other.terms))
+        n = self.nvars
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return _make(n, {})
+        if (max(a) + max(b)) >> (_BITS * n) > MAX_DEGREE:
+            raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
+        return _make(n, _product(a, b))
 
     __rmul__ = __mul__
 
@@ -114,15 +219,30 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def diff(self, i):
         """Formal partial derivative with respect to variable ``i`` (0-based)."""
-        if not 0 <= i < self.nvars:
-            raise StructureError(f"variable index {i} out of range for {self.nvars} variables")
-        return Poly(self.nvars, _K.pdiff(self.terms, i))
+        n = self.nvars
+        if not 0 <= i < n:
+            raise StructureError(f"variable index {i} out of range for {n} variables")
+        shift = _BITS * (n - 1 - i)
+        step = (1 << shift) + (1 << (_BITS * n))
+        out = {}
+        for k, (num, den) in self.terms.items():
+            e = (k >> shift) & _MASK
+            if e:
+                num *= e
+                if den != 1:
+                    g = gcd(num, den)
+                    if g != 1:
+                        num //= g
+                        den //= g
+                out[k - step] = (num, den)
+        return _make(n, out)
 
     # -- queries -----------------------------------------------------------
 
@@ -130,9 +250,19 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    @property
+    def is_constant(self):
+        """True iff no term has positive degree (the zero polynomial included)."""
+        return self.terms.keys() <= {0}
+
     def coeff(self, exps):
-        c = self.terms.get(tuple(exps))
+        c = self.terms.get(_pack(self.nvars, exps))
         return Fraction(*c) if c else Fraction(0)
+
+    def items(self):
+        """The terms as (exponent tuple, (num, den)) pairs."""
+        n = self.nvars
+        return [(_unpack(n, k), c) for k, c in self.terms.items()]
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -151,9 +281,9 @@ class Poly:
         return f"Poly({poly_to_str(self)})"
 
 
-def _grlex_key(item):
-    e = item[0]
-    return (-sum(e), tuple(-x for x in e))
+# the slot setters bypass the immutability guard for internal construction
+_set_nvars = Poly.nvars.__set__
+_set_terms = Poly.terms.__set__
 
 
 def default_names(n):
@@ -166,12 +296,13 @@ def poly_to_str(p, names=None):
         return "0"
     names = names or default_names(p.nvars)
     parts = []
-    for e, (num, den) in sorted(p.terms.items(), key=_grlex_key):
+    for k in sorted(p.terms, reverse=True):
+        num, den = p.terms[k]
         mag = []
         c = abs(num)
         coeff = str(c) if den == 1 else f"{c}/{den}"
-        factors = [names[i] + (f"^{k}" if k > 1 else "")
-                   for i, k in enumerate(e) if k > 0]
+        factors = [names[i] + (f"^{e}" if e > 1 else "")
+                   for i, e in enumerate(_unpack(p.nvars, k)) if e > 0]
         if not factors:
             mag.append(coeff)
         else:

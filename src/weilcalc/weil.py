@@ -346,7 +346,7 @@ def _flatten(c):
     flat = {}
     for (k, I, J), vf in c.comps.items():
         for (b, idx), poly in vf.comps.items():
-            for exps, (num, den) in poly.terms.items():
+            for exps, (num, den) in poly.items():
                 flat[(k, I, J, b, idx, exps)] = Fraction(num, den)
     return flat
 

@@ -100,25 +100,27 @@ def test_malformed_spec_exits_two(tmp_path, capsys):
 _TABLES = ("im_connection", "cochain", "tables")
 
 
-@pytest.mark.parametrize("field, value, where", [
-    (("algebroid", "structure", "1,2,3"), "x9 +", "algebroid.structure.1,2,3"),
-    (("algebroid", "structure", "1,2,3"), "1/0", "algebroid.structure.1,2,3"),
-    (("algebroid", "anchor"), [], "algebroid.anchor"),
-    (("algebroid", "structure"), 7, "algebroid.structure"),
-    (_TABLES + ("1",), [], "im_connection.cochain.tables.1"),
-    (_TABLES + ("1", "|2"), "1", "im_connection.cochain.tables.1.|2"),
-    (("ideal",), 7, "ideal"),
-    (("connection",), None, "connection"),
-    (("im_connection",), True, "im_connection"),
-    (("curving",), 7, "curving"),
-    (("cochains",), [7], "cochains[0]"),
+@pytest.mark.parametrize("name, field, value, where", [
+    ("F0_so3", ("algebroid", "structure", "1,2,3"), "x9 +", "algebroid.structure.1,2,3"),
+    ("F0_so3", ("algebroid", "structure", "1,2,3"), "1/0", "algebroid.structure.1,2,3"),
+    ("F0_so3", ("algebroid", "anchor"), [], "algebroid.anchor"),
+    ("F0_so3", ("algebroid", "structure"), 7, "algebroid.structure"),
+    ("F0_so3", _TABLES + ("1",), [], "im_connection.cochain.tables.1"),
+    ("F0_so3", _TABLES + ("1", "|2"), "1", "im_connection.cochain.tables.1.|2"),
+    ("F0_so3", ("ideal",), 7, "ideal"),
+    ("F0_so3", ("connection",), None, "connection"),
+    ("F0_so3", ("im_connection",), True, "im_connection"),
+    ("F0_so3", ("curving",), 7, "curving"),
+    ("F0_so3", ("cochains",), [7], "cochains[0]"),
+    ("F1_abelian_2d", ("algebroid", "structure", "1,2,3"), "x1^40000*x2^30000",
+     "algebroid.structure.1,2,3"),
 ], ids=["malformed", "zero_denominator", "anchor_not_object", "structure_not_object",
         "table_level_not_object", "table_entry_not_object", "ideal_not_object",
         "connection_null", "im_connection_bool", "curving_not_object",
-        "cochain_not_object"])
-def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, field, value, where):
-    path = tmp_path / "f0.json"
-    invoke(["fixture", "--name", "F0_so3", "--emit", str(path)], capsys)
+        "cochain_not_object", "exponent_too_large"])
+def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, name, field, value, where):
+    path = tmp_path / "spec.json"
+    invoke(["fixture", "--name", name, "--emit", str(path)], capsys)
     data = json.loads(path.read_text())
     node = data
     for key in field[:-1]:

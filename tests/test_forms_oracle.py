@@ -1,16 +1,18 @@
 """Forms layer against an independent oracle: exterior derivative, interior
 product, wedge and the algebroid Lie derivative of random bundle-valued
-forms, and the End-form layer (End-form wedge, d-nabla, the curvature and
-the invariance pair (T, theta) of random connections) are checked against
-their component formulas evaluated in sympy."""
+forms, the End-form layer (End-form wedge, d-nabla, the curvature and
+the invariance pair (T, theta) of random connections) and the fibre-bracket
+derivation test of the coupling data are checked against their component
+formulas evaluated in sympy."""
 
 import functools
 import itertools
 
 import pytest
 
-from weilcalc import (EndForm, LinearConnection, Section, VField, VForm, build_fixture,
-                      invariance_form, lieA_vform, scalar_wedge)
+from weilcalc import (EndForm, LinearConnection, Poly, Section, VField, VForm,
+                      build_fixture, invariance_form, lieA_vform, scalar_wedge)
+from weilcalc.ideals import _bracket_failure, _ideal_fib
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -45,7 +47,7 @@ def chart_forms(draw):
 
 def to_ring(p):
     pad = (0,) * (3 - p.nvars)
-    return _R.from_dict({e + pad: sympy.QQ(num, den) for e, (num, den) in p.terms.items()})
+    return _R.from_dict({e + pad: sympy.QQ(num, den) for e, (num, den) in p.items()})
 
 
 def sym_form(vf):
@@ -290,3 +292,44 @@ def test_invariance_form_matches_christoffel_formula(name, data):
                            for be in range(1, n + 1)), _R.zero)
         assert end_matches(theta, inv.theta[i])
         assert end_matches(T, inv.T[i])
+
+
+# -- coupling condition (i): nabla_{d_x} is a derivation of the fibre bracket ----
+
+
+@_oracle
+@given(st.data())
+def test_bracket_failure_matches_christoffel_formula(data):
+    fix = _fixture("F2_semisimple_2d")
+    n, m = fix.A.nvars, fix.ideal.m
+    fib = _ideal_fib(fix.ideal)
+    base = fix.imc.coupling_connection()
+    # the coupling connection preserves the bracket, adding an inner derivation
+    # ad(xi) keeps it so, and noise on one entry of Gamma_x breaks it at x
+    entries = list(itertools.product(range(1, m + 1), repeat=2))
+    table = {}
+    for x in range(1, n + 1):
+        xi = [data.draw(polys(n)) for _ in range(m)]
+        noisy = data.draw(st.sets(st.sampled_from(entries), max_size=1))
+        for b, c in entries:
+            p = base.gamma(x, b, c) + sum((xi[a - 1] * fib(a, c, b) for a in range(1, m + 1)),
+                                          Poly.zero(n))
+            table[(x, b, c)] = p + data.draw(polys(n)) if (b, c) in noisy else p
+    G = {k: to_ring(p) for k, p in table.items()}
+    F = {(a, b, d): to_ring(fib(a, b, d))
+         for a, b, d in itertools.product(range(1, m + 1), repeat=3)}
+
+    def first_failure():
+        for x in range(1, n + 1):
+            for a, b in itertools.combinations(range(1, m + 1), 2):
+                for d in range(1, m + 1):
+                    lhs = F[(a, b, d)].diff(_GENS[x - 1]) + sum(
+                        (F[(a, b, e)] * G[(x, d, e)] for e in range(1, m + 1)), _R.zero)
+                    rhs = sum((G[(x, e, a)] * F[(e, b, d)] + G[(x, e, b)] * F[(a, e, d)]
+                               for e in range(1, m + 1)), _R.zero)
+                    if lhs != rhs:
+                        return x, a, b
+        return None
+
+    conn = LinearConnection(n, m, table)
+    assert _bracket_failure(n, m, fib, conn) == first_failure()

@@ -5,6 +5,7 @@ import pytest
 
 from weilcalc import Poly, StructureError, poly_from_str, poly_to_str
 from weilcalc.fixtures import random_poly
+from weilcalc.polyring import MAX_DEGREE
 
 
 def rand(seed, nvars=3, bound=3):
@@ -27,6 +28,9 @@ def test_exact_rational_scaling():
     p = x * Fraction(1, 2) + Fraction(1, 3)
     assert p * 3 == x * Fraction(3, 2) + 1
     assert p.coeff((1,)) == Fraction(1, 2)
+    big = 10 ** 40
+    assert (x * Fraction(big, 3)) * Fraction(3, big) == x
+    assert (x + big) + Fraction(1, 3) == x + Fraction(3 * big + 1, 3)
 
 
 def test_partial_derivative_examples():
@@ -106,22 +110,15 @@ def test_no_zero_terms_stored():
     assert (x * 2 - x - x).is_zero
 
 
-def test_backend_parity():
-    pytest.importorskip("weilcalc._kernel")
-    from weilcalc import _kernel, _kernel_py
-    rng = random.Random("parity")
-    for _ in range(100):
-        a = {tuple(rng.randint(0, 3) for _ in range(2)):
-             _kernel_py.rnorm(rng.randint(-8, 8) or 1, rng.randint(1, 5))
-             for _ in range(6)}
-        b = {tuple(rng.randint(0, 3) for _ in range(2)):
-             _kernel_py.rnorm(rng.randint(-8, 8) or 1, rng.randint(1, 5))
-             for _ in range(6)}
-        assert _kernel.pmul(a, b) == _kernel_py.pmul(a, b)
-        assert _kernel.padd(a, b) == _kernel_py.padd(a, b)
-        assert _kernel.pdiff(a, 0) == _kernel_py.pdiff(a, 0)
-        c = _kernel_py.rnorm(rng.randint(-6, 6) or 1, rng.randint(1, 4))
-        assert _kernel.pscale(a, c) == _kernel_py.pscale(a, c)
-    big = 10 ** 40
-    assert _kernel.rmul((big, 3), (3, big)) == (1, 1)
-    assert _kernel.radd((big, 1), (1, 3)) == (3 * big + 1, 3)
+def test_product_past_the_degree_limit_raises():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    top = x ** MAX_DEGREE
+    assert top.coeff((MAX_DEGREE, 0)) == 1
+    assert (top * 3).diff(0) == 3 * MAX_DEGREE * x ** (MAX_DEGREE - 1)
+    for factor in (x, y):
+        with pytest.raises(StructureError):
+            top * factor
+    with pytest.raises(StructureError):
+        x ** 40000 * y ** 30000
+    with pytest.raises(StructureError):
+        Poly.monomial(2, (MAX_DEGREE, 1))

@@ -2,6 +2,7 @@
 are checked against sympy's expansion."""
 
 import functools
+import re
 
 import pytest
 
@@ -11,7 +12,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-_SYMS = sympy.symbols("x1:4")
+_SYMS = sympy.symbols("x1:5")
 
 
 def _from_terms(n, terms):
@@ -31,15 +32,15 @@ def polys(n):
 
 @st.composite
 def poly_pairs(draw):
-    """Two random polynomials in the same 1-3 variables, total degree <= 3."""
-    n = draw(st.integers(1, 3))
+    """Two random polynomials in the same 1-4 variables, total degree <= 3."""
+    n = draw(st.integers(1, 4))
     return n, draw(polys(n)), draw(polys(n))
 
 
 def to_sympy(p):
     return sum((sympy.Rational(num, den)
                 * sympy.Mul(*[s ** k for s, k in zip(_SYMS, e)])
-                for e, (num, den) in p.terms.items()), sympy.Integer(0))
+                for e, (num, den) in p.items()), sympy.Integer(0))
 
 
 def same(expr, p):
@@ -69,3 +70,7 @@ def test_printer_roundtrip_matches_sympy(pair):
     text = poly_to_str(a)
     assert poly_from_str(text, n) == a
     assert sympy.expand(sympy.sympify(text.replace("^", "**"))) == sympy.expand(to_sympy(a))
+    if a:  # the printed terms come in sympy's descending graded lex order
+        printed = [poly_from_str(term, n).items()[0][0]
+                   for term in re.split(r" [+-] ", text.lstrip("-"))]
+        assert printed == sympy.Poly(to_sympy(a), *_SYMS[:n]).monoms(order="grlex")
