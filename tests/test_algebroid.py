@@ -134,11 +134,12 @@ def test_d_squared_zero(seed, degree):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cartan_formula_on_randoms(seed):
-    w = rvf(seed, 1)
     rng = random.Random(f"x:{seed}")
     x = VField(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
-    assert w.lie(x) == w.iota(x).d() + w.d().iota(x)
-    assert w.iota(x).iota(x).is_zero
+    for degree in (0, 1, 2):
+        w = rvf(seed, degree)
+        assert w.lie(x) == w.iota(x).d() + w.d().iota(x)
+        assert w.iota(x).iota(x).is_zero
 
 
 def test_degree_overflow_is_zero_object():

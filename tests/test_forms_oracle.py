@@ -1,17 +1,20 @@
 """Forms layer against an independent oracle: exterior derivative, interior
-product, wedge and the algebroid Lie derivative of random bundle-valued
-forms, the End-form layer (End-form wedge, d-nabla, the curvature and
-the invariance pair (T, theta) of random connections) and the fibre-bracket
-derivation test of the coupling data are checked against their component
-formulas evaluated in sympy."""
+product, wedge, the Lie derivative and the algebroid Lie derivative of
+random bundle-valued forms, the End-form layer (End-form wedge, Lie
+derivative, d-nabla, the curvature and the invariance pair (T, theta) of
+random connections), the symmetric-slot layer (slot insertion, the pairing
+with ideal-valued forms, the bracket of ideal-valued forms) and the
+fibre-bracket derivation test of the coupling data are checked against
+their component formulas evaluated in sympy."""
 
 import functools
 import itertools
 
 import pytest
 
-from weilcalc import (EndForm, LinearConnection, Poly, Section, VField, VForm,
-                      build_fixture, invariance_form, lieA_vform, scalar_wedge)
+from weilcalc import (EndForm, LinearConnection, Poly, Section, SymForm, VField,
+                      VForm, bracket_of_forms, build_fixture, invariance_form,
+                      lieA_vform, scalar_wedge, wedgedot)
 from weilcalc.ideals import _bracket_failure, _ideal_fib
 
 sympy = pytest.importorskip("sympy")
@@ -100,6 +103,18 @@ def sym_wedge(theta, s, form, n, rank, degree):
     return out
 
 
+def sym_lie(X, form, n, rank, degree):
+    """Cartan's formula L_X w = iota_X d w + d iota_X w."""
+    return sym_add(sym_iota(X, sym_d(form, n, rank, degree), n, rank, degree + 1),
+                   sym_d(sym_iota(X, form, n, rank, degree), n, rank, degree - 1)
+                   if degree else {})
+
+
+def sym_scalar(form, a):
+    """Component a of a bundle-valued form as a scalar form."""
+    return {(1, idx): e for (b, idx), e in form.items() if b == a}
+
+
 def sym_add(*forms):
     out = {}
     for form in forms:
@@ -144,6 +159,17 @@ def test_scalar_wedge_matches_component_formula(data):
     assert matches(want, scalar_wedge(theta, w))
 
 
+@_oracle
+@given(st.data())
+def test_lie_matches_cartan_formula_at_every_degree(data):
+    n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    X = [data.draw(polys(n)) for _ in range(n)]
+    sX = [to_ring(x) for x in X]
+    for degree in range(n + 1):
+        w = data.draw(vforms(n, rank, degree))
+        assert matches(sym_lie(sX, sym_form(w), n, rank, degree), w.lie(VField(n, X)))
+
+
 # -- lieA_vform: Cartan formula plus the representation ---------------------------
 
 _fixture = functools.lru_cache(maxsize=None)(build_fixture)
@@ -167,10 +193,7 @@ def test_lieA_vform_is_cartan_plus_representation(name, data):
                                _R.zero)
                  for b in range(1, m + 1)
                  for idx in itertools.combinations(range(1, n + 1), degree)}
-        want = sym_add(sym_iota(X, sym_d(sw, n, m, degree), n, m, degree + 1),
-                       sym_d(sym_iota(X, sw, n, m, degree), n, m, degree - 1)
-                       if degree else {},
-                       psi_w)
+        want = sym_add(sym_lie(X, sw, n, m, degree), psi_w)
         assert matches(want, lieA_vform(A, rep, alpha, w))
 
 
@@ -234,6 +257,17 @@ def test_endform_compose_matches_component_formula(name, s, data):
 
 
 @_oracle
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_endform_lie_matches_cartan_formula_at_every_degree(n, m, data):
+    X = [data.draw(polys(n)) for _ in range(n)]
+    sX = [to_ring(x) for x in X]
+    for degree in range(n + 1):
+        E = data.draw(endforms(n, m, degree))
+        want = sym_lie(sX, sym_form(E.to_flat()), n, m * m, degree)
+        assert matches(want, E.lie(VField(n, X)).to_flat())
+
+
+@_oracle
 @given(st.sampled_from(_CHARTS), st.data())
 def test_curvature_matches_christoffel_formula(name, data):
     n, m = 2, _fixture(name).rep.rank
@@ -292,6 +326,91 @@ def test_invariance_form_matches_christoffel_formula(name, data):
                            for be in range(1, n + 1)), _R.zero)
         assert end_matches(theta, inv.theta[i])
         assert end_matches(T, inv.T[i])
+
+
+# -- symmetric slots: insertion, the pairing, the bracket of forms -----------------
+
+
+def multisets(r, k):
+    return itertools.combinations_with_replacement(range(1, r + 1), k)
+
+
+@st.composite
+def symforms(draw, n, rank, secrank, arity, degree):
+    """A random form with ``arity`` open symmetric slots; rows may be absent."""
+    comps = {}
+    for J in multisets(secrank, arity):
+        if draw(st.booleans()):
+            comps[J] = draw(vforms(n, rank, degree))
+    return SymForm(n, rank, secrank, arity, degree, comps)
+
+
+def sym_row(table, J):
+    """Row of a symmetric-slot form at a multiset in any order."""
+    vf = table.comps.get(tuple(sorted(J)))
+    return sym_form(vf) if vf is not None else {}
+
+
+@_oracle
+@given(st.data())
+def test_symform_insert_matches_component_formula(data):
+    n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    secrank, arity = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, n))
+    g = data.draw(symforms(n, rank, secrank, arity, degree))
+    s = [data.draw(polys(n)) for _ in range(secrank)]
+    out = g.insert(Section(n, s))
+    assert (out.arity, out.degree) == (arity - 1, degree)
+    for J in multisets(secrank, arity - 1):
+        # (insert s g)(J) = sum_l s^l g(J + (l,))
+        want = sym_add(*({key: to_ring(s[l - 1]) * e
+                          for key, e in sym_row(g, J + (l,)).items()}
+                         for l in range(1, secrank + 1)))
+        assert matches(want, out.get(J))
+
+
+@_oracle
+@given(st.sampled_from(_CHARTS), st.data())
+def test_wedgedot_matches_component_formula(name, data):
+    fix = _fixture(name)
+    ideal, n, r = fix.ideal, fix.A.nvars, fix.A.rank
+    m = ideal.m
+    arity = data.draw(st.integers(1, 2))
+    degree, s = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    g = data.draw(symforms(n, m, r, arity, degree))
+    theta = data.draw(vforms(n, m, s))
+    st_theta = sym_form(theta)
+    out = wedgedot(g, theta, ideal)
+    assert (out.arity, out.degree) == (arity - 1, s + degree)
+    for J in multisets(r, arity - 1):
+        # (g . theta)(J) = sum_a theta^a ^ g(J + (u_a,))
+        want = sym_add(*(sym_wedge(sym_scalar(st_theta, a), s, sym_row(g, J + (k,)),
+                                   n, m, degree)
+                         for a, k in enumerate(ideal.indices, start=1)))
+        assert matches(want, out.get(J))
+
+
+@_oracle
+@given(st.integers(0, 2), st.integers(0, 2), st.data())
+def test_bracket_of_forms_matches_component_formula(s, t, data):
+    fix = _fixture("F2_semisimple_2d")
+    A, ideal = fix.A, fix.ideal
+    n, m, ix = A.nvars, ideal.m, ideal.indices
+
+    def c(i, j, k):  # structure polynomials, extended antisymmetrically
+        if i > j:
+            return -c(j, i, k)
+        return to_ring(A.structure[(i, j, k)]) if (i, j, k) in A.structure else _R.zero
+
+    w1, w2 = data.draw(vforms(n, m, s)), data.draw(vforms(n, m, t))
+    sw1, sw2 = sym_form(w1), sym_form(w2)
+    # [w1 ^ w2]^e = sum_{a,b} (w1^a ^ w2^b) [u_a, u_b]^e
+    parts = {a: sym_wedge(sym_scalar(sw1, a), s, sw2, n, m, t) for a in range(1, m + 1)}
+    want = {(e, K): sum((c(ix[a - 1], ix[b - 1], ix[e - 1]) * parts[a][(b, K)]
+                         for a in range(1, m + 1) for b in range(1, m + 1)), _R.zero)
+            for e in range(1, m + 1)
+            for K in itertools.combinations(range(1, n + 1), s + t)}
+    assert matches(want, bracket_of_forms(ideal, w1, w2))
 
 
 # -- coupling condition (i): nabla_{d_x} is a derivation of the fibre bracket ----
