@@ -273,8 +273,52 @@ class VForm(SparseTable):
         return type(self)(self.nvars, self.rank, self.degree - 1, acc)
 
     def lie(self, x):
-        """Lie derivative via the Cartan formula (trivial coefficients)."""
-        return self.iota(x).d() + self.d().iota(x)
+        """Lie derivative along a vector field (trivial coefficients)."""
+        return type(self)(*self._shape(), _lie(self, x))
+
+
+def _lie(form, x):
+    """The table of L_X of a form keyed (value head..., form index), by the
+    chain rule: X applied to each coefficient, plus each slot dx^c replaced
+    in turn by d(X^c) = d_a X^c dx^a."""
+    dx = {c: [(a, dxc) for a in range(1, x.nvars + 1) if not (dxc := xc.diff(a - 1)).is_zero]
+          for c, xc in enumerate(x.comps, start=1)} if form.degree > 0 else {}
+    acc = {key: q for key, p in form.comps.items() if not (q := x.apply(p)).is_zero}
+    for key, p in form.comps.items():
+        head, idx = key[:-1], key[-1]
+        for t, c in enumerate(idx):
+            for a, dxc in dx[c]:
+                srt, sign = sort_sign(idx[:t] + (a,) + idx[t + 1:])
+                if sign == 0:
+                    continue
+                q = dxc * p if sign > 0 else -(dxc * p)
+                out = head + (srt,)
+                cur = acc.get(out)
+                acc[out] = q if cur is None else cur + q
+    return acc
+
+
+def _wedge(left, right, pair):
+    """Exterior product of two tables keyed (value head..., form index).
+
+    ``pair(lkey, rkey)`` gives the value head of the product of two entries,
+    or None where they do not pair; the form indices are joined left first
+    and sorted with their sign. Returns the product table.
+    """
+    acc = {}
+    for lkey, p in left.items():
+        for rkey, q in right.items():
+            head = pair(lkey, rkey)
+            if head is None:
+                continue
+            srt, sign = sort_sign(lkey[-1] + rkey[-1])
+            if sign == 0:
+                continue
+            pq = p * q if sign > 0 else -(p * q)
+            key = head + (srt,)
+            cur = acc.get(key)
+            acc[key] = pq if cur is None else cur + pq
+    return acc
 
 
 def scalar_wedge(sf, vf):
@@ -283,28 +327,13 @@ def scalar_wedge(sf, vf):
         raise StructureError("left factor of scalar_wedge must be a scalar form")
     if sf.nvars != vf.nvars:
         raise StructureError("chart mismatch in scalar_wedge")
-    deg = sf.degree + vf.degree
-    acc = {}
-    for (_, sidx), sp in sf.comps.items():
-        for (b, vidx), vp in vf.comps.items():
-            srt, sign = sort_sign(sidx + vidx)
-            if sign == 0:
-                continue
-            q = sp * vp if sign > 0 else -(sp * vp)
-            key = (b, srt)
-            cur = acc.get(key)
-            acc[key] = q if cur is None else cur + q
-    return VForm(vf.nvars, vf.rank, deg, acc)
+    return VForm(vf.nvars, vf.rank, sf.degree + vf.degree,
+                 _wedge(sf.comps, vf.comps, lambda s, v: v[:1]))
 
 
 def d_scalar(p, nvars):
     """Differential of a function as a scalar 1-form."""
-    comps = {}
-    for a in range(1, nvars + 1):
-        dp = p.diff(a - 1)
-        if not dp.is_zero:
-            comps[(1, (a,))] = dp
-    return VForm(nvars, 1, 1, comps)
+    return VForm(nvars, 1, 0, {(1, ()): p}).d()
 
 
 class AlgebroidPresentation:
@@ -315,8 +344,8 @@ class AlgebroidPresentation:
     :func:`validate_algebroid`, never assumed by the constructor.
     """
 
-    __slots__ = ("nvars", "rank", "structure", "anchor", "_rho_cache",
-                 "_bracket_cache")
+    __slots__ = ("nvars", "rank", "structure", "anchor", "_basis_cache",
+                 "_rho_cache", "_bracket_cache")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
         self.nvars = nvars
@@ -337,12 +366,18 @@ class AlgebroidPresentation:
                 raise StructureError("anchor polynomial over wrong chart")
             if not p.is_zero:
                 self.anchor[(i, a)] = p
+        self._basis_cache = {}
         self._rho_cache = {}
         self._bracket_cache = {}
 
     def basis(self, i):
-        return Section(self.nvars, [Poly.const(self.nvars, 1 if t == i else 0)
-                                    for t in range(1, self.rank + 1)])
+        """The frame section e_i (cached: sections are immutable)."""
+        e = self._basis_cache.get(i)
+        if e is None:
+            e = Section(self.nvars, [Poly.const(self.nvars, 1 if t == i else 0)
+                                     for t in range(1, self.rank + 1)])
+            self._basis_cache[i] = e
+        return e
 
     def zero_section(self):
         return Section(self.nvars, [Poly.zero(self.nvars)] * self.rank)
@@ -369,16 +404,15 @@ class AlgebroidPresentation:
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a (cached) section."""
-        if i == j:
-            return self.zero_section()
-        key = (i, j) if i < j else (j, i)
-        w = self._bracket_cache.get(key)
+        w = self._bracket_cache.get((i, j))
         if w is None:
-            comps = [self.structure.get((key[0], key[1], k), Poly.zero(self.nvars))
-                     for k in range(1, self.rank + 1)]
-            w = Section(self.nvars, comps)
-            self._bracket_cache[key] = w
-        return w if i < j else -w
+            if i < j:
+                w = Section(self.nvars, [self.structure.get((i, j, k), Poly.zero(self.nvars))
+                                         for k in range(1, self.rank + 1)])
+            else:
+                w = self.zero_section() if i == j else -self.bracket_basis(j, i)
+            self._bracket_cache[(i, j)] = w
+        return w
 
     def __eq__(self, other):
         return (isinstance(other, AlgebroidPresentation)

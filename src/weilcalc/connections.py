@@ -5,13 +5,13 @@ is its End(V)-valued 1-form Gamma, with Gamma(d_a) u_c = Gamma^b_{a c} u_b
 stored as the End-form entry (b, c, (a,)); d-nabla, the curvature R = d Gamma
 + Gamma ^ Gamma and the invariance pair (T, theta) are End-form algebra on it.
 A representation is its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c =
-psi^b_{i c} u_b), with psi_i available as a degree-0 End-form.
+psi^b_{i c} u_b), with psi_i available as a degree-0 End-form. Products and
+Lie derivatives of End-forms are the single ones of ``algebroid``.
 """
 
 import itertools
 
-from .algebroid import (SparseTable, VForm, bracket, is_form_index, sort_sign,
-                        symmetric_slots)
+from .algebroid import SparseTable, VForm, _lie, _wedge, is_form_index, symmetric_slots
 from .errors import StructureError
 from .report import CheckReport
 
@@ -95,17 +95,6 @@ class ARep:
         return EndForm(self.nvars, self.rank, 0,
                        {(b, c, ()): p for (j, b, c), p in self.psi.items() if j == i})
 
-    def act(self, A, alpha, xi):
-        """nabla^A_alpha applied to a value-bundle section (component tuple)."""
-        rho = A.rho(alpha)
-        out = [rho.apply(x) for x in xi]
-        for (i, b, c), p in self.psi.items():
-            ai = alpha.comps[i - 1]
-            if ai.is_zero or xi[c - 1].is_zero:
-                continue
-            out[b - 1] = out[b - 1] + ai * p * xi[c - 1]
-        return tuple(out)
-
 
 class EndForm(SparseTable):
     """End(V)-valued form: components (row, col, A) -> Poly in the frame."""
@@ -138,20 +127,9 @@ class EndForm(SparseTable):
         """Matrix-acting wedge with a V-valued form: (T ^ w)^b = T^b_c ^ w^c."""
         if vf.rank != self.rank:
             raise StructureError("End-form and form bundle ranks differ")
-        deg = self.degree + vf.degree
-        acc = {}
-        for (b, c, sidx), tp in self.comps.items():
-            for (cc, vidx), vp in vf.comps.items():
-                if cc != c:
-                    continue
-                srt, sign = sort_sign(sidx + vidx)
-                if sign == 0:
-                    continue
-                q = tp * vp if sign > 0 else -(tp * vp)
-                key = (b, srt)
-                cur = acc.get(key)
-                acc[key] = q if cur is None else cur + q
-        return VForm(self.nvars, vf.rank, deg, acc)
+        return VForm(self.nvars, vf.rank, self.degree + vf.degree,
+                     _wedge(self.comps, vf.comps,
+                            lambda t, v: (t[0],) if t[1] == v[0] else None))
 
     def act_vform(self, vf):
         """Pointwise matrix action on a form (degree-0 End-forms only)."""
@@ -164,19 +142,9 @@ class EndForm(SparseTable):
         (S ^ T)^b_c = S^b_e ^ T^e_c."""
         if other.rank != self.rank or other.nvars != self.nvars:
             raise StructureError("End-forms act on different bundles")
-        acc = {}
-        for (b, e, sidx), p in self.comps.items():
-            for (ee, c, tidx), q in other.comps.items():
-                if ee != e:
-                    continue
-                srt, sign = sort_sign(sidx + tidx)
-                if sign == 0:
-                    continue
-                pq = p * q if sign > 0 else -(p * q)
-                key = (b, c, srt)
-                cur = acc.get(key)
-                acc[key] = pq if cur is None else cur + pq
-        return EndForm(self.nvars, self.rank, self.degree + other.degree, acc)
+        return EndForm(self.nvars, self.rank, self.degree + other.degree,
+                       _wedge(self.comps, other.comps,
+                              lambda s, t: (s[0], t[1]) if s[1] == t[0] else None))
 
     def to_flat(self):
         """Flatten to a VForm over the rank-m^2 endomorphism bundle."""
@@ -257,55 +225,32 @@ class SymForm(SparseTable):
 
 
 def lieA_vform(A, rep, alpha, vf):
-    """Lie derivative on a plain V-valued form, by the chain rule."""
-    n = A.nvars
-    rho = A.rho(alpha)
-    acc = {}
-
-    def add(key, p):
-        cur = acc.get(key)
-        acc[key] = p if cur is None else cur + p
-
-    # derivative of coefficients along the anchor
-    for (b, idx), p in vf.comps.items():
-        q = rho.apply(p)
-        if not q.is_zero:
-            add((b, idx), q)
-    # representation acting on values
+    """L^A_alpha on a plain V-valued form: the Lie derivative along rho(alpha)
+    plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
+    acc = _lie(vf, A.rho(alpha))
     for (i, b, c), psi in rep.psi.items():
         ai = alpha.comps[i - 1]
         if ai.is_zero:
             continue
         for (cc, idx), p in vf.comps.items():
-            if cc != c:
-                continue
-            add((b, idx), ai * psi * p)
-    # form-slot insertions of [rho(alpha), d_a]: reading from the input side,
-    # a component at index tuple idx feeds the output at idx with slot t
-    # replaced by a, weighted by d_a(rho^{idx_t})
-    if vf.degree > 0:
-        danchor = {}
-        for c in range(1, n + 1):
-            xc = rho.comps[c - 1]
-            if xc.is_zero:
-                continue
-            for a in range(1, n + 1):
-                d = xc.diff(a - 1)
-                if not d.is_zero:
-                    danchor[(a, c)] = d
-        for (b, idx), p in vf.comps.items():
-            for t, cold in enumerate(idx):
-                for anew in range(1, n + 1):
-                    d = danchor.get((anew, cold))
-                    if d is None:
-                        continue
-                    repl = idx[:t] + (anew,) + idx[t + 1:]
-                    srt, sign = sort_sign(repl)
-                    if sign == 0:
-                        continue
-                    q = d * p if sign > 0 else -(d * p)
-                    add((b, srt), q)
-    return VForm(n, vf.rank, vf.degree, acc)
+            if cc == c:
+                q = ai * psi * p
+                cur = acc.get((b, idx))
+                acc[(b, idx)] = q if cur is None else cur + q
+    return VForm(A.nvars, vf.rank, vf.degree, acc)
+
+
+def _bracket_with_frame(A, alpha, j):
+    """Components of [alpha, e_j] = sum_i alpha^i [e_i, e_j] - rho(e_j)(alpha^i) e_i,
+    read from the cached frame brackets."""
+    rho_j = A.rho_basis(j)
+    out = [-rho_j.apply(ai) for ai in alpha.comps]
+    for i, ai in enumerate(alpha.comps, start=1):
+        if not ai.is_zero:
+            for k, w in enumerate(A.bracket_basis(i, j).comps):
+                if not w.is_zero:
+                    out[k] = out[k] + ai * w
+    return out
 
 
 def lieA_derivative(A, rep, alpha, gamma):
@@ -321,18 +266,15 @@ def lieA_derivative(A, rep, alpha, gamma):
         for _, rest, _ in symmetric_slots(J):
             for s in range(1, gamma.secrank + 1):
                 candidates.add(tuple(sorted(rest + (s,))))
-    wcache = {}
+    brackets = {j: _bracket_with_frame(A, alpha, j)
+                for j in range(1, gamma.secrank + 1)} if gamma.arity else {}
     rows = {}
     for J in candidates:
         vf = gamma.comps.get(J)
         acc = lieA_vform(A, rep, alpha, vf) if vf is not None else None
         for j, rest, mult in symmetric_slots(J):
-            w = wcache.get(j)
-            if w is None:
-                w = bracket(A, alpha, A.basis(j))
-                wcache[j] = w
             for l in range(1, gamma.secrank + 1):
-                wl = w.comps[l - 1]
+                wl = brackets[j][l - 1]
                 if wl.is_zero:
                     continue
                 src = gamma.comps.get(tuple(sorted(rest + (l,))))
@@ -385,12 +327,6 @@ class InvarianceForm:
     def __eq__(self, other):
         return (isinstance(other, InvarianceForm)
                 and self.T == other.T and self.theta == other.theta)
-
-    def __sub__(self, other):
-        return InvarianceForm(
-            self.nvars, self.rank,
-            {i: self.T[i] - other.T[i] for i in self.T},
-            {i: self.theta[i] - other.theta[i] for i in self.theta})
 
 
 def invariance_form(A, conn, rep):

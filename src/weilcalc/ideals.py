@@ -4,14 +4,16 @@ The ideal is frame-aligned: it is spanned by a designated subset of the
 algebroid frame, so the symbol v, the horizontal projection h, and all
 restriction operators act at index level. The adjoint action
 nabla^A_a xi = [a, xi] is generated from the structure polynomials.
+ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2 and the slot pairing are all
+the exterior product of ``algebroid``.
 """
 
 import itertools
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (AlgebroidPresentation, Section, VForm, bracket, sort_sign,
-                        symmetric_slots)
+from .algebroid import (AlgebroidPresentation, Section, VForm, _wedge, bracket,
+                        scalar_wedge, sort_sign, symmetric_slots)
 from .connections import (ARep, EndForm, LinearConnection, SymForm,
                           is_A_invariant)
 from .errors import ContractError, StructureError
@@ -87,41 +89,22 @@ class IdealBundle:
 
     def ad_endform(self, vf):
         """ad(F) for an ideal-valued form F, as an End-valued form."""
-        acc = {}
-        for (c, idx), p in vf.comps.items():
-            fab = [self.fibre_bracket(c, d) for d in range(1, self.m + 1)]
-            for d in range(1, self.m + 1):
-                for b in range(self.m):
-                    coeff = fab[d - 1][b]
-                    if coeff.is_zero:
-                        continue
-                    key = (b + 1, d, idx)
-                    cur = acc.get(key)
-                    acc[key] = p * coeff if cur is None else cur + p * coeff
-        return EndForm(self.A.nvars, self.m, vf.degree, acc)
+        return _ad(self.A.nvars, self.m, _ideal_fib(self), vf)
+
+
+def _ad(n, m, fib, vf):
+    """ad(F) = sum_e F^e ad(u_e), ad(u_e)^b_c = fib(e, c, b), for a form F
+    valued in a rank-m fibre with bracket coefficients fib, as an End-form."""
+    fibre = range(1, m + 1)
+    ad = {(e, b, c, ()): p for e in fibre for b in fibre for c in fibre
+          if not (p := fib(e, c, b)).is_zero}
+    return EndForm(n, m, vf.degree,
+                   _wedge(vf.comps, ad, lambda f, t: t[1:3] if f[0] == t[0] else None))
 
 
 def bracket_of_forms(ideal, w1, w2):
-    """Fibre-bracket-induced bracket of ideal-valued forms."""
-    n = ideal.A.nvars
-    deg = w1.degree + w2.degree
-    acc = {}
-    for (a, S), p in w1.comps.items():
-        for (b, T), q in w2.comps.items():
-            srt, sign = sort_sign(S + T)
-            if sign == 0:
-                continue
-            fab = ideal.fibre_bracket(a, b)
-            for c in range(ideal.m):
-                if fab[c].is_zero:
-                    continue
-                coeff = p * q * fab[c]
-                if sign < 0:
-                    coeff = -coeff
-                key = (c + 1, srt)
-                cur = acc.get(key)
-                acc[key] = coeff if cur is None else cur + coeff
-    return VForm(n, ideal.m, deg, acc)
+    """Fibre-bracket-induced bracket of ideal-valued forms, [w1 ^ w2] = ad(w1) ^ w2."""
+    return ideal.ad_endform(w1).wedge_vform(w2)
 
 
 class IMConnection:
@@ -211,35 +194,26 @@ class IMConnection:
 
 def wedgedot(gamma, theta, ideal):
     """The slot-consuming pairing of a symmetric-slot form with an
-    ideal-valued form; one symmetric slot is filled by the values of theta
-    and the form degrees add."""
+    ideal-valued form, (gamma . theta)(J) = sum_a theta^a ^ gamma(J, u_a):
+    one symmetric slot is filled by the values of theta and the form
+    degrees add."""
     if gamma.arity < 1:
         raise StructureError("no symmetric slot left for the pairing")
     if theta.rank != ideal.m:
         raise StructureError("pairing expects an ideal-valued form")
     n = gamma.nvars
-    deg = gamma.degree + theta.degree
+    thetas = {k: VForm(n, 1, theta.degree, {(1, idx): p for (b, idx), p in theta.comps.items()
+                                            if b == a})
+              for a, k in enumerate(ideal.indices, start=1)}
     rows = {}
-
-    def add(j, key, p):
-        tbl = rows.setdefault(j, {})
-        cur = tbl.get(key)
-        tbl[key] = p if cur is None else cur + p
-
-    for (tb, S), tp in theta.comps.items():
-        sec_idx = ideal.indices[tb - 1]
-        for J, vf in gamma.comps.items():
-            for j, rest, _ in symmetric_slots(J):
-                if j != sec_idx:
-                    continue
-                for (b, Aidx), gp in vf.comps.items():
-                    srt, sign = sort_sign(S + Aidx)
-                    if sign == 0:
-                        continue
-                    q = tp * gp if sign > 0 else -(tp * gp)
-                    add(rest, (b, srt), q)
-    return SymForm(n, gamma.rank, gamma.secrank, gamma.arity - 1, deg,
-                   {j: VForm(n, gamma.rank, deg, tbl) for j, tbl in rows.items()})
+    for J, vf in gamma.comps.items():
+        for j, rest, _ in symmetric_slots(J):
+            if j in thetas:
+                term = scalar_wedge(thetas[j], vf)
+                cur = rows.get(rest)
+                rows[rest] = term if cur is None else cur + term
+    return SymForm(n, gamma.rank, gamma.secrank, gamma.arity - 1,
+                   gamma.degree + theta.degree, rows)
 
 
 def wedgedot_multi(gamma, thetas, ideal):
@@ -575,17 +549,11 @@ def _check_coupling_inputs(B, m, fibre, conn, F):
             "coupling condition (i) fails: connection does not "
             f"preserve the fibre bracket at (x={x}, {a},{b})")
     # (ii) R = -ad F
-    R = conn.curvature_R()
-    for a1, a2 in itertools.combinations(range(1, n + 1), 2):
-        for bb in range(1, m + 1):
-            for cc in range(1, m + 1):
-                rhs = Poly.zero(n)
-                for e in range(1, m + 1):
-                    rhs = rhs - F.get(e, (a1, a2)) * fib(e, cc, bb)
-                if R.get(bb, cc, (a1, a2)) != rhs:
-                    raise ContractError(
-                        "coupling condition (ii) fails: R-nabla != -ad F "
-                        f"at (d_{a1}, d_{a2})")
+    defect = conn.curvature_R() + _ad(n, m, fib, F)
+    if not defect.is_zero:
+        a1, a2 = min(idx for _, _, idx in defect.comps)
+        raise ContractError("coupling condition (ii) fails: R-nabla != -ad F "
+                            f"at (d_{a1}, d_{a2})")
     # (iii) iota_{rho_B} d-nabla F = 0
     dF = conn.dnabla(F)
     for i in range(1, B.rank + 1):

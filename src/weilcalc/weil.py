@@ -151,11 +151,10 @@ def _eval_basis(c, k, prefix, rest, J):
             sub = _eval_basis(c, k, prefix + (i,), tail, J)
             if not sub.is_zero:
                 out = out + sub.scaled(ai)
-        dai = d_scalar(ai, n)
-        if not dai.is_zero:
+        if not ai.is_constant:
             sub = _eval_basis(c, k + 1, prefix, tail, tuple(sorted(J + (i,))))
             if not sub.is_zero:
-                w = scalar_wedge(dai, sub)
+                w = scalar_wedge(d_scalar(ai, n), sub)
                 out = out + (w if pos % 2 == 0 else -w)
     return out
 

@@ -184,3 +184,12 @@ def test_d_scalar_matches_form_d():
     f = random_poly(rng, 2, 3)
     as_form = VForm(2, 1, 0, {(1, ()): f})
     assert d_scalar(f, 2) == as_form.d()
+
+
+@pytest.mark.parametrize("fix", ["f0", "f1", "f2", "f3"])
+def test_frame_sections_are_cached_units(fix, request):
+    A = request.getfixturevalue(fix).A
+    for i in range(1, A.rank + 1):
+        assert A.basis(i) is A.basis(i)
+        assert A.basis(i) == Section(A.nvars, [Poly.const(A.nvars, 1 if t == i else 0)
+                                               for t in range(1, A.rank + 1)])

@@ -6,7 +6,8 @@ from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, VFo
                       induced_end_connection, induced_end_rep, invariance_form,
                       is_A_invariant, lieA_derivative, lieA_vform,
                       validate_rep)
-from weilcalc.algebroid import VField
+from weilcalc.algebroid import Section, VField, bracket
+from weilcalc.connections import _bracket_with_frame
 from weilcalc.fixtures import (random_endform, random_poly, random_section,
                                random_symform, random_vform)
 
@@ -92,12 +93,24 @@ def test_rep_flatness_on_random_sections(seed, f2):
     A, rep = f2.A, f2.rep
     a = random_section(A, 500 + seed)
     b = random_section(A, 600 + seed)
-    from weilcalc import bracket
-    xi = tuple(random_poly(random.Random(f"xi:{seed}:{t}"), 2, 1) for t in range(3))
-    lhs = rep.act(A, bracket(A, a, b), xi)
-    rhs1 = rep.act(A, a, rep.act(A, b, xi))
-    rhs2 = rep.act(A, b, rep.act(A, a, xi))
-    assert lhs == tuple(p - q for p, q in zip(rhs1, rhs2))
+    xi = VForm(2, 3, 0, {(t + 1, ()): random_poly(random.Random(f"xi:{seed}:{t}"), 2, 1)
+                         for t in range(3)})
+    lhs = lieA_vform(A, rep, bracket(A, a, b), xi)
+    rhs1 = lieA_vform(A, rep, a, lieA_vform(A, rep, b, xi))
+    rhs2 = lieA_vform(A, rep, b, lieA_vform(A, rep, a, xi))
+    assert lhs == rhs1 - rhs2
+
+
+@pytest.mark.parametrize("fix", ["f0", "f1", "f2", "f3"])
+@pytest.mark.parametrize("seed", range(3))
+def test_bracket_with_frame_matches_bracket(fix, seed, request):
+    A = request.getfixturevalue(fix).A
+    alpha = random_section(A, 700 + seed, bound=2)
+    for j in range(1, A.rank + 1):
+        assert Section(A.nvars, _bracket_with_frame(A, alpha, j)) \
+            == bracket(A, alpha, A.basis(j))
+        e_i = A.basis(1 + (seed + j) % A.rank)
+        assert Section(A.nvars, _bracket_with_frame(A, e_i, j)) == bracket(A, e_i, A.basis(j))
 
 
 # -- Lie derivative on symmetric-slot forms ------------------------------------
