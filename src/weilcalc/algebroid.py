@@ -13,7 +13,6 @@ import operator
 
 from .errors import StructureError
 from .polyring import Poly, poly_to_str
-from .report import CheckReport
 
 
 def sort_sign(idx):
@@ -123,16 +122,6 @@ class VField:
             if not xa.is_zero:
                 out = out + xa * f.diff(a)
         return out
-
-    def __add__(self, other):
-        return VField(self.nvars, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        return VField(self.nvars, [a - b for a, b in zip(self.comps, other.comps)])
-
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.comps)
 
     def __eq__(self, other):
         return (isinstance(other, VField) and self.nvars == other.nvars
@@ -340,8 +329,8 @@ class AlgebroidPresentation:
     """Rank-r trivialized Lie algebroid over an n-variable chart.
 
     ``structure`` maps (i, j, k) with i < j to c^k_{ij}; ``anchor`` maps
-    (i, a) to rho^a_i. Validity of the axioms is checked separately by
-    :func:`validate_algebroid`, never assumed by the constructor.
+    (i, a) to rho^a_i. The constructor never assumes the axioms:
+    ``weil.validate_algebroid`` checks them separately, as delta^2 = 0.
     """
 
     __slots__ = ("nvars", "rank", "structure", "anchor", "_basis_cache",
@@ -444,21 +433,3 @@ def bracket(A, alpha, beta):
         comps.append(p)
     return Section(A.nvars, comps)
 
-
-def validate_algebroid(A):
-    """Exact check of antisymmetry, Jacobi, and the anchor-morphism property."""
-    rep = CheckReport("algebroid axioms")
-    rep.record("antisymmetry", True, "structure stored on i<j, extended antisymmetrically")
-    for i, j, k in itertools.combinations(range(1, A.rank + 1), 3):
-        jac = bracket(A, bracket(A, A.basis(i), A.basis(j)), A.basis(k)) \
-            + bracket(A, bracket(A, A.basis(j), A.basis(k)), A.basis(i)) \
-            + bracket(A, bracket(A, A.basis(k), A.basis(i)), A.basis(j))
-        rep.record(f"jacobi({i},{j},{k})", jac.is_zero,
-                   "" if jac.is_zero else "Jacobiator nonzero on this basis triple")
-    for i, j in itertools.combinations(range(1, A.rank + 1), 2):
-        lhs = A.rho(A.bracket_basis(i, j))
-        rhs = vfield_bracket(A.rho_basis(i), A.rho_basis(j))
-        ok = (lhs - rhs).is_zero
-        rep.record(f"anchor_morphism({i},{j})", ok,
-                   "" if ok else "rho[e_i,e_j] != [rho e_i, rho e_j]")
-    return rep

@@ -9,11 +9,8 @@ psi^b_{i c} u_b), with psi_i available as a degree-0 End-form. Products and
 Lie derivatives of End-forms are the single ones of ``algebroid``.
 """
 
-import itertools
-
 from .algebroid import SparseTable, VForm, _lie, _wedge, is_form_index, symmetric_slots
 from .errors import StructureError
-from .report import CheckReport
 
 
 class LinearConnection:
@@ -286,26 +283,6 @@ def lieA_derivative(A, rep, alpha, gamma):
         if acc is not None:
             rows[J] = acc
     return SymForm(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree, rows)
-
-
-def validate_rep(A, rep):
-    """Exact flatness check of a representation on all basis pairs:
-    sum_k [e_i, e_j]^k psi_k = L_{rho_i} psi_j - L_{rho_j} psi_i + [psi_i, psi_j]."""
-    rep_report = CheckReport("representation axioms")
-    rep_report.record("leibniz", True, "coefficient form satisfies the Leibniz rule by construction")
-    psi = {i: rep.endo(i) for i in range(1, A.rank + 1)}
-    for i, j in itertools.combinations(range(1, A.rank + 1), 2):
-        w = A.bracket_basis(i, j)
-        lhs = EndForm.zero(A.nvars, rep.rank, 0)
-        for k, wk in enumerate(w.comps, start=1):
-            if not wk.is_zero:
-                lhs = lhs + psi[k].scaled(wk)
-        rhs = psi[j].lie(A.rho_basis(i)) - psi[i].lie(A.rho_basis(j)) \
-            + psi[i].compose(psi[j]) - psi[j].compose(psi[i])
-        ok = lhs == rhs
-        rep_report.record(f"flatness({i},{j})", ok,
-                          "" if ok else "nabla^A_[e_i,e_j] != [nabla^A_i, nabla^A_j]")
-    return rep_report
 
 
 class InvarianceForm:

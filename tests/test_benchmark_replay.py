@@ -1,10 +1,13 @@
 """In-process replay of recorded benchmark digests.
 
-A slice of the ``operators`` and ``solver`` workloads of ``perfbench`` runs
-here: the operators suites at bidegrees (1,1) and (2,1) and the solver jobs
-at degree bounds 1 and 2, on seed 1. Every output must pass its workload's
-check and hash to the digest recorded in ``perfbench/digests.json``, so the
-byte identity of operator and solver outputs is part of the test suite.
+A slice of each workload of ``perfbench`` runs here: the operators suites
+at bidegrees (1,1) and (2,1) and the solver jobs at degree bounds 1 and 2,
+on seed 1, and every recorded ``cli`` spec command and fixture emission
+(not the spec mutations, which ``test_cli_mutations.py`` replays), through
+``cli.main`` in this process. Every output must pass its workload's check
+and hash to the digest recorded in ``perfbench/digests.json``, so the byte
+identity of operator and solver outputs and of the CLI reports is part of
+the test suite.
 """
 
 import sys
@@ -18,20 +21,38 @@ from perfbench import workloads  # noqa: E402
 
 _RECORDED = workloads.load_digests()
 
+def cli_plan():
+    """One pass of every recorded spec command and emission: the cochain
+    commands and emissions on each seed's spec, the others on seed 0."""
+    specs = []
+    for F in workloads.CLI_FIXTURES:
+        for s in range(workloads.SEEDS):
+            specs.append(("emit", F, s))
+            specs += [("spec", F, s, cmd) for cmd in workloads.CLI_COMMANDS
+                      if s == 0 or cmd in workloads.CLI_COCHAIN_COMMANDS]
+    return [specs]
+
+
 _SLICES = {
-    "operators": (workloads.operators_setup,
-                  lambda: workloads.operators_plan(1, 1, bidegrees=((1, 1), (2, 1)))),
-    "solver": (workloads.solver_setup,
-               lambda: workloads.solver_plan(1, 1, bounds=(1, 2))),
+    "operators": lambda workdir: workloads.operators_setup(
+        workloads.operators_plan(1, 1, bidegrees=((1, 1), (2, 1)))),
+    "solver": lambda workdir: workloads.solver_setup(
+        workloads.solver_plan(1, 1, bounds=(1, 2))),
+    "cli": lambda workdir: workloads.cli_setup(cli_plan(), workdir)[0],
 }
 
 
+def test_cli_slice_covers_every_recorded_spec_command():
+    recorded = {k for k in _RECORDED["digests"]
+                if k.startswith("cli/") and not k.startswith("cli/mutation/")}
+    assert {workloads.cli_key(spec) for spec in cli_plan()[0]} == recorded
+
+
 @pytest.mark.parametrize("workload", sorted(_SLICES))
-def test_recorded_digests_reproduce(workload):
-    setup, plan = _SLICES[workload]
+def test_recorded_digests_reproduce(workload, tmp_path):
     failures = []
-    for job in setup(plan())[0]:
-        ok, _, reason = workloads.gate(job, job.run(), _RECORDED)
+    for job in _SLICES[workload](tmp_path)[0]:
+        ok, _, reason = workloads.gate(job, (job.run_inproc or job.run)(), _RECORDED)
         if not ok:
             failures.append((job.key, reason))
     assert not failures

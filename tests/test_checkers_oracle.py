@@ -2,7 +2,8 @@
 
 ``validate_algebroid``, ``validate_rep`` and ``check_IM`` each return a
 report of named pass/fail items. Here every report is compared, label by
-label and in order, with a reference computed from the defining formulas:
+label and in order, verdict and detail text, with a reference computed from
+the defining formulas:
 
 - jacobi(i,j,k): the Jacobiator of the frame through ``bracket``;
 - anchor_morphism(i,j): rho[e_i, e_j] against the vector-field bracket;
@@ -27,9 +28,23 @@ from weilcalc.fixtures import random_cochain, random_poly
 
 SEEDS = range(6)
 
+# the detail text of each kind of item: always for the two structural
+# items, only on failure for the others
+DETAILS = {
+    "antisymmetry": "structure stored on i<j, extended antisymmetrically",
+    "leibniz": "coefficient form satisfies the Leibniz rule by construction",
+    "jacobi": "Jacobiator nonzero on this basis triple",
+    "anchor_morphism": "rho[e_i,e_j] != [rho e_i, rho e_j]",
+    "flatness": "nabla^A_[e_i,e_j] != [nabla^A_i, nabla^A_j]",
+    "C.1": "c0[e_i,e_j] != L_i c0(e_j) - L_j c0(e_i)",
+    "C.2": "c1[e_i,e_j] != L_i(c1 e_j) - i_rho(e_j) c0(e_i)",
+    "C.3": "symbol is not anchor-antisymmetric",
+}
 
-def verdicts(report):
-    return [(label, ok) for label, ok, _ in report.items]
+
+def with_details(reference):
+    return [(label, ok, DETAILS[label.split("(")[0]] if not ok or "(" not in label else "")
+            for label, ok in reference]
 
 
 def algebroid_reference(A):
@@ -120,7 +135,7 @@ def test_validate_algebroid_matches_direct_formulas(fix):
     failing = 0
     for A in [fix.A] + [tampered_algebroid(fix.A, s) for s in SEEDS]:
         want = algebroid_reference(A)
-        assert verdicts(validate_algebroid(A)) == want
+        assert validate_algebroid(A).items == with_details(want)
         failing += sum(not ok for _, ok in want)
     assert failing > 0
 
@@ -129,7 +144,7 @@ def test_validate_rep_matches_direct_formulas(fix):
     failing = 0
     for rep in [fix.rep] + [tampered_rep(fix.A, fix.rep, s) for s in SEEDS]:
         want = rep_reference(fix.A, rep)
-        assert verdicts(validate_rep(fix.A, rep)) == want
+        assert validate_rep(fix.A, rep).items == with_details(want)
         failing += sum(not ok for _, ok in want)
     assert failing > 0
 
@@ -141,6 +156,6 @@ def test_check_IM_matches_direct_formulas(fix):
     failing = 0
     for c in cochains:
         want = im_reference(A, rep, c)
-        assert verdicts(check_IM(A, rep, c)) == want
+        assert check_IM(A, rep, c).items == with_details(want)
         failing += sum(not ok for _, ok in want)
     assert failing > 0

@@ -87,6 +87,27 @@ def test_rescaled_so3_still_validates(tmp_path, capsys):
     assert jacobi and all(c["status"] == "pass" for c in jacobi)
 
 
+@pytest.mark.parametrize("name,rank", [("F1_abelian_2d", 2), ("F2_semisimple_2d", 4)])
+def test_wrong_rank_im_cochain_fails_only_multiplicative(name, rank, tmp_path, capsys):
+    # a cochain not valued in the ideal fails the IM connection's shape check
+    # once; the report keeps every earlier check and lists no C.1-C.3 item
+    path = tmp_path / "spec.json"
+    invoke(["fixture", "--name", name, "--emit", str(path)], capsys)
+    _, out = invoke(["validate", str(path)], capsys)
+    good = json.loads(out)["checks"]
+    data = json.loads(path.read_text())
+    data["im_connection"]["cochain"]["bundle_rank"] = rank
+    path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "math_fail"
+    shape = [c["name"] for c in good].index("im_connection.multiplicative")
+    assert doc["checks"] == good[:shape] + [
+        {"name": "im_connection.multiplicative", "status": "fail",
+         "detail": "IM connection needs an ideal-valued W^{1,1} cochain"}]
+
+
 def test_malformed_spec_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"chart": {"dim": 2}}')
