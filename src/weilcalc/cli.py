@@ -60,17 +60,19 @@ def cmd_validate(spec, args):
             rep.record("ideal.structure", False, str(exc))
     if ideal is not None:
         rep.extend(validate_rep(spec.A, ideal.adjoint_rep()), "adjoint_rep.")
-        if spec.im_cochain is not None:
+        c = spec.im_cochain
+        if c is not None:
+            # delta needs the ideal's rank; off level 1, check_IM raises
+            im = check_IM(spec.A, ideal.adjoint_rep(), c) \
+                if c.p != 1 or c.rank == ideal.m else None
             try:
-                imc = IMConnection(ideal, spec.im_cochain)
+                imc = IMConnection(ideal, c, im_report=im)
                 rep.record("im_connection.multiplicative", True)
             except (ContractError, StructureError) as exc:
                 imc = None
                 rep.record("im_connection.multiplicative", False, str(exc))
-                # delta needs the ideal's rank; off level 1, check_IM raises
-                if spec.im_cochain.p != 1 or spec.im_cochain.rank == ideal.m:
-                    for label, detail in check_IM(
-                            spec.A, ideal.adjoint_rep(), spec.im_cochain).failures:
+                if im is not None:
+                    for label, detail in im.failures:
                         rep.record(f"im_connection.{label}", False, detail)
             if imc is not None:
                 rep.extend(coupling_checks(imc), "coupling.")

@@ -113,7 +113,9 @@ class IMConnection:
 
     __slots__ = ("ideal", "cochain", "_conn", "_hsec")
 
-    def __init__(self, ideal, cochain, validate=True):
+    def __init__(self, ideal, cochain, validate=True, im_report=None):
+        """With ``validate``, the cochain must pass ``check_IM``; a caller
+        that already holds that report passes it as ``im_report``."""
         A = ideal.A
         if cochain.p != 1 or cochain.q != 1 or cochain.rank != ideal.m:
             raise StructureError("IM connection needs an ideal-valued W^{1,1} cochain")
@@ -128,7 +130,8 @@ class IMConnection:
             if vk != unit:
                 raise ContractError(f"symbol does not restrict to the identity at e_{k}")
         if validate:
-            rep = check_IM(A, ideal.adjoint_rep(), cochain)
+            rep = im_report if im_report is not None \
+                else check_IM(A, ideal.adjoint_rep(), cochain)
             if not rep.passed:
                 raise ContractError(
                     "cochain is not infinitesimally multiplicative: "

@@ -22,6 +22,7 @@ of a representation are delta^2 = 0, the IM conditions are delta c = 0.
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from . import _linsolve
@@ -29,7 +30,7 @@ from .algebroid import (SparseTable, VForm, d_scalar, scalar_wedge, sort_sign,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, SymForm, lieA_derivative
 from .errors import ContractError, StructureError
-from .polyring import Poly
+from .polyring import MAX_DEGREE, Poly
 from .report import CheckReport
 
 
@@ -408,20 +409,82 @@ def _cell_cochain(A, rank, p, q, cell):
     return WeilCochain(A, rank, p, q, {(k, I, J): vf})
 
 
+def _symbols(A, head):
+    """The symbols S_a(e) = delta(x_a e) - x_a delta(e), a = 1..n, of the frame
+    cell e = (k, I, J, b, idx), flattened. Only the anchor term rho(e_i)(f)
+    of the leading Lie derivatives is not C^infty-linear in the coefficient
+    f of e, so S_a(e) is (-1)^(k+pos) rho^a_i at (k, I', J, b, idx), where
+    I' is I with i inserted at position pos, for each i not in I."""
+    k, I, J, b, idx = head
+    out = [{} for _ in range(A.nvars)]
+    for i in range(1, A.rank + 1):
+        if i in I:
+            continue
+        pos = sum(1 for t in I if t < i)
+        head_i = (k, I[:pos] + (i,) + I[pos:], J, b, idx)
+        sign = -1 if (k + pos) % 2 else 1
+        for a, sym in enumerate(out, start=1):
+            rho = A.anchor.get((i, a))
+            if rho is not None:
+                for exps, (num, den) in rho.items():
+                    sym[head_i + (exps,)] = Fraction(sign * num, den)
+    return out
+
+
+def _top_degree(flat):
+    return max((sum(key[5]) for key in flat), default=0)
+
+
+def _shift_into(col, flat, top, beta, scale):
+    """Add scale * x^beta * flat to the flat column ``col``; ``top`` is the
+    highest total degree in ``flat``."""
+    if top + sum(beta) > MAX_DEGREE:
+        raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
+    for key, v in flat.items():
+        key = key[:5] + (tuple(map(operator.add, key[5], beta)),)
+        cur = col.get(key)
+        col[key] = v * scale if cur is None else cur + v * scale
+
+
 def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):
-    """The unknown cells of W^{p,q} and the flattened delta of each."""
+    """The unknown cells of W^{p,q} and the flattened delta of each.
+
+    delta is first order in the coefficients, so by the Leibniz rule
+
+        delta(x^alpha e) = x^alpha delta(e) + sum_a alpha_a x^(alpha - eps_a) S_a(e)
+
+    for a frame cell e: one delta per frame cell, and the symbols S_a read
+    off the anchor. Cells come grouped by frame cell, monomials innermost.
+    """
     cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
-    columns = [_flatten(delta(A, rep, _cell_cochain(A, rank, p, q, cell)))
-               for cell in cells]
+    columns = []
+    origin = (0,) * A.nvars
+    for head, group in itertools.groupby(cells, key=operator.itemgetter(slice(5))):
+        frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))))
+        frame_top = _top_degree(frame)
+        symbols = [(a, sym, _top_degree(sym))
+                   for a, sym in enumerate(_symbols(A, head)) if sym]
+        for cell in group:
+            alpha = cell[5]
+            col = {}
+            _shift_into(col, frame, frame_top, alpha, 1)
+            for a, sym, top in symbols:
+                if alpha[a]:
+                    beta = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1:]
+                    _shift_into(col, sym, top, beta, alpha[a])
+            columns.append({key: v for key, v in col.items() if v})
     return cells, columns
 
 
 def _assemble(A, rank, p, q, cells, coeffs):
-    out = WeilCochain.zero(A, rank, p, q)
-    for cell, x in zip(cells, coeffs):
-        if x:
-            out = out + _cell_cochain(A, rank, p, q, cell).scaled(x)
-    return out
+    """The cochain sum of x * cell over the cells, built in one pass."""
+    table = {}
+    for (k, I, J, b, idx, exps), x in itertools.compress(zip(cells, coeffs), coeffs):
+        table.setdefault((k, I, J), {}).setdefault((b, idx), {})[exps] = x
+    n = A.nvars
+    return WeilCochain(A, rank, p, q, {
+        key: VForm(n, rank, q - key[0], {bi: Poly(n, terms) for bi, terms in row.items()})
+        for key, row in table.items()})
 
 
 def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):

@@ -284,3 +284,26 @@ def test_console_entry_point(f1_path):
                            str(f1_path)], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
+
+
+def test_validate_checks_a_non_im_cochain_once(tmp_path, capsys, monkeypatch):
+    # IMConnection and the C.x listing share one check_IM report
+    from weilcalc import cli, ideals
+    path = tmp_path / "spec.json"
+    invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path)], capsys)
+    data = json.loads(path.read_text())
+    data["im_connection"]["cochain"]["tables"]["0"]["1|"]["3|2"] = "-1 + x1"
+    path.write_text(json.dumps(data))
+    calls, check_IM = [], cli.check_IM
+
+    def counted(*args):
+        calls.append(args)
+        return check_IM(*args)
+
+    monkeypatch.setattr(cli, "check_IM", counted)
+    monkeypatch.setattr(ideals, "check_IM", counted)
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 1 and len(calls) == 1
+    names = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert names[0] == "im_connection.multiplicative"
+    assert any(name.startswith("im_connection.C.") for name in names[1:])
