@@ -2,101 +2,120 @@
 
 Systems come from flattened cochain equations: columns are sparse dicts
 keyed by arbitrary (sortable) row keys. Elimination is online: each
-equation row is reduced against the pivots found so far, so solution
-extraction is a reverse-order back substitution. Everything is Fraction
-arithmetic; there is no tolerance anywhere.
+equation row, in sorted key order, is reduced against the pivots found so
+far and, if anything is left, pivots on its least column. Solutions and
+kernel vectors are sparse too: ``{column index: Fraction}`` dicts that
+hold only the nonzero values. A solution is one reverse-order back
+substitution with the free variables at zero; the kernel comes from one
+reverse pass that writes every pivot as a combination of free columns.
+Everything is Fraction arithmetic; there is no tolerance anywhere.
 """
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _frac(v):
+    return v if type(v) is Fraction else Fraction(v)
 
 
 def _eliminate(columns, rhs):
     """Row-reduce the system given by sparse columns and a sparse rhs.
 
     Returns (pivot order list, pivot table, consistent flag); the pivot
-    table maps a pivot column to its normalized row and rhs value.
+    table maps a pivot column to its normalized row, without the pivot's
+    own unit entry, and its rhs value.
     """
     eqs = {}
     for j, col in enumerate(columns):
         for rk, v in col.items():
             if v:
-                eqs.setdefault(rk, {})[j] = Fraction(v)
+                eqs.setdefault(rk, {})[j] = _frac(v)
     rows = set(eqs)
     rows.update(rhs)
-    pivot_of_col = {}
+    pivots = {}
     order = []
     for rk in sorted(rows):
-        row = dict(eqs.get(rk, ()))
-        b = Fraction(rhs.get(rk, _ZERO))
-        while True:
-            hit = None
-            for c in row:
-                if c in pivot_of_col:
-                    hit = c
-                    break
-            if hit is None:
-                break
-            prow, pb = pivot_of_col[hit]
-            f = row.pop(hit)
-            for c, v in prow.items():
-                if c == hit:
+        row = eqs.get(rk, {})
+        b = _frac(rhs.get(rk, _ZERO))
+        # the reduced row does not depend on the order of the reductions,
+        # so reduce by every pivot hit of one scan and then rescan
+        hits = [c for c in row if c in pivots]
+        while hits:
+            for hit in hits:
+                f = row.pop(hit, None)
+                if f is None:
                     continue
-                nv = row.get(c, _ZERO) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-            b -= f * pb
+                rest, pb = pivots[hit]
+                g = -f
+                for c, v in rest.items():
+                    cur = row.get(c)
+                    if cur is None:
+                        row[c] = g * v
+                    else:
+                        nv = cur + g * v
+                        if nv:
+                            row[c] = nv
+                        else:
+                            del row[c]
+                if pb:
+                    b += g * pb
+            hits = [c for c in row if c in pivots]
         if not row:
             if b:
-                return order, pivot_of_col, False
+                return order, pivots, False
             continue
         pc = min(row)
-        f = row[pc]
-        row = {c: v / f for c, v in row.items()}
-        b = b / f
-        pivot_of_col[pc] = (row, b)
+        f = row.pop(pc)
+        if f != 1:
+            row = {c: v / f for c, v in row.items()}
+            b = b / f
+        pivots[pc] = (row, b)
         order.append(pc)
-    return order, pivot_of_col, True
+    return order, pivots, True
 
 
 def solve_sparse(columns, rhs):
-    """One exact solution of columns . x = rhs, or None if inconsistent.
+    """One exact solution of columns . x = rhs as a sparse dict, or None if
+    inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
     order, pivots, ok = _eliminate(columns, rhs)
     if not ok:
         return None
-    x = [_ZERO] * len(columns)
+    x = {}
     for pc in reversed(order):
-        row, b = pivots[pc]
-        acc = b
-        for c, v in row.items():
-            if c != pc and x[c]:
-                acc -= v * x[c]
-        x[pc] = acc
+        rest, acc = pivots[pc]
+        for c, v in rest.items():
+            xc = x.get(c)
+            if xc is not None:
+                acc -= v * xc
+        if acc:
+            x[pc] = acc
     return x
 
 
 def nullspace_sparse(columns):
-    """Basis of the exact kernel of the sparse column matrix."""
+    """Basis of the exact kernel of the sparse column matrix: one sparse
+    dict per free column f, holding 1 at f, in increasing f."""
     order, pivots, _ = _eliminate(columns, {})
-    pivot_cols = set(order)
-    basis = []
-    for free in range(len(columns)):
-        if free in pivot_cols:
-            continue
-        x = [_ZERO] * len(columns)
-        x[free] = Fraction(1)
-        for pc in reversed(order):
-            row, _ = pivots[pc]
-            acc = _ZERO
-            for c, v in row.items():
-                if c != pc and x[c]:
-                    acc -= v * x[c]
-            x[pc] = acc
-        basis.append(x)
-    return basis
+    basis = {f: {f: _ONE} for f in range(len(columns)) if f not in pivots}
+    # each pivot as a combination of free columns; the pivots in a pivot
+    # row all come later in the order, so a reverse pass has them ready
+    expr = {}
+    for pc in reversed(order):
+        e = {}
+        for c, v in pivots[pc][0].items():
+            sub = expr.get(c)
+            if sub is None:
+                e[c] = e.get(c, _ZERO) - v
+            else:
+                for f, w in sub.items():
+                    e[f] = e.get(f, _ZERO) - v * w
+        e = expr[pc] = {f: w for f, w in e.items() if w}
+        for f, w in e.items():
+            basis[f][pc] = w
+    return [basis[f] for f in sorted(basis)]

@@ -721,10 +721,9 @@ def _semisimple_ad(ideal):
     # every derivation must be a combination of the ad columns
     for vec in der_basis:
         flat = {}
-        for idx, v in enumerate(vec):
-            if v:
-                row, colm = divmod(idx, m)
-                flat[(row + 1, colm + 1)] = v
+        for idx, v in vec.items():
+            row, colm = divmod(idx, m)
+            flat[(row + 1, colm + 1)] = v
         if _linsolve.solve_sparse(cols, flat) is None:
             return None
     return cols
@@ -760,12 +759,11 @@ def _ad_solve(ideal, cols, D):
         x = _linsolve.solve_sparse(cols, {k: -v for k, v in rhs.items()})
         if x is None:
             raise ContractError("End-valued form is not ad of an ideal-valued form")
-        for a, v in enumerate(x, start=1):
-            if v:
-                key = (a, idx)
-                q = Poly.monomial(n, exps, v)
-                cur = comps.get(key)
-                comps[key] = q if cur is None else cur + q
+        for a, v in sorted(x.items()):
+            key = (a + 1, idx)
+            q = Poly.monomial(n, exps, v)
+            cur = comps.get(key)
+            comps[key] = q if cur is None else cur + q
     return VForm(n, ideal.m, D.degree, comps)
 
 

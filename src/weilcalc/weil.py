@@ -477,10 +477,12 @@ def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):
 
 
 def _assemble(A, rank, p, q, cells, coeffs):
-    """The cochain sum of x * cell over the cells, built in one pass."""
+    """The cochain sum of x * cell over the sparse {cell index: x} coeffs,
+    built in one pass."""
     table = {}
-    for (k, I, J, b, idx, exps), x in itertools.compress(zip(cells, coeffs), coeffs):
-        table.setdefault((k, I, J), {}).setdefault((b, idx), {})[exps] = x
+    for i in sorted(coeffs):
+        k, I, J, b, idx, exps = cells[i]
+        table.setdefault((k, I, J), {}).setdefault((b, idx), {})[exps] = coeffs[i]
     n = A.nvars
     return WeilCochain(A, rank, p, q, {
         key: VForm(n, rank, q - key[0], {bi: Poly(n, terms) for bi, terms in row.items()})

@@ -1,0 +1,82 @@
+"""The exact sparse solver against sympy on random small rational systems.
+
+Rows are reduced in sorted key order and pivot on their least column, so
+the pivot columns are the RREF pivot columns: the kernel basis (1 at one
+free column, 0 at the others) is sympy's ``nullspace()`` vector for
+vector, and the solution with every free variable at zero is sympy's
+``gauss_jordan_solve`` with every parameter set to zero.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from weilcalc._linsolve import nullspace_sparse, solve_sparse
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_oracle = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# ints and Fractions, zero included: explicit zero entries must be ignored
+_VALUES = st.one_of(st.integers(-2, 2),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def systems(draw):
+    """Sparse columns and a sparse rhs over 0-7 rows and 0-7 columns."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = st.dictionaries(st.integers(0, nrows - 1), _VALUES) if nrows else st.just({})
+    columns = [draw(entry) for _ in range(ncols)]
+    return nrows, columns, draw(entry)
+
+
+def _matrix(nrows, columns):
+    return sympy.Matrix(nrows, len(columns),
+                        lambda r, c: sympy.Rational(columns[c].get(r, 0)))
+
+
+def _dense(vec, n):
+    assert all(type(v) is Fraction and v for v in vec.values())
+    assert all(0 <= c < n for c in vec)
+    return [vec.get(c, 0) for c in range(n)]
+
+
+def _to_fractions(m):
+    return [Fraction(int(v.p), int(v.q)) for v in m]
+
+
+@_oracle
+@given(systems())
+def test_nullspace_matches_sympy(system):
+    nrows, columns, _ = system
+    n = len(columns)
+    ours = [_dense(v, n) for v in nullspace_sparse(columns)]
+    assert ours == [_to_fractions(v) for v in _matrix(nrows, columns).nullspace()]
+
+
+@_oracle
+@given(systems())
+def test_solution_matches_sympy(system):
+    nrows, columns, rhs = system
+    ours = solve_sparse(columns, rhs)
+    b = sympy.Matrix(nrows, 1, lambda r, _: sympy.Rational(rhs.get(r, 0)))
+    try:
+        sol, params = _matrix(nrows, columns).gauss_jordan_solve(b)
+    except ValueError:
+        assert ours is None
+        return
+    assert ours is not None
+    sol = sol.subs({t: 0 for t in params})
+    assert _dense(ours, len(columns)) == _to_fractions(sol)
+
+
+def test_empty_and_zero_systems():
+    assert solve_sparse([], {}) == {}
+    assert solve_sparse([], {"r": 1}) is None
+    assert nullspace_sparse([]) == []
+    assert nullspace_sparse([{}, {"r": 0}]) == [{0: 1}, {1: 1}]
+    assert solve_sparse([{"r": 2}, {"r": 0}], {"r": 1}) == {0: Fraction(1, 2)}

@@ -33,3 +33,31 @@ def test_tracer_counts_constructors_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (VForm.__dict__["__init__"], Poly.__dict__["__init__"], weil.delta) == originals
+
+
+def test_tracer_counts_the_solver_system():
+    # the benchmark's _linsolve spans and row/nonzero counts read the
+    # columns and rhs that weil hands to _eliminate
+    fix = build_fixture("F0_so3")
+    A, rep = fix.A, fix.rep
+    w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
+    target = weil.delta(A, rep, w)
+    _, columns = weil._delta_columns(A, rep, 3, 0, 0, 0, None)
+    col_rows = set().union(*columns)
+    nonzeros = sum(len(col) for col in columns)
+    assert nonzeros
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        assert weil.solve_coboundary(A, rep, target, 0) is not None
+        weil.bounded_kernel(A, rep, 0, 0, 0)
+        tracer.on = False
+        assert tracer.calls("weil.solve") == 2
+        assert tracer.calls("_linsolve.solve") == 2
+        assert tracer.calls("_linsolve.eliminate") == 2
+        assert tracer.counts["_linsolve.rows"] == (
+            len(col_rows | set(weil._flatten(target))) + len(col_rows))
+        assert tracer.counts["_linsolve.nonzeros"] == 2 * nonzeros
+    finally:
+        tracer.uninstall()

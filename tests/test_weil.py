@@ -399,8 +399,9 @@ def test_solver_rejects_wrong_solution(f0, monkeypatch):
     A, rep = f0.A, f0.rep
     w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
     target = delta(A, rep, w)
-    monkeypatch.setattr(weil._linsolve, "solve_sparse",
-                        lambda columns, rhs: [0] * len(columns))
+    assert not target.is_zero
+    # the zero solution as a sparse vector: wrong for this nonzero target
+    monkeypatch.setattr(weil._linsolve, "solve_sparse", lambda columns, rhs: {})
     with pytest.raises(ContractError):
         solve_coboundary(A, rep, target, 0)
 
