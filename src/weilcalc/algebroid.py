@@ -248,22 +248,27 @@ class VForm(SparseTable):
     def iota(self, x):
         """Interior product with a vector field; on a 0-form, the zero form
         of degree -1 (so that d of it is a zero 0-form)."""
-        acc = {}
-        for key, p in self.comps.items():
-            head, idx = key[:-1], key[-1]
-            for t, a in enumerate(idx):
-                xa = x.comps[a - 1]
-                if xa.is_zero:
-                    continue
-                q = xa * p if t % 2 == 0 else -(xa * p)
-                rest = head + (idx[:t] + idx[t + 1:],)
-                cur = acc.get(rest)
-                acc[rest] = q if cur is None else cur + q
-        return type(self)(self.nvars, self.rank, self.degree - 1, acc)
+        return type(self)(self.nvars, self.rank, self.degree - 1, _iota(self.comps, x))
 
     def lie(self, x):
         """Lie derivative along a vector field (trivial coefficients)."""
         return type(self)(*self._shape(), _lie(self, x))
+
+
+def _iota(comps, x):
+    """The table of iota_X of a form table keyed (value head..., form index)."""
+    acc = {}
+    for key, p in comps.items():
+        head, idx = key[:-1], key[-1]
+        for t, a in enumerate(idx):
+            xa = x.comps[a - 1]
+            if xa.is_zero:
+                continue
+            q = xa * p if t % 2 == 0 else -(xa * p)
+            rest = head + (idx[:t] + idx[t + 1:],)
+            cur = acc.get(rest)
+            acc[rest] = q if cur is None else cur + q
+    return acc
 
 
 def _lie(form, x):

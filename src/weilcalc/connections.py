@@ -70,22 +70,28 @@ class LinearConnection:
 class ARep:
     """Algebroid representation in coefficient form (flatness checked separately)."""
 
-    __slots__ = ("nvars", "secrank", "rank", "psi")
+    __slots__ = ("nvars", "secrank", "rank", "psi", "_columns")
 
     def __init__(self, nvars, secrank, rank, psi=None):
         self.nvars = nvars
         self.secrank = secrank
         self.rank = rank
         self.psi = {}
+        self._columns = {}
         for (i, b, c), p in (psi or {}).items():
             if not (1 <= i <= secrank and 1 <= b <= rank and 1 <= c <= rank):
                 raise StructureError(f"bad representation key {(i, b, c)}")
             if not p.is_zero:
                 self.psi[(i, b, c)] = p
+                self._columns.setdefault(i, {}).setdefault(c, []).append((b, p))
 
     @classmethod
     def trivial(cls, nvars, secrank, rank):
         return cls(nvars, secrank, rank)
+
+    def psi_columns(self, i):
+        """The entries of psi_i by the column they read: {c: [(b, psi^b_{i c})]}."""
+        return self._columns.get(i, {})
 
     def endo(self, i):
         """psi_i = nabla^A_{e_i} - rho(e_i) as a degree-0 End-form."""
@@ -221,20 +227,34 @@ class SymForm(SparseTable):
                        {j: vf.iota(x) for j, vf in self.comps.items()})
 
 
+def _lieA(vf, x, columns):
+    """The table of L^A on a V-valued form: the Lie derivative along the
+    vector field x, plus the matrix given by its columns {c: [(b, f)]}
+    acting on the values."""
+    acc = _lie(vf, x)
+    for (c, idx), p in vf.comps.items():
+        for b, f in columns.get(c, ()):
+            q = f * p
+            cur = acc.get((b, idx))
+            acc[(b, idx)] = q if cur is None else cur + q
+    return acc
+
+
 def lieA_vform(A, rep, alpha, vf):
     """L^A_alpha on a plain V-valued form: the Lie derivative along rho(alpha)
-    plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
-    acc = _lie(vf, A.rho(alpha))
-    for (i, b, c), psi in rep.psi.items():
-        ai = alpha.comps[i - 1]
-        if ai.is_zero:
-            continue
-        for (cc, idx), p in vf.comps.items():
-            if cc == c:
-                q = ai * psi * p
-                cur = acc.get((b, idx))
-                acc[(b, idx)] = q if cur is None else cur + q
-    return VForm(A.nvars, vf.rank, vf.degree, acc)
+    plus psi(alpha) = sum_i alpha^i psi_i acting on the values. A frame
+    section e_i reads the cached rho(e_i) and the entries of psi_i only."""
+    support = [(i, ai) for i, ai in enumerate(alpha.comps, start=1) if ai]
+    if len(support) == 1 and support[0][1] == 1:
+        i = support[0][0]
+        table = _lieA(vf, A.rho_basis(i), rep.psi_columns(i))
+    else:
+        columns = {}
+        for i, ai in support:
+            for c, entries in rep.psi_columns(i).items():
+                columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
+        table = _lieA(vf, A.rho(alpha), columns)
+    return VForm(A.nvars, vf.rank, vf.degree, table)
 
 
 def _bracket_with_frame(A, alpha, j):

@@ -219,6 +219,8 @@ def load_spec(data):
     if not isinstance(names, list) or len(names) != n \
             or not all(isinstance(s, str) for s in names):
         raise SpecError("chart.variables", f"expected {n} variable names")
+    if len(set(names)) != n:
+        raise SpecError("chart.variables", "variable names must be distinct")
 
     alg = _require(data, "algebroid", "$", dict)
     r = _require(alg, "rank", "algebroid", int)

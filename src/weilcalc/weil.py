@@ -20,15 +20,16 @@ The axiom checkers read ``delta``: the algebroid axioms and the flatness
 of a representation are delta^2 = 0, the IM conditions are delta c = 0.
 """
 
+import bisect
 import functools
 import itertools
 import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, d_scalar, scalar_wedge, sort_sign,
-                        sorted_multisets, symmetric_slots)
-from .connections import ARep, SymForm, lieA_derivative
+from .algebroid import (SparseTable, VForm, _iota, _wedge, d_scalar, scalar_wedge,
+                        sort_sign, sorted_multisets, symmetric_slots)
+from .connections import ARep, SymForm, _lieA
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly
 from .report import CheckReport
@@ -175,59 +176,112 @@ def eval_row(c, k, sections):
                                          for J in sorted_multisets(r, k)})
 
 
+def _insert(I, i):
+    """(I with i inserted in order, the position of i); I is sorted."""
+    pos = bisect.bisect(I, i)
+    return I[:pos] + (i,) + I[pos:], pos
+
+
+def _add_into(acc, cell, table, coef):
+    """acc[cell] += coef * table for a form table {(b, idx): Poly}, where
+    coef is an int or a Poly."""
+    if not table:
+        return
+    row = acc.get(cell)
+    if row is None:
+        row = acc[cell] = {}
+    if isinstance(coef, Poly):
+        terms = ((key, coef * poly) for key, poly in table.items())
+    elif coef == 1:
+        terms = table.items()
+    elif coef == -1:
+        terms = ((key, -poly) for key, poly in table.items())
+    else:
+        terms = ((key, poly * coef) for key, poly in table.items())
+    for key, term in terms:
+        cur = row.get(key)
+        row[key] = term if cur is None else cur + term
+
+
 def delta(A, rep, c):
     """The simplicial differential, level p -> p+1.
 
-    Leading term is the Koszul differential for the Lie derivative induced
-    by the representation; correction terms add bracket insertions in the
-    symmetric slots and interior products along the anchor.
+    delta is first order (a derivation of the Weil algebra on its
+    generators), so it walks the cells of c and adds each one's terms to
+    the few output cells it reaches. For a cell (k, I, J) with value v,
+    pos the position of an inserted index in the output I, mult_j(J') the
+    multiplicity of j in J', and every term signed by (-1)^k of its
+    output level k:
+
+    1. Lie, on values: (k, I + i, J) gets (-1)^pos L^A_{e_i} v, i not in I.
+    2. Lie, on slots: for each distinct l in J and each j with
+       c^l_{ij} != 0, (k, I + i, J') gets -(-1)^pos mult_j(J') c^l_{ij} v,
+       with J' = J - l + j.
+    3. Bracket insertion: for each l in I at position p_l and s < t not in
+       I - l, (k, I - l + {s, t}, J) gets (-1)^(pos_s + pos_t + p_l) c^l_{st} v.
+    4. Its Leibniz part, where c^l_{st} is not constant: for k >= 1, each
+       distinct l in J and s < t not in I, (k - 1, I + {s, t}, J - l) gets
+       (-1)^(pos_s + pos_t) d(c^l_{st}) ^ v.
+    5. Slot interior products, for v of degree >= 1: (k + 1, I, J + j) gets
+       -mult_j(J + j) iota_{rho(e_j)} v.
+
+    Every output level k is at most min(p + 1, q).
     """
     if isinstance(c, VForm):
         c = WeilCochain.from_vform(A, c)
     if rep.rank != c.rank or rep.secrank != A.rank:
         raise StructureError("representation does not match cochain")
-    p, q, n = c.p, c.q, A.nvars
-    out = {}
-    for k, I, Js in frame_rows(A, p + 1, q):
-        lds = []
-        for pos in range(len(I)):
-            row = c.symrow(k, I[:pos] + I[pos + 1:])
-            if row.is_zero:
-                lds.append(None)
-            else:
-                lds.append(lieA_derivative(A, rep, A.basis(I[pos]), row))
-        brs = []
-        for s, t in itertools.combinations(range(len(I)), 2):
-            w = A.bracket_basis(I[s], I[t])
-            if not w.is_zero:
-                rest = [A.basis(I[u]) for u in range(len(I)) if u not in (s, t)]
-                brs.append((s + t, w, rest))
-        for J in Js:
-            acc = VForm.zero(n, c.rank, q - k)
-            for pos in range(len(I)):
-                ld = lds[pos]
-                if ld is None:
+    n, r = A.nvars, A.rank
+    # brackets[l]: (s, t, c^l_{st}) on s < t; frame_lie[(i, l)]: (j, c^l_{ij})
+    brackets, frame_lie = {}, {}
+    for (s, t, l), cst in A.structure.items():
+        brackets.setdefault(l, []).append((s, t, cst))
+        frame_lie.setdefault((s, l), []).append((t, cst))
+        frame_lie.setdefault((t, l), []).append((s, -cst))
+    leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
+                   if not cst.is_constant]
+               for l, terms in brackets.items()}
+    anchors = [(j, A.rho_basis(j)) for j in range(1, r + 1) if any(A.rho_basis(j).comps)]
+    acc = {}
+    for (k, I, J), v in c.comps.items():
+        sign = -1 if k % 2 else 1
+        table = v.comps
+        slots = tuple(symmetric_slots(J))
+        for i in range(1, r + 1):
+            if i in I:
+                continue
+            out, pos = _insert(I, i)
+            sgn = -sign if pos % 2 else sign
+            _add_into(acc, (k, out, J), _lieA(v, A.rho_basis(i), rep.psi_columns(i)), sgn)
+            for l, rest, _ in slots:
+                for j, cij in frame_lie.get((i, l), ()):
+                    Jout, _ = _insert(rest, j)
+                    _add_into(acc, (k, out, Jout), table, cij * (-sgn * Jout.count(j)))
+        for pl, l in enumerate(I):
+            rest = I[:pl] + I[pl + 1:]
+            for s, t, cst in brackets.get(l, ()):
+                if s in rest or t in rest:
                     continue
-                term = ld.get(J)
-                if term.is_zero:
-                    continue
-                acc = acc + term if pos % 2 == 0 else acc - term
-            for sgn, w, rest in brs:
-                term = _eval_basis(c, k, (), [w] + rest, J)
-                if term.is_zero:
-                    continue
-                acc = acc + term if sgn % 2 == 0 else acc - term
-            for j, rest, mult in symmetric_slots(J):
-                sub = c.lookup(k - 1, I, rest)
-                if sub.is_zero:
-                    continue
-                term = sub.iota(A.rho_basis(j))
-                if term.is_zero:
-                    continue
-                acc = acc - term.scaled(mult)
-            if not acc.is_zero:
-                out[(k, I, J)] = -acc if k % 2 == 1 else acc
-    return WeilCochain(A, c.rank, p + 1, q, out)
+                out, ps = _insert(rest, s)
+                out, pt = _insert(out, t)
+                _add_into(acc, (k, out, J), table, -cst if (k + ps + pt + pl) % 2 else cst)
+        if k:
+            for l, rest, _ in slots:
+                for s, t, dcst in leibniz.get(l, ()):
+                    if s in I or t in I:
+                        continue
+                    out, ps = _insert(I, s)
+                    out, pt = _insert(out, t)
+                    _add_into(acc, (k - 1, out, rest),
+                              _wedge(dcst, table, lambda _, w: w[:1]),
+                              sign if (ps + pt) % 2 else -sign)
+        if v.degree:
+            for j, x in anchors:
+                Jout, _ = _insert(J, j)
+                _add_into(acc, (k + 1, I, Jout), _iota(table, x), sign * Jout.count(j))
+    q = c.q
+    return WeilCochain(A, c.rank, c.p + 1, q, {
+        cell: VForm(n, c.rank, q - cell[0], acc[cell]) for cell in sorted(acc)})
 
 
 def dnabla_cochain(conn, c):

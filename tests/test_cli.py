@@ -118,6 +118,19 @@ def test_malformed_spec_exits_two(tmp_path, capsys):
     assert doc["error"]["path"] == "$.algebroid"
 
 
+def test_duplicate_variable_names_exit_two(f1_path, tmp_path, capsys):
+    data = json.loads(f1_path.read_text())
+    data["chart"]["variables"] = ["x1", "x1"]
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "input_error"
+    assert doc["error"]["path"] == "chart.variables"
+    assert doc["error"]["reason"] == "variable names must be distinct"
+
+
 _TABLES = ("im_connection", "cochain", "tables")
 
 

@@ -1,0 +1,156 @@
+"""``weil.delta`` against the row-driven reference.
+
+``delta`` walks the cells of its input and adds each one's terms to the
+output cells it reaches. The reference below is the row-driven form it
+replaced: it loops over every output row (k, I, J) of W^{p+1,q} and reads
+the input there through the Lie derivative of symmetric-slot forms, the
+Leibniz expansion of the bracket insertions and the slot interior
+products.
+
+The inputs are the fixtures F0-F3 with their own representation and with
+the adjoint representation of their ideal, the polynomial-anchor
+``affine_algebroid``, and seeded random presentations whose structure,
+anchor and representation are random polynomials that break the axioms
+(the axiom checkers read delta of such inputs). On each: every bidegree
+p, q <= 3, plain ``VForm`` inputs, one-cell inputs and the zero cochain.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from weilcalc import (AlgebroidPresentation, ARep, VForm, WeilCochain, build_fixture,
+                      validate_algebroid, validate_rep)
+from weilcalc.algebroid import symmetric_slots
+from weilcalc.connections import lieA_derivative
+from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly
+from weilcalc.weil import _cell_cochain, _eval_basis, _unknown_cells, delta, frame_rows
+
+from test_weil import affine_algebroid, affine_rep
+
+
+def delta_rows(A, rep, c):
+    """The row-driven delta: each output row (k, I, J) reads its leading Lie
+    derivatives, its bracket insertions and its slot interior products."""
+    if isinstance(c, VForm):
+        c = WeilCochain.from_vform(A, c)
+    p, q, n = c.p, c.q, A.nvars
+    out = {}
+    for k, I, Js in frame_rows(A, p + 1, q):
+        lds = []
+        for pos in range(len(I)):
+            row = c.symrow(k, I[:pos] + I[pos + 1:])
+            lds.append(None if row.is_zero
+                       else lieA_derivative(A, rep, A.basis(I[pos]), row))
+        brs = []
+        for s, t in itertools.combinations(range(len(I)), 2):
+            w = A.bracket_basis(I[s], I[t])
+            if not w.is_zero:
+                rest = [A.basis(I[u]) for u in range(len(I)) if u not in (s, t)]
+                brs.append((s + t, w, rest))
+        for J in Js:
+            acc = VForm.zero(n, c.rank, q - k)
+            for pos, ld in enumerate(lds):
+                if ld is not None:
+                    term = ld.get(J)
+                    acc = acc + term if pos % 2 == 0 else acc - term
+            for sgn, w, rest in brs:
+                term = _eval_basis(c, k, (), [w] + rest, J)
+                acc = acc + term if sgn % 2 == 0 else acc - term
+            for j, rest, mult in symmetric_slots(J):
+                sub = c.lookup(k - 1, I, rest)
+                if not sub.is_zero:
+                    acc = acc - sub.iota(A.rho_basis(j)).scaled(mult)
+            if not acc.is_zero:
+                out[(k, I, J)] = -acc if k % 2 == 1 else acc
+    return WeilCochain(A, c.rank, p + 1, q, out)
+
+
+def random_presentation(seed):
+    """A rank-3 algebroid on Q^2 with a rank-2 representation whose
+    structure, anchor and psi entries are random polynomials of degree <= 2:
+    nonconstant structure functions, a polynomial anchor, no axioms."""
+    rng = random.Random(f"delta-oracle:{seed}")
+    n, r, m = 2, 3, 2
+    structure = {(i, j, k): random_poly(rng, n, 2)
+                 for i, j in itertools.combinations(range(1, r + 1), 2)
+                 for k in range(1, r + 1) if rng.random() < 0.5}
+    anchor = {(i, a): random_poly(rng, n, 2)
+              for i in range(1, r + 1) for a in range(1, n + 1) if rng.random() < 0.6}
+    psi = {key: random_poly(rng, n, 2)
+           for key in itertools.product(range(1, r + 1), range(1, m + 1), range(1, m + 1))
+           if rng.random() < 0.4}
+    return AlgebroidPresentation(n, r, structure, anchor), ARep(n, r, m, psi)
+
+
+CASES = [name + suffix for name in FIXTURE_NAMES for suffix in ("", "/adjoint")] \
+    + ["affine"] + [f"random{seed}" for seed in range(3)]
+BIDEGREES = [(p, q) for p in range(4) for q in range(4)]
+
+
+def build_case(name):
+    if name == "affine":
+        A = affine_algebroid()
+        return A, affine_rep(A)
+    if name.startswith("random"):
+        return random_presentation(int(name[len("random"):]))
+    fix = build_fixture(name.split("/")[0])
+    return fix.A, fix.ideal.adjoint_rep() if name.endswith("/adjoint") else fix.rep
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    return build_case(request.param)
+
+
+def _one_cells(c, count, rng):
+    """For up to ``count`` cells of c: the cochain of that cell alone, and
+    the cochain of one term of it."""
+    cells = sorted(c.comps)
+    out = []
+    for cell in rng.sample(cells, min(count, len(cells))):
+        vf = c.comps[cell]
+        key = rng.choice(sorted(vf.comps))
+        single = VForm(vf.nvars, vf.rank, vf.degree, {key: vf.comps[key]})
+        out.append(WeilCochain(c.A, c.rank, c.p, c.q, {cell: vf}))
+        out.append(WeilCochain(c.A, c.rank, c.p, c.q, {cell: single}))
+    return out
+
+
+@pytest.mark.parametrize("p,q", BIDEGREES)
+def test_delta_matches_row_driven_reference(case, p, q):
+    A, rep = case
+    c = random_cochain(A, rep, p, q, 1, seed=p * 4 + q)
+    if p == 0:
+        assert delta(A, rep, c) == delta_rows(A, rep, c)
+        c = WeilCochain.from_vform(A, c)
+    rng = random.Random(f"one-cells:{p}:{q}")
+    zero = WeilCochain(A, rep.rank, p, q)
+    assert delta(A, rep, zero).is_zero
+    for x in [c, zero] + _one_cells(c, 6, rng):
+        assert delta(A, rep, x) == delta_rows(A, rep, x), sorted(x.comps)
+
+
+def test_random_presentations_break_the_axioms():
+    # the random inputs reach every map of delta: nonconstant structure
+    # functions (the Leibniz part of the bracket insertions), a polynomial
+    # anchor and psi, and delta^2 != 0
+    for seed in range(3):
+        A, rep = random_presentation(seed)
+        assert any(not p.is_constant for p in A.structure.values())
+        assert any(not p.is_constant for p in A.anchor.values())
+        assert rep.psi
+        assert not validate_algebroid(A).passed
+        assert not validate_rep(A, rep).passed
+
+
+def test_solver_frame_cells():
+    # the inputs of the solver's column build: one monomial in one cell
+    A, rep = random_presentation(0)
+    rng = random.Random("frame-cells")
+    for p, q in BIDEGREES:
+        cells = _unknown_cells(A, rep.rank, p, q, 1)
+        for cell in rng.sample(cells, min(20, len(cells))):
+            x = _cell_cochain(A, rep.rank, p, q, cell)
+            assert delta(A, rep, x) == delta_rows(A, rep, x), cell

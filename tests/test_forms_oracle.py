@@ -180,21 +180,24 @@ _fixture = functools.lru_cache(maxsize=None)(build_fixture)
 def test_lieA_vform_is_cartan_plus_representation(name, data):
     fix = _fixture(name)
     A, rep, n, m = fix.A, fix.rep, fix.A.nvars, fix.rep.rank
-    alpha = Section(n, [data.draw(polys(n)) for _ in range(A.rank)])
-    a = [to_ring(p) for p in alpha.comps]
-    X = [sum((a[i - 1] * to_ring(A.anchor[(i, x)])
-              for i in range(1, A.rank + 1) if (i, x) in A.anchor), _R.zero)
-         for x in range(1, n + 1)]
-    for degree in range(n + 1):
-        w = data.draw(vforms(n, m, degree))
-        sw = sym_form(w)
-        psi_w = {(b, idx): sum((a[i - 1] * to_ring(p) * comp(sw, c, idx)
-                                for (i, bb, c), p in rep.psi.items() if bb == b),
-                               _R.zero)
-                 for b in range(1, m + 1)
-                 for idx in itertools.combinations(range(1, n + 1), degree)}
-        want = sym_add(sym_lie(X, sw, n, m, degree), psi_w)
-        assert matches(want, lieA_vform(A, rep, alpha, w))
+    forms = [data.draw(vforms(n, m, degree)) for degree in range(n + 1)]
+    # the frame sections e_i take the fast path through rho(e_i) and psi_i
+    sections = [Section(n, [data.draw(polys(n)) for _ in range(A.rank)])] \
+        + [A.basis(i) for i in range(1, A.rank + 1)]
+    for alpha in sections:
+        a = [to_ring(p) for p in alpha.comps]
+        X = [sum((a[i - 1] * to_ring(A.anchor[(i, x)])
+                  for i in range(1, A.rank + 1) if (i, x) in A.anchor), _R.zero)
+             for x in range(1, n + 1)]
+        for degree, w in enumerate(forms):
+            sw = sym_form(w)
+            psi_w = {(b, idx): sum((a[i - 1] * to_ring(p) * comp(sw, c, idx)
+                                    for (i, bb, c), p in rep.psi.items() if bb == b),
+                                   _R.zero)
+                     for b in range(1, m + 1)
+                     for idx in itertools.combinations(range(1, n + 1), degree)}
+            want = sym_add(sym_lie(X, sw, n, m, degree), psi_w)
+            assert matches(want, lieA_vform(A, rep, alpha, w))
 
 
 # -- End-form layer: the index formulas of a connection Gamma^b_{a c} --------------

@@ -61,3 +61,20 @@ def test_tracer_counts_the_solver_system():
         assert tracer.counts["_linsolve.nonzeros"] == 2 * nonzeros
     finally:
         tracer.uninstall()
+
+
+def test_tracer_counts_one_delta_per_frame_cell():
+    # weil.delta.calls stays the number of frame cells of the column build:
+    # a build that called an inner helper of delta directly would read lower
+    fix = build_fixture("F1_abelian_2d")
+    A, rep = fix.A, fix.ideal.adjoint_rep()
+    cells = weil._unknown_cells(A, rep.rank, 1, 1, 2, fix.ideal)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.on = True
+        weil._delta_columns(A, rep, rep.rank, 1, 1, 2, fix.ideal)
+        tracer.on = False
+        assert tracer.calls("weil.delta") == len({cell[:5] for cell in cells}) > 1
+    finally:
+        tracer.uninstall()
