@@ -242,19 +242,13 @@ def _lieA(vf, x, columns):
 
 def lieA_vform(A, rep, alpha, vf):
     """L^A_alpha on a plain V-valued form: the Lie derivative along rho(alpha)
-    plus psi(alpha) = sum_i alpha^i psi_i acting on the values. A frame
-    section e_i reads the cached rho(e_i) and the entries of psi_i only."""
-    support = [(i, ai) for i, ai in enumerate(alpha.comps, start=1) if ai]
-    if len(support) == 1 and support[0][1] == 1:
-        i = support[0][0]
-        table = _lieA(vf, A.rho_basis(i), rep.psi_columns(i))
-    else:
-        columns = {}
-        for i, ai in support:
+    plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
+    columns = {}
+    for i, ai in enumerate(alpha.comps, start=1):
+        if ai:
             for c, entries in rep.psi_columns(i).items():
                 columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
-        table = _lieA(vf, A.rho(alpha), columns)
-    return VForm(A.nvars, vf.rank, vf.degree, table)
+    return VForm(A.nvars, vf.rank, vf.degree, _lieA(vf, A.rho(alpha), columns))
 
 
 def _bracket_with_frame(A, alpha, j):

@@ -181,7 +181,7 @@ def test_lieA_vform_is_cartan_plus_representation(name, data):
     fix = _fixture(name)
     A, rep, n, m = fix.A, fix.rep, fix.A.nvars, fix.rep.rank
     forms = [data.draw(vforms(n, m, degree)) for degree in range(n + 1)]
-    # the frame sections e_i take the fast path through rho(e_i) and psi_i
+    # a random section and every frame section e_i
     sections = [Section(n, [data.draw(polys(n)) for _ in range(A.rank)])] \
         + [A.basis(i) for i in range(1, A.rank + 1)]
     for alpha in sections:
