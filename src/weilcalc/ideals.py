@@ -19,8 +19,8 @@ from .connections import (ARep, EndForm, LinearConnection, SymForm,
 from .errors import ContractError, StructureError
 from .polyring import Poly
 from .report import CheckReport
-from .weil import (WeilCochain, check_IM, delta, dnabla_cochain, evaluate,
-                   frame_rows, is_horizontal)
+from .weil import (WeilCochain, _add_into, _cochain, check_IM, delta, dnabla_cochain,
+                   evaluate, frame_rows, is_horizontal)
 
 
 class IdealBundle:
@@ -249,7 +249,7 @@ def hstar(imc, c):
     p, q, n, r = c.p, c.q, A.nvars, A.rank
     cforms = {i: imc.C0(i) for i in range(1, r + 1)}
     hsecs = {j: imc.h_basis(j) for j in range(1, r + 1)}
-    out = {}
+    acc = {}
     for k, I, Js in frame_rows(A, p, q):
         # the nonzero rows c_j(a's || .) of each split of I, with their pairings
         # and signs; they do not depend on J
@@ -266,20 +266,15 @@ def hstar(imc, c):
                     rows.append((row, [cforms[I[t]] for t in picks],
                                  (npick % 2 == 1) == (sgn > 0)))
         for J in Js:
-            acc = VForm.zero(n, c.rank, q - k)
             for row, pairs, flip in rows:
                 for jb in J:
                     row = row.insert(hsecs[jb])
                     if row.is_zero:
                         break
-                if row.is_zero:
-                    continue
-                term = wedgedot_multi(row, pairs, ideal).vform()
-                if term.is_zero:
-                    continue
-                acc = acc + (-term if flip else term)
-            out[(k, I, J)] = acc
-    return WeilCochain(A, c.rank, p, q, out)
+                if not row.is_zero:
+                    _add_into(acc, (k, I, J), wedgedot_multi(row, pairs, ideal).vform().comps,
+                              -1 if flip else 1)
+    return _cochain(A, c.rank, p, q, acc)
 
 
 def Dhor(imc, c):

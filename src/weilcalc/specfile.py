@@ -51,7 +51,8 @@ def _require(data, key, path, typ, default=None):
             return default
         raise SpecError(f"{path}.{key}", "missing required field")
     val = data[key]
-    if not isinstance(val, typ):
+    # JSON true and false load as bool, a subclass of int
+    if isinstance(val, bool) or not isinstance(val, typ):
         raise SpecError(f"{path}.{key}", f"expected {typ.__name__}")
     return val
 
@@ -246,7 +247,7 @@ def load_spec(data):
     ideal_indices = None
     if "ideal" in data:
         indices = _require(data["ideal"], "indices", "ideal", list)
-        if not all(isinstance(i, int) and 1 <= i <= r for i in indices):
+        if not all(type(i) is int and 1 <= i <= r for i in indices):
             raise SpecError("ideal.indices", f"indices must be integers in 1..{r}")
         ideal_indices = tuple(indices)
 
@@ -282,7 +283,9 @@ def load_spec_path(path):
             data = json.load(handle)
     except OSError as exc:
         raise SpecError(str(path), f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, an integer literal past
+        # Python's int-digits limit, or nesting past the recursion limit
         raise SpecError(str(path), f"invalid JSON: {exc}")
     return load_spec(data)
 

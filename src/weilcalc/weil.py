@@ -203,6 +203,14 @@ def _add_into(acc, cell, table, coef):
         row[key] = term if cur is None else cur + term
 
 
+def _cochain(A, rank, p, q, acc):
+    """The cochain of W^{p,q} whose cells are the form tables of an
+    accumulator {(k, I, J): {(b, idx): Poly}}."""
+    n = A.nvars
+    return WeilCochain(A, rank, p, q, {
+        cell: VForm(n, rank, q - cell[0], acc[cell]) for cell in sorted(acc)})
+
+
 def delta(A, rep, c):
     """The simplicial differential, level p -> p+1.
 
@@ -279,9 +287,7 @@ def delta(A, rep, c):
             for j, x in anchors:
                 Jout, _ = _insert(J, j)
                 _add_into(acc, (k + 1, I, Jout), _iota(table, x), sign * Jout.count(j))
-    q = c.q
-    return WeilCochain(A, c.rank, c.p + 1, q, {
-        cell: VForm(n, c.rank, q - cell[0], acc[cell]) for cell in sorted(acc)})
+    return _cochain(A, c.rank, c.p + 1, c.q, acc)
 
 
 def dnabla_cochain(conn, c):
@@ -289,27 +295,24 @@ def dnabla_cochain(conn, c):
 
     (d c)_0 = d-nabla of the leading term; the corrections are
     (-1)^k (d c)_k = d-nabla c_k - sum_i c_{k-1}(b_i, . || b's minus b_i).
+
+    It walks the cells of c. A cell (k, I, J) with value v sends
+    (-1)^k d-nabla v to (k, I, J), and for each i at position pos in I,
+    (-1)^(k + pos) mult_i(J + i) v to (k + 1, I - i, J + i).
     """
     if isinstance(c, VForm):
         raise StructureError("wrap plain forms with WeilCochain.from_vform first")
     if conn.rank != c.rank or conn.nvars != c.A.nvars:
         raise StructureError("connection does not match cochain bundle")
-    A = c.A
-    p, q = c.p, c.q
-    out = {}
-    for k, I, Js in frame_rows(A, p, q + 1):
-        for J in Js:
-            src = c.lookup(k, I, J)
-            acc = conn.dnabla(src) if not src.is_zero \
-                else VForm.zero(A.nvars, c.rank, q + 1 - k)
-            for j, rest, mult in symmetric_slots(J):
-                sub = c.lookup(k - 1, (j,) + I, rest)
-                if sub.is_zero:
-                    continue
-                acc = acc - sub.scaled(mult)
-            if not acc.is_zero:
-                out[(k, I, J)] = -acc if k % 2 == 1 else acc
-    return WeilCochain(A, c.rank, p, q + 1, out)
+    acc = {}
+    for (k, I, J), v in c.comps.items():
+        sign = -1 if k % 2 else 1
+        _add_into(acc, (k, I, J), conn.dnabla(v).comps, sign)
+        for pos, i in enumerate(I):
+            Jout, _ = _insert(J, i)
+            _add_into(acc, (k + 1, I[:pos] + I[pos + 1:], Jout), v.comps,
+                      (-sign if pos % 2 else sign) * Jout.count(i))
+    return _cochain(c.A, c.rank, c.p, c.q + 1, acc)
 
 
 def wedge_Ttheta(inv, c):
@@ -317,33 +320,26 @@ def wedge_Ttheta(inv, c):
 
     ((T,theta)^c)_k = sum_i (-1)^i T(a_i) ^ c_k(a's minus a_i || b's)
                       + sum_j theta(b_j) . c_{k-1}(a's || b's minus b_j).
+
+    It walks the cells of c. A cell (k, I, J) with value v sends
+    (-1)^pos T(e_i) ^ v to (k, I + i, J) for each i not in I, pos the
+    position of i in I + i, and mult_j(J + j) theta(e_j) . v to
+    (k + 1, I, J + j) for every j.
     """
     A = c.A
     if inv.rank != c.rank:
         raise StructureError("invariance form acts on a different bundle")
-    p, q = c.p, c.q
-    out = {}
-    for k, I, Js in frame_rows(A, p + 1, q + 1):
-        for J in Js:
-            acc = VForm.zero(A.nvars, c.rank, q + 1 - k)
-            for pos in range(len(I)):
-                sub = c.lookup(k, I[:pos] + I[pos + 1:], J)
-                if sub.is_zero:
-                    continue
-                term = inv.T[I[pos]].wedge_vform(sub)
-                if term.is_zero:
-                    continue
-                acc = acc + term if pos % 2 == 0 else acc - term
-            for j, rest, mult in symmetric_slots(J):
-                sub = c.lookup(k - 1, I, rest)
-                if sub.is_zero:
-                    continue
-                term = inv.theta[j].act_vform(sub)
-                if term.is_zero:
-                    continue
-                acc = acc + term.scaled(mult)
-            out[(k, I, J)] = acc
-    return WeilCochain(A, c.rank, p + 1, q + 1, out)
+    acc = {}
+    for (k, I, J), v in c.comps.items():
+        for i in range(1, A.rank + 1):
+            if i not in I:
+                out, pos = _insert(I, i)
+                _add_into(acc, (k, out, J), inv.T[i].wedge_vform(v).comps,
+                          -1 if pos % 2 else 1)
+        for j in range(1, A.rank + 1):
+            Jout, _ = _insert(J, j)
+            _add_into(acc, (k + 1, I, Jout), inv.theta[j].act_vform(v).comps, Jout.count(j))
+    return _cochain(A, c.rank, c.p + 1, c.q + 1, acc)
 
 
 def cochain_from_invariance(A, inv):
@@ -538,9 +534,8 @@ def _assemble(A, rank, p, q, cells, coeffs):
         k, I, J, b, idx, exps = cells[i]
         table.setdefault((k, I, J), {}).setdefault((b, idx), {})[exps] = coeffs[i]
     n = A.nvars
-    return WeilCochain(A, rank, p, q, {
-        key: VForm(n, rank, q - key[0], {bi: Poly(n, terms) for bi, terms in row.items()})
-        for key, row in table.items()})
+    return _cochain(A, rank, p, q, {
+        key: {bi: Poly(n, terms) for bi, terms in row.items()} for key, row in table.items()})
 
 
 def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import weilcalc
 from weilcalc.cli import main
 from weilcalc.specfile import dumps_canonical, load_spec_path
 
@@ -118,6 +121,22 @@ def test_malformed_spec_exits_two(tmp_path, capsys):
     assert doc["error"]["path"] == "$.algebroid"
 
 
+@pytest.mark.parametrize("content", [
+    b'{"chart": {"dim": 2, "variables": ["x", "\xff"]}}',
+    b'{"chart": {"dim": ' + b"7" * 5000 + b"}}",
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not_utf8", "int_past_digit_limit", "nested_past_recursion_limit"])
+def test_undecodable_spec_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "input_error"
+    assert doc["error"]["path"] == str(path)
+    assert doc["error"]["reason"].startswith("invalid JSON: ")
+
+
 def test_duplicate_variable_names_exit_two(f1_path, tmp_path, capsys):
     data = json.loads(f1_path.read_text())
     data["chart"]["variables"] = ["x1", "x1"]
@@ -148,10 +167,17 @@ _TABLES = ("im_connection", "cochain", "tables")
     ("F0_so3", ("cochains",), [7], "cochains[0]"),
     ("F1_abelian_2d", ("algebroid", "structure", "1,2,3"), "x1^40000*x2^30000",
      "algebroid.structure.1,2,3"),
+    # JSON booleans are not integers
+    ("F2_semisimple_2d", ("ideal", "indices"), [True, 4, 5], "ideal.indices"),
+    ("F2_semisimple_2d", ("chart", "dim"), True, "chart.dim"),
+    ("F2_semisimple_2d", ("algebroid", "rank"), False, "algebroid.rank"),
+    ("F2_semisimple_2d", ("connection", "bundle_rank"), True, "connection.bundle_rank"),
+    ("F2_semisimple_2d", ("im_connection", "cochain", "p"), True, "im_connection.cochain.p"),
 ], ids=["malformed", "zero_denominator", "anchor_not_object", "structure_not_object",
         "table_level_not_object", "table_entry_not_object", "ideal_not_object",
         "connection_null", "im_connection_bool", "curving_not_object",
-        "cochain_not_object", "exponent_too_large"])
+        "cochain_not_object", "exponent_too_large", "ideal_index_bool", "chart_dim_bool",
+        "algebroid_rank_bool", "connection_rank_bool", "cochain_level_bool"])
 def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, name, field, value, where):
     path = tmp_path / "spec.json"
     invoke(["fixture", "--name", name, "--emit", str(path)], capsys)
@@ -293,8 +319,12 @@ def test_index_selects_one_cochain(tmp_path, capsys):
 
 
 def test_console_entry_point(f1_path):
+    # the child imports the same weilcalc, installed or not
+    src = str(Path(weilcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "weilcalc.cli", "bianchi",
-                           str(f1_path)], capture_output=True, text=True)
+                           str(f1_path)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "ok"
 
