@@ -8,17 +8,35 @@ kernel vectors are sparse too: ``{column index: Fraction}`` dicts that
 hold only the nonzero values. A solution is one reverse-order back
 substitution with the free variables at zero; the kernel comes from one
 reverse pass that writes every pivot as a combination of free columns.
-Everything is Fraction arithmetic; there is no tolerance anywhere.
+
+Entries and right-hand sides are ints or Fractions. Inside, values stay
+int-first: a value becomes a Fraction only where a pivot division leaves a
+remainder, since ints are much cheaper than Fractions and most systems here
+are integral. The public results are Fractions. There is no float and no
+tolerance anywhere.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _check_exact(values):
+    for v in values:
+        if type(v) is not int and type(v) is not Fraction:
+            raise TypeError(f"not an exact rational: {v!r}")
 
 
 def _frac(v):
     return v if type(v) is Fraction else Fraction(v)
+
+
+def _divide(v, f):
+    """v / f exactly: an int when both are ints and f divides v."""
+    if type(v) is int and type(f) is int:
+        q, r = divmod(v, f)
+        return Fraction(v, f) if r else q
+    return v / f
 
 
 def _eliminate(columns, rhs):
@@ -26,20 +44,23 @@ def _eliminate(columns, rhs):
 
     Returns (pivot order list, pivot table, consistent flag); the pivot
     table maps a pivot column to its normalized row, without the pivot's
-    own unit entry, and its rhs value.
+    own unit entry, and its rhs value. Entries other than ints and
+    Fractions (a float, a bool) raise TypeError.
     """
+    _check_exact(rhs.values())
     eqs = {}
     for j, col in enumerate(columns):
+        _check_exact(col.values())
         for rk, v in col.items():
             if v:
-                eqs.setdefault(rk, {})[j] = _frac(v)
+                eqs.setdefault(rk, {})[j] = v
     rows = set(eqs)
     rows.update(rhs)
     pivots = {}
     order = []
     for rk in sorted(rows):
         row = eqs.get(rk, {})
-        b = _frac(rhs.get(rk, _ZERO))
+        b = rhs.get(rk, 0)
         # the reduced row does not depend on the order of the reductions,
         # so reduce by every pivot hit of one scan and then rescan
         hits = [c for c in row if c in pivots]
@@ -69,9 +90,12 @@ def _eliminate(columns, rhs):
             continue
         pc = min(row)
         f = row.pop(pc)
-        if f != 1:
-            row = {c: v / f for c, v in row.items()}
-            b = b / f
+        if f == -1:
+            row = {c: -v for c, v in row.items()}
+            b = -b
+        elif f != 1:
+            row = {c: _divide(v, f) for c, v in row.items()}
+            b = _divide(b, f)
         pivots[pc] = (row, b)
         order.append(pc)
     return order, pivots, True
@@ -95,7 +119,7 @@ def solve_sparse(columns, rhs):
                 acc -= v * xc
         if acc:
             x[pc] = acc
-    return x
+    return {c: _frac(v) for c, v in x.items()}
 
 
 def nullspace_sparse(columns):
@@ -111,11 +135,11 @@ def nullspace_sparse(columns):
         for c, v in pivots[pc][0].items():
             sub = expr.get(c)
             if sub is None:
-                e[c] = e.get(c, _ZERO) - v
+                e[c] = e.get(c, 0) - v
             else:
                 for f, w in sub.items():
-                    e[f] = e.get(f, _ZERO) - v * w
+                    e[f] = e.get(f, 0) - v * w
         e = expr[pc] = {f: w for f, w in e.items() if w}
         for f, w in e.items():
-            basis[f][pc] = w
+            basis[f][pc] = _frac(w)
     return [basis[f] for f in sorted(basis)]

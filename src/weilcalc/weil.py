@@ -326,6 +326,8 @@ def wedge_Ttheta(inv, c):
     position of i in I + i, and mult_j(J + j) theta(e_j) . v to
     (k + 1, I, J + j) for every j.
     """
+    if isinstance(c, VForm):
+        raise StructureError("wrap plain forms with WeilCochain.from_vform first")
     A = c.A
     if inv.rank != c.rank:
         raise StructureError("invariance form acts on a different bundle")
@@ -430,11 +432,14 @@ def is_horizontal(c, ideal):
 
 
 def _flatten(c):
+    """The coefficients of c keyed (k, I, J, b, idx, exps): an int where the
+    coefficient is integral, a Fraction otherwise, so the solver's columns
+    stay in int arithmetic."""
     flat = {}
     for (k, I, J), vf in c.comps.items():
         for (b, idx), poly in vf.comps.items():
             for exps, (num, den) in poly.items():
-                flat[(k, I, J, b, idx, exps)] = Fraction(num, den)
+                flat[(k, I, J, b, idx, exps)] = num if den == 1 else Fraction(num, den)
     return flat
 
 
@@ -442,13 +447,14 @@ def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
     cells = []
     n = A.nvars
     forbidden = set(horizontal_ideal.indices) if horizontal_ideal is not None else set()
+    monomials = monomials_upto(n, degree_bound)
     for k, I, Js in frame_rows(A, p, q):
         for J in Js:
             if k > 0 and forbidden.intersection(J):
                 continue
             for b in range(1, rank + 1):
                 for idx in itertools.combinations(range(1, n + 1), q - k):
-                    for exps in monomials_upto(n, degree_bound):
+                    for exps in monomials:
                         cells.append((k, I, J, b, idx, exps))
     return cells
 
@@ -477,7 +483,7 @@ def _symbols(A, head):
             rho = A.anchor.get((i, a))
             if rho is not None:
                 for exps, (num, den) in rho.items():
-                    sym[head_i + (exps,)] = Fraction(sign * num, den)
+                    sym[head_i + (exps,)] = sign * num if den == 1 else Fraction(sign * num, den)
     return out
 
 

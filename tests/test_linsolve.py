@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilcalc._linsolve import nullspace_sparse, solve_sparse
+from weilcalc._linsolve import _eliminate, nullspace_sparse, solve_sparse
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -24,12 +24,17 @@ _VALUES = st.one_of(st.integers(-2, 2),
                     st.fractions(min_value=-2, max_value=2, max_denominator=3))
 
 
+# all-int systems: pivots of +-2 and +-3 leave remainders, so ints and
+# Fractions meet in the elimination
+_INTS = st.integers(-3, 3)
+
+
 @st.composite
-def systems(draw):
+def systems(draw, values=_VALUES):
     """Sparse columns and a sparse rhs over 0-7 rows and 0-7 columns."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
-    entry = st.dictionaries(st.integers(0, nrows - 1), _VALUES) if nrows else st.just({})
+    entry = st.dictionaries(st.integers(0, nrows - 1), values) if nrows else st.just({})
     columns = [draw(entry) for _ in range(ncols)]
     return nrows, columns, draw(entry)
 
@@ -80,3 +85,44 @@ def test_empty_and_zero_systems():
     assert nullspace_sparse([]) == []
     assert nullspace_sparse([{}, {"r": 0}]) == [{0: 1}, {1: 1}]
     assert solve_sparse([{"r": 2}, {"r": 0}], {"r": 1}) == {0: Fraction(1, 2)}
+
+
+@_oracle
+@given(systems(_INTS))
+def test_integer_systems_match_sympy(system):
+    # the two oracles above, on all-int systems
+    test_nullspace_matches_sympy.hypothesis.inner_test(system)
+    test_solution_matches_sympy.hypothesis.inner_test(system)
+
+
+def _exact(v):
+    return type(v) is int or type(v) is Fraction
+
+
+@_oracle
+@given(st.one_of(systems(_INTS), systems()))
+def test_elimination_values_are_ints_or_fractions(system):
+    _, columns, rhs = system
+    for b in (rhs, {}):
+        _, pivots, _ = _eliminate(columns, b)
+        for row, pb in pivots.values():
+            assert _exact(pb) and all(_exact(v) for v in row.values())
+
+
+def test_exact_division_stays_int():
+    # the pivot 2 divides 4 and 6 but leaves a remainder on 3
+    _, pivots, ok = _eliminate([{"r": 2}, {"r": 4}, {"r": 3}], {"r": 6})
+    row, b = pivots[0]
+    assert ok and b == 3 and type(b) is int
+    assert type(row[1]) is int and row[2] == Fraction(3, 2)
+    assert solve_sparse([{"r": 2}], {"r": 6}) == {0: Fraction(3)}
+
+
+@pytest.mark.parametrize("bad", [True, 0.5, 1.0])
+def test_inexact_values_are_rejected(bad):
+    with pytest.raises(TypeError):
+        solve_sparse([{"r": bad}], {"r": 1})
+    with pytest.raises(TypeError):
+        solve_sparse([{"r": 1}], {"r": bad})
+    with pytest.raises(TypeError):
+        nullspace_sparse([{"r": bad}])

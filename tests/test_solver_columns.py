@@ -100,3 +100,18 @@ def test_one_delta_per_frame_cell(case, monkeypatch):
     monkeypatch.setattr(weil, "delta", counted)
     cells, _ = weil._delta_columns(A, rep, rep.rank, 1, 1, 2, ideal)
     assert len(calls) == len({cell[:5] for cell in cells})
+
+
+@pytest.mark.parametrize("name", ("F0_so3", "F1_abelian_2d", "F2_semisimple_2d",
+                                  "F3_foliation_4d"))
+def test_fixture_columns_are_plain_ints(name):
+    # the fixtures' structure data are integral, so their columns and
+    # symbols must stay in int arithmetic: a Fraction here costs the solver
+    # about a fifth of its time without changing any output
+    fix = build_fixture(name)
+    A, rep = fix.A, fix.rep
+    for p, q in ((0, 1), (1, 1), (2, 1)):
+        cells, columns = _delta_columns(A, rep, rep.rank, p, q, 2, None)
+        assert all(type(v) is int for col in columns for v in col.values()), (p, q)
+        for head in {cell[:5] for cell in cells}:
+            assert all(type(v) is int for sym in _symbols(A, head) for v in sym.values())

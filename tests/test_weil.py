@@ -302,6 +302,18 @@ def test_wedge_Ttheta_zero_invariance_form(f1):
     assert wedge_Ttheta(inv, c).is_zero
 
 
+def test_cochain_operators_reject_plain_vform(f2):
+    # random_cochain gives a plain VForm at p = 0; d-nabla and (T, theta)^
+    # both ask for the WeilCochain wrapper, with the same error
+    inv = invariance_form(f2.A, f2.conn, f2.rep)
+    vf = random_cochain(f2.A, f2.rep, 0, 1, 1, seed=0)
+    assert isinstance(vf, VForm)
+    for op in (lambda c: dnabla_cochain(f2.conn, c), lambda c: wedge_Ttheta(inv, c)):
+        with pytest.raises(StructureError, match="WeilCochain.from_vform"):
+            op(vf)
+    assert wedge_Ttheta(inv, WeilCochain.from_vform(f2.A, vf)).p == 1
+
+
 @pytest.mark.parametrize("pq", [(0, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
 @pytest.mark.parametrize("seed", range(2))
 def test_commutator_law(pq, seed, f2):
