@@ -8,19 +8,21 @@ ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2 and the slot pairing are all
 the exterior product of ``algebroid``.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 from . import _linsolve
 from .algebroid import (AlgebroidPresentation, Section, VForm, _wedge, bracket,
-                        scalar_wedge, sort_sign, symmetric_slots)
+                        scalar_wedge, symmetric_slots)
 from .connections import (ARep, EndForm, LinearConnection, SymForm,
                           is_A_invariant)
 from .errors import ContractError, StructureError
 from .polyring import Poly
 from .report import CheckReport
-from .weil import (WeilCochain, _add_into, _cochain, check_IM, delta, dnabla_cochain,
-                   evaluate, frame_rows, is_horizontal)
+from .weil import (WeilCochain, _add_into, _cochain, _insert, check_IM, delta,
+                   dnabla_cochain, evaluate, is_horizontal)
 
 
 class IdealBundle:
@@ -152,14 +154,8 @@ class IMConnection:
 
     def v_section(self, alpha):
         """v(alpha) in ideal components (tensorial)."""
-        out = [Poly.zero(self.A.nvars) for _ in range(self.ideal.m)]
-        for j, aj in enumerate(alpha.comps, start=1):
-            if aj.is_zero:
-                continue
-            for a, p in enumerate(self.v_comps(j)):
-                if not p.is_zero:
-                    out[a] = out[a] + aj * p
-        return tuple(out)
+        vf = evaluate(self.cochain, [], [alpha])
+        return tuple(vf.get(a, ()) for a in range(1, self.ideal.m + 1))
 
     def h_section(self, alpha):
         """Horizontal component h(alpha) = alpha - v(alpha)."""
@@ -173,14 +169,10 @@ class IMConnection:
         return sec
 
     def coupling_connection(self):
-        """nabla = C restricted to the ideal, as Christoffels on the ideal frame."""
+        """nabla = d + M_C, C restricted to the ideal."""
         if self._conn is None:
-            table = {}
-            for c, k in enumerate(self.ideal.indices, start=1):
-                cf = self.C0(k)
-                for (b, (a,)), p in cf.comps.items():
-                    table[(a, b, c)] = p
-            self._conn = LinearConnection(self.A.nvars, self.ideal.m, table)
+            self._conn = LinearConnection.trivial(self.A.nvars, self.ideal.m).shifted(
+                _on_ideal(self.ideal, self.cochain))
         return self._conn
 
     def U_of_h(self, alpha):
@@ -232,49 +224,68 @@ def wedgedot_multi(gamma, thetas, ideal):
 
 
 def hstar(imc, c):
-    """Horizontal projection of Weil cochains.
+    """Horizontal projection of Weil cochains, h* c = h^(exp(-K) c).
 
-    (h*c)_k(a_1..a_{p-k} || b_1..b_k)
-      = sum_{j=k}^{p} (-1)^{j-k} sum_{(j-k, p-j)-shuffles s} sgn(s)
-        c_j(a_{s(j-k+1)}, ..., a_{s(p-k)} || h b_1, ..., h b_k, .)
-          paired one by one with (C a_{s(1)}, ..., C a_{s(j-k)}).
+    K pairs one ideal symmetric slot with C: a cell (k, I, J) with value v
+    sends (-1)^pos C(e_i)^a ^ v to (k - 1, I + i, J - l) for each distinct
+    ideal index l = u_a in J and each i not in I, pos the position of i in
+    I + i. The sum over m of (-K)^m / m! is the sum over
+    (j - k, p - j)-shuffles of the C-pairings. h^ fills every symmetric slot
+    with h: a cell (k, I, J) sends prod_s h^{l_s}_{b_s} v to (k, I, b) for
+    each distinct ordering l of J and each nondecreasing b.
 
-    Output corrections kill ideal-valued symmetric insertions, so the
-    result is horizontal for any value bundle.
+    h kills the ideal, so the result is horizontal for any value bundle.
     """
     A = imc.A
-    ideal = imc.ideal
     if c.A != A:
         raise StructureError("cochain lives over a different algebroid")
-    p, q, n, r = c.p, c.q, A.nvars, A.rank
-    cforms = {i: imc.C0(i) for i in range(1, r + 1)}
-    hsecs = {j: imc.h_basis(j) for j in range(1, r + 1)}
-    acc = {}
-    for k, I, Js in frame_rows(A, p, q):
-        # the nonzero rows c_j(a's || .) of each split of I, with their pairings
-        # and signs; they do not depend on J
-        rows = []
-        for j_lvl in range(k, p + 1):
-            if q - j_lvl < 0 or q - j_lvl > n:
-                continue
-            npick = j_lvl - k
-            for picks in itertools.combinations(range(p - k), npick):
-                restpos = tuple(t for t in range(p - k) if t not in picks)
-                _, sgn = sort_sign(picks + restpos)
-                row = c.symrow(j_lvl, tuple(I[t] for t in restpos))
-                if not row.is_zero:
-                    rows.append((row, [cforms[I[t]] for t in picks],
-                                 (npick % 2 == 1) == (sgn > 0)))
-        for J in Js:
-            for row, pairs, flip in rows:
-                for jb in J:
-                    row = row.insert(hsecs[jb])
-                    if row.is_zero:
-                        break
-                if not row.is_zero:
-                    _add_into(acc, (k, I, J), wedgedot_multi(row, pairs, ideal).vform().comps,
-                              -1 if flip else 1)
-    return _cochain(A, c.rank, p, q, acc)
+    r = A.rank
+    # pairs[l]: (i, C(e_i)^a as a scalar 1-form table) for the ideal index l = u_a
+    pairs = {}
+    for a, l in enumerate(imc.ideal.indices, start=1):
+        for i in range(1, r + 1):
+            ci = {(1, idx): p for (b, idx), p in imc.C0(i).comps.items() if b == a}
+            if ci:
+                pairs.setdefault(l, []).append((i, ci))
+    # total = exp(-K) c, one term (-K)^m c / m! = -(1/m) K(previous term) at a time
+    total = {cell: dict(v.comps) for cell, v in c.comps.items()}
+    term, m = total, 0
+    while term:
+        m += 1
+        scale, kterm = Fraction(-1, m), {}
+        for (k, I, J), table in term.items():
+            for l, rest, _ in symmetric_slots(J):
+                for i, ci in pairs.get(l, ()):
+                    if i not in I:
+                        out, pos = _insert(I, i)
+                        _add_into(kterm, (k - 1, out, rest),
+                                  _wedge(ci, table, lambda _, w: w[:1]),
+                                  -scale if pos % 2 else scale)
+        for cell, table in kterm.items():
+            _add_into(total, cell, table, 1)
+        term = kterm
+    # hrow[l]: (b, h^l_b) for the nonzero components l of h(e_b)
+    hrow = {}
+    for b in range(1, r + 1):
+        for l, hlb in enumerate(imc.h_basis(b).comps, start=1):
+            if not hlb.is_zero:
+                hrow.setdefault(l, []).append((b, hlb))
+    # fills[J]: {b: sum over the distinct orderings l of J of prod_s h^{l_s}_{b_s}}
+    fills, acc = {}, {}
+    for (k, I, J), table in total.items():
+        fill = fills.get(J)
+        if fill is None:
+            fill = fills[J] = {}
+            for ls in sorted(set(itertools.permutations(J))):
+                for picks in itertools.product(*(hrow.get(l, ()) for l in ls)):
+                    bs = tuple(b for b, _ in picks)
+                    if all(map(operator.le, bs, bs[1:])):
+                        coef = functools.reduce(operator.mul, (h for _, h in picks), 1)
+                        cur = fill.get(bs)
+                        fill[bs] = coef if cur is None else cur + coef
+        for bs, coef in fill.items():
+            _add_into(acc, (k, I, bs), table, coef)
+    return _cochain(A, c.rank, c.p, c.q, acc)
 
 
 def Dhor(imc, c):
@@ -313,40 +324,23 @@ def deform(imc, L, lam=1):
 
 
 def c2(ideal, L):
-    """Second-order curvature coefficient of an affine deformation:
-    c2(L, l)(a) = -(L|_ideal paired with L a, L|_ideal . l a)."""
-    A = ideal.A
-    n, r = A.nvars, A.rank
+    """Second-order curvature coefficient of an affine deformation by a
+    horizontal L: M_L ^ L(e_i) at (0, (i,), ()) and -M_L ^ l(e_j) at
+    (1, (), (j,)), with M_L u_a = L(u_a)."""
+    if L.p != 1 or L.q != 1 or L.rank != ideal.m or not is_horizontal(L, ideal):
+        raise ContractError("c2 needs a horizontal ideal-valued W^{1,1} cochain")
+    M = _on_ideal(ideal, L)
+    return WeilCochain(ideal.A, ideal.m, 1, 2, {
+        (k, I, J): M.wedge_vform(v) if k == 0 else -M.wedge_vform(v)
+        for (k, I, J), v in L.comps.items()})
 
-    def apply_L(xi):
-        return evaluate(L, [ideal.embed(xi)])
 
-    comps = {}
-    for i in range(1, r + 1):
-        Li = L.lookup(0, (i,), ())
-        acc = VForm.zero(n, ideal.m, 2)
-        for a, bb in itertools.combinations(range(1, n + 1), 2):
-            xi_a = tuple(Li.get(cc, (a,)) for cc in range(1, ideal.m + 1))
-            xi_b = tuple(Li.get(cc, (bb,)) for cc in range(1, ideal.m + 1))
-            val = [Poly.zero(n) for _ in range(ideal.m)]
-            if any(not p.is_zero for p in xi_a):
-                va = apply_L(xi_a)
-                for cc in range(ideal.m):
-                    val[cc] = val[cc] + va.get(cc + 1, (bb,))
-            if any(not p.is_zero for p in xi_b):
-                vb = apply_L(xi_b)
-                for cc in range(ideal.m):
-                    val[cc] = val[cc] - vb.get(cc + 1, (a,))
-            acc = acc + VForm(n, ideal.m, 2,
-                              {(cc + 1, (a, bb)): val[cc] for cc in range(ideal.m)})
-        comps[(0, (i,), ())] = -acc
-    for j in range(1, r + 1):
-        lj = L.lookup(1, (), (j,))
-        vj = tuple(lj.get(a, ()) for a in range(1, ideal.m + 1))
-        if all(p.is_zero for p in vj):
-            continue
-        comps[(1, (), (j,))] = -apply_L(vj)
-    return WeilCochain(A, ideal.m, 1, 2, comps)
+def _on_ideal(ideal, c):
+    """The level-0 part of an ideal-valued W^{1,1} cochain on the ideal, as
+    the End-valued 1-form M with entries (b, a, idx) = c_0(u_a)^b_idx."""
+    return EndForm(ideal.A.nvars, ideal.m, 1, {
+        (b, a, idx): p for a, k in enumerate(ideal.indices, start=1)
+        for (b, idx), p in c.lookup(0, (k,), ()).comps.items()})
 
 
 # -- obstruction cocycle -------------------------------------------------------

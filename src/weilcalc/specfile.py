@@ -112,27 +112,40 @@ class Spec:
         return doc
 
 
-def vform_to_dict(vf, names):
-    return {
-        "bundle_rank": vf.rank,
-        "degree": vf.degree,
-        "components": {f"{b}|{','.join(map(str, idx))}": poly_to_str(p, names)
-                       for (b, idx), p in sorted(vf.comps.items())},
-    }
+def _components_to_dict(vf, names):
+    """The component table of a form, keyed 'b|a1,a2,...'."""
+    return {f"{b}|{','.join(map(str, idx))}": poly_to_str(p, names)
+            for (b, idx), p in sorted(vf.comps.items())}
 
 
-def vform_from_dict(data, nvars, names, path):
-    rank = _require(data, "bundle_rank", path, int)
-    degree = _require(data, "degree", path, int)
+def _components_from_dict(table, nvars, names, path):
+    """Form components {(b, idx): Poly} of a table keyed 'b|a1,a2,...'; an
+    entry's errors are reported at path.key."""
     comps = {}
-    for key, text in _require(data, "components", path, dict).items():
-        kpath = f"{path}.components.{key}"
+    for key, text in table.items():
+        kpath = f"{path}.{key}"
         if "|" not in key:
             raise SpecError(kpath, "component key must be 'b|a1,a2,...'")
         bpart, apart = key.split("|", 1)
         b = _ints(kpath, bpart, 1)[0]
         idx = _ints(kpath, apart)
         comps[(b, idx)] = _poly(kpath, text, nvars, names)
+    return comps
+
+
+def vform_to_dict(vf, names):
+    return {
+        "bundle_rank": vf.rank,
+        "degree": vf.degree,
+        "components": _components_to_dict(vf, names),
+    }
+
+
+def vform_from_dict(data, nvars, names, path):
+    rank = _require(data, "bundle_rank", path, int)
+    degree = _require(data, "degree", path, int)
+    comps = _components_from_dict(_require(data, "components", path, dict), nvars, names,
+                                  f"{path}.components")
     try:
         return VForm(nvars, rank, degree, comps)
     except StructureError as exc:
@@ -143,9 +156,7 @@ def cochain_to_dict(c, names):
     tables = {}
     for (k, I, J), vf in sorted(c.comps.items()):
         key = f"{','.join(map(str, I))}|{','.join(map(str, J))}"
-        tables.setdefault(str(k), {})[key] = {
-            f"{b}|{','.join(map(str, idx))}": poly_to_str(p, names)
-            for (b, idx), p in sorted(vf.comps.items())}
+        tables.setdefault(str(k), {})[key] = _components_to_dict(vf, names)
     return {"p": c.p, "q": c.q, "bundle_rank": c.rank, "tables": tables}
 
 
@@ -170,13 +181,7 @@ def cochain_from_dict(data, A, names, path):
             ipart, jpart = ijkey.split("|", 1)
             I = _ints(epath, ipart)
             J = _ints(epath, jpart)
-            vcomps = {}
-            for ckey, text in entry.items():
-                cpath = f"{epath}.{ckey}"
-                bpart, apart = ckey.split("|", 1) if "|" in ckey else (ckey, "")
-                b = _ints(cpath, bpart, 1)[0]
-                idx = _ints(cpath, apart)
-                vcomps[(b, idx)] = _poly(cpath, text, A.nvars, names)
+            vcomps = _components_from_dict(entry, A.nvars, names, epath)
             try:
                 comps[(k, I, J)] = VForm(A.nvars, rank, q - k, vcomps)
             except StructureError as exc:

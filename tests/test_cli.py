@@ -193,6 +193,21 @@ def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, name, field, val
     assert where in json.loads(out)["error"]["path"]
 
 
+def test_cochain_component_key_without_bar_exits_two(f1_path, tmp_path, capsys):
+    # cochain entries and forms share one component-table parser
+    data = json.loads(f1_path.read_text())
+    entry = data["im_connection"]["cochain"]["tables"]["1"]["|3"]
+    entry["1"] = entry.pop("1|")
+    path = tmp_path / "no_bar.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "input_error"
+    assert doc["error"]["path"] == "im_connection.cochain.tables.1.|3.1"
+    assert doc["error"]["reason"] == "component key must be 'b|a1,a2,...'"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["deform", "SPEC", "--with", "0", "--lambda", "1/0"], "--lambda"),
     (["deform", "SPEC", "--with", "0", "--lambda", "abc"], "--lambda"),

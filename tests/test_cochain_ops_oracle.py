@@ -1,18 +1,27 @@
-"""``weil.dnabla_cochain`` and ``weil.wedge_Ttheta`` against the row-driven
-references.
+"""``weil.dnabla_cochain``, ``weil.wedge_Ttheta`` and ``ideals.hstar``
+against the row-driven references.
 
-Both operators walk the cells of their input and add each one's terms to
-the output cells it reaches. The references below are the row-driven
-forms they replaced: they loop over every output row (k, I, J) and read
-the input there with signed lookups.
+The three operators walk the cells of their input and add each one's
+terms to the output cells it reaches. The references below are the
+row-driven forms they replaced: they loop over every output row (k, I, J)
+and read the input there with signed lookups, or, for h*, through the
+rows of every split of I, slot insertion and the iterated pairing.
 
-The inputs are those of ``tests/test_delta_oracle.py``: the fixtures F0-F3
-with their own and their ideal's adjoint representation, the
-polynomial-anchor ``affine_algebroid``, and seeded random presentations
-that break the axioms. On each: every bidegree p, q <= 3, dense, one-cell
-and zero cochains, with the coupling connection of the fixtures and with
-a seeded random connection, and with the invariance form (T, theta) of
-each.
+The inputs of d-nabla and (T, theta) are those of
+``tests/test_delta_oracle.py``: the fixtures F0-F3 with the trivial
+representation of their ideal's rank and with their ideal's adjoint
+representation, the polynomial-anchor ``affine_algebroid``, and seeded
+random presentations that break the axioms. On each: every bidegree
+p, q <= 3, dense, one-cell and zero cochains, with the coupling connection
+of the fixtures and with a seeded random connection, and with the
+invariance form (T, theta) of each.
+
+h* runs on the IM connections of F0-F3, on two deformations of each of
+F1-F3 by a coboundary delta(gamma), whose splitting v is not the frame one
+(so h is not diagonal), and on the coupled affine algebroid of
+``tests/test_ideals.py``. On each: every bidegree p, q <= 3, dense,
+one-cell and zero ideal-valued cochains, and a dense cochain whose bundle
+rank is not the ideal's.
 """
 
 import itertools
@@ -20,13 +29,15 @@ import random
 
 import pytest
 
-from weilcalc import LinearConnection, VForm, WeilCochain, build_fixture
-from weilcalc.algebroid import symmetric_slots
+from weilcalc import (ARep, LinearConnection, VForm, WeilCochain, build_fixture, deform,
+                      delta, hstar, wedgedot_multi)
+from weilcalc.algebroid import sort_sign, symmetric_slots
 from weilcalc.connections import invariance_form
-from weilcalc.fixtures import random_cochain, random_poly
+from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly, random_vform
 from weilcalc.weil import dnabla_cochain, frame_rows, wedge_Ttheta
 
 from test_delta_oracle import BIDEGREES, CASES, _one_cells, build_case
+from test_ideals import build_affine_coupled
 
 
 def dnabla_rows(conn, c):
@@ -77,6 +88,41 @@ def wedge_Ttheta_rows(inv, c):
                 acc = acc + term.scaled(mult)
             out[(k, I, J)] = acc
     return WeilCochain(A, c.rank, p + 1, q + 1, out)
+
+
+def hstar_rows(imc, c):
+    """The row-driven h*: each output row (k, I, J) reads
+
+    (h*c)_k(a_1..a_{p-k} || b_1..b_k)
+      = sum_{j=k}^{p} (-1)^{j-k} sum_{(j-k, p-j)-shuffles s} sgn(s)
+        c_j(a_{s(j-k+1)}, ..., a_{s(p-k)} || h b_1, ..., h b_k, .)
+          paired one by one with (C a_{s(1)}, ..., C a_{s(j-k)}),
+
+    the rows c_j(a's || .) taken by split of I and filled slot by slot."""
+    A = c.A
+    p, q = c.p, c.q
+    out = {}
+    for k, I, Js in frame_rows(A, p, q):
+        rows = []
+        for j in range(k, p + 1):
+            if q - j > A.nvars:
+                continue
+            for picks in itertools.combinations(range(p - k), j - k):
+                restpos = tuple(t for t in range(p - k) if t not in picks)
+                _, sgn = sort_sign(picks + restpos)
+                row = c.symrow(j, tuple(I[t] for t in restpos))
+                if not row.is_zero:
+                    rows.append((row, [imc.C0(I[t]) for t in picks],
+                                 -sgn if (j - k) % 2 else sgn))
+        for J in Js:
+            acc = VForm.zero(A.nvars, c.rank, q - k)
+            for row, pairs, sign in rows:
+                for jb in J:
+                    row = row.insert(imc.h_basis(jb))
+                term = wedgedot_multi(row, pairs, imc.ideal).vform()
+                acc = acc + term if sign > 0 else acc - term
+            out[(k, I, J)] = acc
+    return WeilCochain(A, c.rank, p, q, out)
 
 
 def random_connection(A, rank, seed):
@@ -135,3 +181,43 @@ def test_random_connections_are_not_invariant():
             inv = invariance_form(A, random_connection(A, rep.rank, name), rep)
             assert any(not t.is_zero for t in inv.T.values()), name
             assert any(not t.is_zero for t in inv.theta.values()), name
+
+
+IMC_CASES = list(FIXTURE_NAMES) \
+    + [f"{name}/deformed{s}" for name in FIXTURE_NAMES[1:] for s in range(2)] \
+    + ["affine_coupled"]
+
+
+def build_imc(name):
+    """The IM connection of a case: a fixture's own, the fixture's deformed
+    by delta of a seeded random ideal-valued 1-form, or the coupled affine
+    algebroid's."""
+    if name == "affine_coupled":
+        return build_affine_coupled()[2]
+    fix = build_fixture(name.split("/")[0])
+    if "/" not in name:
+        return fix.imc
+    gamma = random_vform(random.Random(f"hstar-oracle:{name}"), fix.A.nvars, fix.ideal.m, 1, 1)
+    return deform(fix.imc, delta(fix.A, fix.rep, gamma), 1)
+
+
+@pytest.fixture(scope="module", params=IMC_CASES)
+def imc_case(request):
+    return build_imc(request.param)
+
+
+@pytest.mark.parametrize("p,q", BIDEGREES)
+def test_hstar_matches_row_driven_reference(imc_case, p, q):
+    A, m = imc_case.A, imc_case.ideal.m
+    other = _inputs(A, ARep.trivial(A.nvars, A.rank, m + 1), p, q)[0]
+    for x in _inputs(A, imc_case.ideal.adjoint_rep(), p, q) + [other]:
+        assert hstar(imc_case, x) == hstar_rows(imc_case, x), sorted(x.comps)
+
+
+def test_deformed_cases_have_non_frame_splittings():
+    # v(e_j) is nonzero on some non-ideal j, so h(e_j) leaves the frame
+    for name in IMC_CASES:
+        if "/" in name:
+            imc = build_imc(name)
+            assert any(any(not p.is_zero for p in imc.v_comps(j))
+                       for j in range(1, imc.A.rank + 1) if j not in imc.ideal.indices), name

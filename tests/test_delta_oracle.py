@@ -7,8 +7,9 @@ the input there through the Lie derivative of symmetric-slot forms, the
 Leibniz expansion of the bracket insertions and the slot interior
 products.
 
-The inputs are the fixtures F0-F3 with their own representation and with
-the adjoint representation of their ideal, the polynomial-anchor
+The inputs are the fixtures F0-F3 with the trivial representation of
+their ideal's rank (case ``F*``) and with the adjoint representation of
+their ideal (case ``F*/adjoint``), the polynomial-anchor
 ``affine_algebroid``, and seeded random presentations whose structure,
 anchor and representation are random polynomials that break the axioms
 (the axiom checkers read delta of such inputs). On each: every bidegree
@@ -96,7 +97,9 @@ def build_case(name):
     if name.startswith("random"):
         return random_presentation(int(name[len("random"):]))
     fix = build_fixture(name.split("/")[0])
-    return fix.A, fix.ideal.adjoint_rep() if name.endswith("/adjoint") else fix.rep
+    if name.endswith("/adjoint"):
+        return fix.A, fix.ideal.adjoint_rep()
+    return fix.A, ARep.trivial(fix.A.nvars, fix.A.rank, fix.ideal.m)
 
 
 @pytest.fixture(scope="module", params=CASES)

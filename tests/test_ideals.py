@@ -433,6 +433,74 @@ def test_c2_spec_example_bracket_value(f2):
     assert c2(f2.ideal, L) == delta(f2.A, f2.rep, gg).scaled(Fraction(-1, 2))
 
 
+def c2_reference(ideal, L):
+    """The evaluation-based c2: c2(L, l)(a) = -(L|_ideal paired with L a,
+    L|_ideal . l a), with L|_ideal read by Leibniz evaluation of L on the
+    embedded ideal components."""
+    A = ideal.A
+    n, r, m = A.nvars, A.rank, ideal.m
+
+    def apply_L(xi):
+        return evaluate(L, [ideal.embed(xi)])
+
+    comps = {}
+    for i in range(1, r + 1):
+        Li = L.lookup(0, (i,), ())
+        acc = VForm.zero(n, m, 2)
+        for a, bb in itertools.combinations(range(1, n + 1), 2):
+            xi_a = tuple(Li.get(cc, (a,)) for cc in range(1, m + 1))
+            xi_b = tuple(Li.get(cc, (bb,)) for cc in range(1, m + 1))
+            val = [Poly.zero(n) for _ in range(m)]
+            if any(not p.is_zero for p in xi_a):
+                va = apply_L(xi_a)
+                for cc in range(m):
+                    val[cc] = val[cc] + va.get(cc + 1, (bb,))
+            if any(not p.is_zero for p in xi_b):
+                vb = apply_L(xi_b)
+                for cc in range(m):
+                    val[cc] = val[cc] - vb.get(cc + 1, (a,))
+            acc = acc + VForm(n, m, 2, {(cc + 1, (a, bb)): val[cc] for cc in range(m)})
+        comps[(0, (i,), ())] = -acc
+    for j in range(1, r + 1):
+        lj = L.lookup(1, (), (j,))
+        vj = tuple(lj.get(a, ()) for a in range(1, m + 1))
+        if any(not p.is_zero for p in vj):
+            comps[(1, (), (j,))] = -apply_L(vj)
+    return WeilCochain(A, m, 1, 2, comps)
+
+
+def test_c2_matches_evaluation_reference_on_coboundaries(f1, f2, f3):
+    for fix in (f1, f2, f3):
+        for seed in range(3):
+            gamma = rvform(fix, 1, seed=seed + 90, bound=2)
+            L = delta(fix.A, fix.rep, gamma)
+            assert is_horizontal(L, fix.ideal)
+            assert c2(fix.ideal, L) == c2_reference(fix.ideal, L)
+
+
+def test_c2_matches_evaluation_reference_on_kernel_elements(f1, f2, f3):
+    # c2 is quadratic: each basis element of the horizontal kernel has c2 = 0
+    # here, the sums of neighbours do not on F2 and F3
+    from weilcalc import bounded_kernel
+    for fix in (f1, f2, f3):
+        basis = bounded_kernel(fix.A, fix.rep, 1, 1, 1, horizontal_ideal=fix.ideal)
+        nonzero = 0
+        for L in basis + [x + y for x, y in zip(basis, basis[1:])]:
+            assert check_IM(fix.A, fix.rep, L).passed
+            got = c2(fix.ideal, L)
+            assert got == c2_reference(fix.ideal, L)
+            nonzero += not got.is_zero
+        assert nonzero > 0 or fix is f1
+
+
+def test_c2_rejects_non_horizontal_deformation(f1, f2):
+    # the connection itself is not horizontal: v restricts to the identity
+    for fix in (f1, f2):
+        assert not is_horizontal(fix.imc.cochain, fix.ideal)
+        with pytest.raises(ContractError):
+            c2(fix.ideal, fix.imc.cochain)
+
+
 def test_curving_holder_and_deformed_method(f1, f2):
     from weilcalc import Curving
     cur = Curving(f1.imc, f1.curving)
@@ -726,8 +794,7 @@ def test_splitting_curvature_matches_pullback(f1):
 # -- polynomial-anchor integration ---------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def affine_coupled():
+def build_affine_coupled():
     """Coupled algebroid over the affine algebroid on Q^2: the anchor of the
     scaling section is x d/dx, so every anchor-derivative path is exercised."""
     from weilcalc.algebroid import AlgebroidPresentation
@@ -737,6 +804,11 @@ def affine_coupled():
     conn = LinearConnection.trivial(2, 1)
     F = VForm(2, 1, 2, {(1, (1, 2)): y})
     return build_coupled(B, 1, {}, conn, F)
+
+
+@pytest.fixture(scope="module")
+def affine_coupled():
+    return build_affine_coupled()
 
 
 def test_affine_coupled_passes_all_checkers(affine_coupled):

@@ -9,7 +9,8 @@ import sys
 from pathlib import Path
 
 import weilcalc.cli  # noqa: F401  (the tracer wraps cli.main)
-from weilcalc import Poly, VForm, WeilCochain, build_fixture, weil
+from weilcalc import Poly, VForm, WeilCochain, build_fixture, ideals, weil
+from weilcalc.fixtures import random_cochain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.tracing import Tracer  # noqa: E402
@@ -78,3 +79,25 @@ def test_tracer_counts_one_delta_per_frame_cell():
         assert tracer.calls("weil.delta") == len({cell[:5] for cell in cells}) > 1
     finally:
         tracer.uninstall()
+
+
+def test_tracer_nests_one_hstar_in_each_horizontal_derivative():
+    # ideals.hstar.calls counts the projections: Dhor and curvature each
+    # call the public hstar once, so a refactor that called an inner helper
+    # of hstar directly would read 0
+    fix = build_fixture("F2_semisimple_2d")
+    c = random_cochain(fix.A, fix.rep, 2, 1, 1, seed=0)
+    for run in (lambda: ideals.Dhor(fix.imc, c), lambda: ideals.curvature(fix.imc)):
+        tracer = Tracer()
+        tracer.install()
+        try:
+            tracer.on = True
+            run()
+            tracer.on = False
+        finally:
+            tracer.uninstall()
+        names = [tracer.names[sid] for sid in tracer.span_name]
+        assert names.count("ideals.Dhor") == 1
+        assert names.count("ideals.hstar") == 1
+        outer = names.index("ideals.Dhor")
+        assert tracer.span_parent[names.index("ideals.hstar")] == outer
