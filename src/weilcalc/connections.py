@@ -241,62 +241,28 @@ def _lieA(vf, x, columns):
 
 
 def lieA_vform(A, rep, alpha, vf):
-    """L^A_alpha on a plain V-valued form: the Lie derivative along rho(alpha)
-    plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
-    columns = {}
-    for i, ai in enumerate(alpha.comps, start=1):
-        if ai:
-            for c, entries in rep.psi_columns(i).items():
-                columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
-    return VForm(A.nvars, vf.rank, vf.degree, _lieA(vf, A.rho(alpha), columns))
-
-
-def _bracket_with_frame(A, alpha, j):
-    """Components of [alpha, e_j] = sum_i alpha^i [e_i, e_j] - rho(e_j)(alpha^i) e_i,
-    read from the cached frame brackets."""
-    rho_j = A.rho_basis(j)
-    out = [-rho_j.apply(ai) for ai in alpha.comps]
-    for i, ai in enumerate(alpha.comps, start=1):
-        if not ai.is_zero:
-            for k, w in enumerate(A.bracket_basis(i, j).comps):
-                if not w.is_zero:
-                    out[k] = out[k] + ai * w
-    return out
+    """L^A_alpha on a plain V-valued form, delta vf evaluated on alpha; a
+    zero form (also the degree -1 form iota leaves on a 0-form) is kept."""
+    # weil imports this module, so its operators are imported at call time
+    from .weil import delta, evaluate
+    return vf if vf.is_zero else evaluate(delta(A, rep, vf), [alpha])
 
 
 def lieA_derivative(A, rep, alpha, gamma):
-    """Lie derivative on S^k(A*)-valued forms: chain rule over all slots.
-
-    (L^A_a gamma)(J) = L^A_a(gamma(J)) applied to values and form slots,
-    minus the sum over symmetric positions t of gamma with e_{J_t}
-    replaced by [a, e_{J_t}] (positions with equal index contribute with
-    multiplicity).
-    """
-    candidates = set(gamma.comps)
-    for J in gamma.comps:
-        for _, rest, _ in symmetric_slots(J):
-            for s in range(1, gamma.secrank + 1):
-                candidates.add(tuple(sorted(rest + (s,))))
-    brackets = {j: _bracket_with_frame(A, alpha, j)
-                for j in range(1, gamma.secrank + 1)} if gamma.arity else {}
-    rows = {}
-    for J in candidates:
-        vf = gamma.comps.get(J)
-        acc = lieA_vform(A, rep, alpha, vf) if vf is not None else None
-        for j, rest, mult in symmetric_slots(J):
-            for l in range(1, gamma.secrank + 1):
-                wl = brackets[j][l - 1]
-                if wl.is_zero:
-                    continue
-                src = gamma.comps.get(tuple(sorted(rest + (l,))))
-                if src is None:
-                    continue
-                coeff = wl if mult == 1 else wl * mult
-                term = src.scaled(-coeff)
-                acc = term if acc is None else acc + term
-        if acc is not None:
-            rows[J] = acc
-    return SymForm(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree, rows)
+    """L^A_alpha on S^k(A*)-valued forms by the Cartan formula
+    L^A_alpha = iota_alpha delta + delta iota_alpha on the Weil complex:
+    gamma of arity k and degree q is the level-k part of a W^{k,q+k}
+    cochain c with cells (k, (), J), and the result is that of
+    iota_alpha delta c + delta iota_alpha c."""
+    # weil imports this module, so its operators are imported at call time
+    from .weil import WeilCochain, _contract, delta, eval_row
+    if gamma.secrank != A.rank:
+        raise StructureError("symmetric slots do not match the algebroid rank")
+    k = gamma.arity
+    c = WeilCochain(A, gamma.rank, k, gamma.degree + k,
+                    {(k, (), J): vf for J, vf in gamma.comps.items()})
+    out = _contract(delta(A, rep, c), alpha) + delta(A, rep, _contract(c, alpha))
+    return eval_row(out, k, [])
 
 
 class InvarianceForm:

@@ -6,15 +6,16 @@ tuple of p-k frame indices (antisymmetric slots), J a sorted multiset of
 k frame indices (symmetric slots), and the value a degree-(q-k)
 bundle-valued form; absent keys read as zero. Sums and multiples come
 from ``algebroid.SparseTable``, which the forms share. Evaluation on
-arbitrary sections expands the antisymmetric arguments through the
-Leibniz identity
+arbitrary sections reads the contraction cell map iota_alpha (``_contract``),
+which fills the first antisymmetric slot by the Leibniz identity
 
     c_k(f a_1, a_2, ... || .) = f c_k(a_1, ... || .)
                                 + df ^ c_{k+1}(a_2, ... || a_1, .)
 
-and is C^infty-multilinear in the symmetric arguments. Any table
-respecting the symmetry constraints is accepted; evaluation-order
-consistency is a tested property, not a constructor precondition.
+and signs level k by (-1)^k, so c_k(a_1..a_s || .) is (-1)^(k s) times
+the level-k row of iota_{a_s} ... iota_{a_1} c; it is C^infty-multilinear
+in the symmetric arguments. Any table respecting the symmetry constraints
+is accepted; evaluation-order consistency is a tested property.
 
 The axiom checkers read ``delta``: the algebroid axioms and the flatness
 of a representation are delta^2 = 0, the IM conditions are delta c = 0.
@@ -27,8 +28,8 @@ import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, _iota, _wedge, d_scalar, scalar_wedge,
-                        sort_sign, sorted_multisets, symmetric_slots)
+from .algebroid import (SparseTable, VForm, _iota, _wedge, d_scalar, sort_sign,
+                        sorted_multisets, symmetric_slots)
 from .connections import ARep, SymForm, _lieA
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly
@@ -115,13 +116,6 @@ class WeilCochain(SparseTable):
             return VForm.zero(self.A.nvars, self.rank, self.q - k)
         return vf if sign > 0 else -vf
 
-    def symrow(self, k, I):
-        """The map J -> c_k(e_I || e_J) as a symmetric-slot form (I increasing)."""
-        get = self.comps.get
-        row = {J: vf for J in sorted_multisets(self.A.rank, k)
-               if (vf := get((k, I, J))) is not None}
-        return SymForm(self.A.nvars, self.rank, self.A.rank, k, self.q - k, row)
-
     def __repr__(self):
         return f"WeilCochain(p={self.p}, q={self.q}, m={self.rank}, {len(self.comps)} comps)"
 
@@ -141,39 +135,17 @@ def evaluate(c, antis, syms=()):
     return functools.reduce(SymForm.insert, syms, row).vform()
 
 
-def _eval_basis(c, k, prefix, rest, J):
-    """Leibniz expansion with a basis prefix and general remaining sections."""
-    if not rest:
-        return c.lookup(k, prefix, J)
-    n, r = c.A.nvars, c.A.rank
-    alpha = rest[0]
-    tail = rest[1:]
-    pos = len(prefix)
-    out = VForm.zero(n, c.rank, c.q - k)
-    for i in range(1, r + 1):
-        ai = alpha.comps[i - 1]
-        if not ai.is_zero:
-            sub = _eval_basis(c, k, prefix + (i,), tail, J)
-            if not sub.is_zero:
-                out = out + sub.scaled(ai)
-        if not ai.is_constant:
-            sub = _eval_basis(c, k + 1, prefix, tail, tuple(sorted(J + (i,))))
-            if not sub.is_zero:
-                w = scalar_wedge(d_scalar(ai, n), sub)
-                out = out + (w if pos % 2 == 0 else -w)
-    return out
-
-
 def eval_row(c, k, sections):
-    """Partial evaluation c_k(sections || .) as a symmetric-slot form."""
+    """Partial evaluation c_k(sections || .) as a symmetric-slot form: the
+    level-k row of the contractions by the sections, the first one first,
+    times (-1)^(k s) for s sections."""
     if len(sections) != c.p - k:
         raise StructureError("wrong number of antisymmetric arguments")
-    n, r = c.A.nvars, c.A.rank
-    qk = c.q - k
-    if qk < 0 or qk > n:
-        return SymForm.zero(n, c.rank, r, k, qk)
-    return SymForm(n, c.rank, r, k, qk, {J: _eval_basis(c, k, (), list(sections), J)
-                                         for J in sorted_multisets(r, k)})
+    for alpha in sections:
+        c = _contract(c, alpha)
+    odd = k * len(sections) % 2
+    return SymForm(c.A.nvars, c.rank, c.A.rank, k, c.q - k,
+                   {J: -v if odd else v for (lvl, _, J), v in c.comps.items() if lvl == k})
 
 
 def _insert(I, i):
@@ -209,6 +181,31 @@ def _cochain(A, rank, p, q, acc):
     n = A.nvars
     return WeilCochain(A, rank, p, q, {
         cell: VForm(n, rank, q - cell[0], acc[cell]) for cell in sorted(acc)})
+
+
+def _contract(c, alpha):
+    """The contraction iota_alpha: W^{p,q} -> W^{p-1,q}. It fills the first
+    antisymmetric slot with the section alpha and signs level k by (-1)^k:
+    a cell (k, I, J) with value v sends (-1)^(k+t) alpha^i v to
+    (k, I - i, J) for i = I[t], and, for each distinct i in J with
+    alpha^i not constant, (-1)^(k-1) d(alpha^i) ^ v to (k - 1, I, J - i)."""
+    A = c.A
+    if alpha.rank != A.rank:
+        raise StructureError("section rank does not match algebroid rank")
+    coefs = alpha.comps
+    dcoefs = {i: d_scalar(ai, A.nvars).comps
+              for i, ai in enumerate(coefs, start=1) if not ai.is_constant}
+    acc = {}
+    for (k, I, J), v in c.comps.items():
+        for t, i in enumerate(I):
+            ai = coefs[i - 1]
+            if not ai.is_zero:
+                _add_into(acc, (k, I[:t] + I[t + 1:], J), v.comps, -ai if (k + t) % 2 else ai)
+        for i, rest, _ in symmetric_slots(J):
+            if i in dcoefs:
+                _add_into(acc, (k - 1, I, rest), _wedge(dcoefs[i], v.comps, lambda _, w: w[:1]),
+                          1 if k % 2 else -1)
+    return _cochain(A, c.rank, c.p - 1, c.q, acc)
 
 
 def delta(A, rep, c):

@@ -25,6 +25,7 @@ from weilcalc import (AlgebroidPresentation, ARep, EndForm, bracket, check_IM,
                       evaluate, lieA_vform, validate_algebroid, validate_rep,
                       vfield_bracket)
 from weilcalc.fixtures import random_cochain, random_poly
+from weilcalc.weil import eval_row
 
 SEEDS = range(6)
 
@@ -91,7 +92,7 @@ def im_reference(A, rep, c):
     for i, j in itertools.combinations(range(1, r + 1), 2):
         ok = evaluate(c, [A.bracket_basis(i, j)]) == lie(i, c0(j)) - lie(j, c0(i))
         out.append((f"C.1({i},{j})", ok))
-    symbol = c.symrow(1, ())
+    symbol = eval_row(c, 1, [])
     for i, j in itertools.product(range(1, r + 1), repeat=2):
         lhs = symbol.insert(A.bracket_basis(i, j)).vform()
         out.append((f"C.2({i},{j})", lhs == lie(i, c1(j)) - c0(i).iota(A.rho_basis(j))))

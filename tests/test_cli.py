@@ -344,6 +344,25 @@ def test_console_entry_point(f1_path):
     assert json.loads(proc.stdout)["status"] == "ok"
 
 
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
+    # set and dict iteration under a different string hash must not reach
+    # the report: each command prints the same bytes under two hash seeds
+    path = tmp_path / "f2c.json"
+    code, _ = invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path),
+                      "--with-cochain", "1,1"], capsys)
+    assert code == 0
+    src = str(Path(weilcalc.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["validate"], ["hproj"], ["dhor"], ["obstruction", "--bound", "1"]):
+        runs = [subprocess.run([sys.executable, "-m", "weilcalc.cli", argv[0], str(path)]
+                               + argv[1:], capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=pythonpath,
+                                        PYTHONHASHSEED=seed))
+                for seed in ("0", "3")]
+        assert runs[0].stdout, argv
+        assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout), argv
+
+
 def test_validate_checks_a_non_im_cochain_once(tmp_path, capsys, monkeypatch):
     # IMConnection and the C.x listing share one check_IM report
     from weilcalc import cli, ideals

@@ -24,6 +24,7 @@ one-cell and zero ideal-valued cochains, and a dense cochain whose bundle
 rank is not the ideal's.
 """
 
+import functools
 import itertools
 import random
 
@@ -34,7 +35,7 @@ from weilcalc import (ARep, LinearConnection, VForm, WeilCochain, build_fixture,
 from weilcalc.algebroid import sort_sign, symmetric_slots
 from weilcalc.connections import invariance_form
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly, random_vform
-from weilcalc.weil import dnabla_cochain, frame_rows, wedge_Ttheta
+from weilcalc.weil import dnabla_cochain, eval_row, frame_rows, wedge_Ttheta
 
 from test_delta_oracle import BIDEGREES, CASES, _one_cells, build_case
 from test_ideals import build_affine_coupled
@@ -101,6 +102,11 @@ def hstar_rows(imc, c):
     the rows c_j(a's || .) taken by split of I and filled slot by slot."""
     A = c.A
     p, q = c.p, c.q
+
+    @functools.cache
+    def row_of(j, I):
+        return eval_row(c, j, [A.basis(i) for i in I])
+
     out = {}
     for k, I, Js in frame_rows(A, p, q):
         rows = []
@@ -110,7 +116,7 @@ def hstar_rows(imc, c):
             for picks in itertools.combinations(range(p - k), j - k):
                 restpos = tuple(t for t in range(p - k) if t not in picks)
                 _, sgn = sort_sign(picks + restpos)
-                row = c.symrow(j, tuple(I[t] for t in restpos))
+                row = row_of(j, tuple(I[t] for t in restpos))
                 if not row.is_zero:
                     rows.append((row, [imc.C0(I[t]) for t in picks],
                                  -sgn if (j - k) % 2 else sgn))

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, VForm,
+from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, SymForm, VForm,
                       induced_end_connection, induced_end_rep, invariance_form,
                       is_A_invariant, lieA_derivative, lieA_vform,
                       validate_rep)
-from weilcalc.algebroid import Section, VField, bracket
-from weilcalc.connections import _bracket_with_frame
+from weilcalc.algebroid import VField, bracket
 from weilcalc.fixtures import (random_endform, random_poly, random_section,
                                random_symform, random_vform)
 
@@ -101,18 +100,6 @@ def test_rep_flatness_on_random_sections(seed, f2):
     assert lhs == rhs1 - rhs2
 
 
-@pytest.mark.parametrize("fix", ["f0", "f1", "f2", "f3"])
-@pytest.mark.parametrize("seed", range(3))
-def test_bracket_with_frame_matches_bracket(fix, seed, request):
-    A = request.getfixturevalue(fix).A
-    alpha = random_section(A, 700 + seed, bound=2)
-    for j in range(1, A.rank + 1):
-        assert Section(A.nvars, _bracket_with_frame(A, alpha, j)) \
-            == bracket(A, alpha, A.basis(j))
-        e_i = A.basis(1 + (seed + j) % A.rank)
-        assert Section(A.nvars, _bracket_with_frame(A, e_i, j)) == bracket(A, e_i, A.basis(j))
-
-
 # -- Lie derivative on symmetric-slot forms ------------------------------------
 
 
@@ -158,6 +145,15 @@ def test_lieA_bracket_compatibility(seed, f2):
     rhs = lieA_derivative(A, rep, a, lieA_derivative(A, rep, b, gamma)) \
         - lieA_derivative(A, rep, b, lieA_derivative(A, rep, a, gamma))
     assert lhs == rhs
+
+
+def test_lieA_derivative_rejects_other_slot_rank(f2):
+    # a slot index past the algebroid's frame
+    A = f2.A
+    gamma = SymForm(2, 3, A.rank + 1, 1, 1,
+                    {(A.rank + 1,): random_vform(random.Random("slot"), 2, 3, 1, 1)})
+    with pytest.raises(StructureError):
+        lieA_derivative(A, f2.rep, A.basis(1), gamma)
 
 
 # -- invariance form ------------------------------------------------------------

@@ -4,8 +4,11 @@
 output cells it reaches. The reference below is the row-driven form it
 replaced: it loops over every output row (k, I, J) of W^{p+1,q} and reads
 the input there through the Lie derivative of symmetric-slot forms, the
-Leibniz expansion of the bracket insertions and the slot interior
-products.
+bracket insertions and the slot interior products. The Lie derivatives
+are the slot-by-slot forms that ``connections.lieA_vform`` and
+``lieA_derivative`` replaced (those now read ``delta``); the rows and the
+bracket insertions are read with ``weil.eval_row``, which contracts and
+does not call ``delta``.
 
 The inputs are the fixtures F0-F3 with the trivial representation of
 their ideal's rank (case ``F*``) and with the adjoint representation of
@@ -16,6 +19,7 @@ anchor and representation are random polynomials that break the axioms
 p, q <= 3, plain ``VForm`` inputs, one-cell inputs and the zero cochain.
 """
 
+import functools
 import itertools
 import random
 
@@ -24,11 +28,70 @@ import pytest
 from weilcalc import (AlgebroidPresentation, ARep, VForm, WeilCochain, build_fixture,
                       validate_algebroid, validate_rep)
 from weilcalc.algebroid import symmetric_slots
-from weilcalc.connections import lieA_derivative
+from weilcalc.connections import SymForm, _lieA
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly
-from weilcalc.weil import _cell_cochain, _eval_basis, _unknown_cells, delta, frame_rows
+from weilcalc.weil import _cell_cochain, _unknown_cells, delta, eval_row, frame_rows
 
 from test_weil import affine_algebroid, affine_rep
+
+
+def lieA_vform_ref(A, rep, alpha, vf):
+    """L^A_alpha on a plain V-valued form: the Lie derivative along
+    rho(alpha) plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
+    columns = {}
+    for i, ai in enumerate(alpha.comps, start=1):
+        if ai:
+            for c, entries in rep.psi_columns(i).items():
+                columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
+    return VForm(A.nvars, vf.rank, vf.degree, _lieA(vf, A.rho(alpha), columns))
+
+
+def bracket_with_frame_ref(A, alpha, j):
+    """Components of [alpha, e_j] = sum_i alpha^i [e_i, e_j] - rho(e_j)(alpha^i) e_i,
+    read from the cached frame brackets."""
+    rho_j = A.rho_basis(j)
+    out = [-rho_j.apply(ai) for ai in alpha.comps]
+    for i, ai in enumerate(alpha.comps, start=1):
+        if not ai.is_zero:
+            for k, w in enumerate(A.bracket_basis(i, j).comps):
+                if not w.is_zero:
+                    out[k] = out[k] + ai * w
+    return out
+
+
+def lieA_derivative_ref(A, rep, alpha, gamma):
+    """Lie derivative on S^k(A*)-valued forms: chain rule over all slots.
+
+    (L^A_a gamma)(J) = L^A_a(gamma(J)) applied to values and form slots,
+    minus the sum over symmetric positions t of gamma with e_{J_t}
+    replaced by [a, e_{J_t}] (positions with equal index contribute with
+    multiplicity).
+    """
+    candidates = set(gamma.comps)
+    for J in gamma.comps:
+        for _, rest, _ in symmetric_slots(J):
+            for s in range(1, gamma.secrank + 1):
+                candidates.add(tuple(sorted(rest + (s,))))
+    brackets = {j: bracket_with_frame_ref(A, alpha, j)
+                for j in range(1, gamma.secrank + 1)} if gamma.arity else {}
+    rows = {}
+    for J in candidates:
+        vf = gamma.comps.get(J)
+        acc = lieA_vform_ref(A, rep, alpha, vf) if vf is not None else None
+        for j, rest, mult in symmetric_slots(J):
+            for l in range(1, gamma.secrank + 1):
+                wl = brackets[j][l - 1]
+                if wl.is_zero:
+                    continue
+                src = gamma.comps.get(tuple(sorted(rest + (l,))))
+                if src is None:
+                    continue
+                coeff = wl if mult == 1 else wl * mult
+                term = src.scaled(-coeff)
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            rows[J] = acc
+    return SymForm(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree, rows)
 
 
 def delta_rows(A, rep, c):
@@ -37,27 +100,32 @@ def delta_rows(A, rep, c):
     if isinstance(c, VForm):
         c = WeilCochain.from_vform(A, c)
     p, q, n = c.p, c.q, A.nvars
+
+    @functools.cache
+    def row_of(k, I):
+        return eval_row(c, k, [A.basis(i) for i in I])
+
     out = {}
     for k, I, Js in frame_rows(A, p + 1, q):
         lds = []
         for pos in range(len(I)):
-            row = c.symrow(k, I[:pos] + I[pos + 1:])
+            row = row_of(k, I[:pos] + I[pos + 1:])
             lds.append(None if row.is_zero
-                       else lieA_derivative(A, rep, A.basis(I[pos]), row))
+                       else lieA_derivative_ref(A, rep, A.basis(I[pos]), row))
         brs = []
         for s, t in itertools.combinations(range(len(I)), 2):
             w = A.bracket_basis(I[s], I[t])
             if not w.is_zero:
                 rest = [A.basis(I[u]) for u in range(len(I)) if u not in (s, t)]
-                brs.append((s + t, w, rest))
+                brs.append((s + t, eval_row(c, k, [w] + rest)))
         for J in Js:
             acc = VForm.zero(n, c.rank, q - k)
             for pos, ld in enumerate(lds):
                 if ld is not None:
                     term = ld.get(J)
                     acc = acc + term if pos % 2 == 0 else acc - term
-            for sgn, w, rest in brs:
-                term = _eval_basis(c, k, (), [w] + rest, J)
+            for sgn, row in brs:
+                term = row.get(J)
                 acc = acc + term if sgn % 2 == 0 else acc - term
             for j, rest, mult in symmetric_slots(J):
                 sub = c.lookup(k - 1, I, rest)

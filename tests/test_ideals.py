@@ -184,21 +184,21 @@ def test_hstar_low_level_formulas(f2):
     h = hstar(imc, c)
     for i in range(1, 6):
         want = c.lookup(0, (i,), ()) \
-            - wedgedot(c.symrow(1, ()), imc.C0(i), ideal).vform()
+            - wedgedot(eval_row(c, 1, []), imc.C0(i), ideal).vform()
         assert h.lookup(0, (i,), ()) == want
         assert h.lookup(1, (), (i,)) == evaluate(c, [], [imc.h_basis(i)])
     c = random_cochain(A, f2.rep, 2, 2, 1, seed=32)
     h = hstar(imc, c)
     for i, j in itertools.combinations(range(1, 6), 2):
         want = c.lookup(0, (i, j), ()) \
-            - (wedgedot(c.symrow(1, (j,)), imc.C0(i), ideal).vform()
-               - wedgedot(c.symrow(1, (i,)), imc.C0(j), ideal).vform()) \
-            + wedgedot_multi(c.symrow(2, ()), [imc.C0(i), imc.C0(j)], ideal).vform()
+            - (wedgedot(eval_row(c, 1, [A.basis(j)]), imc.C0(i), ideal).vform()
+               - wedgedot(eval_row(c, 1, [A.basis(i)]), imc.C0(j), ideal).vform()) \
+            + wedgedot_multi(eval_row(c, 2, []), [imc.C0(i), imc.C0(j)], ideal).vform()
         assert h.lookup(0, (i, j), ()) == want
     for i in range(1, 6):
         for j in range(1, 6):
             want = eval_row(c, 1, [A.basis(i)]).insert(imc.h_basis(j)).vform() \
-                - wedgedot(c.symrow(2, ()).insert(imc.h_basis(j)),
+                - wedgedot(eval_row(c, 2, []).insert(imc.h_basis(j)),
                            imc.C0(i), ideal).vform()
             assert h.lookup(1, (i,), (j,)) == want
     for j1, j2 in itertools.combinations_with_replacement(range(1, 6), 2):
@@ -216,7 +216,7 @@ def test_hstar_naturality_on_general_sections(seed, f2):
     alpha = random_section(A, 140 + seed, bound=1)
     c_alpha = evaluate(imc.cochain, [alpha])      # C(alpha), ideal-valued
     want = evaluate(c, [alpha]) \
-        - wedgedot(c.symrow(1, ()), c_alpha, ideal).vform()
+        - wedgedot(eval_row(c, 1, []), c_alpha, ideal).vform()
     assert evaluate(h, [alpha]) == want
     assert evaluate(h, [], [alpha]) == evaluate(c, [], [imc.h_section(alpha)])
 
@@ -411,6 +411,24 @@ def test_expansion_with_nontrivial_deformations(f3):
                 + c2(f3.ideal, L).scaled(lam * lam)
             assert lhs == rhs
     assert nontrivial > 0
+
+
+@pytest.mark.parametrize("name", ["f2", "f3"])
+def test_expansion_with_sums_of_kernel_cocycles(name, request):
+    # c2 vanishes on each horizontal kernel basis vector; sums of
+    # neighbours reach a nonzero c2, so the lambda^2 term is exercised
+    from weilcalc import bounded_kernel
+    fix = request.getfixturevalue(name)
+    basis = bounded_kernel(fix.A, fix.rep, 1, 1, 1, horizontal_ideal=fix.ideal)
+    om = curvature(fix.imc)
+    nonzero = 0
+    for L in (x + y for x, y in zip(basis, basis[1:])):
+        quad = c2(fix.ideal, L)
+        nonzero += not quad.is_zero
+        for lam in (-1, 2):
+            lhs = curvature(deform(fix.imc, L, lam))
+            assert lhs == om + Dhor(fix.imc, L).scaled(lam) + quad.scaled(lam * lam)
+    assert nonzero > 0
 
 
 def test_c2_quadratic_coboundary_identity(f1, f2):

@@ -125,6 +125,12 @@ def test_evaluate_arity_mismatch_rejected(f1):
         evaluate(c, [f1.A.basis(1), f1.A.basis(2)])
 
 
+def test_evaluate_rejects_a_section_of_another_rank(f1, f2):
+    # an F2 section has five components, F1's algebroid three
+    with pytest.raises(StructureError, match="section rank"):
+        evaluate(f1.imc.cochain, [f2.A.basis(1)])
+
+
 # -- simplicial differential -----------------------------------------------
 
 
