@@ -13,7 +13,6 @@ import itertools
 import operator
 from fractions import Fraction
 
-from . import _linsolve
 from .algebroid import (AlgebroidPresentation, Section, VForm, _wedge, bracket,
                         scalar_wedge, symmetric_slots)
 from .connections import (ARep, EndForm, LinearConnection, SymForm,
@@ -21,8 +20,8 @@ from .connections import (ARep, EndForm, LinearConnection, SymForm,
 from .errors import ContractError, StructureError
 from .polyring import Poly
 from .report import CheckReport
-from .weil import (WeilCochain, _add_into, _cochain, _insert, check_IM, delta,
-                   dnabla_cochain, evaluate, is_horizontal)
+from .weil import (WeilCochain, _add_into, _cochain, _insert, bounded_kernel, check_IM,
+                   delta, dnabla_cochain, evaluate, is_horizontal, solve_coboundary)
 
 
 class IdealBundle:
@@ -310,10 +309,11 @@ def bianchi_check(imc):
 
 
 def deform(imc, L, lam=1):
-    """Deform an IM connection by lam times a horizontal IM 1-form."""
+    """Deform an IM connection by lam times a horizontal IM 1-form; lam is
+    an int or a Fraction (a float or a bool is not an exact rational)."""
     A = imc.A
-    if not isinstance(lam, (int, Fraction)):
-        lam = Fraction(lam)
+    if type(lam) is not int and type(lam) is not Fraction:
+        raise TypeError(f"not an exact rational: {lam!r}")
     if L.p != 1 or L.q != 1 or L.rank != imc.ideal.m:
         raise ContractError("deformation must be an ideal-valued W^{1,1} cochain")
     if not is_horizontal(L, imc.ideal):
@@ -649,111 +649,66 @@ def curving_suite(imc, F, gamma=None):
 # -- semisimple tools ------------------------------------------------------------
 
 
-def _constant_fibre(ideal):
-    """Fibre bracket constants as an antisymmetric Fraction lookup; rejects
-    non-constant structure."""
-    n = ideal.A.nvars
-    zero_exp = (0,) * n
-    out = {}
-    for a, b in itertools.combinations(range(1, ideal.m + 1), 2):
-        f = ideal.fibre_bracket(a, b)
-        for c, p in enumerate(f, start=1):
-            if p.is_zero:
-                continue
+def _fibre_algebroid(ideal, nvars):
+    """The fibre g as a Lie algebroid with zero anchor over an nvars chart,
+    with its adjoint representation; rejects non-constant fibre structure.
+    delta on its cochains W^{p,q} is the Chevalley-Eilenberg differential
+    of g with values in g, extended C^infty-linearly over the chart."""
+    m, zero_exp = ideal.m, (0,) * ideal.A.nvars
+    structure = {}
+    for a, b in itertools.combinations(range(1, m + 1), 2):
+        for c, p in enumerate(ideal.fibre_bracket(a, b), start=1):
             if not p.is_constant:
                 raise ContractError("semisimple tools need constant fibre structure")
-            out[(a, b, c)] = p.coeff(zero_exp)
-    return _antisymmetric(out, Fraction(0))
-
-
-def _ad_columns(m, fib):
-    """ad(u_a) flattened as columns of an (m^2 x m) rational matrix."""
-    cols = []
-    for a in range(1, m + 1):
-        col = {}
-        for d in range(1, m + 1):
-            for b in range(1, m + 1):
-                v = fib(a, d, b)
-                if v:
-                    col[(b, d)] = v
-        cols.append(col)
-    return cols
-
-
-def _semisimple_ad(ideal):
-    """The ad columns of a semisimple fibre (ad injective and every fibre
-    derivation inner, by exact linear algebra); None otherwise."""
-    m = ideal.m
-    fib = _constant_fibre(ideal)
-    cols = _ad_columns(m, fib)
-    if _linsolve.nullspace_sparse(cols):
-        return None
-    # derivation constraints: D[u_a,u_b] = [D u_a, u_b] + [u_a, D u_b]
-    dcols = []
-    for row in range(1, m + 1):
-        for colm in range(1, m + 1):
-            col = {}
-            for a, b in itertools.combinations(range(1, m + 1), 2):
-                for d in range(1, m + 1):
-                    # coefficient of D^{row}_{colm} in the (a,b,d) constraint
-                    v = Fraction(0)
-                    if row == d:
-                        v -= fib(a, b, colm)
-                    if colm == a:
-                        v += fib(row, b, d)
-                    if colm == b:
-                        v += fib(a, row, d)
-                    if v:
-                        col[(a, b, d)] = col.get((a, b, d), Fraction(0)) + v
-            dcols.append(col)
-    der_basis = _linsolve.nullspace_sparse(dcols)
-    # every derivation must be a combination of the ad columns
-    for vec in der_basis:
-        flat = {}
-        for idx, v in vec.items():
-            row, colm = divmod(idx, m)
-            flat[(row + 1, colm + 1)] = v
-        if _linsolve.solve_sparse(cols, flat) is None:
-            return None
-    return cols
+            structure[(a, b, c)] = Poly.const(nvars, p.coeff(zero_exp))
+    G = AlgebroidPresentation(nvars, m, structure)
+    return G, IdealBundle(G, range(1, m + 1)).adjoint_rep()
 
 
 def check_semisimple(ideal):
-    """ad is injective and every fibre derivation is inner (exact linear algebra)."""
-    return _semisimple_ad(ideal) is not None
+    """True iff the fibre g is complete: H^0(g; g) = H^1(g; g) = 0.
+
+    Over a point, delta on W^{p,0} of the fibre is the Chevalley-Eilenberg
+    complex C^p(g; g). H^0 is the centre, so H^0 = 0 says ad is injective;
+    delta xi (u_d) = [u_d, xi], so H^1 is the outer derivations and H^1 = 0
+    says every derivation is inner. This is what ``ad_inverse`` needs.
+    Every semisimple g passes, and so does the solvable aff(1), [x, y] = y.
+    """
+    G, adj = _fibre_algebroid(ideal, 0)
+    return not bounded_kernel(G, adj, 0, 0, 0) and all(
+        solve_coboundary(G, adj, z, 0) is not None for z in bounded_kernel(G, adj, 1, 0, 0))
 
 
 def ad_inverse(ideal, D):
-    """Solve [xi, gamma] = D . xi for gamma, one exact solve per component.
+    """Solve [xi, gamma] = D . xi for gamma.
 
     D is an End-valued form with values in ad(ideal); the solution is the
-    unique form with -ad(gamma) = D. Rejects non-semisimple fibres and
-    values outside the image of ad.
+    unique form with -ad(gamma) = D. Rejects fibres that fail
+    ``check_semisimple`` and values outside the image of ad.
     """
-    cols = _semisimple_ad(ideal)
-    if cols is None:
+    if not check_semisimple(ideal):
         raise ContractError("fibre is not semisimple: ad is not invertible onto Der")
-    return _ad_solve(ideal, cols, D)
+    return _ad_solve(ideal, D)
 
 
-def _ad_solve(ideal, cols, D):
-    """The form gamma with -ad(gamma) = D, given the ad columns of the fibre."""
-    n = ideal.A.nvars
-    groups = {}
+def _ad_solve(ideal, D):
+    """The form gamma with -ad(gamma) = D, for a fibre with trivial centre.
+
+    On the fibre algebroid, delta gamma (u_d) = [u_d, gamma] = -ad(gamma) u_d,
+    so gamma solves delta gamma = T for the W^{1,q} cochain T with
+    T(u_d) = D(u_d). With zero anchor delta is C^infty-linear, so the
+    largest coefficient degree of D bounds gamma's exactly.
+    """
+    G, adj = _fibre_algebroid(ideal, ideal.A.nvars)
+    rows = {}
     for (b, d, idx), p in D.comps.items():
-        for exps, (num, den) in p.items():
-            groups.setdefault((idx, exps), {})[(b, d)] = Fraction(num, den)
-    comps = {}
-    for (idx, exps), rhs in groups.items():
-        x = _linsolve.solve_sparse(cols, {k: -v for k, v in rhs.items()})
-        if x is None:
-            raise ContractError("End-valued form is not ad of an ideal-valued form")
-        for a, v in sorted(x.items()):
-            key = (a + 1, idx)
-            q = Poly.monomial(n, exps, v)
-            cur = comps.get(key)
-            comps[key] = q if cur is None else cur + q
-    return VForm(n, ideal.m, D.degree, comps)
+        rows.setdefault((0, (d,), ()), {})[(b, idx)] = p
+    T = _cochain(G, ideal.m, 1, D.degree, rows)
+    bound = max((sum(exps) for p in D.comps.values() for exps, _ in p.items()), default=0)
+    gamma = solve_coboundary(G, adj, T, bound) if delta(G, adj, T).is_zero else None
+    if gamma is None:
+        raise ContractError("End-valued form is not ad of an ideal-valued form")
+    return gamma.as_vform()
 
 
 def unique_curving(imc):
@@ -767,8 +722,7 @@ def unique_curving(imc):
 def primitive_from_pair(A, ideal, vsecs, conn):
     """Build the primitive IM connection of a pair (v, nabla) over a
     semisimple ideal; the curving is implicitly defined by R = -ad F."""
-    cols = _semisimple_ad(ideal)
-    if cols is None:
+    if not check_semisimple(ideal):
         raise ContractError("pair construction needs a semisimple fibre")
     # nabla must be bracket-preserving and induce the orbit derivative
     if _bracket_failure(A.nvars, ideal.m, _ideal_fib(ideal), conn) is not None:
@@ -777,7 +731,7 @@ def primitive_from_pair(A, ideal, vsecs, conn):
     if not _induces_orbit_derivative(A, ideal, conn, hsec.get):
         raise ContractError(
             "connection does not induce the orbit derivative nabla^A_h")
-    F = _ad_solve(ideal, cols, conn.curvature_R())
+    F = _ad_solve(ideal, conn.curvature_R())
     U = {i: -F.iota(A.rho_basis(i)) for i in range(1, A.rank + 1)
          if i not in ideal.indices}
     cv = splitting_cochain(A, ideal, vsecs, conn, U)

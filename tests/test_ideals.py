@@ -21,6 +21,8 @@ from weilcalc.fixtures import (random_cochain, random_poly, random_section,
                                random_symform, random_vform)
 from weilcalc.weil import cochain_from_invariance, eval_row
 
+from test_semisimple_oracle import ALGEBRAS, fibre_bundle
+
 
 def rvform(fix, degree, seed, bound=1):
     rng = random.Random(f"iv:{fix.name}:{degree}:{seed}")
@@ -540,6 +542,16 @@ def test_deform_rejects_bad_input(f2):
         deform(f2.imc, vertical, 1)
 
 
+@pytest.mark.parametrize("lam", [0.1, 2.0, True])
+def test_deform_rejects_inexact_lambda(f1, lam):
+    # a float would deform by its binary fraction, 0.1 by 3602879701896397/2^55
+    L = delta(f1.A, f1.rep, VForm(2, 1, 1, {(1, (1,)): Poly.var(2, 1)}))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        deform(f1.imc, L, lam)
+    assert deform(f1.imc, L, Fraction(1, 10)).cochain \
+        == (f1.imc.cochain + L.scaled(Fraction(1, 10)))
+
+
 # -- obstruction cocycles ----------------------------------------------------------
 
 
@@ -721,9 +733,16 @@ def test_invariant_shift_keeps_curving(f3):
 
 
 def test_semisimple_detection(f0, f1, f2):
+    # check_semisimple tests completeness, H^0(g; g) = H^1(g; g) = 0
     assert check_semisimple(f0.ideal)
     assert check_semisimple(f2.ideal)
     assert not check_semisimple(f1.ideal)
+    # aff(1), [x, y] = y, is solvable but complete; r_{3,1}, [x, y] = y and
+    # [x, z] = z, is centre-free with the outer derivation y -> z
+    for name, complete in [("aff1", True), ("sl2", True), ("so3+so3", True),
+                           ("r31", False), ("so3+u1", False)]:
+        m, table, _ = ALGEBRAS[name]
+        assert check_semisimple(fibre_bundle(m, table)) is complete, name
 
 
 def test_nilpotent_fibre_is_not_semisimple():

@@ -7,7 +7,9 @@ vector, and the solution with every free variable at zero is sympy's
 ``gauss_jordan_solve`` with every parameter set to zero.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +128,21 @@ def test_inexact_values_are_rejected(bad):
         solve_sparse([{"r": 1}], {"r": bad})
     with pytest.raises(TypeError):
         nullspace_sparse([{"r": bad}])
+
+
+def _imported_names(tree):
+    """Every module and name that an import statement of tree mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom) and node.module:
+                yield node.module
+
+
+def test_only_weil_imports_linsolve():
+    # the exact solver sits behind weil.solve_coboundary and weil.bounded_kernel
+    src = Path(__file__).resolve().parents[1] / "src" / "weilcalc"
+    importers = {path.name for path in sorted(src.glob("*.py"))
+                 if any(name.split(".")[-1] == "_linsolve" for name in
+                        _imported_names(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert importers == {"weil.py"}
