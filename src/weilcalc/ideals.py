@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebroid import (AlgebroidPresentation, Section, VForm, _wedge, bracket,
                         scalar_wedge, symmetric_slots)
-from .connections import (ARep, EndForm, LinearConnection, SymForm,
+from .connections import (ARep, EndForm, LinearConnection, SymForm, invariance_form,
                           is_A_invariant)
 from .errors import ContractError, StructureError
 from .polyring import Poly
@@ -28,7 +28,7 @@ class IdealBundle:
     """Constant subbundle of ker rho spanned by part of the frame and closed
     under bracket with every section."""
 
-    __slots__ = ("A", "indices", "m", "_pos", "_adjoint")
+    __slots__ = ("A", "indices", "m", "_pos", "_adjoint", "_fibre")
 
     def __init__(self, A, indices):
         self.A = A
@@ -51,6 +51,7 @@ class IdealBundle:
                         raise StructureError(
                             f"[e_{i}, e_{k}] leaves the ideal (component {l})")
         self._adjoint = None
+        self._fibre = None
 
     def embed(self, comps):
         """Ideal components (length m) as a full algebroid section."""
@@ -71,10 +72,21 @@ class IdealBundle:
         w = self.A.bracket_basis(self.indices[a - 1], self.indices[b - 1])
         return tuple(w.comps[k - 1] for k in self.indices)
 
+    def fibre(self):
+        """The fibre g as (G, adj): G the zero-anchor algebroid over the chart
+        with structure [u_a, u_b] for a < b, adj its adjoint representation,
+        psi_a = ad(u_a)."""
+        if self._fibre is None:
+            fibre = range(1, self.m + 1)
+            G = AlgebroidPresentation(self.A.nvars, self.m, {
+                (a, b, c): p for a, b in itertools.combinations(fibre, 2)
+                for c, p in enumerate(self.fibre_bracket(a, b), start=1)})
+            self._fibre = G, IdealBundle(G, fibre).adjoint_rep()
+        return self._fibre
+
     @property
     def is_abelian(self):
-        return all(all(p.is_zero for p in self.fibre_bracket(a, b))
-                   for a, b in itertools.combinations(range(1, self.m + 1), 2))
+        return not self.fibre()[0].structure
 
     def adjoint_rep(self):
         """The representation nabla^A_alpha xi = [alpha, xi] in coefficient form."""
@@ -90,16 +102,14 @@ class IdealBundle:
 
     def ad_endform(self, vf):
         """ad(F) for an ideal-valued form F, as an End-valued form."""
-        return _ad(self.A.nvars, self.m, _ideal_fib(self), vf)
+        return _ad(self.fibre()[1], vf)
 
 
-def _ad(n, m, fib, vf):
-    """ad(F) = sum_e F^e ad(u_e), ad(u_e)^b_c = fib(e, c, b), for a form F
-    valued in a rank-m fibre with bracket coefficients fib, as an End-form."""
-    fibre = range(1, m + 1)
-    ad = {(e, b, c, ()): p for e in fibre for b in fibre for c in fibre
-          if not (p := fib(e, c, b)).is_zero}
-    return EndForm(n, m, vf.degree,
+def _ad(adj, vf):
+    """ad(F) = sum_e F^e psi_e for a fibre-valued form F, with psi_e = ad(u_e)
+    read off the fibre's adjoint representation adj, as an End-form."""
+    ad = {(e, b, c, ()): p for (e, b, c), p in adj.psi.items()}
+    return EndForm(adj.nvars, adj.rank, vf.degree,
                    _wedge(vf.comps, ad, lambda f, t: t[1:3] if f[0] == t[0] else None))
 
 
@@ -408,62 +418,38 @@ def frame_splitting(ideal):
 # -- coupling data -------------------------------------------------------------
 
 
-def _antisymmetric(table, zero):
-    """Lookup of structure constants stored for a < b as table[(a, b, c)],
-    extended antisymmetrically in (a, b)."""
-    def fib(a, b, c):
-        if a == b:
-            return zero
-        if a < b:
-            return table.get((a, b, c), zero)
-        return -table.get((b, a, c), zero)
-    return fib
+def _bracket_failure(G, adj, conn):
+    """First (x, a, b) with a < b at which nabla_{d_x} is not a derivation of
+    the bracket of the fibre algebroid G, or None when nabla preserves it.
 
-
-def _ideal_fib(ideal):
-    """Fibre bracket coefficient fib(a, b, c) = [u_a, u_b]^c of an ideal."""
-    return lambda a, b, c: ideal.fibre_bracket(a, b)[c - 1]
-
-
-def _bracket_failure(n, m, fib, conn):
-    """First (x, a, b) at which nabla_{d_x} is not a derivation of the fibre
-    bracket fib on the rank-m fibre, or None when nabla preserves it.
-
-    With ad_a = [u_a, .] as a degree-0 End-form and nabla u_a = Gamma u_a,
-    the rule d-nabla [u_a, u_b] = [nabla u_a, u_b] + [u_a, nabla u_b] is a
-    1-form identity for each pair a < b; the reported triple is the first
-    pair, in the order of x, whose d_x component fails.
+    With [u_a, u_b] = psi_a u_b and nabla u_b = Gamma u_b, the defect is
+    nabla[u_a, u_b] - [nabla u_a, u_b] - [u_a, nabla u_b]
+    = (d psi_a + Gamma psi_a - psi_a Gamma - ad(Gamma u_a)) u_b.
+    G has zero anchor, so its invariance form against adj is
+    T_a = d psi_a + Gamma psi_a - psi_a Gamma, and the entry (d, b, (x,)) of
+    T_a - ad(Gamma u_a) is the u_d component of the defect along d_x.
     """
-    fibre = range(1, m + 1)
-    ad = {a: EndForm(n, m, 0, {(d, e, ()): fib(a, e, d) for d in fibre for e in fibre})
-          for a in fibre}
-    one = Poly.const(n, 1)
-    nabla_u = {a: conn.form.wedge_vform(VForm(n, m, 0, {(a, ()): one})) for a in fibre}
+    T = invariance_form(G, conn, adj).T
     failing = []
-    for a, b in itertools.combinations(fibre, 2):
-        bracket_ab = VForm(n, m, 0, {(d, ()): fib(a, b, d) for d in fibre})
-        defect = conn.dnabla(bracket_ab) - ad[a].act_vform(nabla_u[b]) \
-            + ad[b].act_vform(nabla_u[a])
-        failing.append((a, b, {idx for _, idx in defect.comps}))
-    for x in range(1, n + 1):
-        for a, b, idxs in failing:
-            if (x,) in idxs:
-                return x, a, b
-    return None
+    for a in range(1, G.rank + 1):
+        gamma_u = VForm(G.nvars, G.rank, 1, {(b, idx): p for (b, c, idx), p
+                                             in conn.form.comps.items() if c == a})
+        failing += [(x, a, b) for _, b, (x,) in (T[a] - _ad(adj, gamma_u)).comps if a < b]
+    return min(failing, default=None)
 
 
 def _induces_orbit_derivative(A, ideal, conn, sigma):
     """True iff nabla_{rho(e_i)} u_d = [sigma(i), u_d] for every frame index i
-    and ideal frame vector u_d."""
-    n, m = A.nvars, ideal.m
-    for i in range(1, A.rank + 1):
-        g = conn.form.iota(A.rho_basis(i))
-        for d in range(1, m + 1):
-            lhs = tuple(g.get(b, d, ()) for b in range(1, m + 1))
-            unit = tuple(Poly.const(n, 1 if t == d - 1 else 0) for t in range(m))
-            if lhs != ideal.restrict(bracket(A, sigma(i), ideal.embed(unit))):
-                return False
-    return True
+    and ideal frame vector u_d. The ideal frame is constant and lies in
+    ker rho, so [sigma, u_d] = sum_j sigma^j [e_j, u_d], and the identity
+    reads iota_{rho(e_i)} Gamma = sum_j sigma(i)^j psi_j, psi the adjoint
+    representation."""
+    psi = [ideal.adjoint_rep().endo(j) for j in range(1, A.rank + 1)]
+    zero = EndForm(A.nvars, ideal.m, 0)
+    return all(
+        conn.form.iota(A.rho_basis(i))
+        == sum((e.scaled(s) for e, s in zip(psi, sigma(i).comps) if not s.is_zero), zero)
+        for i in range(1, A.rank + 1))
 
 
 def coupling_checks(imc):
@@ -471,14 +457,14 @@ def coupling_checks(imc):
     data, and the abelian <-> A-invariance equivalence."""
     A = imc.A
     ideal = imc.ideal
-    n, r, m = A.nvars, A.rank, ideal.m
+    r, m = A.rank, ideal.m
     conn = imc.coupling_connection()
     rep = ideal.adjoint_rep()
     report = CheckReport("coupling data")
 
     # S.1: nabla preserves the fibre bracket
     report.record("S.1 bracket-preserving",
-                  _bracket_failure(n, m, _ideal_fib(ideal), conn) is None)
+                  _bracket_failure(*ideal.fibre(), conn) is None)
 
     # S.2: iota_{rho(a)} R = [U(h a), .]
     U = {i: imc.U_of_h(A.basis(i)) for i in range(1, r + 1)}
@@ -531,17 +517,17 @@ def coupling_checks(imc):
 
 
 def _check_coupling_inputs(B, m, fibre, conn, F):
-    n = B.nvars
-    fib = _antisymmetric(fibre, Poly.zero(n))
+    G = AlgebroidPresentation(B.nvars, m, fibre)
+    adj = IdealBundle(G, range(1, m + 1)).adjoint_rep()
     # (i) nabla preserves the fibre bracket
-    failure = _bracket_failure(n, m, fib, conn)
+    failure = _bracket_failure(G, adj, conn)
     if failure is not None:
         x, a, b = failure
         raise ContractError(
             "coupling condition (i) fails: connection does not "
             f"preserve the fibre bracket at (x={x}, {a},{b})")
     # (ii) R = -ad F
-    defect = conn.curvature_R() + _ad(n, m, fib, F)
+    defect = conn.curvature_R() + _ad(adj, F)
     if not defect.is_zero:
         a1, a2 = min(idx for _, _, idx in defect.comps)
         raise ContractError("coupling condition (ii) fails: R-nabla != -ad F "
@@ -649,32 +635,25 @@ def curving_suite(imc, F, gamma=None):
 # -- semisimple tools ------------------------------------------------------------
 
 
-def _fibre_algebroid(ideal, nvars):
-    """The fibre g as a Lie algebroid with zero anchor over an nvars chart,
-    with its adjoint representation; rejects non-constant fibre structure.
-    delta on its cochains W^{p,q} is the Chevalley-Eilenberg differential
-    of g with values in g, extended C^infty-linearly over the chart."""
-    m, zero_exp = ideal.m, (0,) * ideal.A.nvars
-    structure = {}
-    for a, b in itertools.combinations(range(1, m + 1), 2):
-        for c, p in enumerate(ideal.fibre_bracket(a, b), start=1):
-            if not p.is_constant:
-                raise ContractError("semisimple tools need constant fibre structure")
-            structure[(a, b, c)] = Poly.const(nvars, p.coeff(zero_exp))
-    G = AlgebroidPresentation(nvars, m, structure)
-    return G, IdealBundle(G, range(1, m + 1)).adjoint_rep()
+def _constant_fibre(ideal):
+    """``ideal.fibre()``, rejecting non-constant fibre structure."""
+    G, adj = ideal.fibre()
+    if not all(p.is_constant for p in G.structure.values()):
+        raise ContractError("semisimple tools need constant fibre structure")
+    return G, adj
 
 
 def check_semisimple(ideal):
     """True iff the fibre g is complete: H^0(g; g) = H^1(g; g) = 0.
 
-    Over a point, delta on W^{p,0} of the fibre is the Chevalley-Eilenberg
-    complex C^p(g; g). H^0 is the centre, so H^0 = 0 says ad is injective;
-    delta xi (u_d) = [u_d, xi], so H^1 is the outer derivations and H^1 = 0
-    says every derivation is inner. This is what ``ad_inverse`` needs.
-    Every semisimple g passes, and so does the solvable aff(1), [x, y] = y.
+    At coefficient degree bound 0, delta on W^{p,0} of the fibre algebroid
+    is the Chevalley-Eilenberg complex C^p(g; g), as over a point. H^0 is
+    the centre, so H^0 = 0 says ad is injective; delta xi (u_d) = [u_d, xi],
+    so H^1 is the outer derivations and H^1 = 0 says every derivation is
+    inner. This is what ``ad_inverse`` needs. Every semisimple g passes, and
+    so does the solvable aff(1), [x, y] = y.
     """
-    G, adj = _fibre_algebroid(ideal, 0)
+    G, adj = _constant_fibre(ideal)
     return not bounded_kernel(G, adj, 0, 0, 0) and all(
         solve_coboundary(G, adj, z, 0) is not None for z in bounded_kernel(G, adj, 1, 0, 0))
 
@@ -699,7 +678,7 @@ def _ad_solve(ideal, D):
     T(u_d) = D(u_d). With zero anchor delta is C^infty-linear, so the
     largest coefficient degree of D bounds gamma's exactly.
     """
-    G, adj = _fibre_algebroid(ideal, ideal.A.nvars)
+    G, adj = _constant_fibre(ideal)
     rows = {}
     for (b, d, idx), p in D.comps.items():
         rows.setdefault((0, (d,), ()), {})[(b, idx)] = p
@@ -725,7 +704,7 @@ def primitive_from_pair(A, ideal, vsecs, conn):
     if not check_semisimple(ideal):
         raise ContractError("pair construction needs a semisimple fibre")
     # nabla must be bracket-preserving and induce the orbit derivative
-    if _bracket_failure(A.nvars, ideal.m, _ideal_fib(ideal), conn) is not None:
+    if _bracket_failure(*ideal.fibre(), conn) is not None:
         raise ContractError("connection does not preserve the fibre bracket")
     hsec = _horizontal_frame(A, ideal, vsecs)
     if not _induces_orbit_derivative(A, ideal, conn, hsec.get):

@@ -48,10 +48,10 @@ def _unpack(nvars, key):
 
 
 def _pair(c):
-    """Coerce an int or Fraction to a normalized pair."""
-    if isinstance(c, int):
+    """Coerce an int or Fraction, not a bool, to a normalized pair."""
+    if type(c) is int:
         return (c, 1)
-    if isinstance(c, Fraction):
+    if type(c) is Fraction:
         return (c.numerator, c.denominator)
     raise TypeError(f"not an exact rational: {c!r}")
 
@@ -267,7 +267,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return self == Poly.const(self.nvars, other)
         return NotImplemented
 

@@ -9,13 +9,14 @@ their component formulas evaluated in sympy."""
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from weilcalc import (EndForm, LinearConnection, Poly, Section, SymForm, VField,
-                      VForm, bracket_of_forms, build_fixture, invariance_form,
-                      lieA_vform, scalar_wedge, wedgedot)
-from weilcalc.ideals import _bracket_failure, _ideal_fib
+from weilcalc import (AlgebroidPresentation, EndForm, IdealBundle, LinearConnection, Poly,
+                      Section, SymForm, VField, VForm, bracket_of_forms, build_fixture,
+                      invariance_form, lieA_vform, scalar_wedge, wedgedot)
+from weilcalc.ideals import _bracket_failure
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -419,12 +420,37 @@ def test_bracket_of_forms_matches_component_formula(s, t, data):
 # -- coupling condition (i): nabla_{d_x} is a derivation of the fibre bracket ----
 
 
+def bracket_failure_ref(n, m, fib, table):
+    """First (x, a, b) with a < b at which the Christoffel formula of
+    nabla_{d_x} [u_a, u_b] = [nabla_{d_x} u_a, u_b] + [u_a, nabla_{d_x} u_b]
+    fails, for the bracket fib(a, b, d) = [u_a, u_b]^d and the Christoffel
+    table (x, b, c) -> Gamma^b_{x c}; None when it holds everywhere."""
+    G = {k: to_ring(p) for k, p in table.items()}
+    F = {(a, b, d): to_ring(fib(a, b, d))
+         for a, b, d in itertools.product(range(1, m + 1), repeat=3)}
+    for x in range(1, n + 1):
+        for a, b in itertools.combinations(range(1, m + 1), 2):
+            for d in range(1, m + 1):
+                lhs = F[(a, b, d)].diff(_GENS[x - 1]) + sum(
+                    (F[(a, b, e)] * G.get((x, d, e), _R.zero) for e in range(1, m + 1)),
+                    _R.zero)
+                rhs = sum((G.get((x, e, a), _R.zero) * F[(e, b, d)]
+                           + G.get((x, e, b), _R.zero) * F[(a, e, d)]
+                           for e in range(1, m + 1)), _R.zero)
+                if lhs != rhs:
+                    return x, a, b
+    return None
+
+
 @_oracle
 @given(st.data())
 def test_bracket_failure_matches_christoffel_formula(data):
     fix = _fixture("F2_semisimple_2d")
     n, m = fix.A.nvars, fix.ideal.m
-    fib = _ideal_fib(fix.ideal)
+
+    def fib(a, b, c):
+        return fix.ideal.fibre_bracket(a, b)[c - 1]
+
     base = fix.imc.coupling_connection()
     # the coupling connection preserves the bracket, adding an inner derivation
     # ad(xi) keeps it so, and noise on one entry of Gamma_x breaks it at x
@@ -437,21 +463,41 @@ def test_bracket_failure_matches_christoffel_formula(data):
             p = base.gamma(x, b, c) + sum((xi[a - 1] * fib(a, c, b) for a in range(1, m + 1)),
                                           Poly.zero(n))
             table[(x, b, c)] = p + data.draw(polys(n)) if (b, c) in noisy else p
-    G = {k: to_ring(p) for k, p in table.items()}
-    F = {(a, b, d): to_ring(fib(a, b, d))
-         for a, b, d in itertools.product(range(1, m + 1), repeat=3)}
+    conn = LinearConnection(n, m, table)
+    assert _bracket_failure(*fix.ideal.fibre(), conn) == bracket_failure_ref(n, m, fib, table)
 
-    def first_failure():
-        for x in range(1, n + 1):
-            for a, b in itertools.combinations(range(1, m + 1), 2):
-                for d in range(1, m + 1):
-                    lhs = F[(a, b, d)].diff(_GENS[x - 1]) + sum(
-                        (F[(a, b, e)] * G[(x, d, e)] for e in range(1, m + 1)), _R.zero)
-                    rhs = sum((G[(x, e, a)] * F[(e, b, d)] + G[(x, e, b)] * F[(a, e, d)]
-                               for e in range(1, m + 1)), _R.zero)
-                    if lhs != rhs:
-                        return x, a, b
-        return None
+
+def _only_in(p, variables):
+    """The terms of p that involve no variable outside ``variables``."""
+    return Poly(p.nvars, {e: Fraction(num, den) for e, (num, den) in p.items()
+                          if all(k == 0 for v, k in enumerate(e, start=1)
+                                 if v not in variables)})
+
+
+@_oracle
+@given(st.data())
+def test_bracket_failure_on_polynomial_fibre_tables(data):
+    # a random antisymmetric polynomial table (Jacobi need not hold) that
+    # depends on the variables in dep only, and a sparse Christoffel table
+    # that vanishes off the variables in live: d_x with x in neither passes,
+    # and with x in dep only the failure is the d c^d_{ab} term alone
+    n, m = 3, data.draw(st.integers(2, 3))
+    dep = data.draw(st.sets(st.integers(1, n), min_size=1))
+    live = data.draw(st.sets(st.integers(1, n), max_size=2))
+    nonzero = polys(n).filter(lambda p: not p.is_zero)
+    keys = [(a, b, c) for a, b in itertools.combinations(range(1, m + 1), 2)
+            for c in range(1, m + 1)]
+    structure = {k: _only_in(data.draw(nonzero), dep)
+                 for k in data.draw(st.sets(st.sampled_from(keys), min_size=1))}
+    entries = [(x, b, c) for x in sorted(live)
+               for b, c in itertools.product(range(1, m + 1), repeat=2)]
+    table = {k: data.draw(nonzero) for k in sorted(data.draw(
+        st.sets(st.sampled_from(entries), max_size=4)))} if entries else {}
+    G = AlgebroidPresentation(n, m, structure)
+
+    def fib(a, b, c):
+        return G.bracket_basis(a, b).comps[c - 1]
 
     conn = LinearConnection(n, m, table)
-    assert _bracket_failure(n, m, fib, conn) == first_failure()
+    got = _bracket_failure(*IdealBundle(G, range(1, m + 1)).fibre(), conn)
+    assert got == bracket_failure_ref(n, m, fib, table)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weilcalc import (ContractError, Dhor, EndForm, LinearConnection, Poly,
-                      VForm, WeilCochain, abelian_primitive_check,
+                      StructureError, VForm, WeilCochain, abelian_primitive_check,
                       ad_inverse, bianchi_check, bracket_of_forms,
                       build_coupled, c2, check_IM, check_semisimple,
                       coupled_presentation, coupling_checks, curvature,
@@ -625,6 +625,21 @@ def test_coupling_checks_catch_zeroed_U(f2):
     assert any("S.2" in label for label, _ in report.failures)
 
 
+def _non_preserving_connection():
+    """d + x dx on u_1 only: not a derivation of so(3)'s bracket along d_x."""
+    return LinearConnection(2, 3, {(1, 1, 1): Poly.var(2, 0)})
+
+
+def test_coupling_checks_catch_non_preserving_connection(f2):
+    # F2's splitting cochain rebuilt with that connection and F2's U
+    U = {i: -f2.curving.iota(f2.A.rho_basis(i)) for i in (1, 2)}
+    cv = splitting_cochain(f2.A, f2.ideal, f2.vsecs, _non_preserving_connection(), U)
+    from weilcalc.ideals import IMConnection
+    report = coupling_checks(IMConnection(f2.ideal, cv, validate=False))
+    assert [label for label, _ in report.failures] == [
+        "S.1 bracket-preserving", "S.2 curvature vs U", "orbit connection identity"]
+
+
 def test_abelian_iff_invariant_dichotomy(f1, f2):
     r1 = coupling_checks(f1.imc)
     r2 = coupling_checks(f2.imc)
@@ -682,6 +697,23 @@ def test_build_coupled_rejects_nonpreserving_connection():
     with pytest.raises(ContractError) as err:
         build_coupled(B, 3, _so3_fibre(2), conn, F)
     assert "(i)" in str(err.value)
+
+
+def test_build_coupled_names_the_first_non_preserving_direction(f2):
+    from weilcalc.fixtures import _so3_fibre, _tangent_presentation
+    with pytest.raises(ContractError) as err:
+        build_coupled(_tangent_presentation(2), 3, _so3_fibre(2),
+                      _non_preserving_connection(), f2.curving)
+    assert str(err.value) == ("coupling condition (i) fails: connection does not "
+                              "preserve the fibre bracket at (x=1, 1,2)")
+
+
+def test_build_coupled_rejects_an_unordered_fibre_key():
+    from weilcalc.fixtures import _tangent_presentation
+    fibre = {(2, 1, 1): Poly.const(2, 1)}
+    with pytest.raises(StructureError, match="bad structure key"):
+        build_coupled(_tangent_presentation(2), 2, fibre, LinearConnection.trivial(2, 2),
+                      VForm.zero(2, 2, 2))
 
 
 def test_semidirect_product_case():
@@ -815,6 +847,12 @@ def test_abelian_check_detects_curved_connection(f1):
     report = abelian_primitive_check(f1.A, f1.ideal, f1.vsecs, conn, f1.curving)
     assert not report.passed
     assert any("flat" in label for label, _ in report.failures)
+
+
+def test_abelian_check_detects_a_flat_connection_off_the_quotient_action(f1):
+    conn = LinearConnection(2, 1, {(1, 1, 1): Poly.const(2, 1)})   # d + dx, flat
+    report = abelian_primitive_check(f1.A, f1.ideal, f1.vsecs, conn, f1.curving)
+    assert [label for label, _ in report.failures] == ["nabla induces the quotient action"]
 
 
 def test_abelian_check_rejects_nonabelian(f2):

@@ -122,3 +122,22 @@ def test_product_past_the_degree_limit_raises():
         x ** 40000 * y ** 30000
     with pytest.raises(StructureError):
         Poly.monomial(2, (MAX_DEGREE, 1))
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0])
+def test_inexact_coefficients_are_rejected(value):
+    # a bool is an int subclass but not an exact rational, as in _linsolve and deform
+    x = Poly.var(2, 0)
+    for build in (lambda: Poly.const(2, value), lambda: Poly(2, {(1, 0): value}),
+                  lambda: Poly.monomial(2, (0, 1), value), lambda: x + value,
+                  lambda: x * value):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build()
+
+
+def test_comparison_with_a_bool_is_false():
+    one, zero = Poly.const(2, 1), Poly.zero(2)
+    assert one == 1 and zero == 0
+    assert not one == True  # noqa: E712
+    assert not zero == False  # noqa: E712
+    assert one != True  # noqa: E712

@@ -28,10 +28,21 @@ from weilcalc import (AlgebroidPresentation, ContractError, EndForm, IdealBundle
                       VForm, ad_inverse, check_semisimple, primitive_from_pair)
 from weilcalc import _linsolve
 from weilcalc.fixtures import _SO3 as SO3, random_vform
-from weilcalc.ideals import _antisymmetric
 
 
 # -- references ------------------------------------------------------------------
+
+
+def antisymmetric_ref(table, zero):
+    """Lookup of structure constants stored for a < b as table[(a, b, c)],
+    extended antisymmetrically in (a, b)."""
+    def fib(a, b, c):
+        if a == b:
+            return zero
+        if a < b:
+            return table.get((a, b, c), zero)
+        return -table.get((b, a, c), zero)
+    return fib
 
 
 def constant_fibre_ref(ideal):
@@ -48,7 +59,7 @@ def constant_fibre_ref(ideal):
             if not p.is_constant:
                 raise ContractError("semisimple tools need constant fibre structure")
             out[(a, b, c)] = p.coeff(zero_exp)
-    return _antisymmetric(out, Fraction(0))
+    return antisymmetric_ref(out, Fraction(0))
 
 
 def ad_columns_ref(m, fib):
