@@ -3,8 +3,9 @@
 The base is a single chart Q^n with coordinate frame d_1..d_n; the
 algebroid is trivialized by a global frame e_1..e_r. Structure data are
 the polynomials c^k_{ij} (stored for i < j and extended antisymmetrically)
-and the anchor components rho^a_i. Sections, vector fields and
-bundle-valued forms are component tuples / sparse tables of Poly.
+and the anchor components rho^a_i. A section of a trivialized bundle is
+its degree-0 form, keyed (i, ()); vector fields are component tuples and
+bundle-valued forms sparse tables of Poly.
 """
 
 import bisect
@@ -12,7 +13,7 @@ import itertools
 import operator
 
 from .errors import StructureError
-from .polyring import Poly, poly_to_str
+from .polyring import Poly
 
 
 def sort_sign(idx):
@@ -55,53 +56,6 @@ def is_form_index(idx, degree, nvars):
     return len(idx) == degree and (
         degree == 0 or (1 <= idx[0] and idx[-1] <= nvars
                         and all(map(operator.lt, idx, idx[1:]))))
-
-
-class Section:
-    """Section of the algebroid: components alpha^i over the frame e_1..e_r."""
-
-    __slots__ = ("nvars", "comps")
-
-    def __init__(self, nvars, comps):
-        self.nvars = nvars
-        self.comps = tuple(comps)
-        for c in self.comps:
-            if c.nvars != nvars:
-                raise StructureError("section component over wrong chart")
-
-    @property
-    def rank(self):
-        return len(self.comps)
-
-    def __add__(self, other):
-        if self.rank != other.rank:
-            raise StructureError("section rank mismatch")
-        return Section(self.nvars, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        if self.rank != other.rank:
-            raise StructureError("section rank mismatch")
-        return Section(self.nvars, [a - b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return Section(self.nvars, [-a for a in self.comps])
-
-    def scaled(self, f):
-        return Section(self.nvars, [f * a for a in self.comps])
-
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.comps)
-
-    def __eq__(self, other):
-        return (isinstance(other, Section) and self.nvars == other.nvars
-                and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((self.nvars, self.comps))
-
-    def __repr__(self):
-        return f"Section({[poly_to_str(c) for c in self.comps]})"
 
 
 class VField:
@@ -315,6 +269,23 @@ def _wedge(left, right, pair):
     return acc
 
 
+def Section(nvars, comps):
+    """The section with components comps[i - 1] over the frame e_1..e_r of
+    a rank-r bundle, as its degree-0 form."""
+    comps = tuple(comps)
+    if any(c.nvars != nvars for c in comps):
+        raise StructureError("section component over wrong chart")
+    return VForm(nvars, len(comps), 0, {(i, ()): c for i, c in enumerate(comps, start=1)})
+
+
+def check_section(alpha, rank, bundle="algebroid"):
+    """Reject anything but a section (a degree-0 form) of a rank-``rank`` bundle."""
+    if not isinstance(alpha, VForm) or alpha.degree != 0:
+        raise StructureError("a section is a degree-0 form")
+    if alpha.rank != rank:
+        raise StructureError(f"section rank does not match {bundle} rank")
+
+
 def scalar_wedge(sf, vf):
     """Wedge a scalar form (rank-1 VForm) onto a bundle-valued form, sf ^ vf."""
     if sf.rank != 1:
@@ -368,13 +339,9 @@ class AlgebroidPresentation:
         """The frame section e_i (cached: sections are immutable)."""
         e = self._basis_cache.get(i)
         if e is None:
-            e = Section(self.nvars, [Poly.const(self.nvars, 1 if t == i else 0)
-                                     for t in range(1, self.rank + 1)])
+            e = VForm(self.nvars, self.rank, 0, {(i, ()): Poly.const(self.nvars, 1)})
             self._basis_cache[i] = e
         return e
-
-    def zero_section(self):
-        return Section(self.nvars, [Poly.zero(self.nvars)] * self.rank)
 
     def rho_basis(self, i):
         x = self._rho_cache.get(i)
@@ -386,10 +353,9 @@ class AlgebroidPresentation:
 
     def rho(self, alpha):
         """Anchor image of a section as a vector field."""
+        check_section(alpha, self.rank)
         comps = [Poly.zero(self.nvars) for _ in range(self.nvars)]
-        for i, ai in enumerate(alpha.comps, start=1):
-            if ai.is_zero:
-                continue
+        for (i, _), ai in alpha.comps.items():
             for a in range(self.nvars):
                 ra = self.anchor.get((i, a + 1))
                 if ra is not None:
@@ -401,10 +367,10 @@ class AlgebroidPresentation:
         w = self._bracket_cache.get((i, j))
         if w is None:
             if i < j:
-                w = Section(self.nvars, [self.structure.get((i, j, k), Poly.zero(self.nvars))
-                                         for k in range(1, self.rank + 1)])
+                w = VForm(self.nvars, self.rank, 0, {(k, ()): p for (a, b, k), p
+                                                     in self.structure.items() if (a, b) == (i, j)})
             else:
-                w = self.zero_section() if i == j else -self.bracket_basis(j, i)
+                w = VForm.zero(self.nvars, self.rank, 0) if i == j else -self.bracket_basis(j, i)
             self._bracket_cache[(i, j)] = w
         return w
 
@@ -421,20 +387,13 @@ def bracket(A, alpha, beta):
     [alpha, beta]^k = alpha^i beta^j c^k_{ij} + rho(alpha)(beta^k)
                       - rho(beta)(alpha^k).
     """
-    if alpha.rank != A.rank or beta.rank != A.rank:
-        raise StructureError("section rank does not match algebroid rank")
+    check_section(alpha, A.rank)
+    check_section(beta, A.rank)
     ra, rb = A.rho(alpha), A.rho(beta)
-    comps = []
-    for k in range(1, A.rank + 1):
-        p = ra.apply(beta.comps[k - 1]) - rb.apply(alpha.comps[k - 1])
-        for (i, j, kk), c in A.structure.items():
-            if kk != k:
-                continue
-            ai, aj = alpha.comps[i - 1], alpha.comps[j - 1]
-            bi, bj = beta.comps[i - 1], beta.comps[j - 1]
-            coef = ai * bj - aj * bi
-            if not coef.is_zero:
-                p = p + coef * c
-        comps.append(p)
-    return Section(A.nvars, comps)
+    comps = {(k, ()): ra.apply(beta.get(k, ())) - rb.apply(alpha.get(k, ()))
+             for k in range(1, A.rank + 1)}
+    for (i, j, k), c in A.structure.items():
+        coef = alpha.get(i, ()) * beta.get(j, ()) - alpha.get(j, ()) * beta.get(i, ())
+        comps[(k, ())] = comps[(k, ())] + coef * c
+    return VForm(A.nvars, A.rank, 0, comps)
 

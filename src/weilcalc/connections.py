@@ -9,7 +9,8 @@ psi^b_{i c} u_b), with psi_i available as a degree-0 End-form. Products and
 Lie derivatives of End-forms are the single ones of ``algebroid``.
 """
 
-from .algebroid import SparseTable, VForm, _lie, _wedge, is_form_index, symmetric_slots
+from .algebroid import (SparseTable, VForm, _lie, _wedge, check_section, is_form_index,
+                        symmetric_slots)
 from .errors import StructureError
 
 
@@ -211,11 +212,12 @@ class SymForm(SparseTable):
         """
         if self.arity == 0:
             raise StructureError("no symmetric slot to fill")
+        check_section(section, self.secrank)
         acc = {}
         for J, vf in self.comps.items():
             for j, rest, _ in symmetric_slots(J):
-                coeff = section.comps[j - 1]
-                if coeff.is_zero:
+                coeff = section.comps.get((j, ()))
+                if coeff is None:
                     continue
                 term = vf.scaled(coeff)
                 cur = acc.get(rest)

@@ -101,11 +101,8 @@ def random_poly(rng, nvars, bound):
             continue
         if rng.random() < 0.5:
             continue
-        terms[exps] = (num, rng.randint(1, 2))
-    p = Poly.zero(nvars)
-    for exps, (num, den) in terms.items():
-        p = p + Poly.monomial(nvars, exps, Fraction(num, den))
-    return p
+        terms[exps] = Fraction(num, rng.randint(1, 2))
+    return Poly(nvars, terms)
 
 
 def random_vform(rng, nvars, rank, degree, bound):

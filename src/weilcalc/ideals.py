@@ -13,12 +13,11 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .algebroid import (AlgebroidPresentation, Section, VForm, _wedge, bracket,
+from .algebroid import (AlgebroidPresentation, VForm, _wedge, bracket, check_section,
                         scalar_wedge, symmetric_slots)
 from .connections import (ARep, EndForm, LinearConnection, SymForm, invariance_form,
                           is_A_invariant)
 from .errors import ContractError, StructureError
-from .polyring import Poly
 from .report import CheckReport
 from .weil import (WeilCochain, _add_into, _cochain, _insert, bounded_kernel, check_IM,
                    delta, dnabla_cochain, evaluate, is_horizontal, solve_coboundary)
@@ -42,35 +41,33 @@ class IdealBundle:
             for a in range(1, A.nvars + 1):
                 if (k, a) in A.anchor:
                     raise StructureError(f"anchor does not vanish on ideal index {k}")
-        inside = set(self.indices)
         for i in range(1, A.rank + 1):
             for k in self.indices:
-                w = A.bracket_basis(i, k)
-                for l, comp in enumerate(w.comps, start=1):
-                    if l not in inside and not comp.is_zero:
-                        raise StructureError(
-                            f"[e_{i}, e_{k}] leaves the ideal (component {l})")
+                outside = [l for l, _ in A.bracket_basis(i, k).comps if l not in self._pos]
+                if outside:
+                    raise StructureError(
+                        f"[e_{i}, e_{k}] leaves the ideal (component {min(outside)})")
         self._adjoint = None
         self._fibre = None
 
-    def embed(self, comps):
-        """Ideal components (length m) as a full algebroid section."""
-        full = [Poly.zero(self.A.nvars) for _ in range(self.A.rank)]
-        for a, p in enumerate(comps):
-            full[self.indices[a] - 1] = p
-        return Section(self.A.nvars, full)
+    def embed(self, xi):
+        """A section of the ideal (a rank-m 0-form) as a section of A."""
+        check_section(xi, self.m, "ideal")
+        return VForm(self.A.nvars, self.A.rank, 0,
+                     {(self.indices[a - 1], ()): p for (a, _), p in xi.comps.items()})
 
     def restrict(self, section):
-        """Ideal components of a section known to lie in the ideal."""
-        for l, comp in enumerate(section.comps, start=1):
-            if l not in self._pos and not comp.is_zero:
-                raise StructureError("section does not lie in the ideal")
-        return tuple(section.comps[k - 1] for k in self.indices)
+        """A section of A known to lie in the ideal as a section of the ideal."""
+        check_section(section, self.A.rank)
+        if any(l not in self._pos for l, _ in section.comps):
+            raise StructureError("section does not lie in the ideal")
+        return VForm(self.A.nvars, self.m, 0, {
+            (a, ()): p for a, k in enumerate(self.indices, start=1)
+            if (p := section.comps.get((k, ()))) is not None})
 
     def fibre_bracket(self, a, b):
-        """[u_a, u_b] in ideal components."""
-        w = self.A.bracket_basis(self.indices[a - 1], self.indices[b - 1])
-        return tuple(w.comps[k - 1] for k in self.indices)
+        """[u_a, u_b] as a section of the ideal."""
+        return self.restrict(self.A.bracket_basis(self.indices[a - 1], self.indices[b - 1]))
 
     def fibre(self):
         """The fibre g as (G, adj): G the zero-anchor algebroid over the chart
@@ -80,7 +77,7 @@ class IdealBundle:
             fibre = range(1, self.m + 1)
             G = AlgebroidPresentation(self.A.nvars, self.m, {
                 (a, b, c): p for a, b in itertools.combinations(fibre, 2)
-                for c, p in enumerate(self.fibre_bracket(a, b), start=1)})
+                for (c, _), p in self.fibre_bracket(a, b).comps.items()})
             self._fibre = G, IdealBundle(G, fibre).adjoint_rep()
         return self._fibre
 
@@ -94,9 +91,8 @@ class IdealBundle:
             psi = {}
             for i in range(1, self.A.rank + 1):
                 for a, k in enumerate(self.indices, start=1):
-                    w = self.A.bracket_basis(i, k)
-                    for b, l in enumerate(self.indices, start=1):
-                        psi[(i, b, a)] = w.comps[l - 1]
+                    for (b, _), p in self.restrict(self.A.bracket_basis(i, k)).comps.items():
+                        psi[(i, b, a)] = p
             self._adjoint = ARep(self.A.nvars, self.A.rank, self.m, psi)
         return self._adjoint
 
@@ -134,11 +130,8 @@ class IMConnection:
         self.cochain = cochain
         self._conn = None
         self._hsec = {}
-        for a, k in enumerate(ideal.indices, start=1):
-            vk = cochain.lookup(1, (), (k,))
-            unit = VForm(A.nvars, ideal.m, 0,
-                         {(a, ()): Poly.const(A.nvars, 1)})
-            if vk != unit:
+        for k in ideal.indices:
+            if cochain.lookup(1, (), (k,)) != ideal.restrict(A.basis(k)):
                 raise ContractError(f"symbol does not restrict to the identity at e_{k}")
         if validate:
             rep = im_report if im_report is not None \
@@ -157,14 +150,12 @@ class IMConnection:
         return self.cochain.lookup(0, (i,), ())
 
     def v_comps(self, j):
-        """v(e_j) in ideal components."""
-        vf = self.cochain.lookup(1, (), (j,))
-        return tuple(vf.get(a, ()) for a in range(1, self.ideal.m + 1))
+        """v(e_j) as a section of the ideal."""
+        return self.cochain.lookup(1, (), (j,))
 
     def v_section(self, alpha):
-        """v(alpha) in ideal components (tensorial)."""
-        vf = evaluate(self.cochain, [], [alpha])
-        return tuple(vf.get(a, ()) for a in range(1, self.ideal.m + 1))
+        """v(alpha) as a section of the ideal (tensorial)."""
+        return evaluate(self.cochain, [], [alpha])
 
     def h_section(self, alpha):
         """Horizontal component h(alpha) = alpha - v(alpha)."""
@@ -276,9 +267,8 @@ def hstar(imc, c):
     # hrow[l]: (b, h^l_b) for the nonzero components l of h(e_b)
     hrow = {}
     for b in range(1, r + 1):
-        for l, hlb in enumerate(imc.h_basis(b).comps, start=1):
-            if not hlb.is_zero:
-                hrow.setdefault(l, []).append((b, hlb))
+        for (l, _), hlb in imc.h_basis(b).comps.items():
+            hrow.setdefault(l, []).append((b, hlb))
     # fills[J]: {b: sum over the distinct orderings l of J of prod_s h^{l_s}_{b_s}}
     fills, acc = {}, {}
     for (k, I, J), table in total.items():
@@ -359,31 +349,26 @@ def _on_ideal(ideal, c):
 def splitting_cochain(A, ideal, vsecs, conn, U=None):
     """The W^{1,1} cochain (C, v) of a triple: C = nabla(v .) - U(h .).
 
-    ``vsecs`` maps a frame index to the ideal components of v(e_j) and must
-    restrict to the identity on the ideal; ``U`` maps non-ideal frame
+    ``vsecs`` maps a frame index j to v(e_j), a section of the ideal, and
+    must restrict to the identity on the ideal; ``U`` maps non-ideal frame
     indices to U(h e_i) as an ideal-valued 1-form (vertical slots are not
     part of the domain of U and are rejected).
     """
-    n = A.nvars
-    for a, k in enumerate(ideal.indices):
-        comps = vsecs[k]
-        for b, p in enumerate(comps):
-            want = Poly.const(n, 1 if b == a else 0)
-            if p != want:
-                raise ContractError(f"v is not a splitting: v(e_{k}) != e_{k}")
+    for k in ideal.indices:
+        if vsecs[k] != ideal.restrict(A.basis(k)):
+            raise ContractError(f"v is not a splitting: v(e_{k}) != e_{k}")
     U = U or {}
     for i in U:
         if i in ideal.indices:
             raise ContractError("U is only defined on the horizontal frame")
     comps = {}
     for i in range(1, A.rank + 1):
-        vform0 = VForm(n, ideal.m, 0, {(a + 1, ()): p for a, p in enumerate(vsecs[i])})
-        cf = conn.dnabla(vform0)
+        cf = conn.dnabla(vsecs[i])
         ui = U.get(i)
         if ui is not None:
             cf = cf - ui
         comps[(0, (i,), ())] = cf
-        comps[(1, (), (i,))] = vform0
+        comps[(1, (), (i,))] = vsecs[i]
     return WeilCochain(A, ideal.m, 1, 1, comps)
 
 
@@ -405,14 +390,9 @@ def _horizontal_frame(A, ideal, vsecs):
 def frame_splitting(ideal):
     """The frame-aligned splitting v = projection onto the ideal indices."""
     A = ideal.A
-    n = A.nvars
-    out = {}
-    for j in range(1, A.rank + 1):
-        comps = [Poly.zero(n)] * ideal.m
-        if j in ideal.indices:
-            comps[ideal.indices.index(j)] = Poly.const(n, 1)
-        out[j] = tuple(comps)
-    return out
+    zero = VForm.zero(A.nvars, ideal.m, 0)
+    return {j: ideal.restrict(A.basis(j)) if j in ideal.indices else zero
+            for j in range(1, A.rank + 1)}
 
 
 # -- coupling data -------------------------------------------------------------
@@ -448,7 +428,7 @@ def _induces_orbit_derivative(A, ideal, conn, sigma):
     zero = EndForm(A.nvars, ideal.m, 0)
     return all(
         conn.form.iota(A.rho_basis(i))
-        == sum((e.scaled(s) for e, s in zip(psi, sigma(i).comps) if not s.is_zero), zero)
+        == sum((psi[j - 1].scaled(s) for (j, _), s in sigma(i).comps.items()), zero)
         for i in range(1, A.rank + 1))
 
 
@@ -457,7 +437,7 @@ def coupling_checks(imc):
     data, and the abelian <-> A-invariance equivalence."""
     A = imc.A
     ideal = imc.ideal
-    r, m = A.rank, ideal.m
+    r = A.rank
     conn = imc.coupling_connection()
     rep = ideal.adjoint_rep()
     report = CheckReport("coupling data")
@@ -498,14 +478,9 @@ def coupling_checks(imc):
                   _induces_orbit_derivative(A, ideal, conn, imc.h_basis))
 
     # v[h a, h b] = U(h a)(rho b)
-    ok = True
-    for i, j in itertools.permutations(range(1, r + 1), 2):
-        lhs = imc.v_section(bracket(A, imc.h_basis(i), imc.h_basis(j)))
-        rhs_form = U[i].iota(A.rho_basis(j))
-        rhs = tuple(rhs_form.get(a, ()) for a in range(1, m + 1))
-        if tuple(lhs) != rhs:
-            ok = False
-    report.record("U along orbits", ok)
+    report.record("U along orbits", all(
+        imc.v_section(bracket(A, imc.h_basis(i), imc.h_basis(j))) == U[i].iota(A.rho_basis(j))
+        for i, j in itertools.permutations(range(1, r + 1), 2)))
 
     inv = is_A_invariant(A, conn, rep)
     report.record("abelian iff A-invariant", inv == ideal.is_abelian,
@@ -723,17 +698,14 @@ def primitive_from_pair(A, ideal, vsecs, conn):
 
 def splitting_curvature(A, ideal, vsecs):
     """Curvature of a splitting: sigma [b_i, b_j]_B - [sigma b_i, sigma b_j],
-    in ideal components, for pairs of non-ideal frame indices."""
+    as a section of the ideal, for pairs of non-ideal frame indices."""
     hsec = _horizontal_frame(A, ideal, vsecs)
     out = {}
     horiz = [i for i in range(1, A.rank + 1) if i not in ideal.indices]
     for i, j in itertools.combinations(horiz, 2):
         z = bracket(A, hsec[i], hsec[j])
-        sigma_pr = A.zero_section()
-        for k in horiz:
-            zk = z.comps[k - 1]
-            if not zk.is_zero:
-                sigma_pr = sigma_pr + hsec[k].scaled(zk)
+        sigma_pr = sum((hsec[k].scaled(zk) for (k, _), zk in z.comps.items() if k in horiz),
+                       VForm.zero(A.nvars, A.rank, 0))
         out[(i, j)] = ideal.restrict(sigma_pr - z)
     return out
 
@@ -744,20 +716,15 @@ def abelian_primitive_check(A, ideal, vsecs, conn, F):
     the splitting curvature through the anchor, and transverse d-nabla F."""
     if not ideal.is_abelian:
         raise ContractError("abelian criteria need an abelian ideal")
-    m = ideal.m
     report = CheckReport("abelian primitive criteria")
     report.record("nabla is flat", conn.curvature_R().is_zero)
     report.record("nabla induces the quotient action",
                   _induces_orbit_derivative(A, ideal, conn, A.basis))
 
-    fv = splitting_curvature(A, ideal, vsecs)
-    ok = True
-    for (i, j), comps in fv.items():
-        pulled = F.iota(A.rho_basis(i)).iota(A.rho_basis(j))  # F(rho e_i, rho e_j)
-        want = tuple(pulled.get(a, ()) for a in range(1, m + 1))
-        if tuple(comps) != want:
-            ok = False
-    report.record("splitting curvature is the anchor pullback of F", ok)
+    # F(rho e_i, rho e_j)
+    report.record("splitting curvature is the anchor pullback of F", all(
+        sigma == F.iota(A.rho_basis(i)).iota(A.rho_basis(j))
+        for (i, j), sigma in splitting_curvature(A, ideal, vsecs).items()))
 
     dF = conn.dnabla(F)
     ok = all(dF.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))

@@ -28,8 +28,8 @@ import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, _iota, _wedge, d_scalar, sort_sign,
-                        sorted_multisets, symmetric_slots)
+from .algebroid import (SparseTable, VForm, _iota, _wedge, check_section, d_scalar,
+                        sort_sign, sorted_multisets, symmetric_slots)
 from .connections import ARep, SymForm, _lieA
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly
@@ -190,16 +190,14 @@ def _contract(c, alpha):
     (k, I - i, J) for i = I[t], and, for each distinct i in J with
     alpha^i not constant, (-1)^(k-1) d(alpha^i) ^ v to (k - 1, I, J - i)."""
     A = c.A
-    if alpha.rank != A.rank:
-        raise StructureError("section rank does not match algebroid rank")
-    coefs = alpha.comps
-    dcoefs = {i: d_scalar(ai, A.nvars).comps
-              for i, ai in enumerate(coefs, start=1) if not ai.is_constant}
+    check_section(alpha, A.rank)
+    coefs = {i: ai for (i, _), ai in alpha.comps.items()}
+    dcoefs = {i: d_scalar(ai, A.nvars).comps for i, ai in coefs.items() if not ai.is_constant}
     acc = {}
     for (k, I, J), v in c.comps.items():
         for t, i in enumerate(I):
-            ai = coefs[i - 1]
-            if not ai.is_zero:
+            ai = coefs.get(i)
+            if ai is not None:
                 _add_into(acc, (k, I[:t] + I[t + 1:], J), v.comps, -ai if (k + t) % 2 else ai)
         for i, rest, _ in symmetric_slots(J):
             if i in dcoefs:

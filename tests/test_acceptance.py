@@ -11,7 +11,7 @@ import json
 import random
 from fractions import Fraction
 
-from weilcalc import (Dhor, EndForm, LinearConnection, Poly, VForm,
+from weilcalc import (Dhor, EndForm, LinearConnection, Poly, Section, VForm,
                       WeilCochain, bianchi_check, bounded_kernel,
                       bracket_of_forms, build_coupled, c2, check_IM,
                       check_semisimple, cochain_from_invariance,
@@ -123,10 +123,10 @@ def test_criterion_04_pairing_laws(f2):
             wedgedot_multi(g1, [t1, t2], ideal).scaled(f)
         # (ii) simple tensors
         th = VForm(2, 1, 1, {(1, (1,)): random_poly(random.Random(f"d:{seed}"), 2, 1)})
-        xi = tuple(random_poly(random.Random(f"e:{seed}:{a}"), 2, 1) for a in range(3))
-        simple = VForm(2, 3, 1, {(b, (1,)): th.get(1, (1,)) * xi[b - 1]
+        xi = Section(2, [random_poly(random.Random(f"e:{seed}:{a}"), 2, 1) for a in range(3)])
+        simple = VForm(2, 3, 1, {(b, (1,)): th.get(1, (1,)) * xi.get(b, ())
                                  for b in range(1, 4)
-                                 if not (th.get(1, (1,)) * xi[b - 1]).is_zero})
+                                 if not (th.get(1, (1,)) * xi.get(b, ())).is_zero})
         lhs = wedgedot_multi(g1, [simple, t2], ideal)
         inner = wedgedot(g1.insert(ideal.embed(xi)), t2, ideal)
         rhs = SymForm.zero(2, 3, 5, inner.arity, inner.degree + 1)
@@ -239,9 +239,7 @@ def test_criterion_07_curvature(all_fixtures):
         conn = fix.conn
         R = conn.curvature_R()
         for i in range(1, fix.A.rank + 1):
-            v_i = VForm(fix.A.nvars, fix.ideal.m, 0,
-                        {(a + 1, ()): p for a, p in enumerate(fix.imc.v_comps(i))
-                         if not p.is_zero})
+            v_i = fix.imc.v_comps(i)
             u_i = fix.imc.U_of_h(fix.A.basis(i))
             ok = ok and om.lookup(0, (i,), ()) == R.wedge_vform(v_i) - conn.dnabla(u_i)
             ok = ok and om.lookup(1, (), (i,)) == -u_i
@@ -378,7 +376,7 @@ def test_criterion_12_obstruction(f1, f2):
     vsecs = frame_splitting(f1.ideal)
     y = Poly.var(2, 1)
     shifted = dict(vsecs)
-    shifted[1] = (y,)    # v' = v + l with l horizontal
+    shifted[1] = Section(2, [y])    # v' = v + l with l horizontal
     u_table = {i: f1.imc.U_of_h(f1.A.basis(i)) for i in (1, 2)}
     triples = [
         (vsecs, f1.conn, None),

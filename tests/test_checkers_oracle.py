@@ -68,7 +68,7 @@ def rep_reference(A, rep):
     out = [("leibniz", True)]
     for i, j in itertools.combinations(range(1, A.rank + 1), 2):
         lhs = EndForm.zero(A.nvars, rep.rank, 0)
-        for k, wk in enumerate(A.bracket_basis(i, j).comps, start=1):
+        for (k, _), wk in A.bracket_basis(i, j).comps.items():
             lhs = lhs + psi[k].scaled(wk)
         rhs = psi[j].lie(A.rho_basis(i)) - psi[i].lie(A.rho_basis(j)) \
             + psi[i].compose(psi[j]) - psi[j].compose(psi[i])

@@ -44,7 +44,7 @@ def eval_basis_ref(c, k, prefix, rest, J):
     pos = len(prefix)
     out = VForm.zero(n, c.rank, c.q - k)
     for i in range(1, r + 1):
-        ai = alpha.comps[i - 1]
+        ai = alpha.get(i, ())
         if not ai.is_zero:
             sub = eval_basis_ref(c, k, prefix + (i,), tail, J)
             if not sub.is_zero:

@@ -39,10 +39,9 @@ def lieA_vform_ref(A, rep, alpha, vf):
     """L^A_alpha on a plain V-valued form: the Lie derivative along
     rho(alpha) plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
     columns = {}
-    for i, ai in enumerate(alpha.comps, start=1):
-        if ai:
-            for c, entries in rep.psi_columns(i).items():
-                columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
+    for (i, _), ai in alpha.comps.items():
+        for c, entries in rep.psi_columns(i).items():
+            columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
     return VForm(A.nvars, vf.rank, vf.degree, _lieA(vf, A.rho(alpha), columns))
 
 
@@ -50,12 +49,10 @@ def bracket_with_frame_ref(A, alpha, j):
     """Components of [alpha, e_j] = sum_i alpha^i [e_i, e_j] - rho(e_j)(alpha^i) e_i,
     read from the cached frame brackets."""
     rho_j = A.rho_basis(j)
-    out = [-rho_j.apply(ai) for ai in alpha.comps]
-    for i, ai in enumerate(alpha.comps, start=1):
-        if not ai.is_zero:
-            for k, w in enumerate(A.bracket_basis(i, j).comps):
-                if not w.is_zero:
-                    out[k] = out[k] + ai * w
+    out = [-rho_j.apply(alpha.get(i, ())) for i in range(1, A.rank + 1)]
+    for (i, _), ai in alpha.comps.items():
+        for (k, _), w in A.bracket_basis(i, j).comps.items():
+            out[k - 1] = out[k - 1] + ai * w
     return out
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from weilcalc import (ContractError, Dhor, EndForm, LinearConnection, Poly,
-                      StructureError, VForm, WeilCochain, abelian_primitive_check,
-                      ad_inverse, bianchi_check, bracket_of_forms,
+from weilcalc import (AlgebroidPresentation, ContractError, Dhor, EndForm, IdealBundle,
+                      LinearConnection, Poly, Section, StructureError, VForm, WeilCochain,
+                      abelian_primitive_check, ad_inverse, bianchi_check, bracket, bracket_of_forms,
                       build_coupled, c2, check_IM, check_semisimple,
                       coupled_presentation, coupling_checks, curvature,
                       curving_suite, deform, delta, evaluate,
@@ -29,6 +29,56 @@ def rvform(fix, degree, seed, bound=1):
     return random_vform(rng, fix.A.nvars, fix.ideal.m, degree, bound)
 
 
+# -- sections -------------------------------------------------------------------
+
+
+def test_embed_and_restrict_are_inverse(f2):
+    x, zero = Poly.var(2, 0), Poly.zero(2)
+    xi = Section(2, [x, zero, Poly.const(2, 2)])
+    alpha = f2.ideal.embed(xi)
+    assert f2.ideal.indices == (3, 4, 5)
+    assert alpha == Section(2, [zero, zero, x, zero, Poly.const(2, 2)])
+    assert f2.ideal.restrict(alpha) == xi
+    with pytest.raises(StructureError, match="section does not lie in the ideal"):
+        f2.ideal.restrict(alpha + f2.A.basis(2))
+
+
+def test_ideal_closure_names_the_least_component():
+    # [e_2, e_1] = -e_2 - e_3 leaves the ideal spanned by e_1 in components 2 and 3
+    A = AlgebroidPresentation(0, 3, {(1, 2, 3): Poly.const(0, 1), (1, 2, 2): Poly.const(0, 1)})
+    with pytest.raises(StructureError, match=r"\[e_2, e_1\] leaves the ideal \(component 2\)"):
+        IdealBundle(A, (1,))
+
+
+def _section_consumers(fix):
+    """Each consumer of a section, and whether it takes a section of the ideal."""
+    A, ideal, c = fix.A, fix.ideal, fix.imc.cochain
+    return {
+        "evaluate": (lambda s: evaluate(c, [s]), False),
+        "SymForm.insert": (eval_row(c, 1, []).insert, False),
+        "bracket left": (lambda s: bracket(A, s, A.basis(1)), False),
+        "bracket right": (lambda s: bracket(A, A.basis(1), s), False),
+        "rho": (A.rho, False),
+        "restrict": (ideal.restrict, False),
+        "embed": (ideal.embed, True),
+    }
+
+
+@pytest.mark.parametrize("consumer", ["evaluate", "SymForm.insert", "bracket left",
+                                      "bracket right", "rho", "restrict", "embed"])
+def test_section_consumers_reject_forms_and_the_other_bundle(consumer, f2):
+    # a section is a 0-form of its bundle's rank: an A-valued 1-form and a
+    # section of the other bundle (A for the ideal, the ideal for A) are refused
+    consume, of_ideal = _section_consumers(f2)[consumer]
+    n, m = f2.A.nvars, f2.ideal.m
+    one = Poly.const(n, 1)
+    with pytest.raises(StructureError, match="a section is a degree-0 form"):
+        consume(VForm(n, f2.A.rank, 1, {(1, (1,)): one}))
+    other, bundle = (f2.A.basis(1), "ideal") if of_ideal else (Section(n, [one] * m), "algebroid")
+    with pytest.raises(StructureError, match=f"section rank does not match {bundle} rank"):
+        consume(other)
+
+
 # -- the pairing ----------------------------------------------------------------
 
 
@@ -42,8 +92,8 @@ def test_pairing_one_one_formula(f2):
     lhs = out.iota(dx).iota(dy)     # out(dx, dy)
     t_x = tuple(theta.get(a, (1,)) for a in range(1, 4))
     t_y = tuple(theta.get(a, (2,)) for a in range(1, 4))
-    rhs = gamma.insert(f2.ideal.embed(t_x)).vform().iota(dy) \
-        - gamma.insert(f2.ideal.embed(t_y)).vform().iota(dx)
+    rhs = gamma.insert(f2.ideal.embed(Section(2, t_x))).vform().iota(dy) \
+        - gamma.insert(f2.ideal.embed(Section(2, t_y))).vform().iota(dx)
     assert lhs == rhs
 
 
@@ -56,7 +106,7 @@ def test_pairing_simple_tensor(f2):
                              for b in range(1, 4) for idx in [(1,)]
                              if (1, idx) in t.comps and not xi[b - 1].is_zero})
     lhs = wedgedot(gamma, simple, f2.ideal)
-    inserted = gamma.insert(f2.ideal.embed(xi))
+    inserted = gamma.insert(f2.ideal.embed(Section(2, xi)))
     rhs_tbl = {}
     for j, vf in inserted.comps.items():
         w = scalar_wedge(t, vf)
@@ -151,7 +201,8 @@ def test_pairing_multi_matches_direct_shuffle_formula(f2):
         srt, sign = sort_sign(perm)
         x1 = tuple(t1.get(a, (perm[0],)) for a in range(1, 4))
         x2 = tuple(t2.get(a, (perm[1],)) for a in range(1, 4))
-        val = gamma.insert(f2.ideal.embed(x1)).insert(f2.ideal.embed(x2)).vform()
+        val = gamma.insert(f2.ideal.embed(Section(2, x1))).insert(
+            f2.ideal.embed(Section(2, x2))).vform()
         for (b, idx), p in val.comps.items():
             key = (b, ())
             q = p if sign > 0 else -p
@@ -304,9 +355,7 @@ def test_curvature_explicit_formula(all_fixtures):
         R = conn.curvature_R()
         om = curvature(imc)
         for i in range(1, A.rank + 1):
-            v_i = VForm(A.nvars, ideal.m, 0,
-                        {(a + 1, ()): p for a, p in enumerate(imc.v_comps(i))
-                         if not p.is_zero})
+            v_i = imc.v_comps(i)
             u_i = imc.U_of_h(A.basis(i))
             lead = R.wedge_vform(v_i) - conn.dnabla(u_i)
             assert om.lookup(0, (i,), ()) == lead
@@ -461,7 +510,7 @@ def c2_reference(ideal, L):
     n, r, m = A.nvars, A.rank, ideal.m
 
     def apply_L(xi):
-        return evaluate(L, [ideal.embed(xi)])
+        return evaluate(L, [ideal.embed(Section(n, xi))])
 
     comps = {}
     for i in range(1, r + 1):
@@ -593,7 +642,7 @@ def test_obstruction_triple_independence(f2):
 
 def test_obstruction_rejects_non_splitting(f1):
     vsecs = frame_splitting(f1.ideal)
-    vsecs[3] = (Poly.zero(2),)   # drop the identity on the ideal
+    vsecs[3] = Section(2, [Poly.zero(2)])   # drop the identity on the ideal
     with pytest.raises(ContractError):
         obstruction_cocycle(f1.A, f1.ideal, vsecs, f1.conn, None)
 
@@ -863,7 +912,7 @@ def test_abelian_check_rejects_nonabelian(f2):
 def test_splitting_curvature_matches_pullback(f1):
     fv = splitting_curvature(f1.A, f1.ideal, f1.vsecs)
     x = Poly.var(2, 0)
-    assert fv[(1, 2)] == (x,)   # sigma[b1,b2] - [sigma b1, sigma b2] = x e
+    assert fv[(1, 2)] == Section(2, [x])   # sigma[b1,b2] - [sigma b1, sigma b2] = x e
 
 
 # -- polynomial-anchor integration ---------------------------------------------

@@ -53,9 +53,7 @@ def constant_fibre_ref(ideal):
     out = {}
     for a, b in itertools.combinations(range(1, ideal.m + 1), 2):
         f = ideal.fibre_bracket(a, b)
-        for c, p in enumerate(f, start=1):
-            if p.is_zero:
-                continue
+        for (c, _), p in f.comps.items():
             if not p.is_constant:
                 raise ContractError("semisimple tools need constant fibre structure")
             out[(a, b, c)] = p.coeff(zero_exp)

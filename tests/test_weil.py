@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from weilcalc import (AlgebroidPresentation, ContractError, IdealBundle,
-                      Poly, StructureError, VForm, WeilCochain,
+                      Poly, Section, StructureError, VForm, WeilCochain,
                       bounded_kernel, bracket, check_IM, delta, dnabla_cochain,
                       evaluate, invariance_form, scalar_wedge, solve_coboundary,
                       validate_algebroid, validate_rep, wedge_Ttheta)
@@ -42,7 +42,7 @@ def eval_alt(c, gens, suffix_idx, J):
     n, r = c.A.nvars, c.A.rank
     out = VForm.zero(n, c.rank, max(c.q - len(J), 0))
     for i in range(1, r + 1):
-        ai = alpha.comps[i - 1]
+        ai = alpha.get(i, ())
         if not ai.is_zero:
             sub = eval_alt(c, gens[:-1], (i,) + suffix_idx, J)
             if not sub.is_zero:
@@ -62,7 +62,7 @@ def sym_expand_eval(c, antis, syms):
     for jvec in itertools.product(range(1, r + 1), repeat=len(syms)):
         coeff = Poly.const(n, 1)
         for t, j in enumerate(jvec):
-            coeff = coeff * syms[t].comps[j - 1]
+            coeff = coeff * syms[t].get(j, ())
         if coeff.is_zero:
             continue
         term = eval_alt(c, list(antis), (), tuple(sorted(jvec)))
@@ -81,7 +81,7 @@ def test_evaluate_on_basis_tuple_is_table_readoff(f2):
 def test_evaluate_leading_forced_by_leibniz(f1):
     # leading term on x2 * e: x2 C(e) + dx2 (x) v(e) = dx2 (x) u
     x2 = Poly.var(2, 1)
-    sec = f1.ideal.embed((Poly.const(2, 1),)).scaled(x2)
+    sec = f1.ideal.embed(Section(2, [Poly.const(2, 1)])).scaled(x2)
     out = evaluate(f1.imc.cochain, [sec])
     assert out == VForm(2, 1, 1, {(1, (2,)): Poly.const(2, 1)})
 
