@@ -12,14 +12,13 @@ from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
 from .algebroid import (AlgebroidPresentation, Section, VField, VForm,
                         bracket, scalar_wedge, vfield_bracket)
-from .connections import (ARep, EndForm, InvarianceForm, LinearConnection,
-                          SymForm, induced_end_connection, induced_end_rep,
-                          invariance_form, is_A_invariant, lieA_derivative,
-                          lieA_vform)
-from .weil import (WeilCochain, bounded_kernel, check_IM, cochain_from_invariance,
-                   delta, dnabla_cochain, eval_row, evaluate, is_horizontal,
-                   solve_coboundary, validate_algebroid, validate_rep,
-                   wedge_Ttheta)
+from .connections import (ARep, EndForm, LinearConnection, SymForm,
+                          induced_end_connection, induced_end_rep,
+                          lieA_derivative, lieA_vform)
+from .weil import (WeilCochain, bounded_kernel, check_IM, delta, dnabla_cochain,
+                   eval_row, evaluate, invariance_form, is_A_invariant,
+                   is_horizontal, solve_coboundary, validate_algebroid,
+                   validate_rep, wedge_Ttheta)
 from .ideals import (Curving, Dhor, IdealBundle, IMConnection, ad_inverse,
                      abelian_primitive_check, bianchi_check, bracket_of_forms,
                      build_coupled, c2, check_semisimple, coupled_presentation,

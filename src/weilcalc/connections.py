@@ -1,12 +1,14 @@
-"""Linear connections, algebroid representations, and the invariance form.
+"""Linear connections, algebroid representations, and End-valued forms.
 
 All objects are frame-expanded over the chart. A connection nabla = d + Gamma
 is its End(V)-valued 1-form Gamma, with Gamma(d_a) u_c = Gamma^b_{a c} u_b
-stored as the End-form entry (b, c, (a,)); d-nabla, the curvature R = d Gamma
-+ Gamma ^ Gamma and the invariance pair (T, theta) are End-form algebra on it.
-A representation is its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c =
-psi^b_{i c} u_b), with psi_i available as a degree-0 End-form. Products and
-Lie derivatives of End-forms are the single ones of ``algebroid``.
+stored as the End-form entry (b, c, (a,)); d-nabla and the curvature
+R = d Gamma + Gamma ^ Gamma are End-form algebra on it. A representation is
+its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c = psi^b_{i c} u_b), with
+psi_i available as a degree-0 End-form. End-forms flatten by E_{b c} ->
+(b - 1) m + c onto the bundle End(V) of the induced connection and
+representation. Products and Lie derivatives of End-forms are the single
+ones of ``algebroid``.
 """
 
 from .algebroid import (SparseTable, VForm, _lie, _wedge, check_section, is_form_index,
@@ -135,12 +137,6 @@ class EndForm(SparseTable):
                      _wedge(self.comps, vf.comps,
                             lambda t, v: (t[0],) if t[1] == v[0] else None))
 
-    def act_vform(self, vf):
-        """Pointwise matrix action on a form (degree-0 End-forms only)."""
-        if self.degree != 0:
-            raise StructureError("matrix action requires a degree-0 End-form")
-        return self.wedge_vform(vf)
-
     def compose(self, other):
         """Wedge product with matrices multiplied in order:
         (S ^ T)^b_c = S^b_e ^ T^e_c."""
@@ -265,54 +261,6 @@ def lieA_derivative(A, rep, alpha, gamma):
                     {(k, (), J): vf for J, vf in gamma.comps.items()})
     out = _contract(delta(A, rep, c), alpha) + delta(A, rep, _contract(c, alpha))
     return eval_row(out, k, [])
-
-
-class InvarianceForm:
-    """The pair (T, theta) measuring the failure of d-nabla to commute with delta."""
-
-    __slots__ = ("nvars", "rank", "T", "theta")
-
-    def __init__(self, nvars, rank, T, theta):
-        self.nvars = nvars
-        self.rank = rank
-        self.T = T          # basis index -> End-valued 1-form
-        self.theta = theta  # basis index -> End-valued 0-form
-
-    @property
-    def is_zero(self):
-        return all(t.is_zero for t in self.T.values()) \
-            and all(t.is_zero for t in self.theta.values())
-
-    def __eq__(self, other):
-        return (isinstance(other, InvarianceForm)
-                and self.T == other.T and self.theta == other.theta)
-
-
-def invariance_form(A, conn, rep):
-    """(T, theta) of a connection: theta(a) = nabla^A_a - nabla_{rho a},
-    T(a)(X) = nabla_X nabla^A_a - nabla^A_a nabla_X + nabla_{[rho a, X]}.
-
-    On the frame, theta_i = psi_i - iota_{rho_i} Gamma and
-    T_i = d psi_i + [Gamma, psi_i] - L_{rho_i} Gamma.
-    """
-    if conn.rank != rep.rank:
-        raise StructureError("connection and representation act on different bundles")
-    gam = conn.form
-    theta, T = {}, {}
-    for i in range(1, A.rank + 1):
-        psi, rho_i = rep.endo(i), A.rho_basis(i)
-        theta[i] = psi - gam.iota(rho_i)
-        T[i] = psi.d() + gam.compose(psi) - psi.compose(gam) - gam.lie(rho_i)
-    return InvarianceForm(A.nvars, conn.rank, T, theta)
-
-
-def is_A_invariant(A, conn, rep):
-    """True iff theta = 0 and iota_{rho e_i} R-nabla = 0 on all basis sections."""
-    inv = invariance_form(A, conn, rep)
-    if not all(t.is_zero for t in inv.theta.values()):
-        return False
-    R = conn.curvature_R()
-    return all(R.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))
 
 
 def _commutator_table(m, entries):

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .algebroid import (AlgebroidPresentation, VForm, _wedge, bracket, check_section,
                         scalar_wedge, symmetric_slots)
-from .connections import (ARep, EndForm, LinearConnection, SymForm, invariance_form,
-                          is_A_invariant)
+from .connections import ARep, EndForm, LinearConnection, SymForm
 from .errors import ContractError, StructureError
 from .report import CheckReport
 from .weil import (WeilCochain, _add_into, _cochain, _insert, bounded_kernel, check_IM,
-                   delta, dnabla_cochain, evaluate, is_horizontal, solve_coboundary)
+                   delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal,
+                   solve_coboundary)
 
 
 class IdealBundle:
@@ -405,16 +405,18 @@ def _bracket_failure(G, adj, conn):
     With [u_a, u_b] = psi_a u_b and nabla u_b = Gamma u_b, the defect is
     nabla[u_a, u_b] - [nabla u_a, u_b] - [u_a, nabla u_b]
     = (d psi_a + Gamma psi_a - psi_a Gamma - ad(Gamma u_a)) u_b.
-    G has zero anchor, so its invariance form against adj is
-    T_a = d psi_a + Gamma psi_a - psi_a Gamma, and the entry (d, b, (x,)) of
+    G has zero anchor, so T_a = d psi_a + Gamma psi_a - psi_a Gamma is the
+    T part of its invariance pair against adj, and the entry (d, b, (x,)) of
     T_a - ad(Gamma u_a) is the u_d component of the defect along d_x.
     """
-    T = invariance_form(G, conn, adj).T
+    gam = conn.form
     failing = []
     for a in range(1, G.rank + 1):
+        psi = adj.endo(a)
+        T = psi.d() + gam.compose(psi) - psi.compose(gam)
         gamma_u = VForm(G.nvars, G.rank, 1, {(b, idx): p for (b, c, idx), p
-                                             in conn.form.comps.items() if c == a})
-        failing += [(x, a, b) for _, b, (x,) in (T[a] - _ad(adj, gamma_u)).comps if a < b]
+                                             in gam.comps.items() if c == a})
+        failing += [(x, a, b) for _, b, (x,) in (T - _ad(adj, gamma_u)).comps if a < b]
     return min(failing, default=None)
 
 

@@ -30,7 +30,8 @@ from fractions import Fraction
 from . import _linsolve
 from .algebroid import (SparseTable, VForm, _iota, _wedge, check_section, d_scalar,
                         sort_sign, sorted_multisets, symmetric_slots)
-from .connections import ARep, SymForm, _lieA
+from .connections import (ARep, EndForm, LinearConnection, SymForm, _lieA,
+                          induced_end_rep)
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly
 from .report import CheckReport
@@ -310,8 +311,29 @@ def dnabla_cochain(conn, c):
     return _cochain(c.A, c.rank, c.p, c.q + 1, acc)
 
 
+def invariance_form(A, conn, rep):
+    """The pair (T, theta) of a connection as the W^{1,1}(A; End V) cochain
+    d Psi - delta_End Gamma, Psi the W^{1,0} cochain e_i -> psi_i: the mixed
+    part of the curvature of delta + d-nabla. Its cells (0, (i,), ()) and
+    (1, (), (j,)) are the flattened T(e_i) = d psi_i + [Gamma, psi_i]
+    - L_{rho e_i} Gamma and theta(e_j) = psi_j - iota_{rho e_j} Gamma."""
+    if conn.rank != rep.rank:
+        raise StructureError("connection and representation act on different bundles")
+    m2 = rep.rank * rep.rank
+    psi = WeilCochain(A, m2, 1, 0, {(0, (i,), ()): rep.endo(i).to_flat()
+                                   for i in range(1, A.rank + 1)})
+    return dnabla_cochain(LinearConnection.trivial(A.nvars, m2), psi) \
+        - delta(A, induced_end_rep(rep), conn.form.to_flat())
+
+
+def is_A_invariant(A, conn, rep):
+    """True iff d-nabla commutes with delta: the invariance pair vanishes."""
+    return invariance_form(A, conn, rep).is_zero
+
+
 def wedge_Ttheta(inv, c):
-    """The operator (T,theta) ^ c, raising level and degree by one.
+    """The operator (T,theta) ^ c for the pair ``inv`` of ``invariance_form``,
+    raising level and degree by one.
 
     ((T,theta)^c)_k = sum_i (-1)^i T(a_i) ^ c_k(a's minus a_i || b's)
                       + sum_j theta(b_j) . c_{k-1}(a's || b's minus b_j).
@@ -323,28 +345,22 @@ def wedge_Ttheta(inv, c):
     """
     if isinstance(c, VForm):
         raise StructureError("wrap plain forms with WeilCochain.from_vform first")
-    A = c.A
-    if inv.rank != c.rank:
+    A, m = c.A, c.rank
+    if inv.rank != m * m or (inv.p, inv.q) != (1, 1):
         raise StructureError("invariance form acts on a different bundle")
+    T = {i: EndForm.from_flat(inv.lookup(0, (i,), ()), m) for i in range(1, A.rank + 1)}
+    theta = {j: EndForm.from_flat(inv.lookup(1, (), (j,)), m) for j in range(1, A.rank + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():
         for i in range(1, A.rank + 1):
             if i not in I:
                 out, pos = _insert(I, i)
-                _add_into(acc, (k, out, J), inv.T[i].wedge_vform(v).comps,
+                _add_into(acc, (k, out, J), T[i].wedge_vform(v).comps,
                           -1 if pos % 2 else 1)
         for j in range(1, A.rank + 1):
             Jout, _ = _insert(J, j)
-            _add_into(acc, (k + 1, I, Jout), inv.theta[j].act_vform(v).comps, Jout.count(j))
-    return _cochain(A, c.rank, c.p + 1, c.q + 1, acc)
-
-
-def cochain_from_invariance(A, inv):
-    """(T, theta) as a W^{1,1} cochain valued in the flattened End bundle."""
-    m2 = inv.rank * inv.rank
-    comps = {(0, (i,), ()): ef.to_flat() for i, ef in inv.T.items()}
-    comps.update({(1, (), (j,)): ef.to_flat() for j, ef in inv.theta.items()})
-    return WeilCochain(A, m2, 1, 1, comps)
+            _add_into(acc, (k + 1, I, Jout), theta[j].wedge_vform(v).comps, Jout.count(j))
+    return _cochain(A, m, c.p + 1, c.q + 1, acc)
 
 
 # -- axiom checks: cells of delta -------------------------------------------

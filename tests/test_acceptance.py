@@ -14,9 +14,8 @@ from fractions import Fraction
 from weilcalc import (Dhor, EndForm, LinearConnection, Poly, Section, VForm,
                       WeilCochain, bianchi_check, bounded_kernel,
                       bracket_of_forms, build_coupled, c2, check_IM,
-                      check_semisimple, cochain_from_invariance,
-                      coupled_presentation, coupling_checks, curvature,
-                      curving_suite, deform, delta, dnabla_cochain,
+                      check_semisimple, coupled_presentation,
+                      coupling_checks, curvature, curving_suite, deform, delta, dnabla_cochain,
                       frame_splitting, hstar, induced_end_rep,
                       invariance_form, is_A_invariant, is_horizontal,
                       obstruction_cocycle, solve_coboundary,
@@ -93,13 +92,11 @@ def test_criterion_03_invariance_form_is_IM(f1, f2, f3):
                      for a in range(1, n + 1)
                      for b in range(1, m + 1) for c in range(1, m + 1)}
             conn = LinearConnection(n, m, table)
-            inv = invariance_form(fix.A, conn, fix.rep)
-            tc = cochain_from_invariance(fix.A, inv)
+            tc = invariance_form(fix.A, conn, fix.rep)
             ok = ok and delta(fix.A, endrep, tc).is_zero
             # shift law: connection + gamma moves (T, theta) by -delta0(gamma)
             gamma = random_endform(fix, 1, seed)
-            inv2 = invariance_form(fix.A, conn.shifted(gamma), fix.rep)
-            diff = cochain_from_invariance(fix.A, inv2) - tc
+            diff = invariance_form(fix.A, conn.shifted(gamma), fix.rep) - tc
             want = -delta(fix.A, endrep, gamma.to_flat())
             ok = ok and diff == want
             checked += 2
@@ -201,8 +198,7 @@ def test_criterion_05_horizontal_projection_suite(f1, f2, f3, all_fixtures):
     for fix in all_fixtures:
         ok = ok and hstar(fix.imc, fix.imc.cochain).is_zero
     for fix in (f1, f2, f3):
-        inv = invariance_form(fix.A, fix.conn, fix.rep)
-        ok = ok and hstar(fix.imc, cochain_from_invariance(fix.A, inv)).is_zero
+        ok = ok and hstar(fix.imc, invariance_form(fix.A, fix.conn, fix.rep)).is_zero
     report(5, "h* cochain map / idempotent / h*(C,v)=0 / h*(T,theta)=0",
            ok and checked >= 50, f"{checked} randomized instances")
 

@@ -30,10 +30,9 @@ import random
 
 import pytest
 
-from weilcalc import (ARep, LinearConnection, VForm, WeilCochain, build_fixture, deform,
-                      delta, hstar, wedgedot_multi)
+from weilcalc import (ARep, EndForm, LinearConnection, VForm, WeilCochain, build_fixture,
+                      deform, delta, hstar, invariance_form, wedgedot_multi)
 from weilcalc.algebroid import sort_sign, symmetric_slots
-from weilcalc.connections import invariance_form
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly, random_vform
 from weilcalc.weil import dnabla_cochain, eval_row, frame_rows, wedge_Ttheta
 
@@ -64,7 +63,9 @@ def dnabla_rows(conn, c):
 
 def wedge_Ttheta_rows(inv, c):
     """The row-driven (T, theta) ^ c: each output row (k, I, J) reads
-    T(e_i) ^ c_k(I minus i || J) and theta(e_j) . c_{k-1}(I || J minus j)."""
+    T(e_i) ^ c_k(I minus i || J) and theta(e_j) . c_{k-1}(I || J minus j),
+    with T(e_i) and theta(e_j) read off the cells (0, (i,), ()) and
+    (1, (), (j,)) of the pair."""
     A = c.A
     p, q = c.p, c.q
     out = {}
@@ -75,7 +76,8 @@ def wedge_Ttheta_rows(inv, c):
                 sub = c.lookup(k, I[:pos] + I[pos + 1:], J)
                 if sub.is_zero:
                     continue
-                term = inv.T[I[pos]].wedge_vform(sub)
+                T = EndForm.from_flat(inv.lookup(0, (I[pos],), ()), c.rank)
+                term = T.wedge_vform(sub)
                 if term.is_zero:
                     continue
                 acc = acc + term if pos % 2 == 0 else acc - term
@@ -83,7 +85,8 @@ def wedge_Ttheta_rows(inv, c):
                 sub = c.lookup(k - 1, I, rest)
                 if sub.is_zero:
                     continue
-                term = inv.theta[j].act_vform(sub)
+                theta = EndForm.from_flat(inv.lookup(1, (), (j,)), c.rank)
+                term = theta.wedge_vform(sub)
                 if term.is_zero:
                     continue
                 acc = acc + term.scaled(mult)
@@ -185,8 +188,8 @@ def test_random_connections_are_not_invariant():
         A, rep = build_case(name)
         if A.nvars:
             inv = invariance_form(A, random_connection(A, rep.rank, name), rep)
-            assert any(not t.is_zero for t in inv.T.values()), name
-            assert any(not t.is_zero for t in inv.theta.values()), name
+            assert any(k == 0 for k, _, _ in inv.comps), name
+            assert any(k == 1 for k, _, _ in inv.comps), name
 
 
 IMC_CASES = list(FIXTURE_NAMES) \

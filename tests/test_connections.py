@@ -170,18 +170,44 @@ def test_theta_of_vertical_basis_is_ad(f2):
     # e3 sits at frame index 5; theta(e3) = ad(e3)
     want = EndForm(2, 3, 0, {(2, 1, ()): Poly.const(2, 1),
                              (1, 2, ()): Poly.const(2, -1)})
-    assert inv.theta[5] == want
+    assert EndForm.from_flat(inv.lookup(1, (), (5,)), 3) == want
     assert not is_A_invariant(f2.A, f2.conn, f2.rep)
 
 
-def test_T_explicit_matches_dnabla_theta_minus_iota_R(f2):
-    inv = invariance_form(f2.A, f2.conn, f2.rep)
-    end_conn = induced_end_connection(f2.conn)
-    R = f2.conn.curvature_R()
-    for i in range(1, f2.A.rank + 1):
-        direct = end_conn.dnabla(inv.theta[i].to_flat())
-        want = EndForm.from_flat(direct, 3) - R.iota(f2.A.rho_basis(i))
-        assert inv.T[i] == want
+def random_christoffel(fix, seed):
+    """A connection on the fixture's ideal bundle whose Christoffel table is
+    a seeded random End-valued 1-form of degree <= 1."""
+    trivial = LinearConnection.trivial(fix.A.nvars, fix.rep.rank)
+    return trivial.shifted(random_endform(fix, 1, 100 + seed))
+
+
+def christoffel_connections(fix):
+    """The fixture's connection, the trivial one and two random tables."""
+    return [fix.conn, LinearConnection.trivial(fix.A.nvars, fix.rep.rank),
+            random_christoffel(fix, 0), random_christoffel(fix, 1)]
+
+
+def test_T_explicit_matches_dnabla_theta_minus_iota_R(all_fixtures):
+    # T(e_i) = d-nabla theta(e_i) - iota_{rho e_i} R, so theta = 0 leaves
+    # T(e_i) = -iota_{rho e_i} R: the pair vanishes exactly when theta does
+    # and R has no component along the orbits
+    verdicts = set()
+    for fix in all_fixtures:
+        A, m = fix.A, fix.rep.rank
+        for conn in christoffel_connections(fix):
+            inv = invariance_form(A, conn, fix.rep)
+            end_conn = induced_end_connection(conn)
+            R = conn.curvature_R()
+            for i in range(1, A.rank + 1):
+                direct = end_conn.dnabla(inv.lookup(1, (), (i,)))
+                want = EndForm.from_flat(direct, m) - R.iota(A.rho_basis(i))
+                assert EndForm.from_flat(inv.lookup(0, (i,), ()), m) == want
+            theta_free = not any(k == 1 for k, _, _ in inv.comps)
+            orbit_flat = all(R.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))
+            verdict = is_A_invariant(A, conn, fix.rep)
+            assert verdict == (theta_free and orbit_flat), (fix.name, verdict)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_flat_connection_with_pullback_rep_is_invariant(f1):

@@ -328,8 +328,8 @@ def test_invariance_form_matches_christoffel_formula(name, data):
                            for e in range(1, m + 1)), _R.zero) \
                     - sum((rho[be - 1].diff(_GENS[al - 1]) * g(be, b, c)
                            for be in range(1, n + 1)), _R.zero)
-        assert end_matches(theta, inv.theta[i])
-        assert end_matches(T, inv.T[i])
+        assert end_matches(theta, EndForm.from_flat(inv.lookup(1, (), (i,)), m))
+        assert end_matches(T, EndForm.from_flat(inv.lookup(0, (i,), ()), m))
 
 
 # -- symmetric slots: insertion, the pairing, the bracket of forms -----------------

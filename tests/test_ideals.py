@@ -19,7 +19,7 @@ from weilcalc.algebroid import VField, scalar_wedge, sort_sign
 from weilcalc.connections import SymForm, lieA_derivative, lieA_vform
 from weilcalc.fixtures import (random_cochain, random_poly, random_section,
                                random_symform, random_vform)
-from weilcalc.weil import cochain_from_invariance, eval_row
+from weilcalc.weil import eval_row
 
 from test_semisimple_oracle import ALGEBRAS, fibre_bundle
 
@@ -306,8 +306,7 @@ def test_hstar_fixes_coboundaries(f1):
 
 def test_hstar_of_invariance_form_vanishes(f1, f2):
     for fix in (f1, f2):
-        inv = invariance_form(fix.A, fix.conn, fix.rep)
-        tc = cochain_from_invariance(fix.A, inv)
+        tc = invariance_form(fix.A, fix.conn, fix.rep)
         assert hstar(fix.imc, tc).is_zero
 
 

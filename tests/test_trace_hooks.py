@@ -5,6 +5,7 @@ on their classes and swaps wrappers into the module namespaces; a refactor
 that moves one of them would make the traced call counts read zero.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,15 +14,23 @@ from weilcalc import Poly, VForm, WeilCochain, build_fixture, ideals, weil
 from weilcalc.fixtures import random_cochain
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from perfbench.tracing import Tracer  # noqa: E402
+from perfbench.tracing import _FUNCTIONS, Tracer  # noqa: E402
+
+
+def test_tracer_targets_resolve():
+    # install looks each (module, attribute) up in turn, so a function that
+    # moved module would stop it halfway with a bare AttributeError
+    missing = [f"{module}.{attr}" for module, attr, _ in _FUNCTIONS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert not missing, f"traced functions not found: {', '.join(missing)}"
 
 
 def test_tracer_counts_constructors_and_uninstalls():
     fix = build_fixture("F1_abelian_2d")
     originals = (VForm.__dict__["__init__"], Poly.__dict__["__init__"], weil.delta)
     tracer = Tracer()
-    tracer.install()
     try:
+        tracer.install()
         tracer.on = True
         x = Poly.var(2, 0)
         w = VForm(2, 1, 1, {(1, (2,)): x}) + VForm(2, 1, 1, {(1, (1,)): x})
@@ -48,8 +57,8 @@ def test_tracer_counts_the_solver_system():
     nonzeros = sum(len(col) for col in columns)
     assert nonzeros
     tracer = Tracer()
-    tracer.install()
     try:
+        tracer.install()
         tracer.on = True
         assert weil.solve_coboundary(A, rep, target, 0) is not None
         weil.bounded_kernel(A, rep, 0, 0, 0)
@@ -71,8 +80,8 @@ def test_tracer_counts_one_delta_per_frame_cell():
     A, rep = fix.A, fix.ideal.adjoint_rep()
     cells = weil._unknown_cells(A, rep.rank, 1, 1, 2, fix.ideal)
     tracer = Tracer()
-    tracer.install()
     try:
+        tracer.install()
         tracer.on = True
         weil._delta_columns(A, rep, rep.rank, 1, 1, 2, fix.ideal)
         tracer.on = False
@@ -89,8 +98,8 @@ def test_tracer_nests_one_hstar_in_each_horizontal_derivative():
     c = random_cochain(fix.A, fix.rep, 2, 1, 1, seed=0)
     for run in (lambda: ideals.Dhor(fix.imc, c), lambda: ideals.curvature(fix.imc)):
         tracer = Tracer()
-        tracer.install()
         try:
+            tracer.install()
             tracer.on = True
             run()
             tracer.on = False

@@ -2,15 +2,17 @@ import itertools
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ContractError, IdealBundle,
-                      Poly, Section, StructureError, VForm, WeilCochain,
-                      bounded_kernel, bracket, check_IM, delta, dnabla_cochain,
-                      evaluate, invariance_form, scalar_wedge, solve_coboundary,
+from weilcalc import (AlgebroidPresentation, ContractError, EndForm, IdealBundle,
+                      LinearConnection, Poly, Section, StructureError, VForm,
+                      WeilCochain, bounded_kernel, bracket, check_IM, delta,
+                      dnabla_cochain, evaluate, induced_end_rep, invariance_form,
+                      is_A_invariant, scalar_wedge, solve_coboundary,
                       validate_algebroid, validate_rep, wedge_Ttheta)
 from weilcalc.algebroid import d_scalar
 from weilcalc.connections import lieA_vform
-from weilcalc.fixtures import random_cochain, random_poly, random_section
-from weilcalc.weil import cochain_from_invariance
+from weilcalc.fixtures import random_cochain, random_endform, random_poly, random_section
+
+from test_connections import random_christoffel
 
 
 def affine_algebroid():
@@ -320,6 +322,15 @@ def test_cochain_operators_reject_plain_vform(f2):
     assert wedge_Ttheta(inv, WeilCochain.from_vform(f2.A, vf)).p == 1
 
 
+def test_wedge_Ttheta_rejects_a_cochain_that_is_not_a_pair(f2):
+    # the pair is a W^{1,1} cochain of End V, rank 9 over F2's rank-3 bundle
+    c = random_cochain(f2.A, f2.rep, 1, 1, 1, seed=0)
+    for bad in (WeilCochain(f2.A, 3, 1, 1), WeilCochain(f2.A, 9, 2, 1),
+                WeilCochain(f2.A, 9, 1, 2)):
+        with pytest.raises(StructureError, match="different bundle"):
+            wedge_Ttheta(bad, c)
+
+
 @pytest.mark.parametrize("pq", [(0, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
 @pytest.mark.parametrize("seed", range(2))
 def test_commutator_law(pq, seed, f2):
@@ -435,21 +446,57 @@ def test_bounded_kernel_contains_coboundaries(f1):
 
 
 def test_invariance_cochain_is_well_formed(f2):
-    inv = invariance_form(f2.A, f2.conn, f2.rep)
-    tc = cochain_from_invariance(f2.A, inv)
+    tc = invariance_form(f2.A, f2.conn, f2.rep)
     assert tc.p == 1 and tc.q == 1 and tc.rank == 9
 
 
 def test_invariance_form_leibniz_extension(f2):
     # T(f a) = f T(a) + df (x) theta(a), realized by cochain evaluation
-    inv = invariance_form(f2.A, f2.conn, f2.rep)
-    tc = cochain_from_invariance(f2.A, inv)
+    tc = invariance_form(f2.A, f2.conn, f2.rep)
     f = random_poly(__import__("random").Random("tl"), 2, 2)
     for i in (1, 2, 5):
         lhs = evaluate(tc, [f2.A.basis(i).scaled(f)])
-        rhs = inv.T[i].to_flat().scaled(f) \
-            + scalar_wedge(d_scalar(f, 2), inv.theta[i].to_flat())
+        rhs = tc.lookup(0, (i,), ()).scaled(f) \
+            + scalar_wedge(d_scalar(f, 2), tc.lookup(1, (), (i,)))
         assert lhs == rhs
+
+
+# -- the naive approach: an A-invariant connection as a solve ----------------
+
+
+def test_invariant_connection_is_found_by_solve(f1, f3):
+    # the shift law (T, theta)(conn + gamma) = (T, theta)(conn) - delta gamma:
+    # a gamma with delta gamma = (T, theta)(conn) makes conn + gamma invariant
+    for fix in (f1, f3):
+        A, rep, m = fix.A, fix.rep, fix.rep.rank
+        endrep = induced_end_rep(rep)
+        conns = [fix.conn.shifted(random_endform(fix, 1, seed)) for seed in range(3)] \
+            + [random_christoffel(fix, seed) for seed in range(4)]
+        for conn in conns:
+            inv = invariance_form(A, conn, rep)
+            assert not inv.is_zero
+            gamma = solve_coboundary(A, endrep, inv, 2)
+            assert gamma is not None, fix.name
+            fixed = conn.shifted(EndForm.from_flat(gamma.as_vform(), m))
+            assert invariance_form(A, fixed, rep).is_zero
+            assert is_A_invariant(A, fixed, rep)
+
+
+def test_no_invariant_connection_where_psi_survives_on_ker_rho(f0, f2):
+    # theta(e_i) = psi_i - iota_{rho e_i} Gamma is psi_i wherever rho(e_i) = 0,
+    # so psi_i != 0 on such a frame section leaves no invariant connection
+    for fix in (f0, f2):
+        A, rep, m = fix.A, fix.rep, fix.rep.rank
+        endrep = induced_end_rep(rep)
+        vertical = [i for i in range(1, A.rank + 1) if not any(A.rho_basis(i).comps)]
+        assert any(not rep.endo(i).is_zero for i in vertical)
+        for conn in (fix.conn, LinearConnection.trivial(A.nvars, m),
+                     random_christoffel(fix, 0)):
+            inv = invariance_form(A, conn, rep)
+            for i in vertical:
+                assert inv.lookup(1, (), (i,)) == rep.endo(i).to_flat()
+            for bound in range(3):
+                assert solve_coboundary(A, endrep, inv, bound) is None, (fix.name, bound)
 
 
 @pytest.mark.parametrize("seed", range(2))
