@@ -11,7 +11,7 @@ representation. Products and Lie derivatives of End-forms are the single
 ones of ``algebroid``.
 """
 
-from .algebroid import (SparseTable, VForm, _lie, _wedge, check_section, is_form_index,
+from .algebroid import (SparseTable, VForm, _wedge, check_section, is_form_index,
                         symmetric_slots)
 from .errors import StructureError
 
@@ -73,28 +73,22 @@ class LinearConnection:
 class ARep:
     """Algebroid representation in coefficient form (flatness checked separately)."""
 
-    __slots__ = ("nvars", "secrank", "rank", "psi", "_columns")
+    __slots__ = ("nvars", "secrank", "rank", "psi")
 
     def __init__(self, nvars, secrank, rank, psi=None):
         self.nvars = nvars
         self.secrank = secrank
         self.rank = rank
         self.psi = {}
-        self._columns = {}
         for (i, b, c), p in (psi or {}).items():
             if not (1 <= i <= secrank and 1 <= b <= rank and 1 <= c <= rank):
                 raise StructureError(f"bad representation key {(i, b, c)}")
             if not p.is_zero:
                 self.psi[(i, b, c)] = p
-                self._columns.setdefault(i, {}).setdefault(c, []).append((b, p))
 
     @classmethod
     def trivial(cls, nvars, secrank, rank):
         return cls(nvars, secrank, rank)
-
-    def psi_columns(self, i):
-        """The entries of psi_i by the column they read: {c: [(b, psi^b_{i c})]}."""
-        return self._columns.get(i, {})
 
     def endo(self, i):
         """psi_i = nabla^A_{e_i} - rho(e_i) as a degree-0 End-form."""
@@ -223,19 +217,6 @@ class SymForm(SparseTable):
     def iota(self, x):
         return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree - 1,
                        {j: vf.iota(x) for j, vf in self.comps.items()})
-
-
-def _lieA(vf, x, columns):
-    """The table of L^A on a V-valued form: the Lie derivative along the
-    vector field x, plus the matrix given by its columns {c: [(b, f)]}
-    acting on the values."""
-    acc = _lie(vf, x)
-    for (c, idx), p in vf.comps.items():
-        for b, f in columns.get(c, ()):
-            q = f * p
-            cur = acc.get((b, idx))
-            acc[(b, idx)] = q if cur is None else cur + q
-    return acc
 
 
 def lieA_vform(A, rep, alpha, vf):

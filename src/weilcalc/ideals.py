@@ -18,9 +18,8 @@ from .algebroid import (AlgebroidPresentation, VForm, _wedge, bracket, check_sec
 from .connections import ARep, EndForm, LinearConnection, SymForm
 from .errors import ContractError, StructureError
 from .report import CheckReport
-from .weil import (WeilCochain, _add_into, _cochain, _insert, bounded_kernel, check_IM,
-                   delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal,
-                   solve_coboundary)
+from .weil import (WeilCochain, _add_into, _cochain, _insert, _solve, _terms, bounded_kernel,
+                   check_IM, delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
 
 
 class IdealBundle:
@@ -240,50 +239,47 @@ def hstar(imc, c):
     if c.A != A:
         raise StructureError("cochain lives over a different algebroid")
     r = A.rank
-    # pairs[l]: (i, C(e_i)^a as a scalar 1-form table) for the ideal index l = u_a
+    # pairs[l]: (i, [(d, C(e_i)^a_d)]), C(e_i)^a = sum_d C(e_i)^a_d dx^d, l = u_a
     pairs = {}
     for a, l in enumerate(imc.ideal.indices, start=1):
         for i in range(1, r + 1):
-            ci = {(1, idx): p for (b, idx), p in imc.C0(i).comps.items() if b == a}
+            ci = [(d, p) for (b, (d,)), p in imc.C0(i).comps.items() if b == a]
             if ci:
                 pairs.setdefault(l, []).append((i, ci))
-    # total = exp(-K) c, one term (-K)^m c / m! = -(1/m) K(previous term) at a time
-    total = {cell: dict(v.comps) for cell, v in c.comps.items()}
-    term, m = total, 0
-    while term:
-        m += 1
-        scale, kterm = Fraction(-1, m), {}
-        for (k, I, J), table in term.items():
-            for l, rest, _ in symmetric_slots(J):
-                for i, ci in pairs.get(l, ()):
-                    if i not in I:
-                        out, pos = _insert(I, i)
-                        _add_into(kterm, (k - 1, out, rest),
-                                  _wedge(ci, table, lambda _, w: w[:1]),
-                                  -scale if pos % 2 else scale)
-        for cell, table in kterm.items():
-            _add_into(total, cell, table, 1)
-        term = kterm
     # hrow[l]: (b, h^l_b) for the nonzero components l of h(e_b)
     hrow = {}
     for b in range(1, r + 1):
         for (l, _), hlb in imc.h_basis(b).comps.items():
             hrow.setdefault(l, []).append((b, hlb))
-    # fills[J]: {b: sum over the distinct orderings l of J of prod_s h^{l_s}_{b_s}}
+    # exp(-K) c one term (-K)^m c / m! = -(1/m) K(previous term) at a time,
+    # each filled by h^ into acc; fills[J]: {b: sum over the distinct
+    # orderings l of J of prod_s h^{l_s}_{b_s}}
     fills, acc = {}, {}
-    for (k, I, J), table in total.items():
-        fill = fills.get(J)
-        if fill is None:
-            fill = fills[J] = {}
-            for ls in sorted(set(itertools.permutations(J))):
-                for picks in itertools.product(*(hrow.get(l, ()) for l in ls)):
-                    bs = tuple(b for b, _ in picks)
-                    if all(map(operator.le, bs, bs[1:])):
-                        coef = functools.reduce(operator.mul, (h for _, h in picks), 1)
-                        cur = fill.get(bs)
-                        fill[bs] = coef if cur is None else cur + coef
-        for bs, coef in fill.items():
-            _add_into(acc, (k, I, bs), table, coef)
+    term, m = {cell: _terms(v.comps) for cell, v in c.comps.items()}, 0
+    while term:
+        m += 1
+        scale, kterm = Fraction(-1, m), {}
+        for (k, I, J), table in term.items():
+            fill = fills.get(J)
+            if fill is None:
+                fill = fills[J] = {}
+                for ls in sorted(set(itertools.permutations(J))):
+                    for picks in itertools.product(*(hrow.get(l, ()) for l in ls)):
+                        bs = tuple(b for b, _ in picks)
+                        if all(map(operator.le, bs, bs[1:])):
+                            coef = functools.reduce(operator.mul, (h for _, h in picks), 1)
+                            cur = fill.get(bs)
+                            fill[bs] = coef if cur is None else cur + coef
+            for bs, coef in fill.items():
+                _add_into(acc, (k, I, bs), table, coef)
+            for l, rest, _ in symmetric_slots(J):
+                for i, ci in pairs.get(l, ()):
+                    if i not in I:
+                        out, pos = _insert(I, i)
+                        for d, p in ci:
+                            _add_into(kterm, (k - 1, out, rest), table, p,
+                                      -scale if pos % 2 else scale, d)
+        term = kterm
     return _cochain(A, c.rank, c.p, c.q, acc)
 
 
@@ -632,7 +628,7 @@ def check_semisimple(ideal):
     """
     G, adj = _constant_fibre(ideal)
     return not bounded_kernel(G, adj, 0, 0, 0) and all(
-        solve_coboundary(G, adj, z, 0) is not None for z in bounded_kernel(G, adj, 1, 0, 0))
+        _solve(G, adj, z, 0) is not None for z in bounded_kernel(G, adj, 1, 0, 0))
 
 
 def ad_inverse(ideal, D):
@@ -658,10 +654,10 @@ def _ad_solve(ideal, D):
     G, adj = _constant_fibre(ideal)
     rows = {}
     for (b, d, idx), p in D.comps.items():
-        rows.setdefault((0, (d,), ()), {})[(b, idx)] = p
+        _add_into(rows, (0, (d,), ()), {(b, idx): p.terms}, 1)
     T = _cochain(G, ideal.m, 1, D.degree, rows)
     bound = max((sum(exps) for p in D.comps.values() for exps, _ in p.items()), default=0)
-    gamma = solve_coboundary(G, adj, T, bound) if delta(G, adj, T).is_zero else None
+    gamma = _solve(G, adj, T, bound) if delta(G, adj, T).is_zero else None
     if gamma is None:
         raise ContractError("End-valued form is not ad of an ideal-valued form")
     return gamma.as_vform()

@@ -56,11 +56,11 @@ def _pair(c):
     raise TypeError(f"not an exact rational: {c!r}")
 
 
-def _sum(a, b):
-    """Term dict of a + b, adding the shorter into a copy of the longer."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
+def _iadd(out, b):
+    """Add the term dict b into ``out`` in place and return it."""
+    if not out:
+        out.update(b)
+        return out
     for k, c in b.items():
         cur = out.get(k)
         if cur is None:
@@ -88,9 +88,17 @@ def _neg(a):
     return {k: (-num, den) for k, (num, den) in a.items()}
 
 
-def _product(a, b):
-    """Term dict of a * b; keys add because exponents and degrees add."""
-    out = {}
+def _axpy(out, a, b):
+    """Add a * b into the term dict ``out`` in place and return it (keys add;
+    a = +-1 adds b without multiplying). A product past MAX_DEGREE raises
+    StructureError: a carry out of the top (degree) field adds a field."""
+    if not a or not b:
+        return out
+    if len(a) == 1 and a.get(0) in ((1, 1), (-1, 1)):
+        return _iadd(out, b if a[0][0] == 1 else _neg(b))
+    ka = max(a)
+    if ka and (kb := max(b)) and (ka + kb).bit_length() > -(-ka.bit_length() // _BITS) * _BITS:
+        raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
     get = out.get
     bitems = list(b.items())
     for ka, (an, ad) in a.items():
@@ -115,6 +123,11 @@ def _product(a, b):
                     den //= g
             out[k] = (num, den)
     return out
+
+
+def _product(a, b):
+    """Term dict of a * b."""
+    return _axpy({}, a, b)
 
 
 _new = object.__new__
@@ -181,7 +194,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return _make(self.nvars, _sum(self.terms, other.terms))
+        return _make(self.nvars, _iadd(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -192,7 +205,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        return _make(self.nvars, _sum(self.terms, _neg(other.terms)))
+        return _make(self.nvars, _iadd(dict(self.terms), _neg(other.terms)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -201,13 +214,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        n = self.nvars
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _make(n, {})
-        if (max(a) + max(b)) >> (_BITS * n) > MAX_DEGREE:
-            raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
-        return _make(n, _product(a, b))
+        return _make(self.nvars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 

@@ -28,12 +28,11 @@ import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, _iota, _wedge, check_section, d_scalar,
-                        sort_sign, sorted_multisets, symmetric_slots)
-from .connections import (ARep, EndForm, LinearConnection, SymForm, _lieA,
-                          induced_end_rep)
+from .algebroid import (SparseTable, VForm, check_section, d_scalar, sort_sign,
+                        sorted_multisets, symmetric_slots)
+from .connections import ARep, EndForm, LinearConnection, SymForm, induced_end_rep
 from .errors import ContractError, StructureError
-from .polyring import MAX_DEGREE, Poly
+from .polyring import MAX_DEGREE, Poly, _axpy, _make, _neg, _pair, _product
 from .report import CheckReport
 
 
@@ -155,33 +154,69 @@ def _insert(I, i):
     return I[:pos] + (i,) + I[pos:], pos
 
 
-def _add_into(acc, cell, table, coef):
-    """acc[cell] += coef * table for a form table {(b, idx): Poly}, where
-    coef is an int or a Poly."""
-    if not table:
+def _add_into(acc, cell, table, coef, scale=1, slot=None):
+    """acc[cell] += scale * coef * (dx^slot ^) table, coef an int or Poly and
+    scale a nonzero int or Fraction. Accumulator rows and the table map
+    (b, idx) to term dicts; each row entry is a dict of its own, changed in
+    place by ``polyring._axpy``, and the table is only read."""
+    if not table or not coef:
         return
-    row = acc.get(cell)
-    if row is None:
-        row = acc[cell] = {}
-    if isinstance(coef, Poly):
-        terms = ((key, coef * poly) for key, poly in table.items())
-    elif coef == 1:
-        terms = table.items()
-    elif coef == -1:
-        terms = ((key, -poly) for key, poly in table.items())
-    else:
-        terms = ((key, poly * coef) for key, poly in table.items())
-    for key, term in terms:
-        cur = row.get(key)
-        row[key] = term if cur is None else cur + term
+    row = acc.setdefault(cell, {})
+    terms = coef.terms if isinstance(coef, Poly) else {0: (coef, 1)}
+    if scale != 1:
+        terms = _product(terms, {0: _pair(scale)})
+    signed = (terms, _neg(terms)) if slot is not None else None
+    for key, t in table.items():
+        a = terms
+        if slot is not None:
+            b, idx = key
+            if slot in idx:
+                continue
+            pos = bisect.bisect(idx, slot)
+            key, a = (b, idx[:pos] + (slot,) + idx[pos:]), signed[pos % 2]
+        out = row.get(key)
+        if out is None:
+            out = row[key] = {}
+        _axpy(out, a, t)
 
 
 def _cochain(A, rank, p, q, acc):
-    """The cochain of W^{p,q} whose cells are the form tables of an
-    accumulator {(k, I, J): {(b, idx): Poly}}."""
-    n = A.nvars
-    return WeilCochain(A, rank, p, q, {
-        cell: VForm(n, rank, q - cell[0], acc[cell]) for cell in sorted(acc)})
+    """The W^{p,q} cochain of an accumulator {(k, I, J): {(b, idx): term dict}},
+    each term dict wrapped once as it is, keys not validated again; empty
+    entries and cells of degree above the chart dimension are dropped."""
+    n, comps = A.nvars, {}
+    for cell in sorted(acc):
+        table = {key: _make(n, t) for key, t in acc[cell].items() if t}
+        if table and q - cell[0] <= n:
+            vf = comps[cell] = object.__new__(VForm)
+            vf.nvars, vf.rank, vf.degree, vf.comps = n, rank, q - cell[0], table
+    c = object.__new__(WeilCochain)
+    c.A, c.rank, c.p, c.q, c.comps = A, rank, p, q, comps
+    return c
+
+
+def _terms(comps):
+    """The term dicts of a form table {key: Poly}, shared, not copied."""
+    return {key: p.terms for key, p in comps.items()}
+
+
+def _partial(comps, a):
+    """The term-dict table of d_a of each entry of a form table."""
+    return {key: d for key, p in comps.items() if (d := p.diff(a - 1).terms)}
+
+
+def _iota_axis(table, a):
+    """The term-dict table of iota_{d_a} of a term-dict table."""
+    return {(b, idx[:pos] + idx[pos + 1:]): _neg(t) if pos % 2 else t
+            for (b, idx), t in table.items() if a in idx for pos in (idx.index(a),)}
+
+
+def _act_into(acc, cell, entries, table, scale):
+    """acc[cell] += scale * E ^ v for an End-valued form E of degree <= 1
+    given by its entries ((b, c, idx), f) and v by its term-dict table."""
+    for (b, c, idx), f in entries:
+        _add_into(acc, cell, {(b, i): t for (vc, i), t in table.items() if vc == c}, f, scale,
+                  idx[0] if idx else None)
 
 
 def _contract(c, alpha):
@@ -196,14 +231,14 @@ def _contract(c, alpha):
     dcoefs = {i: d_scalar(ai, A.nvars).comps for i, ai in coefs.items() if not ai.is_constant}
     acc = {}
     for (k, I, J), v in c.comps.items():
+        table = _terms(v.comps)
         for t, i in enumerate(I):
             ai = coefs.get(i)
             if ai is not None:
-                _add_into(acc, (k, I[:t] + I[t + 1:], J), v.comps, -ai if (k + t) % 2 else ai)
+                _add_into(acc, (k, I[:t] + I[t + 1:], J), table, ai, -1 if (k + t) % 2 else 1)
         for i, rest, _ in symmetric_slots(J):
-            if i in dcoefs:
-                _add_into(acc, (k - 1, I, rest), _wedge(dcoefs[i], v.comps, lambda _, w: w[:1]),
-                          1 if k % 2 else -1)
+            for (_, (a,)), f in dcoefs.get(i, {}).items():
+                _add_into(acc, (k - 1, I, rest), table, f, 1 if k % 2 else -1, a)
     return _cochain(A, c.rank, c.p - 1, c.q, acc)
 
 
@@ -245,22 +280,34 @@ def delta(A, rep, c):
     leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
                    if not cst.is_constant]
                for l, terms in brackets.items()}
-    anchors = [(j, A.rho_basis(j)) for j in range(1, r + 1) if any(A.rho_basis(j).comps)]
+    # L_{rho e_i} v = sum_a rho^a_i d_a v + sum_a d(rho^a_i) ^ iota_{d_a} v
+    anchor = {}
+    for (i, a), rho in A.anchor.items():
+        anchor.setdefault(i, []).append((a, rho, d_scalar(rho, n).comps))
+    axes = sorted({a for _, a in A.anchor})
+    psi = {i: rep.endo(i).comps.items() for i in range(1, r + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():
         sign = -1 if k % 2 else 1
-        table = v.comps
+        table = _terms(v.comps)
+        partial = {a: _partial(v.comps, a) for a in axes}
+        iota = {a: _iota_axis(table, a) for a in axes}
         slots = tuple(symmetric_slots(J))
         for i in range(1, r + 1):
             if i in I:
                 continue
             out, pos = _insert(I, i)
             sgn = -sign if pos % 2 else sign
-            _add_into(acc, (k, out, J), _lieA(v, A.rho_basis(i), rep.psi_columns(i)), sgn)
+            cell = (k, out, J)
+            for a, rho, drho in anchor.get(i, ()):
+                _add_into(acc, cell, partial[a], rho, sgn)
+                for (_, (b,)), f in drho.items():
+                    _add_into(acc, cell, iota[a], f, sgn, b)
+            _act_into(acc, cell, psi[i], table, sgn)
             for l, rest, _ in slots:
                 for j, cij in frame_lie.get((i, l), ()):
                     Jout, _ = _insert(rest, j)
-                    _add_into(acc, (k, out, Jout), table, cij * (-sgn * Jout.count(j)))
+                    _add_into(acc, (k, out, Jout), table, cij, -sgn * Jout.count(j))
         for pl, l in enumerate(I):
             rest = I[:pl] + I[pl + 1:]
             for s, t, cst in brackets.get(l, ()):
@@ -268,7 +315,7 @@ def delta(A, rep, c):
                     continue
                 out, ps = _insert(rest, s)
                 out, pt = _insert(out, t)
-                _add_into(acc, (k, out, J), table, -cst if (k + ps + pt + pl) % 2 else cst)
+                _add_into(acc, (k, out, J), table, cst, -1 if (k + ps + pt + pl) % 2 else 1)
         if k:
             for l, rest, _ in slots:
                 for s, t, dcst in leibniz.get(l, ()):
@@ -276,13 +323,13 @@ def delta(A, rep, c):
                         continue
                     out, ps = _insert(I, s)
                     out, pt = _insert(out, t)
-                    _add_into(acc, (k - 1, out, rest),
-                              _wedge(dcst, table, lambda _, w: w[:1]),
-                              sign if (ps + pt) % 2 else -sign)
-        if v.degree:
-            for j, x in anchors:
-                Jout, _ = _insert(J, j)
-                _add_into(acc, (k + 1, I, Jout), _iota(table, x), sign * Jout.count(j))
+                    sgn = sign if (ps + pt) % 2 else -sign
+                    for (_, (a,)), f in dcst.items():
+                        _add_into(acc, (k - 1, out, rest), table, f, sgn, a)
+        for j, rhos in anchor.items() if v.degree else ():
+            Jout, _ = _insert(J, j)
+            for a, rho, _ in rhos:
+                _add_into(acc, (k + 1, I, Jout), iota[a], rho, sign * Jout.count(j))
     return _cochain(A, c.rank, c.p + 1, c.q, acc)
 
 
@@ -300,13 +347,18 @@ def dnabla_cochain(conn, c):
         raise StructureError("wrap plain forms with WeilCochain.from_vform first")
     if conn.rank != c.rank or conn.nvars != c.A.nvars:
         raise StructureError("connection does not match cochain bundle")
+    gamma = conn.form.comps.items()
     acc = {}
     for (k, I, J), v in c.comps.items():
         sign = -1 if k % 2 else 1
-        _add_into(acc, (k, I, J), conn.dnabla(v).comps, sign)
+        table = _terms(v.comps)
+        # d-nabla v = sum_a dx^a ^ d_a v + Gamma ^ v
+        for a in range(1, conn.nvars + 1):
+            _add_into(acc, (k, I, J), _partial(v.comps, a), sign, 1, a)
+        _act_into(acc, (k, I, J), gamma, table, sign)
         for pos, i in enumerate(I):
             Jout, _ = _insert(J, i)
-            _add_into(acc, (k + 1, I[:pos] + I[pos + 1:], Jout), v.comps,
+            _add_into(acc, (k + 1, I[:pos] + I[pos + 1:], Jout), table,
                       (-sign if pos % 2 else sign) * Jout.count(i))
     return _cochain(c.A, c.rank, c.p, c.q + 1, acc)
 
@@ -352,14 +404,14 @@ def wedge_Ttheta(inv, c):
     theta = {j: EndForm.from_flat(inv.lookup(1, (), (j,)), m) for j in range(1, A.rank + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():
+        table = _terms(v.comps)
         for i in range(1, A.rank + 1):
             if i not in I:
                 out, pos = _insert(I, i)
-                _add_into(acc, (k, out, J), T[i].wedge_vform(v).comps,
-                          -1 if pos % 2 else 1)
+                _act_into(acc, (k, out, J), T[i].comps.items(), table, -1 if pos % 2 else 1)
         for j in range(1, A.rank + 1):
             Jout, _ = _insert(J, j)
-            _add_into(acc, (k + 1, I, Jout), theta[j].wedge_vform(v).comps, Jout.count(j))
+            _act_into(acc, (k + 1, I, Jout), theta[j].comps.items(), table, Jout.count(j))
     return _cochain(A, m, c.p + 1, c.q + 1, acc)
 
 
@@ -546,13 +598,11 @@ def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):
 def _assemble(A, rank, p, q, cells, coeffs):
     """The cochain sum of x * cell over the sparse {cell index: x} coeffs,
     built in one pass."""
-    table = {}
-    for i in sorted(coeffs):
+    acc = {}
+    for i, x in coeffs.items():
         k, I, J, b, idx, exps = cells[i]
-        table.setdefault((k, I, J), {}).setdefault((b, idx), {})[exps] = coeffs[i]
-    n = A.nvars
-    return _cochain(A, rank, p, q, {
-        key: {bi: Poly(n, terms) for bi, terms in row.items()} for key, row in table.items()})
+        _add_into(acc, (k, I, J), {(b, idx): Poly.monomial(A.nvars, exps, x).terms}, 1)
+    return _cochain(A, rank, p, q, acc)
 
 
 def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
@@ -565,6 +615,11 @@ def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
     """
     if not delta(A, rep, target).is_zero:
         raise ContractError("solve_coboundary target is not a delta-cocycle")
+    return _solve(A, rep, target, degree_bound, horizontal_ideal)
+
+
+def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
+    """``solve_coboundary`` for a target known to be a delta-cocycle."""
     if target.p == 0:
         raise ContractError("no level below a level-0 cochain")
     p, q = target.p - 1, target.q

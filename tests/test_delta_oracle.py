@@ -27,21 +27,35 @@ import pytest
 
 from weilcalc import (AlgebroidPresentation, ARep, VForm, WeilCochain, build_fixture,
                       validate_algebroid, validate_rep)
-from weilcalc.algebroid import symmetric_slots
-from weilcalc.connections import SymForm, _lieA
+from weilcalc.algebroid import _lie, symmetric_slots
+from weilcalc.connections import SymForm
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly
 from weilcalc.weil import _cell_cochain, _unknown_cells, delta, eval_row, frame_rows
 
 from test_weil import affine_algebroid, affine_rep
 
 
+def _lieA(vf, x, columns):
+    """The table of L^A on a V-valued form: the Lie derivative along the
+    vector field x, plus the matrix given by its columns {c: [(b, f)]}
+    acting on the values."""
+    acc = _lie(vf, x)
+    for (c, idx), p in vf.comps.items():
+        for b, f in columns.get(c, ()):
+            q = f * p
+            cur = acc.get((b, idx))
+            acc[(b, idx)] = q if cur is None else cur + q
+    return acc
+
+
 def lieA_vform_ref(A, rep, alpha, vf):
     """L^A_alpha on a plain V-valued form: the Lie derivative along
     rho(alpha) plus psi(alpha) = sum_i alpha^i psi_i acting on the values."""
     columns = {}
-    for (i, _), ai in alpha.comps.items():
-        for c, entries in rep.psi_columns(i).items():
-            columns.setdefault(c, []).extend((b, ai * f) for b, f in entries)
+    for (i, b, c), f in rep.psi.items():
+        ai = alpha.comps.get((i, ()))
+        if ai is not None:
+            columns.setdefault(c, []).append((b, ai * f))
     return VForm(A.nvars, vf.rank, vf.degree, _lieA(vf, A.rho(alpha), columns))
 
 

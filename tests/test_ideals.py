@@ -848,6 +848,33 @@ def test_ad_inverse_roundtrip(seed, f2):
     assert ad_inverse(f2.ideal, D) == gamma
 
 
+def test_ad_solve_takes_delta_of_its_target_once(f2, monkeypatch):
+    # the solver's unknowns and its solution are 0-cochains, so every
+    # delta of a 1-cochain is one of T
+    from weilcalc import ideals, weil
+    gamma = rvform(f2, 1, seed=0)
+    levels = []
+
+    def counting(fn):
+        def wrapper(A, rep, c):
+            levels.append(c.p)
+            return fn(A, rep, c)
+        return wrapper
+
+    monkeypatch.setattr(ideals, "delta", counting(ideals.delta))
+    monkeypatch.setattr(weil, "delta", counting(weil.delta))
+    assert ideals._ad_solve(f2.ideal, -f2.ideal.ad_endform(gamma)) == gamma
+    assert levels.count(1) == 1
+
+
+def test_ad_solve_lets_other_solver_errors_through(f2, monkeypatch):
+    from weilcalc import ideals, weil
+    D = -f2.ideal.ad_endform(rvform(f2, 1, seed=0))
+    monkeypatch.setattr(weil._linsolve, "solve_sparse", lambda columns, rhs: {})
+    with pytest.raises(ContractError, match="does not satisfy delta b = target"):
+        ideals._ad_solve(f2.ideal, D)
+
+
 def test_unique_curving_F2(f2):
     F = unique_curving(f2.imc)
     assert F == VForm(2, 3, 2, {(3, (1, 2)): Poly.const(2, -1)})

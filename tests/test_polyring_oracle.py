@@ -1,12 +1,15 @@
 """Polynomial kernel against an independent oracle: random small polynomials
-are checked against sympy's expansion."""
+are checked against sympy's expansion, and so is a chain of in-place
+``_axpy`` products accumulated into one term dict."""
 
 import functools
 import re
+from math import gcd
 
 import pytest
 
 from weilcalc import Poly, poly_from_str, poly_to_str
+from weilcalc.polyring import _axpy, _make, _product
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
@@ -74,3 +77,30 @@ def test_printer_roundtrip_matches_sympy(pair):
         printed = [poly_from_str(term, n).items()[0][0]
                    for term in re.split(r" [+-] ", text.lstrip("-"))]
         assert printed == sympy.Poly(to_sympy(a), *_SYMS[:n]).monoms(order="grlex")
+
+
+@st.composite
+def axpy_chains(draw):
+    """Products a * b in the same 1-4 variables, followed by the negations
+    of some of them, so that keys cancel in the accumulating dict."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(polys(n), polys(n)), min_size=1, max_size=5))
+    undo = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return n, pairs + [(-a, b) for a, b in undo]
+
+
+@_oracle
+@given(axpy_chains())
+def test_axpy_chain_matches_sympy(chain):
+    n, pairs = chain
+    out = {}
+    for a, b in pairs:
+        assert _axpy(out, a.terms, b.terms) is out
+        assert _product(a.terms, b.terms) == _axpy({}, a.terms, b.terms)
+    want = sympy.expand(sum((to_sympy(a) * to_sympy(b) for a, b in pairs), sympy.Integer(0)))
+    p = _make(n, out)
+    assert same(want, p)
+    # no zero and no unnormalized entry: a cancelled key is deleted
+    assert all(num and den > 0 and gcd(num, den) == 1 for num, den in out.values())
+    assert {e for e, _ in p.items()} == set(
+        sympy.Poly(want, *_SYMS[:n]).monoms() if want != 0 else ())
