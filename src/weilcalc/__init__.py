@@ -10,8 +10,7 @@ obstruction machinery, and a spec-file CLI.
 
 from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
-from .algebroid import (AlgebroidPresentation, Section, VField, VForm,
-                        bracket, scalar_wedge, vfield_bracket)
+from .algebroid import AlgebroidPresentation, Section, VForm, bracket, scalar_wedge
 from .connections import (ARep, EndForm, LinearConnection, SymForm,
                           induced_end_connection, induced_end_rep,
                           lieA_derivative, lieA_vform)

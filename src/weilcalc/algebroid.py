@@ -3,9 +3,17 @@
 The base is a single chart Q^n with coordinate frame d_1..d_n; the
 algebroid is trivialized by a global frame e_1..e_r. Structure data are
 the polynomials c^k_{ij} (stored for i < j and extended antisymmetrically)
-and the anchor components rho^a_i. A section of a trivialized bundle is
-its degree-0 form, keyed (i, ()); vector fields are component tuples and
-bundle-valued forms sparse tables of Poly.
+and the anchor components rho^a_i. Bundle-valued forms are sparse tables
+of Poly. A section of a trivialized bundle is its degree-0 form, keyed
+(i, ()); a vector field is a section of TM, the rank-n degree-0 form with
+components X^a over d_1..d_n.
+
+The chart calculus lives here as cell maps on term-dict tables keyed
+(value head..., form index): d, iota_{d_a}, L_X, the exterior product and
+the action of End-valued forms each add their terms in place into one
+cell of an accumulator {cell: {key: term dict}} through ``_add_into``.
+Forms and End-forms use the single cell () and wrap it once; the Weil
+complex uses one cell (k, I, J) per frame layout.
 """
 
 import bisect
@@ -13,7 +21,7 @@ import itertools
 import operator
 
 from .errors import StructureError
-from .polyring import Poly
+from .polyring import Poly, _axpy, _make, _neg, _pair, _product
 
 
 def sort_sign(idx):
@@ -56,36 +64,6 @@ def is_form_index(idx, degree, nvars):
     return len(idx) == degree and (
         degree == 0 or (1 <= idx[0] and idx[-1] <= nvars
                         and all(map(operator.lt, idx, idx[1:]))))
-
-
-class VField:
-    """Vector field on the chart: components X^a over d_1..d_n."""
-
-    __slots__ = ("nvars", "comps")
-
-    def __init__(self, nvars, comps):
-        self.nvars = nvars
-        self.comps = tuple(comps)
-        if len(self.comps) != nvars:
-            raise StructureError("vector field needs one component per chart variable")
-
-    def apply(self, f):
-        """Derivation X(f) = sum_a X^a d_a f."""
-        out = Poly.zero(self.nvars)
-        for a, xa in enumerate(self.comps):
-            if not xa.is_zero:
-                out = out + xa * f.diff(a)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, VField) and self.nvars == other.nvars
-                and self.comps == other.comps)
-
-
-def vfield_bracket(x, y):
-    """Lie bracket of vector fields, [X,Y]^a = X(Y^a) - Y(X^a)."""
-    return VField(x.nvars, [x.apply(ya) - y.apply(xa)
-                            for xa, ya in zip(x.comps, y.comps)])
 
 
 class SparseTable:
@@ -156,6 +134,8 @@ class VForm(SparseTable):
                 raise StructureError(f"bundle index {b} out of range 1..{rank}")
             if not is_form_index(idx, degree, nvars):
                 raise StructureError(f"bad form index tuple {idx}")
+            if p.nvars != nvars:
+                raise StructureError("form component over wrong chart")
             if not p.is_zero:
                 clean[(b, idx)] = p
         self.comps = clean
@@ -181,109 +161,43 @@ class VForm(SparseTable):
     # -- Cartan calculus ----------------------------------------------------
 
     def d(self):
-        """Exterior derivative with trivial coefficients: d_a of each
-        component, with dx^a moved into place past the t smaller indices."""
+        """Exterior derivative with trivial coefficients."""
         acc = {}
-        for key, p in self.comps.items():
-            head, idx = key[:-1], key[-1]
-            for a in range(1, self.nvars + 1):
-                if a in idx:
-                    continue
-                dp = p.diff(a - 1)
-                if dp.is_zero:
-                    continue
-                t = bisect.bisect(idx, a)
-                q = dp if t % 2 == 0 else -dp
-                out = head + (idx[:t] + (a,) + idx[t:],)
-                cur = acc.get(out)
-                acc[out] = q if cur is None else cur + q
-        return type(self)(self.nvars, self.rank, self.degree + 1, acc)
+        _d_into(acc, (), self.comps, self.nvars)
+        return _form(type(self), self.nvars, self.rank, self.degree + 1, acc)
 
     def iota(self, x):
-        """Interior product with a vector field; on a 0-form, the zero form
+        """Interior product with a vector field x; on a 0-form, the zero form
         of degree -1 (so that d of it is a zero 0-form)."""
-        return type(self)(self.nvars, self.rank, self.degree - 1, _iota(self.comps, x))
+        acc, table = {}, _terms(self.comps)
+        for a, xa, _ in _field(x, self.nvars, False):
+            _add_into(acc, (), _iota_axis(table, a), xa)
+        return _form(type(self), self.nvars, self.rank, self.degree - 1, acc)
 
     def lie(self, x):
-        """Lie derivative along a vector field (trivial coefficients)."""
-        return type(self)(*self._shape(), _lie(self, x))
-
-
-def _iota(comps, x):
-    """The table of iota_X of a form table keyed (value head..., form index)."""
-    acc = {}
-    for key, p in comps.items():
-        head, idx = key[:-1], key[-1]
-        for t, a in enumerate(idx):
-            xa = x.comps[a - 1]
-            if xa.is_zero:
-                continue
-            q = xa * p if t % 2 == 0 else -(xa * p)
-            rest = head + (idx[:t] + idx[t + 1:],)
-            cur = acc.get(rest)
-            acc[rest] = q if cur is None else cur + q
-    return acc
-
-
-def _lie(form, x):
-    """The table of L_X of a form keyed (value head..., form index), by the
-    chain rule: X applied to each coefficient, plus each slot dx^c replaced
-    in turn by d(X^c) = d_a X^c dx^a."""
-    dx = {c: [(a, dxc) for a in range(1, x.nvars + 1) if not (dxc := xc.diff(a - 1)).is_zero]
-          for c, xc in enumerate(x.comps, start=1)} if form.degree > 0 else {}
-    acc = {key: q for key, p in form.comps.items() if not (q := x.apply(p)).is_zero}
-    for key, p in form.comps.items():
-        head, idx = key[:-1], key[-1]
-        for t, c in enumerate(idx):
-            for a, dxc in dx[c]:
-                srt, sign = sort_sign(idx[:t] + (a,) + idx[t + 1:])
-                if sign == 0:
-                    continue
-                q = dxc * p if sign > 0 else -(dxc * p)
-                out = head + (srt,)
-                cur = acc.get(out)
-                acc[out] = q if cur is None else cur + q
-    return acc
-
-
-def _wedge(left, right, pair):
-    """Exterior product of two tables keyed (value head..., form index).
-
-    ``pair(lkey, rkey)`` gives the value head of the product of two entries,
-    or None where they do not pair; the form indices are joined left first
-    and sorted with their sign. Returns the product table.
-    """
-    acc = {}
-    for lkey, p in left.items():
-        for rkey, q in right.items():
-            head = pair(lkey, rkey)
-            if head is None:
-                continue
-            srt, sign = sort_sign(lkey[-1] + rkey[-1])
-            if sign == 0:
-                continue
-            pq = p * q if sign > 0 else -(p * q)
-            key = head + (srt,)
-            cur = acc.get(key)
-            acc[key] = pq if cur is None else cur + pq
-    return acc
+        """Lie derivative along a vector field x (trivial coefficients)."""
+        acc, field = {}, _field(x, self.nvars, self.degree > 0)
+        _lie_into(acc, (), _axes(self.comps, [a for a, _, _ in field]), field)
+        return _form(type(self), self.nvars, self.rank, self.degree, acc)
 
 
 def Section(nvars, comps):
     """The section with components comps[i - 1] over the frame e_1..e_r of
-    a rank-r bundle, as its degree-0 form."""
+    a rank-r bundle, as its degree-0 form; with r = nvars, the vector field
+    with components X^a over d_1..d_n."""
     comps = tuple(comps)
-    if any(c.nvars != nvars for c in comps):
-        raise StructureError("section component over wrong chart")
     return VForm(nvars, len(comps), 0, {(i, ()): c for i, c in enumerate(comps, start=1)})
 
 
-def check_section(alpha, rank, bundle="algebroid"):
-    """Reject anything but a section (a degree-0 form) of a rank-``rank`` bundle."""
+def check_section(alpha, rank, bundle="algebroid", nvars=None):
+    """Reject anything but a section (a degree-0 form) of a rank-``rank``
+    bundle, over the ``nvars``-variable chart where one is given."""
     if not isinstance(alpha, VForm) or alpha.degree != 0:
         raise StructureError("a section is a degree-0 form")
     if alpha.rank != rank:
         raise StructureError(f"section rank does not match {bundle} rank")
+    if nvars is not None and alpha.nvars != nvars:
+        raise StructureError("section over wrong chart")
 
 
 def scalar_wedge(sf, vf):
@@ -292,13 +206,118 @@ def scalar_wedge(sf, vf):
         raise StructureError("left factor of scalar_wedge must be a scalar form")
     if sf.nvars != vf.nvars:
         raise StructureError("chart mismatch in scalar_wedge")
-    return VForm(vf.nvars, vf.rank, sf.degree + vf.degree,
-                 _wedge(sf.comps, vf.comps, lambda s, v: v[:1]))
+    acc, table = {}, _terms(vf.comps)
+    for (_, idx), f in sf.comps.items():
+        _add_into(acc, (), table, f, 1, idx)
+    return _form(VForm, vf.nvars, vf.rank, sf.degree + vf.degree, acc)
 
 
 def d_scalar(p, nvars):
     """Differential of a function as a scalar 1-form."""
     return VForm(nvars, 1, 0, {(1, ()): p}).d()
+
+
+# -- term-dict cell maps ---------------------------------------------------------
+
+
+def _add_into(acc, cell, table, coef, scale=1, left=()):
+    """acc[cell] += scale * coef * dx^left ^ table, for a term-dict table
+    keyed (value head..., form index), left an increasing form index, coef
+    an int or Poly and scale a nonzero int or Fraction; entries whose form
+    index meets left are skipped. Accumulator rows map keys to term dicts;
+    each row entry is a dict of its own, changed in place by
+    ``polyring._axpy``, and the table is only read."""
+    if not table or not coef:
+        return
+    row = acc.setdefault(cell, {})
+    terms = coef.terms if isinstance(coef, Poly) else {0: (coef, 1)}
+    if scale != 1:
+        terms = _product(terms, {0: _pair(scale)})
+    signed, slots, rev = ((terms, _neg(terms)), set(left), left[::-1]) if left else (None,) * 3
+    for key, t in table.items():
+        a = terms
+        if left:
+            idx, odd = key[-1], 0
+            if not slots.isdisjoint(idx):
+                continue
+            for s in rev:  # dx^s moves past the indices below it, the last s first
+                pos = bisect.bisect(idx, s)
+                idx, odd = idx[:pos] + (s,) + idx[pos:], odd ^ (pos & 1)
+            key, a = key[:-1] + (idx,), signed[odd]
+        out = row.get(key)
+        if out is None:
+            out = row[key] = {}
+        _axpy(out, a, t)
+
+
+def _form(cls, nvars, rank, degree, acc, cell=()):
+    """The form of class cls (VForm or EndForm) from the row acc[cell], each
+    term dict wrapped once as it is, keys not validated again; empty
+    entries are dropped."""
+    f = object.__new__(cls)
+    f.nvars, f.rank, f.degree = nvars, rank, degree
+    f.comps = {key: _make(nvars, t) for key, t in acc.get(cell, {}).items() if t}
+    return f
+
+
+def _terms(comps):
+    """The term dicts of a form table {key: Poly}, shared, not copied."""
+    return {key: p.terms for key, p in comps.items()}
+
+
+def _partial(comps, a, outside=False):
+    """The term-dict table of d_a of each entry of a form table; with
+    ``outside``, only of the entries whose form index lacks a."""
+    return {key: d for key, p in comps.items()
+            if not (outside and a in key[-1]) and (d := p.diff(a - 1).terms)}
+
+
+def _iota_axis(table, a):
+    """The term-dict table of iota_{d_a} of a term-dict table."""
+    return {key[:-1] + (idx[:pos] + idx[pos + 1:],): _neg(t) if pos % 2 else t
+            for key, t in table.items() if a in (idx := key[-1]) for pos in (idx.index(a),)}
+
+
+def _d_into(acc, cell, comps, nvars, scale=1):
+    """acc[cell] += scale * d v = sum_a dx^a ^ d_a v for v given by its form
+    table; d_a is taken only of the entries that dx^a ^ does not kill."""
+    for a in range(1, nvars + 1):
+        _add_into(acc, cell, _partial(comps, a, True), scale, 1, (a,))
+
+
+def _act_into(acc, cell, entries, table, scale=1):
+    """acc[cell] += scale * E ^ v for an End-valued form E given by its
+    entries ((b, c, idx), f) and v by its term-dict table keyed
+    (c, value head..., form index): the matrix acts on the first value index."""
+    for (b, c, idx), f in entries:
+        _add_into(acc, cell, {(b,) + key[1:]: t for key, t in table.items() if key[0] == c},
+                  f, scale, idx)
+
+
+def _field(x, nvars, forms=True):
+    """The entries (a, X^a, dX^a table) of a vector field X, a section of TM
+    on an n-variable chart. dX^a is left empty where X^a is constant, and
+    without ``forms`` (iota_X and L_X of a 0-form read no dX^a)."""
+    check_section(x, nvars, "tangent", nvars)
+    return [(a, xa, d_scalar(xa, x.nvars).comps if forms and not xa.is_constant else {})
+            for (a, _), xa in x.comps.items()]
+
+
+def _axes(comps, axes):
+    """{a: (d_a v, iota_{d_a} v)} as term-dict tables, for v given by its
+    form table and each chart index a in axes."""
+    table = _terms(comps)
+    return {a: (_partial(comps, a), _iota_axis(table, a)) for a in axes}
+
+
+def _lie_into(acc, cell, axes, field, scale=1):
+    """acc[cell] += scale * L_X v = sum_a X^a d_a v + dX^a ^ iota_{d_a} v,
+    for v given by its ``_axes`` tables and X by its ``_field`` entries."""
+    for a, xa, dxa in field:
+        partial, iota = axes[a]
+        _add_into(acc, cell, partial, xa, scale)
+        for key, f in dxa.items():
+            _add_into(acc, cell, iota, f, scale, key[-1])
 
 
 class AlgebroidPresentation:
@@ -344,23 +363,21 @@ class AlgebroidPresentation:
         return e
 
     def rho_basis(self, i):
+        """rho(e_i) as a (cached) vector field."""
         x = self._rho_cache.get(i)
         if x is None:
-            x = VField(self.nvars, [self.anchor.get((i, a), Poly.zero(self.nvars))
-                                    for a in range(1, self.nvars + 1)])
+            x = VForm(self.nvars, self.nvars, 0,
+                      {(a, ()): p for (j, a), p in self.anchor.items() if j == i})
             self._rho_cache[i] = x
         return x
 
     def rho(self, alpha):
         """Anchor image of a section as a vector field."""
-        check_section(alpha, self.rank)
-        comps = [Poly.zero(self.nvars) for _ in range(self.nvars)]
+        check_section(alpha, self.rank, nvars=self.nvars)
+        acc = {}
         for (i, _), ai in alpha.comps.items():
-            for a in range(self.nvars):
-                ra = self.anchor.get((i, a + 1))
-                if ra is not None:
-                    comps[a] = comps[a] + ai * ra
-        return VField(self.nvars, comps)
+            _add_into(acc, (), _terms(self.rho_basis(i).comps), ai)
+        return _form(VForm, self.nvars, self.nvars, 0, acc)
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a (cached) section."""
@@ -382,18 +399,14 @@ class AlgebroidPresentation:
 
 
 def bracket(A, alpha, beta):
-    """Frame-expanded algebroid bracket.
+    """Frame-expanded algebroid bracket, rho(alpha)(beta^k) read off the
+    Lie derivative of beta along rho(alpha):
 
     [alpha, beta]^k = alpha^i beta^j c^k_{ij} + rho(alpha)(beta^k)
                       - rho(beta)(alpha^k).
     """
-    check_section(alpha, A.rank)
-    check_section(beta, A.rank)
-    ra, rb = A.rho(alpha), A.rho(beta)
-    comps = {(k, ()): ra.apply(beta.get(k, ())) - rb.apply(alpha.get(k, ()))
-             for k in range(1, A.rank + 1)}
+    ra, rb, acc = A.rho(alpha), A.rho(beta), {}
     for (i, j, k), c in A.structure.items():
         coef = alpha.get(i, ()) * beta.get(j, ()) - alpha.get(j, ()) * beta.get(i, ())
-        comps[(k, ())] = comps[(k, ())] + coef * c
-    return VForm(A.nvars, A.rank, 0, comps)
-
+        _add_into(acc, (), {(k, ()): coef.terms}, c)
+    return beta.lie(ra) - alpha.lie(rb) + _form(VForm, A.nvars, A.rank, 0, acc)

@@ -338,15 +338,6 @@ def _dispatch(args):
     return doc, 0 if rep.passed else 1
 
 
-def run(command, spec_path=None, argv_extra=()):
-    """Library entry point mirroring the CLI: returns (report dict, exit code)."""
-    argv = [command]
-    if spec_path is not None:
-        argv.append(str(spec_path))
-    argv.extend(argv_extra)
-    return _dispatch(_parser().parse_args(argv))
-
-
 def main(argv=None):
     args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     doc, code = _dispatch(args)

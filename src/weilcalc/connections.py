@@ -7,12 +7,13 @@ R = d Gamma + Gamma ^ Gamma are End-form algebra on it. A representation is
 its coefficient table psi^b_{i c} (nabla^A_{e_i} u_c = psi^b_{i c} u_b), with
 psi_i available as a degree-0 End-form. End-forms flatten by E_{b c} ->
 (b - 1) m + c onto the bundle End(V) of the induced connection and
-representation. Products and Lie derivatives of End-forms are the single
-ones of ``algebroid``.
+representation. d, iota, L and the exterior products of End-forms, and
+d-nabla, are the term-dict cell maps of ``algebroid``; ``_dnabla_into`` is
+the one d-nabla cell map, which ``weil.dnabla_cochain`` shares.
 """
 
-from .algebroid import (SparseTable, VForm, _wedge, check_section, is_form_index,
-                        symmetric_slots)
+from .algebroid import (SparseTable, VForm, _act_into, _add_into, _d_into, _form, _terms,
+                        check_section, is_form_index, symmetric_slots)
 from .errors import StructureError
 
 
@@ -46,9 +47,9 @@ class LinearConnection:
         """Exterior covariant derivative of a bundle-valued form, d + Gamma ^."""
         if vf.rank != self.rank or vf.nvars != self.nvars:
             raise StructureError("form does not match connection bundle")
-        if self.form.is_zero:
-            return vf.d()
-        return vf.d() + self.form.wedge_vform(vf)
+        acc = {}
+        _dnabla_into(acc, (), self, vf)
+        return _form(VForm, self.nvars, self.rank, vf.degree + 1, acc)
 
     def lie_nabla(self, x, vf):
         """Covariant Lie derivative via Cartan: d-nabla iota + iota d-nabla."""
@@ -68,6 +69,13 @@ class LinearConnection:
 
     def __eq__(self, other):
         return isinstance(other, LinearConnection) and self.form == other.form
+
+
+def _dnabla_into(acc, cell, conn, v, scale=1):
+    """acc[cell] += scale * d-nabla v = d v + Gamma ^ v, for a form v and the
+    connection conn = d + Gamma."""
+    _d_into(acc, cell, v.comps, v.nvars, scale)
+    _act_into(acc, cell, conn.form.comps.items(), _terms(v.comps), scale)
 
 
 class ARep:
@@ -111,6 +119,8 @@ class EndForm(SparseTable):
             if not (1 <= b <= rank and 1 <= c <= rank) \
                     or not is_form_index(idx, degree, nvars):
                 raise StructureError(f"bad End-form key {(b, c, idx)}")
+            if p.nvars != nvars:
+                raise StructureError("End-form component over wrong chart")
             if not p.is_zero:
                 clean[(b, c, idx)] = p
         self.comps = clean
@@ -125,20 +135,20 @@ class EndForm(SparseTable):
 
     def wedge_vform(self, vf):
         """Matrix-acting wedge with a V-valued form: (T ^ w)^b = T^b_c ^ w^c."""
-        if vf.rank != self.rank:
-            raise StructureError("End-form and form bundle ranks differ")
-        return VForm(self.nvars, vf.rank, self.degree + vf.degree,
-                     _wedge(self.comps, vf.comps,
-                            lambda t, v: (t[0],) if t[1] == v[0] else None))
+        if vf.rank != self.rank or vf.nvars != self.nvars:
+            raise StructureError("End-form and form bundles differ")
+        acc = {}
+        _act_into(acc, (), self.comps.items(), _terms(vf.comps))
+        return _form(VForm, self.nvars, vf.rank, self.degree + vf.degree, acc)
 
     def compose(self, other):
         """Wedge product with matrices multiplied in order:
         (S ^ T)^b_c = S^b_e ^ T^e_c."""
         if other.rank != self.rank or other.nvars != self.nvars:
             raise StructureError("End-forms act on different bundles")
-        return EndForm(self.nvars, self.rank, self.degree + other.degree,
-                       _wedge(self.comps, other.comps,
-                              lambda s, t: (s[0], t[1]) if s[1] == t[0] else None))
+        acc = {}
+        _act_into(acc, (), self.comps.items(), _terms(other.comps))
+        return _form(EndForm, self.nvars, self.rank, self.degree + other.degree, acc)
 
     def to_flat(self):
         """Flatten to a VForm over the rank-m^2 endomorphism bundle."""
@@ -174,7 +184,7 @@ class SymForm(SparseTable):
             if len(j) != arity or any(not 1 <= t <= secrank for t in j) \
                     or tuple(sorted(j)) != j:
                 raise StructureError(f"bad symmetric multi-index {j}")
-            if vf.degree != degree or vf.rank != rank:
+            if vf.degree != degree or vf.rank != rank or vf.nvars != nvars:
                 raise StructureError("symmetric table entry has wrong shape")
             if not vf.is_zero:
                 clean[j] = vf
@@ -202,17 +212,13 @@ class SymForm(SparseTable):
         """
         if self.arity == 0:
             raise StructureError("no symmetric slot to fill")
-        check_section(section, self.secrank)
+        check_section(section, self.secrank, nvars=self.nvars)
         acc = {}
         for J, vf in self.comps.items():
             for j, rest, _ in symmetric_slots(J):
-                coeff = section.comps.get((j, ()))
-                if coeff is None:
-                    continue
-                term = vf.scaled(coeff)
-                cur = acc.get(rest)
-                acc[rest] = term if cur is None else cur + term
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree, acc)
+                _add_into(acc, rest, _terms(vf.comps), section.get(j, ()))
+        return SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree,
+                       {J: _form(VForm, self.nvars, self.rank, self.degree, acc, J) for J in acc})
 
     def iota(self, x):
         return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree - 1,

@@ -4,8 +4,8 @@ The ideal is frame-aligned: it is spanned by a designated subset of the
 algebroid frame, so the symbol v, the horizontal projection h, and all
 restriction operators act at index level. The adjoint action
 nabla^A_a xi = [a, xi] is generated from the structure polynomials.
-ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2 and the slot pairing are all
-the exterior product of ``algebroid``.
+ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2, the slot pairing and h* add
+their terms through the term-dict cell maps of ``algebroid``.
 """
 
 import functools
@@ -13,13 +13,13 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .algebroid import (AlgebroidPresentation, VForm, _wedge, bracket, check_section,
-                        scalar_wedge, symmetric_slots)
+from .algebroid import (AlgebroidPresentation, VForm, _add_into, _form, _terms, bracket,
+                        check_section, symmetric_slots)
 from .connections import ARep, EndForm, LinearConnection, SymForm
 from .errors import ContractError, StructureError
 from .report import CheckReport
-from .weil import (WeilCochain, _add_into, _cochain, _insert, _solve, _terms, bounded_kernel,
-                   check_IM, delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
+from .weil import (WeilCochain, _cochain, _insert, _solve, bounded_kernel, check_IM, delta,
+                   dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
 
 
 class IdealBundle:
@@ -103,9 +103,12 @@ class IdealBundle:
 def _ad(adj, vf):
     """ad(F) = sum_e F^e psi_e for a fibre-valued form F, with psi_e = ad(u_e)
     read off the fibre's adjoint representation adj, as an End-form."""
-    ad = {(e, b, c, ()): p for (e, b, c), p in adj.psi.items()}
-    return EndForm(adj.nvars, adj.rank, vf.degree,
-                   _wedge(vf.comps, ad, lambda f, t: t[1:3] if f[0] == t[0] else None))
+    if vf.nvars != adj.nvars:
+        raise StructureError("ad of a form over another chart")
+    acc, table = {}, _terms(vf.comps)
+    for (e, b, c), p in adj.psi.items():
+        _add_into(acc, (), {(b, c, key[-1]): t for key, t in table.items() if key[0] == e}, p)
+    return _form(EndForm, adj.nvars, adj.rank, vf.degree, acc)
 
 
 def bracket_of_forms(ideal, w1, w2):
@@ -193,21 +196,19 @@ def wedgedot(gamma, theta, ideal):
     degrees add."""
     if gamma.arity < 1:
         raise StructureError("no symmetric slot left for the pairing")
-    if theta.rank != ideal.m:
-        raise StructureError("pairing expects an ideal-valued form")
-    n = gamma.nvars
-    thetas = {k: VForm(n, 1, theta.degree, {(1, idx): p for (b, idx), p in theta.comps.items()
-                                            if b == a})
+    if theta.rank != ideal.m or theta.nvars != gamma.nvars:
+        raise StructureError("pairing expects an ideal-valued form on the same chart")
+    n, degree = gamma.nvars, gamma.degree + theta.degree
+    # thetas[l]: the entries (idx, theta^a_idx) of theta^a, l = u_a
+    thetas = {k: [(idx, p) for (b, idx), p in theta.comps.items() if b == a]
               for a, k in enumerate(ideal.indices, start=1)}
-    rows = {}
+    acc = {}
     for J, vf in gamma.comps.items():
         for j, rest, _ in symmetric_slots(J):
-            if j in thetas:
-                term = scalar_wedge(thetas[j], vf)
-                cur = rows.get(rest)
-                rows[rest] = term if cur is None else cur + term
-    return SymForm(n, gamma.rank, gamma.secrank, gamma.arity - 1,
-                   gamma.degree + theta.degree, rows)
+            for idx, p in thetas.get(j, ()):
+                _add_into(acc, rest, _terms(vf.comps), p, 1, idx)
+    return SymForm(n, gamma.rank, gamma.secrank, gamma.arity - 1, degree,
+                   {J: _form(VForm, n, gamma.rank, degree, acc, J) for J in acc})
 
 
 def wedgedot_multi(gamma, thetas, ideal):
@@ -239,11 +240,11 @@ def hstar(imc, c):
     if c.A != A:
         raise StructureError("cochain lives over a different algebroid")
     r = A.rank
-    # pairs[l]: (i, [(d, C(e_i)^a_d)]), C(e_i)^a = sum_d C(e_i)^a_d dx^d, l = u_a
+    # pairs[l]: (i, [((d,), C(e_i)^a_d)]), C(e_i)^a = sum_d C(e_i)^a_d dx^d, l = u_a
     pairs = {}
     for a, l in enumerate(imc.ideal.indices, start=1):
         for i in range(1, r + 1):
-            ci = [(d, p) for (b, (d,)), p in imc.C0(i).comps.items() if b == a]
+            ci = [(idx, p) for (b, idx), p in imc.C0(i).comps.items() if b == a]
             if ci:
                 pairs.setdefault(l, []).append((i, ci))
     # hrow[l]: (b, h^l_b) for the nonzero components l of h(e_b)
@@ -276,9 +277,9 @@ def hstar(imc, c):
                 for i, ci in pairs.get(l, ()):
                     if i not in I:
                         out, pos = _insert(I, i)
-                        for d, p in ci:
+                        for idx, p in ci:
                             _add_into(kterm, (k - 1, out, rest), table, p,
-                                      -scale if pos % 2 else scale, d)
+                                      -scale if pos % 2 else scale, idx)
         term = kterm
     return _cochain(A, c.rank, c.p, c.q, acc)
 

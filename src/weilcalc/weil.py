@@ -5,7 +5,11 @@ table keyed (k, I, J): k is the correction index, I a strictly increasing
 tuple of p-k frame indices (antisymmetric slots), J a sorted multiset of
 k frame indices (symmetric slots), and the value a degree-(q-k)
 bundle-valued form; absent keys read as zero. Sums and multiples come
-from ``algebroid.SparseTable``, which the forms share. Evaluation on
+from ``algebroid.SparseTable``, which the forms share. Every operator
+adds its terms through the cell maps of ``algebroid`` into one cell
+(k, I, J) per frame layout: delta's first map is the Lie cell map of
+``VForm.lie``, ``dnabla_cochain`` the d-nabla one of
+``LinearConnection.dnabla``. Evaluation on
 arbitrary sections reads the contraction cell map iota_alpha (``_contract``),
 which fills the first antisymmetric slot by the Leibniz identity
 
@@ -28,11 +32,13 @@ import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, check_section, d_scalar, sort_sign,
+from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _field, _form,
+                        _lie_into, _terms, check_section, d_scalar, sort_sign,
                         sorted_multisets, symmetric_slots)
-from .connections import ARep, EndForm, LinearConnection, SymForm, induced_end_rep
+from .connections import (ARep, EndForm, LinearConnection, SymForm, _dnabla_into,
+                          induced_end_rep)
 from .errors import ContractError, StructureError
-from .polyring import MAX_DEGREE, Poly, _axpy, _make, _neg, _pair, _product
+from .polyring import MAX_DEGREE, Poly
 from .report import CheckReport
 
 
@@ -154,69 +160,17 @@ def _insert(I, i):
     return I[:pos] + (i,) + I[pos:], pos
 
 
-def _add_into(acc, cell, table, coef, scale=1, slot=None):
-    """acc[cell] += scale * coef * (dx^slot ^) table, coef an int or Poly and
-    scale a nonzero int or Fraction. Accumulator rows and the table map
-    (b, idx) to term dicts; each row entry is a dict of its own, changed in
-    place by ``polyring._axpy``, and the table is only read."""
-    if not table or not coef:
-        return
-    row = acc.setdefault(cell, {})
-    terms = coef.terms if isinstance(coef, Poly) else {0: (coef, 1)}
-    if scale != 1:
-        terms = _product(terms, {0: _pair(scale)})
-    signed = (terms, _neg(terms)) if slot is not None else None
-    for key, t in table.items():
-        a = terms
-        if slot is not None:
-            b, idx = key
-            if slot in idx:
-                continue
-            pos = bisect.bisect(idx, slot)
-            key, a = (b, idx[:pos] + (slot,) + idx[pos:]), signed[pos % 2]
-        out = row.get(key)
-        if out is None:
-            out = row[key] = {}
-        _axpy(out, a, t)
-
-
 def _cochain(A, rank, p, q, acc):
     """The W^{p,q} cochain of an accumulator {(k, I, J): {(b, idx): term dict}},
-    each term dict wrapped once as it is, keys not validated again; empty
-    entries and cells of degree above the chart dimension are dropped."""
+    each row wrapped once by ``algebroid._form``; empty entries and cells of
+    degree above the chart dimension are dropped."""
     n, comps = A.nvars, {}
     for cell in sorted(acc):
-        table = {key: _make(n, t) for key, t in acc[cell].items() if t}
-        if table and q - cell[0] <= n:
-            vf = comps[cell] = object.__new__(VForm)
-            vf.nvars, vf.rank, vf.degree, vf.comps = n, rank, q - cell[0], table
+        if q - cell[0] <= n and (vf := _form(VForm, n, rank, q - cell[0], acc, cell)).comps:
+            comps[cell] = vf
     c = object.__new__(WeilCochain)
     c.A, c.rank, c.p, c.q, c.comps = A, rank, p, q, comps
     return c
-
-
-def _terms(comps):
-    """The term dicts of a form table {key: Poly}, shared, not copied."""
-    return {key: p.terms for key, p in comps.items()}
-
-
-def _partial(comps, a):
-    """The term-dict table of d_a of each entry of a form table."""
-    return {key: d for key, p in comps.items() if (d := p.diff(a - 1).terms)}
-
-
-def _iota_axis(table, a):
-    """The term-dict table of iota_{d_a} of a term-dict table."""
-    return {(b, idx[:pos] + idx[pos + 1:]): _neg(t) if pos % 2 else t
-            for (b, idx), t in table.items() if a in idx for pos in (idx.index(a),)}
-
-
-def _act_into(acc, cell, entries, table, scale):
-    """acc[cell] += scale * E ^ v for an End-valued form E of degree <= 1
-    given by its entries ((b, c, idx), f) and v by its term-dict table."""
-    for (b, c, idx), f in entries:
-        _add_into(acc, cell, {(b, i): t for (vc, i), t in table.items() if vc == c}, f, scale,
-                  idx[0] if idx else None)
 
 
 def _contract(c, alpha):
@@ -226,7 +180,7 @@ def _contract(c, alpha):
     (k, I - i, J) for i = I[t], and, for each distinct i in J with
     alpha^i not constant, (-1)^(k-1) d(alpha^i) ^ v to (k - 1, I, J - i)."""
     A = c.A
-    check_section(alpha, A.rank)
+    check_section(alpha, A.rank, nvars=A.nvars)
     coefs = {i: ai for (i, _), ai in alpha.comps.items()}
     dcoefs = {i: d_scalar(ai, A.nvars).comps for i, ai in coefs.items() if not ai.is_constant}
     acc = {}
@@ -237,8 +191,8 @@ def _contract(c, alpha):
             if ai is not None:
                 _add_into(acc, (k, I[:t] + I[t + 1:], J), table, ai, -1 if (k + t) % 2 else 1)
         for i, rest, _ in symmetric_slots(J):
-            for (_, (a,)), f in dcoefs.get(i, {}).items():
-                _add_into(acc, (k - 1, I, rest), table, f, 1 if k % 2 else -1, a)
+            for (_, idx), f in dcoefs.get(i, {}).items():
+                _add_into(acc, (k - 1, I, rest), table, f, 1 if k % 2 else -1, idx)
     return _cochain(A, c.rank, c.p - 1, c.q, acc)
 
 
@@ -277,21 +231,19 @@ def delta(A, rep, c):
         brackets.setdefault(l, []).append((s, t, cst))
         frame_lie.setdefault((s, l), []).append((t, cst))
         frame_lie.setdefault((t, l), []).append((s, -cst))
+    # the Leibniz map reads only cells with symmetric slots
     leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
                    if not cst.is_constant]
-               for l, terms in brackets.items()}
-    # L_{rho e_i} v = sum_a rho^a_i d_a v + sum_a d(rho^a_i) ^ iota_{d_a} v
-    anchor = {}
-    for (i, a), rho in A.anchor.items():
-        anchor.setdefault(i, []).append((a, rho, d_scalar(rho, n).comps))
+               for l, terms in brackets.items()} if any(k for k, _, _ in c.comps) else {}
+    # anchor[i]: the entries of rho(e_i) for L_{rho e_i}
+    anchor = {i: _field(A.rho_basis(i), n) for i in sorted({i for i, _ in A.anchor})}
     axes = sorted({a for _, a in A.anchor})
     psi = {i: rep.endo(i).comps.items() for i in range(1, r + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():
         sign = -1 if k % 2 else 1
         table = _terms(v.comps)
-        partial = {a: _partial(v.comps, a) for a in axes}
-        iota = {a: _iota_axis(table, a) for a in axes}
+        jet = _axes(v.comps, axes)
         slots = tuple(symmetric_slots(J))
         for i in range(1, r + 1):
             if i in I:
@@ -299,10 +251,7 @@ def delta(A, rep, c):
             out, pos = _insert(I, i)
             sgn = -sign if pos % 2 else sign
             cell = (k, out, J)
-            for a, rho, drho in anchor.get(i, ()):
-                _add_into(acc, cell, partial[a], rho, sgn)
-                for (_, (b,)), f in drho.items():
-                    _add_into(acc, cell, iota[a], f, sgn, b)
+            _lie_into(acc, cell, jet, anchor.get(i, ()), sgn)
             _act_into(acc, cell, psi[i], table, sgn)
             for l, rest, _ in slots:
                 for j, cij in frame_lie.get((i, l), ()):
@@ -324,12 +273,12 @@ def delta(A, rep, c):
                     out, ps = _insert(I, s)
                     out, pt = _insert(out, t)
                     sgn = sign if (ps + pt) % 2 else -sign
-                    for (_, (a,)), f in dcst.items():
-                        _add_into(acc, (k - 1, out, rest), table, f, sgn, a)
+                    for (_, idx), f in dcst.items():
+                        _add_into(acc, (k - 1, out, rest), table, f, sgn, idx)
         for j, rhos in anchor.items() if v.degree else ():
             Jout, _ = _insert(J, j)
             for a, rho, _ in rhos:
-                _add_into(acc, (k + 1, I, Jout), iota[a], rho, sign * Jout.count(j))
+                _add_into(acc, (k + 1, I, Jout), jet[a][1], rho, sign * Jout.count(j))
     return _cochain(A, c.rank, c.p + 1, c.q, acc)
 
 
@@ -347,15 +296,11 @@ def dnabla_cochain(conn, c):
         raise StructureError("wrap plain forms with WeilCochain.from_vform first")
     if conn.rank != c.rank or conn.nvars != c.A.nvars:
         raise StructureError("connection does not match cochain bundle")
-    gamma = conn.form.comps.items()
     acc = {}
     for (k, I, J), v in c.comps.items():
         sign = -1 if k % 2 else 1
+        _dnabla_into(acc, (k, I, J), conn, v, sign)
         table = _terms(v.comps)
-        # d-nabla v = sum_a dx^a ^ d_a v + Gamma ^ v
-        for a in range(1, conn.nvars + 1):
-            _add_into(acc, (k, I, J), _partial(v.comps, a), sign, 1, a)
-        _act_into(acc, (k, I, J), gamma, table, sign)
         for pos, i in enumerate(I):
             Jout, _ = _insert(J, i)
             _add_into(acc, (k + 1, I[:pos] + I[pos + 1:], Jout), table,

@@ -21,7 +21,7 @@ from weilcalc import (Dhor, EndForm, LinearConnection, Poly, Section, VForm,
                       obstruction_cocycle, solve_coboundary,
                       unique_curving, validate_algebroid,
                       wedge_Ttheta, wedgedot, wedgedot_multi)
-from weilcalc.algebroid import VField, scalar_wedge
+from weilcalc.algebroid import scalar_wedge
 from weilcalc.connections import SymForm, lieA_derivative, lieA_vform
 from weilcalc.fixtures import (random_cochain, random_endform, random_poly,
                                random_section, random_symform, random_vform)
@@ -133,8 +133,8 @@ def test_criterion_04_pairing_laws(f2):
         # (iii) interior products
         g2 = random_symform(f2, 1, 2, seed=seed + 10)
         tl = random_vform(random.Random(f"f:{seed}"), 2, 3, 1, 1)
-        X = VField(2, [random_poly(random.Random(f"g:{seed}"), 2, 1),
-                       random_poly(random.Random(f"h:{seed}"), 2, 1)])
+        X = Section(2, [random_poly(random.Random(f"g:{seed}"), 2, 1),
+                        random_poly(random.Random(f"h:{seed}"), 2, 1)])
         ok = ok and wedgedot(g2, tl, ideal).iota(X) == \
             wedgedot(g2, tl.iota(X), ideal) - wedgedot(g2.iota(X), tl, ideal)
         # (iv) Lie derivative distributes

@@ -3,10 +3,25 @@ import random
 import pytest
 
 from weilcalc import (AlgebroidPresentation, EndForm, Poly, Section, StructureError,
-                      SymForm, VField, VForm, WeilCochain, bracket, scalar_wedge,
-                      validate_algebroid, vfield_bracket)
+                      SymForm, VForm, WeilCochain, bracket, scalar_wedge,
+                      validate_algebroid)
 from weilcalc.algebroid import d_scalar
 from weilcalc.fixtures import random_poly, random_section, random_vform
+
+
+def apply_field(X, f):
+    """X(f) = sum_a X^a d_a f for a vector field X (a section of TM)."""
+    out = Poly.zero(f.nvars)
+    for (a, _), xa in X.comps.items():
+        out = out + xa * f.diff(a - 1)
+    return out
+
+
+def field_bracket(X, Y):
+    """[X, Y]^a = X(Y^a) - Y(X^a), component by component."""
+    n = X.nvars
+    return Section(n, [apply_field(X, Y.get(a, ())) - apply_field(Y, X.get(a, ()))
+                       for a in range(1, n + 1)])
 
 
 def so3():
@@ -84,7 +99,7 @@ def test_anchor_is_bracket_morphism_on_randoms(seed, f2):
     a = random_section(f2.A, 100 + seed)
     b = random_section(f2.A, 200 + seed)
     lhs = f2.A.rho(bracket(f2.A, a, b))
-    rhs = vfield_bracket(f2.A.rho(a), f2.A.rho(b))
+    rhs = field_bracket(f2.A.rho(a), f2.A.rho(b))
     assert lhs == rhs
 
 
@@ -95,7 +110,7 @@ def test_bracket_leibniz(seed, f2):
     b = random_section(A, 400 + seed)
     f = random_poly(random.Random(f"lb:{seed}"), A.nvars, 2)
     lhs = bracket(A, a, b.scaled(f))
-    rhs = bracket(A, a, b).scaled(f) + b.scaled(A.rho(a).apply(f))
+    rhs = bracket(A, a, b).scaled(f) + b.scaled(apply_field(A.rho(a), f))
     assert lhs == rhs
 
 
@@ -115,14 +130,14 @@ def test_d_example():
 def test_iota_example():
     x = Poly.var(2, 0)
     w = VForm(2, 1, 2, {(1, (1, 2)): x})         # x dx^dy
-    dx_dir = VField(2, [Poly.const(2, 1), Poly.zero(2)])
+    dx_dir = Section(2, [Poly.const(2, 1), Poly.zero(2)])
     assert w.iota(dx_dir) == VForm(2, 1, 1, {(1, (2,)): x})
 
 
 def test_lie_example_via_cartan():
     x = Poly.var(2, 0)
     w = VForm(2, 1, 2, {(1, (1, 2)): x})
-    dx_dir = VField(2, [Poly.const(2, 1), Poly.zero(2)])
+    dx_dir = Section(2, [Poly.const(2, 1), Poly.zero(2)])
     assert w.lie(dx_dir) == VForm(2, 1, 2, {(1, (1, 2)): Poly.const(2, 1)})
 
 
@@ -135,11 +150,35 @@ def test_d_squared_zero(seed, degree):
 @pytest.mark.parametrize("seed", range(8))
 def test_cartan_formula_on_randoms(seed):
     rng = random.Random(f"x:{seed}")
-    x = VField(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
+    x = Section(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
     for degree in (0, 1, 2):
         w = rvf(seed, degree)
         assert w.lie(x) == w.iota(x).d() + w.d().iota(x)
         assert w.iota(x).iota(x).is_zero
+
+
+def test_fields_and_forms_over_another_chart_are_rejected(f2):
+    # the cell maps add term dicts, which carry no chart, so each form checks
+    # the chart of its components and each operator that of its inputs
+    z = Poly.var(3, 2)
+    with pytest.raises(StructureError, match="form component over wrong chart"):
+        VForm(2, 1, 1, {(1, (1,)): z})
+    with pytest.raises(StructureError, match="End-form component over wrong chart"):
+        EndForm(2, 1, 0, {(1, 1, ()): z})
+    with pytest.raises(StructureError, match="form component over wrong chart"):
+        Section(2, [z])
+    with pytest.raises(StructureError, match="symmetric table entry has wrong shape"):
+        SymForm(2, 1, 2, 1, 0, {(1,): VForm(3, 1, 0, {(1, ()): z})})
+    w = VForm(2, 3, 1, {(1, (1,)): Poly.var(2, 0)})
+    for op in (w.iota, w.lie):
+        with pytest.raises(StructureError, match="section over wrong chart"):
+            op(VForm(3, 2, 0, {(1, ()): z}))
+    with pytest.raises(StructureError, match="section over wrong chart"):
+        f2.A.rho(VForm(3, f2.A.rank, 0, {(1, ()): z}))
+    with pytest.raises(StructureError, match="ad of a form over another chart"):
+        f2.ideal.ad_endform(VForm(3, 3, 1, {(1, (1,)): z}))
+    with pytest.raises(StructureError, match="End-form and form bundles differ"):
+        EndForm(2, 3, 0, {(1, 1, ()): Poly.var(2, 0)}).wedge_vform(VForm(3, 3, 0, {(1, ()): z}))
 
 
 def test_degree_overflow_is_zero_object():

@@ -6,9 +6,11 @@ from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, Sym
                       induced_end_connection, induced_end_rep, invariance_form,
                       is_A_invariant, lieA_derivative, lieA_vform,
                       validate_rep)
-from weilcalc.algebroid import VField, bracket
+from weilcalc.algebroid import Section, bracket
 from weilcalc.fixtures import (random_endform, random_poly, random_section,
                                random_symform, random_vform)
+
+from test_algebroid import apply_field
 
 
 def rvf(seed, degree, nvars=2, rank=1):
@@ -121,14 +123,14 @@ def test_lie_derivatives_of_a_function(f2):
     conn = f2.conn
     f = random_vform(random.Random("lie0"), 2, 3, 0, 2)
     rng = random.Random("lie0:X")
-    X = VField(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
-    assert f.lie(X) == VForm(2, 3, 0, {key: X.apply(p) for key, p in f.comps.items()})
+    X = Section(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
+    assert f.lie(X) == VForm(2, 3, 0, {key: apply_field(X, p) for key, p in f.comps.items()})
     want = {}
     for b in range(1, 4):
-        p = X.apply(f.get(b, ()))
+        p = apply_field(X, f.get(b, ()))
         for a in range(1, 3):
             for c in range(1, 4):
-                p = p + X.comps[a - 1] * conn.gamma(a, b, c) * f.get(c, ())
+                p = p + X.get(a, ()) * conn.gamma(a, b, c) * f.get(c, ())
         want[(b, ())] = p
     assert conn.lie_nabla(X, f) == VForm(2, 3, 0, want)
 
@@ -265,7 +267,7 @@ def test_end_connection_example_f2(f2):
                               (2, 3, ()): Poly.const(2, -1)})
     end_conn = induced_end_connection(f2.conn)
     out = EndForm.from_flat(end_conn.dnabla(ad_e1.to_flat()), 3)
-    dy = VField(2, [Poly.zero(2), Poly.const(2, 1)])
+    dy = Section(2, [Poly.zero(2), Poly.const(2, 1)])
     got = out.iota(dy)
     x = Poly.var(2, 0)
     ad_e2 = EndForm(2, 3, 0, {(1, 3, ()): x, (3, 1, ()): -x})  # x ad(e2)

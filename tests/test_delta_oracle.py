@@ -6,7 +6,9 @@ replaced: it loops over every output row (k, I, J) of W^{p+1,q} and reads
 the input there through the Lie derivative of symmetric-slot forms, the
 bracket insertions and the slot interior products. The Lie derivatives
 are the slot-by-slot forms that ``connections.lieA_vform`` and
-``lieA_derivative`` replaced (those now read ``delta``); the rows and the
+``lieA_derivative`` replaced (those now read ``delta``), on top of the
+chain-rule Lie derivative of forms ``_lie`` that ``VForm.lie`` replaced
+(that one now shares delta's Lie cell map); the rows and the
 bracket insertions are read with ``weil.eval_row``, which contracts and
 does not call ``delta``.
 
@@ -27,12 +29,35 @@ import pytest
 
 from weilcalc import (AlgebroidPresentation, ARep, VForm, WeilCochain, build_fixture,
                       validate_algebroid, validate_rep)
-from weilcalc.algebroid import _lie, symmetric_slots
+from weilcalc.algebroid import sort_sign, symmetric_slots
 from weilcalc.connections import SymForm
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly
 from weilcalc.weil import _cell_cochain, _unknown_cells, delta, eval_row, frame_rows
 
+from test_algebroid import apply_field
 from test_weil import affine_algebroid, affine_rep
+
+
+def _lie(form, x):
+    """The table of L_X of a form keyed (value head..., form index), by the
+    chain rule: X applied to each coefficient, plus each slot dx^c replaced
+    in turn by d(X^c) = d_a X^c dx^a."""
+    n = x.nvars
+    dx = {c: [(a, dxc) for a in range(1, n + 1) if not (dxc := x.get(c, ()).diff(a - 1)).is_zero]
+          for c in range(1, n + 1)} if form.degree > 0 else {}
+    acc = {key: q for key, p in form.comps.items() if not (q := apply_field(x, p)).is_zero}
+    for key, p in form.comps.items():
+        head, idx = key[:-1], key[-1]
+        for t, c in enumerate(idx):
+            for a, dxc in dx[c]:
+                srt, sign = sort_sign(idx[:t] + (a,) + idx[t + 1:])
+                if sign == 0:
+                    continue
+                q = dxc * p if sign > 0 else -(dxc * p)
+                out = head + (srt,)
+                cur = acc.get(out)
+                acc[out] = q if cur is None else cur + q
+    return acc
 
 
 def _lieA(vf, x, columns):
@@ -63,7 +88,7 @@ def bracket_with_frame_ref(A, alpha, j):
     """Components of [alpha, e_j] = sum_i alpha^i [e_i, e_j] - rho(e_j)(alpha^i) e_i,
     read from the cached frame brackets."""
     rho_j = A.rho_basis(j)
-    out = [-rho_j.apply(alpha.get(i, ())) for i in range(1, A.rank + 1)]
+    out = [-apply_field(rho_j, alpha.get(i, ())) for i in range(1, A.rank + 1)]
     for (i, _), ai in alpha.comps.items():
         for (k, _), w in A.bracket_basis(i, j).comps.items():
             out[k - 1] = out[k - 1] + ai * w

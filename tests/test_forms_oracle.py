@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from weilcalc import (AlgebroidPresentation, EndForm, IdealBundle, LinearConnection, Poly,
-                      Section, SymForm, VField, VForm, bracket_of_forms, build_fixture,
+                      Section, SymForm, VForm, bracket_of_forms, build_fixture,
                       invariance_form, lieA_vform, scalar_wedge, wedgedot)
 from weilcalc.ideals import _bracket_failure
 
@@ -147,7 +147,7 @@ def test_iota_matches_component_formula(data):
     n, w = data.draw(chart_forms())
     X = [data.draw(polys(n)) for _ in range(n)]
     want = sym_iota([to_ring(x) for x in X], sym_form(w), n, w.rank, w.degree)
-    assert matches(want, w.iota(VField(n, X)))
+    assert matches(want, w.iota(Section(n, X)))
 
 
 @_oracle
@@ -168,7 +168,7 @@ def test_lie_matches_cartan_formula_at_every_degree(data):
     sX = [to_ring(x) for x in X]
     for degree in range(n + 1):
         w = data.draw(vforms(n, rank, degree))
-        assert matches(sym_lie(sX, sym_form(w), n, rank, degree), w.lie(VField(n, X)))
+        assert matches(sym_lie(sX, sym_form(w), n, rank, degree), w.lie(Section(n, X)))
 
 
 # -- lieA_vform: Cartan formula plus the representation ---------------------------
@@ -268,7 +268,7 @@ def test_endform_lie_matches_cartan_formula_at_every_degree(n, m, data):
     for degree in range(n + 1):
         E = data.draw(endforms(n, m, degree))
         want = sym_lie(sX, sym_form(E.to_flat()), n, m * m, degree)
-        assert matches(want, E.lie(VField(n, X)).to_flat())
+        assert matches(want, E.lie(Section(n, X)).to_flat())
 
 
 @_oracle

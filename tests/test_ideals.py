@@ -15,7 +15,7 @@ from weilcalc import (AlgebroidPresentation, ContractError, Dhor, EndForm, Ideal
                       solve_coboundary, splitting_cochain, splitting_curvature,
                       unique_curving, validate_algebroid, wedgedot,
                       wedgedot_multi)
-from weilcalc.algebroid import VField, scalar_wedge, sort_sign
+from weilcalc.algebroid import scalar_wedge, sort_sign
 from weilcalc.connections import SymForm, lieA_derivative, lieA_vform
 from weilcalc.fixtures import (random_cochain, random_poly, random_section,
                                random_symform, random_vform)
@@ -87,8 +87,8 @@ def test_pairing_one_one_formula(f2):
     gamma = random_symform(f2, 1, 1, seed=1)
     theta = rvform(f2, 1, seed=2)
     out = wedgedot(gamma, theta, f2.ideal).vform()
-    dx = VField(2, [Poly.const(2, 1), Poly.zero(2)])
-    dy = VField(2, [Poly.zero(2), Poly.const(2, 1)])
+    dx = Section(2, [Poly.const(2, 1), Poly.zero(2)])
+    dy = Section(2, [Poly.zero(2), Poly.const(2, 1)])
     lhs = out.iota(dx).iota(dy)     # out(dx, dy)
     t_x = tuple(theta.get(a, (1,)) for a in range(1, 4))
     t_y = tuple(theta.get(a, (2,)) for a in range(1, 4))
@@ -123,7 +123,7 @@ def test_pairing_interior_product_rule(seed, f2):
     gamma = random_symform(f2, 1, 2, seed=seed)
     theta = rvform(f2, 1, seed=seed + 10)
     rng = random.Random(f"X:{seed}")
-    X = VField(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
+    X = Section(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
     lhs = wedgedot(gamma, theta, f2.ideal).iota(X)
     rhs = wedgedot(gamma, theta.iota(X), f2.ideal) \
         - wedgedot(gamma.iota(X), theta, f2.ideal)

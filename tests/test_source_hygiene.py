@@ -1,0 +1,60 @@
+"""What a move of helpers between modules leaves behind, read with ``ast``.
+
+For each ``src/weilcalc`` module other than ``__init__``: every name it
+imports is used in it, and every private module-level function it defines
+is referenced somewhere in ``src`` outside its own definition.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "weilcalc"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(SRC.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def _references(node, skip=None):
+    """The identifiers that node reads: names, attribute names and the
+    names imported from other modules; nothing inside ``skip``."""
+    out, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.asname or a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = TREES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(_imported(tree)) - used) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_function_is_referenced(module):
+    private = [node for node in TREES[module].body if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    elsewhere = set().union(*(_references(tree) for name, tree in TREES.items()
+                              if name != module))
+    orphans = [fn.name for fn in private if fn.name not in elsewhere
+               and fn.name not in _references(TREES[module], skip=fn)]
+    assert orphans == []
