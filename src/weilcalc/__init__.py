@@ -11,9 +11,8 @@ obstruction machinery, and a spec-file CLI.
 from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
 from .algebroid import AlgebroidPresentation, Section, VForm, bracket, scalar_wedge
-from .connections import (ARep, EndForm, LinearConnection, SymForm,
-                          induced_end_connection, induced_end_rep,
-                          lieA_derivative, lieA_vform)
+from .connections import (ARep, EndForm, LinearConnection, induced_end_connection,
+                          induced_end_rep, lieA_derivative, lieA_vform)
 from .weil import (WeilCochain, bounded_kernel, check_IM, delta, dnabla_cochain,
                    eval_row, evaluate, invariance_form, is_A_invariant,
                    is_horizontal, solve_coboundary, validate_algebroid,

@@ -189,14 +189,14 @@ def Section(nvars, comps):
     return VForm(nvars, len(comps), 0, {(i, ()): c for i, c in enumerate(comps, start=1)})
 
 
-def check_section(alpha, rank, bundle="algebroid", nvars=None):
+def check_section(alpha, rank, nvars, bundle="algebroid"):
     """Reject anything but a section (a degree-0 form) of a rank-``rank``
-    bundle, over the ``nvars``-variable chart where one is given."""
+    bundle over the ``nvars``-variable chart."""
     if not isinstance(alpha, VForm) or alpha.degree != 0:
         raise StructureError("a section is a degree-0 form")
     if alpha.rank != rank:
         raise StructureError(f"section rank does not match {bundle} rank")
-    if nvars is not None and alpha.nvars != nvars:
+    if alpha.nvars != nvars:
         raise StructureError("section over wrong chart")
 
 
@@ -298,7 +298,7 @@ def _field(x, nvars, forms=True):
     """The entries (a, X^a, dX^a table) of a vector field X, a section of TM
     on an n-variable chart. dX^a is left empty where X^a is constant, and
     without ``forms`` (iota_X and L_X of a 0-form read no dX^a)."""
-    check_section(x, nvars, "tangent", nvars)
+    check_section(x, nvars, nvars, "tangent")
     return [(a, xa, d_scalar(xa, x.nvars).comps if forms and not xa.is_constant else {})
             for (a, _), xa in x.comps.items()]
 
@@ -373,7 +373,7 @@ class AlgebroidPresentation:
 
     def rho(self, alpha):
         """Anchor image of a section as a vector field."""
-        check_section(alpha, self.rank, nvars=self.nvars)
+        check_section(alpha, self.rank, self.nvars)
         acc = {}
         for (i, _), ai in alpha.comps.items():
             _add_into(acc, (), _terms(self.rho_basis(i).comps), ai)

@@ -12,8 +12,7 @@ d-nabla, are the term-dict cell maps of ``algebroid``; ``_dnabla_into`` is
 the one d-nabla cell map, which ``weil.dnabla_cochain`` shares.
 """
 
-from .algebroid import (SparseTable, VForm, _act_into, _add_into, _d_into, _form, _terms,
-                        check_section, is_form_index, symmetric_slots)
+from .algebroid import SparseTable, VForm, _act_into, _d_into, _form, _terms, is_form_index
 from .errors import StructureError
 
 
@@ -167,64 +166,6 @@ class EndForm(SparseTable):
         return cls(vf.nvars, rank, vf.degree, comps)
 
 
-class SymForm(SparseTable):
-    """Form valued in S^k(A*) (x) V: table of VForms keyed by sorted multisets."""
-
-    __slots__ = ("nvars", "rank", "secrank", "arity", "degree", "comps")
-
-    def __init__(self, nvars, rank, secrank, arity, degree, comps=None):
-        self.nvars = nvars
-        self.rank = rank
-        self.secrank = secrank
-        self.arity = arity
-        self.degree = degree
-        clean = {}
-        for j, vf in (comps or {}).items():
-            j = tuple(j)
-            if len(j) != arity or any(not 1 <= t <= secrank for t in j) \
-                    or tuple(sorted(j)) != j:
-                raise StructureError(f"bad symmetric multi-index {j}")
-            if vf.degree != degree or vf.rank != rank or vf.nvars != nvars:
-                raise StructureError("symmetric table entry has wrong shape")
-            if not vf.is_zero:
-                clean[j] = vf
-        self.comps = clean
-
-    def _shape(self):
-        return self.nvars, self.rank, self.secrank, self.arity, self.degree
-
-    def get(self, j):
-        vf = self.comps.get(tuple(sorted(j)))
-        if vf is None:
-            return VForm.zero(self.nvars, self.rank, self.degree)
-        return vf
-
-    def vform(self):
-        if self.arity != 0:
-            raise StructureError("still has open symmetric slots")
-        return self.get(())
-
-    def insert(self, section):
-        """Fill one symmetric slot with a section (C^infty-linear).
-
-        out(J') = sum_l section^l * self(sort(J' + (l,))); each stored row
-        contributes once per distinct value it can donate to the slot.
-        """
-        if self.arity == 0:
-            raise StructureError("no symmetric slot to fill")
-        check_section(section, self.secrank, nvars=self.nvars)
-        acc = {}
-        for J, vf in self.comps.items():
-            for j, rest, _ in symmetric_slots(J):
-                _add_into(acc, rest, _terms(vf.comps), section.get(j, ()))
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity - 1, self.degree,
-                       {J: _form(VForm, self.nvars, self.rank, self.degree, acc, J) for J in acc})
-
-    def iota(self, x):
-        return SymForm(self.nvars, self.rank, self.secrank, self.arity, self.degree - 1,
-                       {j: vf.iota(x) for j, vf in self.comps.items()})
-
-
 def lieA_vform(A, rep, alpha, vf):
     """L^A_alpha on a plain V-valued form, delta vf evaluated on alpha; a
     zero form (also the degree -1 form iota leaves on a 0-form) is kept."""
@@ -236,18 +177,15 @@ def lieA_vform(A, rep, alpha, vf):
 def lieA_derivative(A, rep, alpha, gamma):
     """L^A_alpha on S^k(A*)-valued forms by the Cartan formula
     L^A_alpha = iota_alpha delta + delta iota_alpha on the Weil complex:
-    gamma of arity k and degree q is the level-k part of a W^{k,q+k}
-    cochain c with cells (k, (), J), and the result is that of
-    iota_alpha delta c + delta iota_alpha c."""
+    gamma of arity k and degree q is the level-k row of a W^{k,q+k}
+    cochain, cells (k, (), J), and the result is that of
+    iota_alpha delta gamma + delta iota_alpha gamma."""
     # weil imports this module, so its operators are imported at call time
-    from .weil import WeilCochain, _contract, delta, eval_row
-    if gamma.secrank != A.rank:
-        raise StructureError("symmetric slots do not match the algebroid rank")
-    k = gamma.arity
-    c = WeilCochain(A, gamma.rank, k, gamma.degree + k,
-                    {(k, (), J): vf for J, vf in gamma.comps.items()})
-    out = _contract(delta(A, rep, c), alpha) + delta(A, rep, _contract(c, alpha))
-    return eval_row(out, k, [])
+    from .weil import _contract, delta, eval_row
+    if gamma.A != A:
+        raise StructureError("cochain lives over a different algebroid")
+    out = _contract(delta(A, rep, gamma), alpha) + delta(A, rep, _contract(gamma, alpha))
+    return eval_row(out, gamma.p, [])
 
 
 def _commutator_table(m, entries):

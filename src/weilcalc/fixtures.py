@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
-from .connections import EndForm, LinearConnection, SymForm
+from .connections import EndForm, LinearConnection
 from .errors import StructureError
 from .ideals import (IdealBundle, IMConnection, build_coupled, frame_splitting,
                      splitting_cochain)
@@ -138,12 +138,13 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
 
 
 def random_symform(fix, arity, degree, seed, bound=1):
-    """Random ideal-valued form with open symmetric slots (pairing tests)."""
+    """Random ideal-valued form with open symmetric slots (pairing tests),
+    as the level-``arity`` row of a W^{arity, arity + degree} cochain."""
     rng = random.Random(f"symform:{fix.name}:{arity}:{degree}:{seed}")
     A = fix.A
-    table = {J: random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
-             for J in sorted_multisets(A.rank, arity)}
-    return SymForm(A.nvars, fix.ideal.m, A.rank, arity, degree, table)
+    return WeilCochain(A, fix.ideal.m, arity, arity + degree, {
+        (arity, (), J): random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
+        for J in sorted_multisets(A.rank, arity)})
 
 
 def random_endform(fix, degree, seed, bound=1):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebroid import (AlgebroidPresentation, VForm, _add_into, _form, _terms, bracket,
                         check_section, symmetric_slots)
-from .connections import ARep, EndForm, LinearConnection, SymForm
+from .connections import ARep, EndForm, LinearConnection
 from .errors import ContractError, StructureError
 from .report import CheckReport
 from .weil import (WeilCochain, _cochain, _insert, _solve, bounded_kernel, check_IM, delta,
@@ -51,13 +51,13 @@ class IdealBundle:
 
     def embed(self, xi):
         """A section of the ideal (a rank-m 0-form) as a section of A."""
-        check_section(xi, self.m, "ideal")
+        check_section(xi, self.m, self.A.nvars, "ideal")
         return VForm(self.A.nvars, self.A.rank, 0,
                      {(self.indices[a - 1], ()): p for (a, _), p in xi.comps.items()})
 
     def restrict(self, section):
         """A section of A known to lie in the ideal as a section of the ideal."""
-        check_section(section, self.A.rank)
+        check_section(section, self.A.rank, self.A.nvars)
         if any(l not in self._pos for l, _ in section.comps):
             raise StructureError("section does not lie in the ideal")
         return VForm(self.A.nvars, self.m, 0, {
@@ -190,25 +190,25 @@ class IMConnection:
 
 
 def wedgedot(gamma, theta, ideal):
-    """The slot-consuming pairing of a symmetric-slot form with an
-    ideal-valued form, (gamma . theta)(J) = sum_a theta^a ^ gamma(J, u_a):
+    """The slot-consuming pairing of a symmetric-slot form (a W^{k,q} row)
+    with an ideal-valued form, (gamma . theta)(J) = sum_a theta^a ^ gamma(J, u_a):
     one symmetric slot is filled by the values of theta and the form
-    degrees add."""
-    if gamma.arity < 1:
+    degrees add. A cell (k, I, J) with value v sends theta^a ^ v to
+    (k - 1, I, J - u_a) for each distinct ideal index u_a in J."""
+    A = gamma.A
+    if gamma.p < 1:
         raise StructureError("no symmetric slot left for the pairing")
-    if theta.rank != ideal.m or theta.nvars != gamma.nvars:
+    if theta.rank != ideal.m or theta.nvars != A.nvars:
         raise StructureError("pairing expects an ideal-valued form on the same chart")
-    n, degree = gamma.nvars, gamma.degree + theta.degree
     # thetas[l]: the entries (idx, theta^a_idx) of theta^a, l = u_a
     thetas = {k: [(idx, p) for (b, idx), p in theta.comps.items() if b == a]
               for a, k in enumerate(ideal.indices, start=1)}
     acc = {}
-    for J, vf in gamma.comps.items():
+    for (k, I, J), v in gamma.comps.items():
         for j, rest, _ in symmetric_slots(J):
             for idx, p in thetas.get(j, ()):
-                _add_into(acc, rest, _terms(vf.comps), p, 1, idx)
-    return SymForm(n, gamma.rank, gamma.secrank, gamma.arity - 1, degree,
-                   {J: _form(VForm, n, gamma.rank, degree, acc, J) for J in acc})
+                _add_into(acc, (k - 1, I, rest), _terms(v.comps), p, 1, idx)
+    return _cochain(A, gamma.rank, gamma.p - 1, gamma.q - 1 + theta.degree, acc)
 
 
 def wedgedot_multi(gamma, thetas, ideal):
@@ -652,6 +652,8 @@ def _ad_solve(ideal, D):
     T(u_d) = D(u_d). With zero anchor delta is C^infty-linear, so the
     largest coefficient degree of D bounds gamma's exactly.
     """
+    if D.nvars != ideal.A.nvars or D.rank != ideal.m:
+        raise StructureError("End-form does not act on the ideal bundle over its chart")
     G, adj = _constant_fibre(ideal)
     rows = {}
     for (b, d, idx), p in D.comps.items():

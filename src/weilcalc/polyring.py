@@ -353,7 +353,7 @@ def poly_from_str(s, nvars, names=None):
             buf.append(ch)
     chunks.append((sign, "".join(buf).strip()))
 
-    out = Poly.zero(nvars)
+    out = {}
     for sign, chunk in chunks:
         if not chunk:
             raise ValueError(f"malformed polynomial term in {s!r}")
@@ -373,5 +373,7 @@ def poly_from_str(s, nvars, names=None):
                 exps[index[m.group(1)]] += int(m.group(2) or 1)
                 continue
             raise ValueError(f"unknown factor {factor!r} in polynomial {s!r}")
-        out = out + Poly.monomial(nvars, exps, coeff)
-    return out
+        key = _pack(nvars, exps)  # a zero term past the degree limit still raises
+        if coeff:
+            _iadd(out, {key: (coeff.numerator, coeff.denominator)})
+    return _make(nvars, out)

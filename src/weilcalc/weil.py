@@ -18,7 +18,9 @@ which fills the first antisymmetric slot by the Leibniz identity
 
 and signs level k by (-1)^k, so c_k(a_1..a_s || .) is (-1)^(k s) times
 the level-k row of iota_{a_s} ... iota_{a_1} c; it is C^infty-multilinear
-in the symmetric arguments. Any table respecting the symmetry constraints
+in the symmetric arguments, which ``WeilCochain.insert`` fills one at a
+time. A form with k open symmetric slots is such a row, the cells
+(k, (), J) of a W^{k,q} cochain. Any table respecting the symmetry constraints
 is accepted; evaluation-order consistency is a tested property.
 
 The axiom checkers read ``delta``: the algebroid axioms and the flatness
@@ -35,8 +37,7 @@ from . import _linsolve
 from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _field, _form,
                         _lie_into, _terms, check_section, d_scalar, sort_sign,
                         sorted_multisets, symmetric_slots)
-from .connections import (ARep, EndForm, LinearConnection, SymForm, _dnabla_into,
-                          induced_end_rep)
+from .connections import ARep, EndForm, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly
 from .report import CheckReport
@@ -112,6 +113,20 @@ class WeilCochain(SparseTable):
             raise StructureError("only level-0 cochains are plain forms")
         return self.lookup(0, (), ())
 
+    def insert(self, section):
+        """Fill one symmetric slot with a section, W^{p,q} -> W^{p-1,q-1}
+        (C^infty-linear): a cell (k, I, J) with value v sends section^j v to
+        (k - 1, I, J - j), once for each distinct j in J."""
+        if self.p == 0:
+            raise StructureError("no symmetric slot to fill")
+        A = self.A
+        check_section(section, A.rank, A.nvars)
+        acc = {}
+        for (k, I, J), v in self.comps.items():
+            for j, rest, _ in symmetric_slots(J):
+                _add_into(acc, (k - 1, I, rest), _terms(v.comps), section.get(j, ()))
+        return _cochain(A, self.rank, self.p - 1, self.q - 1, acc)
+
     # -- access --------------------------------------------------------------
 
     def lookup(self, k, I, J):
@@ -138,20 +153,20 @@ def evaluate(c, antis, syms=()):
             f"arity mismatch: got {len(antis)} antisymmetric and {k0} symmetric "
             f"arguments for a level-{c.p} cochain")
     row = eval_row(c, k0, antis)
-    return functools.reduce(SymForm.insert, syms, row).vform()
+    return functools.reduce(WeilCochain.insert, syms, row).as_vform()
 
 
 def eval_row(c, k, sections):
-    """Partial evaluation c_k(sections || .) as a symmetric-slot form: the
-    level-k row of the contractions by the sections, the first one first,
-    times (-1)^(k s) for s sections."""
+    """Partial evaluation c_k(sections || .) as the level-k row of a
+    W^{k,q} cochain: the level-k cells of the contractions by the sections,
+    the first one first, times (-1)^(k s) for s sections."""
     if len(sections) != c.p - k:
         raise StructureError("wrong number of antisymmetric arguments")
     for alpha in sections:
         c = _contract(c, alpha)
     odd = k * len(sections) % 2
-    return SymForm(c.A.nvars, c.rank, c.A.rank, k, c.q - k,
-                   {J: -v if odd else v for (lvl, _, J), v in c.comps.items() if lvl == k})
+    return WeilCochain(c.A, c.rank, k, c.q,
+                       {cell: -v if odd else v for cell, v in c.comps.items() if cell[0] == k})
 
 
 def _insert(I, i):
@@ -180,7 +195,7 @@ def _contract(c, alpha):
     (k, I - i, J) for i = I[t], and, for each distinct i in J with
     alpha^i not constant, (-1)^(k-1) d(alpha^i) ^ v to (k - 1, I, J - i)."""
     A = c.A
-    check_section(alpha, A.rank, nvars=A.nvars)
+    check_section(alpha, A.rank, A.nvars)
     coefs = {i: ai for (i, _), ai in alpha.comps.items()}
     dcoefs = {i: d_scalar(ai, A.nvars).comps for i, ai in coefs.items() if not ai.is_constant}
     acc = {}

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from weilcalc import (AlgebroidPresentation, EndForm, Poly, Section, StructureError,
-                      SymForm, VForm, WeilCochain, bracket, scalar_wedge,
-                      validate_algebroid)
+                      VForm, WeilCochain, bracket, scalar_wedge, validate_algebroid)
 from weilcalc.algebroid import d_scalar
 from weilcalc.fixtures import random_poly, random_section, random_vform
 
@@ -167,8 +166,8 @@ def test_fields_and_forms_over_another_chart_are_rejected(f2):
         EndForm(2, 1, 0, {(1, 1, ()): z})
     with pytest.raises(StructureError, match="form component over wrong chart"):
         Section(2, [z])
-    with pytest.raises(StructureError, match="symmetric table entry has wrong shape"):
-        SymForm(2, 1, 2, 1, 0, {(1,): VForm(3, 1, 0, {(1, ()): z})})
+    with pytest.raises(StructureError, match="table entry has wrong shape"):
+        WeilCochain(f2.A, 1, 1, 1, {(1, (), (1,)): VForm(3, 1, 0, {(1, ()): z})})
     w = VForm(2, 3, 1, {(1, (1,)): Poly.var(2, 0)})
     for op in (w.iota, w.lie):
         with pytest.raises(StructureError, match="section over wrong chart"):
@@ -195,14 +194,11 @@ def _mismatched_pair(kind, A):
     if kind == "EndForm":
         return (EndForm(2, 3, 1, {(1, 1, (1,)): one}),
                 EndForm(2, 2, 1, {(1, 1, (1,)): one}))
-    if kind == "SymForm":
-        f = VForm(2, 1, 0, {(1, ()): one})
-        return SymForm(2, 1, 5, 1, 0, {(5,): f}), SymForm(2, 1, 3, 1, 0, {(1,): f})
     return (WeilCochain(A, 1, 1, 1, {(0, (1,), ()): VForm(2, 1, 1, {(1, (1,)): one})}),
             WeilCochain(A, 1, 1, 2, {(0, (1,), ()): VForm(2, 1, 2, {(1, (1, 2)): one})}))
 
 
-@pytest.mark.parametrize("kind", ["VForm", "EndForm", "SymForm", "WeilCochain"])
+@pytest.mark.parametrize("kind", ["VForm", "EndForm", "WeilCochain"])
 def test_adding_mismatched_shapes_is_rejected(kind, f1):
     left, right = _mismatched_pair(kind, f1.A)
     with pytest.raises(StructureError):

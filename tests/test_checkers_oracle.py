@@ -95,7 +95,7 @@ def im_reference(A, rep, c):
         out.append((f"C.1({i},{j})", ok))
     symbol = eval_row(c, 1, [])
     for i, j in itertools.product(range(1, r + 1), repeat=2):
-        lhs = symbol.insert(A.bracket_basis(i, j)).vform()
+        lhs = symbol.insert(A.bracket_basis(i, j)).as_vform()
         out.append((f"C.2({i},{j})", lhs == lie(i, c1(j)) - c0(i).iota(A.rho_basis(j))))
     for i, j in itertools.combinations_with_replacement(range(1, r + 1), 2):
         s = c1(j).iota(A.rho_basis(i)) + c1(i).iota(A.rho_basis(j))

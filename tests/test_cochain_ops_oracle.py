@@ -128,7 +128,7 @@ def hstar_rows(imc, c):
             for row, pairs, sign in rows:
                 for jb in J:
                     row = row.insert(imc.h_basis(jb))
-                term = wedgedot_multi(row, pairs, imc.ideal).vform()
+                term = wedgedot_multi(row, pairs, imc.ideal).as_vform()
                 acc = acc + term if sign > 0 else acc - term
             out[(k, I, J)] = acc
     return WeilCochain(A, c.rank, p, q, out)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from weilcalc import (ARep, EndForm, LinearConnection, Poly, StructureError, SymForm, VForm,
-                      induced_end_connection, induced_end_rep, invariance_form,
-                      is_A_invariant, lieA_derivative, lieA_vform,
-                      validate_rep)
+from weilcalc import (AlgebroidPresentation, ARep, EndForm, LinearConnection, Poly,
+                      StructureError, VForm, WeilCochain, induced_end_connection,
+                      induced_end_rep, invariance_form, is_A_invariant, lieA_derivative,
+                      lieA_vform, validate_rep)
 from weilcalc.algebroid import Section, bracket
 from weilcalc.fixtures import (random_endform, random_poly, random_section,
                                random_symform, random_vform)
@@ -150,11 +150,12 @@ def test_lieA_bracket_compatibility(seed, f2):
 
 
 def test_lieA_derivative_rejects_other_slot_rank(f2):
-    # a slot index past the algebroid's frame
+    # a slot index past the algebroid's frame: a row over a larger algebroid
     A = f2.A
-    gamma = SymForm(2, 3, A.rank + 1, 1, 1,
-                    {(A.rank + 1,): random_vform(random.Random("slot"), 2, 3, 1, 1)})
-    with pytest.raises(StructureError):
+    B = AlgebroidPresentation(A.nvars, A.rank + 1, A.structure, A.anchor)
+    gamma = WeilCochain(B, 3, 1, 2,
+                        {(1, (), (A.rank + 1,)): random_vform(random.Random("slot"), 2, 3, 1, 1)})
+    with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
         lieA_derivative(A, f2.rep, A.basis(1), gamma)
 
 

@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from weilcalc import SymForm, VForm, WeilCochain
+from weilcalc import VForm, WeilCochain
 from weilcalc.algebroid import d_scalar, scalar_wedge, sorted_multisets
 from weilcalc.connections import lieA_derivative, lieA_vform
 from weilcalc.fixtures import random_cochain, random_section, random_vform
@@ -58,11 +58,11 @@ def eval_basis_ref(c, k, prefix, rest, J):
 
 
 def eval_row_ref(c, k, sections):
-    """Partial evaluation c_k(sections || .) by the Leibniz expansion."""
-    n, r = c.A.nvars, c.A.rank
-    return SymForm(n, c.rank, r, k, c.q - k,
-                   {J: eval_basis_ref(c, k, (), list(sections), J)
-                    for J in sorted_multisets(r, k)})
+    """Partial evaluation c_k(sections || .) by the Leibniz expansion, as
+    the level-k row of a W^{k,q} cochain."""
+    return WeilCochain(c.A, c.rank, k, c.q,
+                       {(k, (), J): eval_basis_ref(c, k, (), list(sections), J)
+                        for J in sorted_multisets(c.A.rank, k)})
 
 
 @pytest.fixture(scope="module", params=CASES)
@@ -90,11 +90,12 @@ def test_eval_row_matches_leibniz_reference(case, p):
             assert row == eval_row_ref(c, k, sections), (q, k)
             syms = _sections(A, k, (p, q, k, "sym"))
             assert evaluate(c, sections, syms) \
-                == functools.reduce(SymForm.insert, syms, row).vform()
+                == functools.reduce(WeilCochain.insert, syms, row).as_vform()
             # frame sections read the table: the cells (k, I, J)
             I = tuple(sorted(rng.sample(range(1, A.rank + 1), min(p - k, A.rank))))
             if len(I) == p - k:
-                want = {J: vf for (lvl, I2, J), vf in c.comps.items() if (lvl, I2) == (k, I)}
+                want = {(k, (), J): vf for (lvl, I2, J), vf in c.comps.items()
+                        if (lvl, I2) == (k, I)}
                 assert eval_row(c, k, [A.basis(i) for i in I]).comps == want
 
 
@@ -112,11 +113,12 @@ def test_lieA_vform_matches_reference(case):
 
 
 def _symform(A, rank, arity, degree, rng):
-    """A symmetric-slot form with a random form on each multiset with
-    probability 0.7."""
-    rows = {J: random_vform(rng, A.nvars, rank, degree, 2)
+    """A symmetric-slot form, the level-``arity`` row of a
+    W^{arity, arity + degree} cochain, with a random form on each multiset
+    with probability 0.7."""
+    rows = {(arity, (), J): random_vform(rng, A.nvars, rank, degree, 2)
             for J in sorted_multisets(A.rank, arity) if rng.random() < 0.7}
-    return SymForm(A.nvars, rank, A.rank, arity, degree, rows)
+    return WeilCochain(A, rank, arity, arity + degree, rows)
 
 
 @pytest.mark.parametrize("arity", range(3))

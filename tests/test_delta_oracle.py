@@ -30,7 +30,6 @@ import pytest
 from weilcalc import (AlgebroidPresentation, ARep, VForm, WeilCochain, build_fixture,
                       validate_algebroid, validate_rep)
 from weilcalc.algebroid import sort_sign, symmetric_slots
-from weilcalc.connections import SymForm
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly
 from weilcalc.weil import _cell_cochain, _unknown_cells, delta, eval_row, frame_rows
 
@@ -101,33 +100,35 @@ def lieA_derivative_ref(A, rep, alpha, gamma):
     (L^A_a gamma)(J) = L^A_a(gamma(J)) applied to values and form slots,
     minus the sum over symmetric positions t of gamma with e_{J_t}
     replaced by [a, e_{J_t}] (positions with equal index contribute with
-    multiplicity).
+    multiplicity). gamma of arity k is the level-k row of a W^{k,q}
+    cochain, cells (k, (), J), and so is the result.
     """
-    candidates = set(gamma.comps)
-    for J in gamma.comps:
+    k, table = gamma.p, {J: vf for (_, _, J), vf in gamma.comps.items()}
+    candidates = set(table)
+    for J in table:
         for _, rest, _ in symmetric_slots(J):
-            for s in range(1, gamma.secrank + 1):
+            for s in range(1, A.rank + 1):
                 candidates.add(tuple(sorted(rest + (s,))))
     brackets = {j: bracket_with_frame_ref(A, alpha, j)
-                for j in range(1, gamma.secrank + 1)} if gamma.arity else {}
+                for j in range(1, A.rank + 1)} if k else {}
     rows = {}
     for J in candidates:
-        vf = gamma.comps.get(J)
+        vf = table.get(J)
         acc = lieA_vform_ref(A, rep, alpha, vf) if vf is not None else None
         for j, rest, mult in symmetric_slots(J):
-            for l in range(1, gamma.secrank + 1):
+            for l in range(1, A.rank + 1):
                 wl = brackets[j][l - 1]
                 if wl.is_zero:
                     continue
-                src = gamma.comps.get(tuple(sorted(rest + (l,))))
+                src = table.get(tuple(sorted(rest + (l,))))
                 if src is None:
                     continue
                 coeff = wl if mult == 1 else wl * mult
                 term = src.scaled(-coeff)
                 acc = term if acc is None else acc + term
         if acc is not None:
-            rows[J] = acc
-    return SymForm(gamma.nvars, gamma.rank, gamma.secrank, gamma.arity, gamma.degree, rows)
+            rows[(k, (), J)] = acc
+    return WeilCochain(A, gamma.rank, k, gamma.q, rows)
 
 
 def delta_rows(A, rep, c):
@@ -158,10 +159,10 @@ def delta_rows(A, rep, c):
             acc = VForm.zero(n, c.rank, q - k)
             for pos, ld in enumerate(lds):
                 if ld is not None:
-                    term = ld.get(J)
+                    term = ld.lookup(k, (), J)
                     acc = acc + term if pos % 2 == 0 else acc - term
             for sgn, row in brs:
-                term = row.get(J)
+                term = row.lookup(k, (), J)
                 acc = acc + term if sgn % 2 == 0 else acc - term
             for j, rest, mult in symmetric_slots(J):
                 sub = c.lookup(k - 1, I, rest)

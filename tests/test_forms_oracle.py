@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from weilcalc import (AlgebroidPresentation, EndForm, IdealBundle, LinearConnection, Poly,
-                      Section, SymForm, VForm, bracket_of_forms, build_fixture,
+                      Section, VForm, WeilCochain, bracket_of_forms, build_fixture,
                       invariance_form, lieA_vform, scalar_wedge, wedgedot)
 from weilcalc.ideals import _bracket_failure
 
@@ -340,18 +340,20 @@ def multisets(r, k):
 
 
 @st.composite
-def symforms(draw, n, rank, secrank, arity, degree):
-    """A random form with ``arity`` open symmetric slots; rows may be absent."""
+def symforms(draw, A, rank, arity, degree):
+    """A random form with ``arity`` open symmetric slots over A, the
+    level-``arity`` row of a W^{arity, arity + degree} cochain; rows may be
+    absent."""
     comps = {}
-    for J in multisets(secrank, arity):
+    for J in multisets(A.rank, arity):
         if draw(st.booleans()):
-            comps[J] = draw(vforms(n, rank, degree))
-    return SymForm(n, rank, secrank, arity, degree, comps)
+            comps[(arity, (), J)] = draw(vforms(A.nvars, rank, degree))
+    return WeilCochain(A, rank, arity, arity + degree, comps)
 
 
 def sym_row(table, J):
     """Row of a symmetric-slot form at a multiset in any order."""
-    vf = table.comps.get(tuple(sorted(J)))
+    vf = table.comps.get((table.p, (), tuple(sorted(J))))
     return sym_form(vf) if vf is not None else {}
 
 
@@ -361,16 +363,17 @@ def test_symform_insert_matches_component_formula(data):
     n, rank = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
     secrank, arity = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, n))
-    g = data.draw(symforms(n, rank, secrank, arity, degree))
+    # the algebroid only carries the chart and the slot rank
+    g = data.draw(symforms(AlgebroidPresentation(n, secrank), rank, arity, degree))
     s = [data.draw(polys(n)) for _ in range(secrank)]
     out = g.insert(Section(n, s))
-    assert (out.arity, out.degree) == (arity - 1, degree)
+    assert (out.p, out.q - out.p) == (arity - 1, degree)
     for J in multisets(secrank, arity - 1):
         # (insert s g)(J) = sum_l s^l g(J + (l,))
         want = sym_add(*({key: to_ring(s[l - 1]) * e
                           for key, e in sym_row(g, J + (l,)).items()}
                          for l in range(1, secrank + 1)))
-        assert matches(want, out.get(J))
+        assert matches(want, out.lookup(arity - 1, (), J))
 
 
 @_oracle
@@ -381,17 +384,17 @@ def test_wedgedot_matches_component_formula(name, data):
     m = ideal.m
     arity = data.draw(st.integers(1, 2))
     degree, s = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
-    g = data.draw(symforms(n, m, r, arity, degree))
+    g = data.draw(symforms(fix.A, m, arity, degree))
     theta = data.draw(vforms(n, m, s))
     st_theta = sym_form(theta)
     out = wedgedot(g, theta, ideal)
-    assert (out.arity, out.degree) == (arity - 1, s + degree)
+    assert (out.p, out.q - out.p) == (arity - 1, s + degree)
     for J in multisets(r, arity - 1):
         # (g . theta)(J) = sum_a theta^a ^ g(J + (u_a,))
         want = sym_add(*(sym_wedge(sym_scalar(st_theta, a), s, sym_row(g, J + (k,)),
                                    n, m, degree)
                          for a, k in enumerate(ideal.indices, start=1)))
-        assert matches(want, out.get(J))
+        assert matches(want, out.lookup(arity - 1, (), J))
 
 
 @_oracle

@@ -16,7 +16,7 @@ from weilcalc import (AlgebroidPresentation, ContractError, Dhor, EndForm, Ideal
                       unique_curving, validate_algebroid, wedgedot,
                       wedgedot_multi)
 from weilcalc.algebroid import scalar_wedge, sort_sign
-from weilcalc.connections import SymForm, lieA_derivative, lieA_vform
+from weilcalc.connections import lieA_derivative, lieA_vform
 from weilcalc.fixtures import (random_cochain, random_poly, random_section,
                                random_symform, random_vform)
 from weilcalc.weil import eval_row
@@ -27,6 +27,12 @@ from test_semisimple_oracle import ALGEBRAS, fibre_bundle
 def rvform(fix, degree, seed, bound=1):
     rng = random.Random(f"iv:{fix.name}:{degree}:{seed}")
     return random_vform(rng, fix.A.nvars, fix.ideal.m, degree, bound)
+
+
+def row_iota(row, X):
+    """iota_X on every cell of a symmetric-slot form (a W^{k,q} row)."""
+    return WeilCochain(row.A, row.rank, row.p, row.q - 1,
+                       {cell: vf.iota(X) for cell, vf in row.comps.items()})
 
 
 # -- sections -------------------------------------------------------------------
@@ -55,7 +61,7 @@ def _section_consumers(fix):
     A, ideal, c = fix.A, fix.ideal, fix.imc.cochain
     return {
         "evaluate": (lambda s: evaluate(c, [s]), False),
-        "SymForm.insert": (eval_row(c, 1, []).insert, False),
+        "WeilCochain.insert": (eval_row(c, 1, []).insert, False),
         "bracket left": (lambda s: bracket(A, s, A.basis(1)), False),
         "bracket right": (lambda s: bracket(A, A.basis(1), s), False),
         "rho": (A.rho, False),
@@ -64,7 +70,7 @@ def _section_consumers(fix):
     }
 
 
-@pytest.mark.parametrize("consumer", ["evaluate", "SymForm.insert", "bracket left",
+@pytest.mark.parametrize("consumer", ["evaluate", "WeilCochain.insert", "bracket left",
                                       "bracket right", "rho", "restrict", "embed"])
 def test_section_consumers_reject_forms_and_the_other_bundle(consumer, f2):
     # a section is a 0-form of its bundle's rank: an A-valued 1-form and a
@@ -77,6 +83,10 @@ def test_section_consumers_reject_forms_and_the_other_bundle(consumer, f2):
     other, bundle = (f2.A.basis(1), "ideal") if of_ideal else (Section(n, [one] * m), "algebroid")
     with pytest.raises(StructureError, match=f"section rank does not match {bundle} rank"):
         consume(other)
+    # a section of the right bundle over another chart
+    rank = m if of_ideal else f2.A.rank
+    with pytest.raises(StructureError, match="section over wrong chart"):
+        consume(VForm(n + 1, rank, 0, {(1, ()): Poly.const(n + 1, 1)}))
 
 
 # -- the pairing ----------------------------------------------------------------
@@ -86,14 +96,14 @@ def test_pairing_one_one_formula(f2):
     # (g . t)(X1, X2) = g(t X1)(X2) - g(t X2)(X1)
     gamma = random_symform(f2, 1, 1, seed=1)
     theta = rvform(f2, 1, seed=2)
-    out = wedgedot(gamma, theta, f2.ideal).vform()
+    out = wedgedot(gamma, theta, f2.ideal).as_vform()
     dx = Section(2, [Poly.const(2, 1), Poly.zero(2)])
     dy = Section(2, [Poly.zero(2), Poly.const(2, 1)])
     lhs = out.iota(dx).iota(dy)     # out(dx, dy)
     t_x = tuple(theta.get(a, (1,)) for a in range(1, 4))
     t_y = tuple(theta.get(a, (2,)) for a in range(1, 4))
-    rhs = gamma.insert(f2.ideal.embed(Section(2, t_x))).vform().iota(dy) \
-        - gamma.insert(f2.ideal.embed(Section(2, t_y))).vform().iota(dx)
+    rhs = gamma.insert(f2.ideal.embed(Section(2, t_x))).as_vform().iota(dy) \
+        - gamma.insert(f2.ideal.embed(Section(2, t_y))).as_vform().iota(dx)
     assert lhs == rhs
 
 
@@ -112,7 +122,7 @@ def test_pairing_simple_tensor(f2):
         w = scalar_wedge(t, vf)
         if not w.is_zero:
             rhs_tbl[j] = w
-    rhs = SymForm.zero(2, 3, 5, 1, 2)
+    rhs = WeilCochain.zero(f2.A, 3, 1, 3)
     rhs.comps = rhs_tbl
     assert lhs == rhs
 
@@ -124,9 +134,9 @@ def test_pairing_interior_product_rule(seed, f2):
     theta = rvform(f2, 1, seed=seed + 10)
     rng = random.Random(f"X:{seed}")
     X = Section(2, [random_poly(rng, 2, 1), random_poly(rng, 2, 1)])
-    lhs = wedgedot(gamma, theta, f2.ideal).iota(X)
+    lhs = row_iota(wedgedot(gamma, theta, f2.ideal), X)
     rhs = wedgedot(gamma, theta.iota(X), f2.ideal) \
-        - wedgedot(gamma.iota(X), theta, f2.ideal)
+        - wedgedot(row_iota(gamma, X), theta, f2.ideal)
     assert lhs == rhs
 
 
@@ -163,7 +173,7 @@ def test_pairing_leibniz_interaction(seed, f2):
         if not w.is_zero:
             corr_tbl[j] = w
     rhs = row.scaled(f)
-    wedged = SymForm.zero(2, 3, 5, rhs.arity, rhs.degree)
+    wedged = WeilCochain.zero(A, 3, rhs.p, rhs.q)
     wedged.comps = corr_tbl
     assert lhs == rhs - wedged   # i = 1 pairing consumed, sign (-1)^1
 
@@ -175,14 +185,14 @@ def test_pairing_sign_relation(f2):
         theta = rvform(f2, l, seed=seed + 40)
         end = EndForm(2, 3, k, {})
         comps = {}
-        for (j,), vf in gamma.comps.items():
+        for (_, _, (j,)), vf in gamma.comps.items():
             if j not in f2.ideal.indices:
                 continue
             col = f2.ideal.indices.index(j) + 1
             for (b, idx), p in vf.comps.items():
                 comps[(b, col, idx)] = p
         end = EndForm(2, 3, k, comps)
-        lhs = wedgedot(gamma, theta, f2.ideal).vform()
+        lhs = wedgedot(gamma, theta, f2.ideal).as_vform()
         rhs = end.wedge_vform(theta)
         if (k * l) % 2 == 1:
             rhs = -rhs
@@ -194,7 +204,7 @@ def test_pairing_multi_matches_direct_shuffle_formula(f2):
     gamma = random_symform(f2, 2, 0, seed=6)
     t1 = rvform(f2, 1, seed=7)
     t2 = rvform(f2, 1, seed=8)
-    out = wedgedot_multi(gamma, [t1, t2], f2.ideal).vform()
+    out = wedgedot_multi(gamma, [t1, t2], f2.ideal).as_vform()
     n = 2
     direct = {}
     for perm in itertools.permutations(range(1, n + 1), 2):
@@ -202,7 +212,7 @@ def test_pairing_multi_matches_direct_shuffle_formula(f2):
         x1 = tuple(t1.get(a, (perm[0],)) for a in range(1, 4))
         x2 = tuple(t2.get(a, (perm[1],)) for a in range(1, 4))
         val = gamma.insert(f2.ideal.embed(Section(2, x1))).insert(
-            f2.ideal.embed(Section(2, x2))).vform()
+            f2.ideal.embed(Section(2, x2))).as_vform()
         for (b, idx), p in val.comps.items():
             key = (b, ())
             q = p if sign > 0 else -p
@@ -221,6 +231,12 @@ def test_pairing_alternating_and_linear(f2):
         wedgedot_multi(gamma, [t1, t2], f2.ideal).scaled(f)
 
 
+def test_insert_needs_a_symmetric_slot(f2):
+    c = random_cochain(f2.A, f2.rep, 0, 1, 1, seed=12)
+    with pytest.raises(StructureError, match="no symmetric slot to fill"):
+        WeilCochain.from_vform(f2.A, c).insert(f2.A.basis(1))
+
+
 def test_pairing_slot_underflow(f2):
     gamma = random_symform(f2, 0, 1, seed=12)
     with pytest.raises(Exception):
@@ -237,22 +253,22 @@ def test_hstar_low_level_formulas(f2):
     h = hstar(imc, c)
     for i in range(1, 6):
         want = c.lookup(0, (i,), ()) \
-            - wedgedot(eval_row(c, 1, []), imc.C0(i), ideal).vform()
+            - wedgedot(eval_row(c, 1, []), imc.C0(i), ideal).as_vform()
         assert h.lookup(0, (i,), ()) == want
         assert h.lookup(1, (), (i,)) == evaluate(c, [], [imc.h_basis(i)])
     c = random_cochain(A, f2.rep, 2, 2, 1, seed=32)
     h = hstar(imc, c)
     for i, j in itertools.combinations(range(1, 6), 2):
         want = c.lookup(0, (i, j), ()) \
-            - (wedgedot(eval_row(c, 1, [A.basis(j)]), imc.C0(i), ideal).vform()
-               - wedgedot(eval_row(c, 1, [A.basis(i)]), imc.C0(j), ideal).vform()) \
-            + wedgedot_multi(eval_row(c, 2, []), [imc.C0(i), imc.C0(j)], ideal).vform()
+            - (wedgedot(eval_row(c, 1, [A.basis(j)]), imc.C0(i), ideal).as_vform()
+               - wedgedot(eval_row(c, 1, [A.basis(i)]), imc.C0(j), ideal).as_vform()) \
+            + wedgedot_multi(eval_row(c, 2, []), [imc.C0(i), imc.C0(j)], ideal).as_vform()
         assert h.lookup(0, (i, j), ()) == want
     for i in range(1, 6):
         for j in range(1, 6):
-            want = eval_row(c, 1, [A.basis(i)]).insert(imc.h_basis(j)).vform() \
+            want = eval_row(c, 1, [A.basis(i)]).insert(imc.h_basis(j)).as_vform() \
                 - wedgedot(eval_row(c, 2, []).insert(imc.h_basis(j)),
-                           imc.C0(i), ideal).vform()
+                           imc.C0(i), ideal).as_vform()
             assert h.lookup(1, (i,), (j,)) == want
     for j1, j2 in itertools.combinations_with_replacement(range(1, 6), 2):
         want = evaluate(c, [], [imc.h_basis(j1), imc.h_basis(j2)])
@@ -269,7 +285,7 @@ def test_hstar_naturality_on_general_sections(seed, f2):
     alpha = random_section(A, 140 + seed, bound=1)
     c_alpha = evaluate(imc.cochain, [alpha])      # C(alpha), ideal-valued
     want = evaluate(c, [alpha]) \
-        - wedgedot(eval_row(c, 1, []), c_alpha, ideal).vform()
+        - wedgedot(eval_row(c, 1, []), c_alpha, ideal).as_vform()
     assert evaluate(h, [alpha]) == want
     assert evaluate(h, [], [alpha]) == evaluate(c, [], [imc.h_section(alpha)])
 
@@ -891,6 +907,19 @@ def test_delta0_injective_on_so3(f0):
 def test_ad_inverse_rejects_abelian(f1):
     with pytest.raises(ContractError):
         ad_inverse(f1.ideal, EndForm(2, 1, 1, {}))
+
+
+def test_ad_inverse_rejects_an_endform_over_another_chart(f2):
+    x3 = Poly.var(3, 2)
+    with pytest.raises(StructureError, match="End-form does not act on the ideal bundle"):
+        ad_inverse(f2.ideal, EndForm(3, 3, 0, {(3, 2, ()): x3, (2, 3, ()): -x3}))
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_ad_inverse_rejects_an_endform_of_another_rank(rank, f2):
+    one = Poly.const(2, 1)
+    with pytest.raises(StructureError, match="End-form does not act on the ideal bundle"):
+        ad_inverse(f2.ideal, EndForm(2, rank, 1, {(2, 1, (1,)): -one, (1, 2, (1,)): one}))
 
 
 def test_primitive_from_pair_reconstructs_F2(f2):

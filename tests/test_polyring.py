@@ -98,6 +98,10 @@ def test_parse_examples():
     assert p.coeff((0, 0)) == -3
     assert poly_from_str("-x1", 2) == -Poly.var(2, 0)
     assert poly_from_str("0", 2).is_zero
+    # zero and cancelling terms leave no entry
+    assert poly_from_str("0*x1 + 0", 2).terms == {}
+    assert poly_from_str("x1*x2 - 1/2*x2*x1 - 1/2*x1*x2", 2).terms == {}
+    assert poly_from_str("x1 - x1 + 2 - x1", 2) == 2 - Poly.var(2, 0)
     with pytest.raises(ValueError):
         poly_from_str("x9", 2)
     with pytest.raises(ValueError):
@@ -141,3 +145,19 @@ def test_comparison_with_a_bool_is_false():
     assert not one == True  # noqa: E712
     assert not zero == False  # noqa: E712
     assert one != True  # noqa: E712
+
+
+def test_parse_adds_each_term_once_into_one_dict(monkeypatch):
+    # the parse adds every term into one term dict and wraps that dict once,
+    # so its work grows linearly with the number of terms
+    from weilcalc import polyring
+    added, made = [], []
+    iadd, make = polyring._iadd, polyring._make
+    monkeypatch.setattr(polyring, "_iadd", lambda out, b: added.append(len(b)) or iadd(out, b))
+    monkeypatch.setattr(polyring, "_make", lambda n, t: made.append(n) or make(n, t))
+    terms = [f"{k}/3*x1^{k}*x2" for k in range(1, 2001)]
+    p = poly_from_str(" + ".join(terms) + " - 0*x1 + x2 - x2 + 7", 2)
+    assert (sum(added), len(added), made) == (2003, 2003, [2])
+    assert p == sum((Poly.monomial(2, (k, 1), Fraction(k, 3)) for k in range(1, 2001)),
+                    Poly.const(2, 7))
+    assert len(p.terms) == 2001

@@ -1,8 +1,12 @@
 """What a move of helpers between modules leaves behind, read with ``ast``.
 
 For each ``src/weilcalc`` module other than ``__init__``: every name it
-imports is used in it, and every private module-level function it defines
-is referenced somewhere in ``src`` outside its own definition.
+imports is used in it, every private module-level function it defines is
+referenced somewhere in ``src`` outside its own definition, and every
+public module-level function and class is referenced outside its own
+definition from ``src``, ``tests`` or ``perfbench``. A re-export in
+``__init__`` is not a use; a string equal to the name is, because the
+benchmark's tracer names its targets by string.
 """
 
 import ast
@@ -10,15 +14,19 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "weilcalc"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "weilcalc"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(SRC.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+USERS = [ast.parse(path.read_text(), filename=str(path))
+         for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
-def _references(node, skip=None):
+def _references(node, skip=None, strings=False):
     """The identifiers that node reads: names, attribute names and the
-    names imported from other modules; nothing inside ``skip``."""
+    names imported from other modules, with ``strings`` also every string
+    constant; nothing inside ``skip``."""
     out, stack = set(), [node]
     while stack:
         node = stack.pop()
@@ -30,6 +38,8 @@ def _references(node, skip=None):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
     return out
 
@@ -57,4 +67,16 @@ def test_every_private_function_is_referenced(module):
                               if name != module))
     orphans = [fn.name for fn in private if fn.name not in elsewhere
                and fn.name not in _references(TREES[module], skip=fn)]
+    assert orphans == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_definition_is_referenced(module):
+    public = [node for node in TREES[module].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+    elsewhere = set().union(*(_references(tree, strings=True) for name, tree in TREES.items()
+                              if name not in (module, "__init__.py")),
+                            *(_references(tree, strings=True) for tree in USERS))
+    orphans = [node.name for node in public if node.name not in elsewhere
+               and node.name not in _references(TREES[module], skip=node, strings=True)]
     assert orphans == []
