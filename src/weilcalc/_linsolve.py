@@ -2,12 +2,27 @@
 
 Systems come from flattened cochain equations: columns are sparse dicts
 keyed by arbitrary (sortable) row keys. Elimination is online: each
-equation row, in sorted key order, is reduced against the pivots found so
-far and, if anything is left, pivots on its least column. Solutions and
-kernel vectors are sparse too: ``{column index: Fraction}`` dicts that
-hold only the nonzero values. A solution is one reverse-order back
-substitution with the free variables at zero; the kernel comes from one
-reverse pass that writes every pivot as a combination of free columns.
+equation row is reduced against the pivots found so far and, if anything
+is left, pivots on its least column. Rows are read by descending least
+column, ties broken by row key; a row that no column touches needs no
+reduction, so a nonzero right-hand side there ends the run at once.
+Solutions and kernel vectors are sparse too: ``{column index: Fraction}``
+dicts that hold only the nonzero values. A solution is one reverse-order
+back substitution with the free variables at zero; the kernel comes from
+one reverse pass that writes every pivot as a combination of free columns.
+
+The results do not depend on the order in which rows are read. A reduced
+row has no entry in a pivot column, so the pivot rows have distinct least
+columns and form an echelon basis of the row space. Every echelon basis
+has the same set of least columns: the columns c for which some vector of
+the row space has least column c. So every row order finds the same pivot
+set, the greedy one of reduced row echelon form. With the free variables
+at zero, the solution on the pivot columns is unique; so is the kernel
+basis with 1 at its free column and 0 at the other free columns; and
+consistency is a property of the system. Reading rows with a late least
+column first keeps the pivot rows short and mostly integral: on the
+solver's systems it makes fewer than half the entry updates of sorted key
+order.
 
 Entries and right-hand sides are ints or Fractions. Inside, values stay
 int-first: a value becomes a Fraction only where a pivot division leaves a
@@ -50,16 +65,19 @@ def _eliminate(columns, rhs):
     _check_exact(rhs.values())
     eqs = {}
     for j, col in enumerate(columns):
-        _check_exact(col.values())
         for rk, v in col.items():
+            if type(v) is not int and type(v) is not Fraction:
+                raise TypeError(f"not an exact rational: {v!r}")
             if v:
                 eqs.setdefault(rk, {})[j] = v
-    rows = set(eqs)
-    rows.update(rhs)
+    if any(b for rk, b in rhs.items() if rk not in eqs):
+        return [], {}, False
     pivots = {}
     order = []
-    for rk in sorted(rows):
-        row = eqs.get(rk, {})
+    # columns are transposed in index order, so a row's first key is its
+    # least column
+    for _, rk in sorted((-next(iter(row)), rk) for rk, row in eqs.items()):
+        row = eqs[rk]
         b = rhs.get(rk, 0)
         # the reduced row does not depend on the order of the reductions,
         # so reduce by every pivot hit of one scan and then rescan

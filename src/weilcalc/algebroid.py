@@ -329,7 +329,7 @@ class AlgebroidPresentation:
     """
 
     __slots__ = ("nvars", "rank", "structure", "anchor", "_basis_cache",
-                 "_rho_cache", "_bracket_cache")
+                 "_rho_cache", "_bracket_cache", "_delta_tables")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
         self.nvars = nvars
@@ -353,6 +353,7 @@ class AlgebroidPresentation:
         self._basis_cache = {}
         self._rho_cache = {}
         self._bracket_cache = {}
+        self._delta_tables = None
 
     def basis(self, i):
         """The frame section e_i (cached: sections are immutable)."""
@@ -370,6 +371,27 @@ class AlgebroidPresentation:
                       {(a, ()): p for (j, a), p in self.anchor.items() if j == i})
             self._rho_cache[i] = x
         return x
+
+    def delta_tables(self):
+        """The frame data ``weil.delta`` reads, built once per presentation:
+        brackets[l] lists (s, t, c^l_{st}) on s < t, frame_lie[(i, l)] lists
+        (j, c^l_{ij}), leibniz[l] lists (s, t, d c^l_{st}) for the
+        non-constant c^l_{st}, anchor[i] holds the ``_field`` entries of
+        rho(e_i), and axes the chart indices the anchor reaches."""
+        if self._delta_tables is None:
+            n, brackets, frame_lie = self.nvars, {}, {}
+            for (s, t, l), cst in self.structure.items():
+                brackets.setdefault(l, []).append((s, t, cst))
+                frame_lie.setdefault((s, l), []).append((t, cst))
+                frame_lie.setdefault((t, l), []).append((s, -cst))
+            leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
+                           if not cst.is_constant]
+                       for l, terms in brackets.items()}
+            anchor = {i: _field(self.rho_basis(i), n)
+                      for i in sorted({i for i, _ in self.anchor})}
+            axes = sorted({a for _, a in self.anchor})
+            self._delta_tables = brackets, frame_lie, leibniz, anchor, axes
+        return self._delta_tables
 
     def rho(self, alpha):
         """Anchor image of a section as a vector field."""

@@ -80,7 +80,7 @@ def _dnabla_into(acc, cell, conn, v, scale=1):
 class ARep:
     """Algebroid representation in coefficient form (flatness checked separately)."""
 
-    __slots__ = ("nvars", "secrank", "rank", "psi")
+    __slots__ = ("nvars", "secrank", "rank", "psi", "_endo_cache")
 
     def __init__(self, nvars, secrank, rank, psi=None):
         self.nvars = nvars
@@ -92,15 +92,20 @@ class ARep:
                 raise StructureError(f"bad representation key {(i, b, c)}")
             if not p.is_zero:
                 self.psi[(i, b, c)] = p
+        self._endo_cache = {}
 
     @classmethod
     def trivial(cls, nvars, secrank, rank):
         return cls(nvars, secrank, rank)
 
     def endo(self, i):
-        """psi_i = nabla^A_{e_i} - rho(e_i) as a degree-0 End-form."""
-        return EndForm(self.nvars, self.rank, 0,
-                       {(b, c, ()): p for (j, b, c), p in self.psi.items() if j == i})
+        """psi_i = nabla^A_{e_i} - rho(e_i) as a (cached) degree-0 End-form."""
+        psi = self._endo_cache.get(i)
+        if psi is None:
+            psi = EndForm(self.nvars, self.rank, 0,
+                          {(b, c, ()): p for (j, b, c), p in self.psi.items() if j == i})
+            self._endo_cache[i] = psi
+        return psi
 
 
 class EndForm(SparseTable):

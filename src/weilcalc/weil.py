@@ -34,7 +34,7 @@ import operator
 from fractions import Fraction
 
 from . import _linsolve
-from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _field, _form,
+from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
                         _lie_into, _terms, check_section, d_scalar, sort_sign,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, EndForm, LinearConnection, _dnabla_into, induced_end_rep
@@ -239,20 +239,8 @@ def delta(A, rep, c):
         c = WeilCochain.from_vform(A, c)
     if rep.rank != c.rank or rep.secrank != A.rank:
         raise StructureError("representation does not match cochain")
-    n, r = A.nvars, A.rank
-    # brackets[l]: (s, t, c^l_{st}) on s < t; frame_lie[(i, l)]: (j, c^l_{ij})
-    brackets, frame_lie = {}, {}
-    for (s, t, l), cst in A.structure.items():
-        brackets.setdefault(l, []).append((s, t, cst))
-        frame_lie.setdefault((s, l), []).append((t, cst))
-        frame_lie.setdefault((t, l), []).append((s, -cst))
-    # the Leibniz map reads only cells with symmetric slots
-    leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
-                   if not cst.is_constant]
-               for l, terms in brackets.items()} if any(k for k, _, _ in c.comps) else {}
-    # anchor[i]: the entries of rho(e_i) for L_{rho e_i}
-    anchor = {i: _field(A.rho_basis(i), n) for i in sorted({i for i, _ in A.anchor})}
-    axes = sorted({a for _, a in A.anchor})
+    r = A.rank
+    brackets, frame_lie, leibniz, anchor, axes = A.delta_tables()
     psi = {i: rep.endo(i).comps.items() for i in range(1, r + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():

@@ -1,10 +1,13 @@
 """The exact sparse solver against sympy on random small rational systems.
 
-Rows are reduced in sorted key order and pivot on their least column, so
-the pivot columns are the RREF pivot columns: the kernel basis (1 at one
-free column, 0 at the others) is sympy's ``nullspace()`` vector for
-vector, and the solution with every free variable at zero is sympy's
-``gauss_jordan_solve`` with every parameter set to zero.
+Rows are read by descending least column, ties broken by row key, and each
+reduced row pivots on its least column. The pivot set does not depend on
+the order in which rows are read, so the pivot columns are the RREF pivot
+columns: the kernel basis (1 at one free column, 0 at the others) is
+sympy's ``nullspace()`` vector for vector, and the solution with every
+free variable at zero is sympy's ``gauss_jordan_solve`` with every
+parameter set to zero. Relabelling the row keys changes the order in which
+rows are read and must change no result.
 """
 
 import ast
@@ -79,6 +82,29 @@ def test_solution_matches_sympy(system):
     assert ours is not None
     sol = sol.subs({t: 0 for t in params})
     assert _dense(ours, len(columns)) == _to_fractions(sol)
+
+
+def _relabelled(columns, labels):
+    return [{labels[r]: v for r, v in col.items()} for col in columns]
+
+
+@_oracle
+@given(st.data())
+def test_row_order_changes_no_result(data):
+    nrows, columns, rhs = data.draw(systems())
+    labels = data.draw(st.permutations(range(nrows)))
+    moved, moved_rhs = _relabelled(columns, labels), _relabelled([rhs], labels)[0]
+    assert solve_sparse(moved, moved_rhs) == solve_sparse(columns, rhs)
+    assert nullspace_sparse(moved) == nullspace_sparse(columns)
+    pivots = set(_eliminate(columns, {})[1])
+    assert set(_eliminate(moved, {})[1]) == pivots
+    assert pivots == set(_matrix(nrows, columns).rref()[1])
+
+
+def test_row_only_the_rhs_touches_ends_elimination_at_once():
+    assert _eliminate([{"a": 1, "b": 2}, {"b": 1}], {"a": 1, "c": 3}) == ([], {}, False)
+    # a zero there is consistent
+    assert _eliminate([{"a": 2}], {"a": 2, "c": 0}) == ([0], {0: ({}, 1)}, True)
 
 
 def test_empty_and_zero_systems():

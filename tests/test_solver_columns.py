@@ -4,13 +4,17 @@
 delta of the frame cell e and the anchor symbols S_a(e), by the Leibniz
 rule. The reference here is the flattened delta of every single-term cell,
 one delta per cell, on the fixtures and on an algebroid with a polynomial
-anchor, with and without the horizontal ideal.
+anchor, with and without the horizontal ideal. delta reads its frame
+tables and the representation's psi_i from per-object memos, which must
+give what a fresh build gives.
 """
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ARep, IdealBundle, Poly,
+from weilcalc import (AlgebroidPresentation, ARep, EndForm, IdealBundle, Poly,
                       StructureError, build_fixture, weil)
+from weilcalc._linsolve import _eliminate
+from weilcalc.fixtures import random_cochain
 from weilcalc.polyring import MAX_DEGREE
 from weilcalc.weil import (_cell_cochain, _delta_columns, _flatten, _symbols,
                            _unknown_cells, delta)
@@ -25,13 +29,17 @@ def _affine():
     return "affine", A, affine_rep(A), IdealBundle(A, (3,))
 
 
+def _build(name):
+    if name == "affine":
+        return _affine()
+    fix = build_fixture(name)
+    return fix.name, fix.A, fix.rep, fix.ideal
+
+
 @pytest.fixture(scope="module", params=("F0_so3", "F1_abelian_2d", "F2_semisimple_2d",
                                         "F3_foliation_4d", "affine"))
 def case(request):
-    if request.param == "affine":
-        return _affine()
-    fix = build_fixture(request.param)
-    return fix.name, fix.A, fix.rep, fix.ideal
+    return _build(request.param)
 
 
 def _per_cell(A, rep, p, q, cells):
@@ -115,3 +123,47 @@ def test_fixture_columns_are_plain_ints(name):
         assert all(type(v) is int for col in columns for v in col.values()), (p, q)
         for head in {cell[:5] for cell in cells}:
             assert all(type(v) is int for sym in _symbols(A, head) for v in sym.values())
+
+
+@pytest.mark.parametrize("name", ("F1_abelian_2d", "F2_semisimple_2d", "F3_foliation_4d"))
+def test_fixture_kernel_pivot_rows_are_plain_ints(name):
+    # rows read by descending least column keep the pivot rows of the
+    # W^{1,1} systems integral; read in sorted key order, 943 of their 2667
+    # entries were Fractions. (Other bidegrees keep a few Fractions.)
+    fix = build_fixture(name)
+    A, rep = fix.A, fix.ideal.adjoint_rep()
+    for bound in range(1, 5):
+        for horizontal in (None, fix.ideal):
+            _, columns = _delta_columns(A, rep, rep.rank, 1, 1, bound, horizontal)
+            _, pivots, _ = _eliminate(columns, {})
+            assert pivots and all(type(v) is int for row, _ in pivots.values()
+                                  for v in row.values()), (bound, horizontal)
+
+
+@pytest.mark.parametrize("p,q", BIDEGREES + ((2, 2),))
+def test_delta_with_warm_tables_equals_delta_on_a_fresh_build(case, p, q):
+    name, A, rep, _ = case
+    # warm the memos on a plain form, which has no symmetric slots
+    delta(A, rep, random_cochain(A, rep, 0, 1, 1, seed=1))
+    _, fresh_A, fresh_rep, _ = _build(name)
+    for seed in range(2):
+        assert delta(A, rep, random_cochain(A, rep, p, q, 1, seed)) == \
+            delta(fresh_A, fresh_rep, random_cochain(fresh_A, fresh_rep, p, q, 1, seed))
+
+
+def test_algebroids_never_share_delta_tables():
+    A, again = build_fixture("F1_abelian_2d").A, build_fixture("F1_abelian_2d").A
+    tables = A.delta_tables()
+    assert A.delta_tables() is tables
+    assert again.delta_tables() is not tables and again.delta_tables() == tables
+    assert build_fixture("F2_semisimple_2d").A.delta_tables() != tables
+
+
+def test_endo_memo_returns_equal_forms(case):
+    _, A, rep, _ = case
+    fresh = ARep(rep.nvars, rep.secrank, rep.rank, rep.psi)
+    for i in range(1, A.rank + 1):
+        want = EndForm(rep.nvars, rep.rank, 0,
+                       {(b, c, ()): p for (j, b, c), p in rep.psi.items() if j == i})
+        first = fresh.endo(i)
+        assert first == want and fresh.endo(i) is first and rep.endo(i) == want
