@@ -17,12 +17,11 @@ from .weil import (WeilCochain, bounded_kernel, check_IM, delta, dnabla_cochain,
                    eval_row, evaluate, invariance_form, is_A_invariant,
                    is_horizontal, solve_coboundary, validate_algebroid,
                    validate_rep, wedge_Ttheta)
-from .ideals import (Curving, Dhor, IdealBundle, IMConnection, ad_inverse,
-                     abelian_primitive_check, bianchi_check, bracket_of_forms,
-                     build_coupled, c2, check_semisimple, coupled_presentation,
-                     coupling_checks, curvature, curving_suite, deform,
-                     frame_splitting, hstar, obstruction_cocycle,
-                     primitive_from_pair, splitting_cochain,
+from .ideals import (Dhor, IdealBundle, IMConnection, ad_inverse, abelian_primitive_check,
+                     bianchi_check, bracket_of_forms, build_coupled, c2,
+                     check_semisimple, coupled_presentation, coupling_checks,
+                     curvature, curving_suite, deform, frame_splitting, hstar,
+                     obstruction_cocycle, primitive_from_pair, splitting_cochain,
                      splitting_curvature, unique_curving, wedgedot,
                      wedgedot_multi)
 from .fixtures import (FIXTURE_NAMES, Fixture, build_fixture, random_cochain,

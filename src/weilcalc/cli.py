@@ -19,8 +19,8 @@ from .ideals import (Dhor, IMConnection, bianchi_check, c2, coupling_checks,
 from .report import CheckReport
 from .specfile import (Spec, cochain_to_dict, dumps_canonical, load_spec_path,
                        vform_to_dict)
-from .weil import (WeilCochain, check_IM, delta, dnabla_cochain, is_horizontal,
-                   solve_coboundary, validate_algebroid, validate_rep)
+from .weil import (check_IM, delta, dnabla_cochain, is_horizontal, solve_coboundary,
+                   validate_algebroid, validate_rep)
 
 
 def _adjoint_or_trivial(spec, cochain):
@@ -28,7 +28,7 @@ def _adjoint_or_trivial(spec, cochain):
         ideal = spec.build_ideal()
         if cochain.rank == ideal.m:
             return ideal.adjoint_rep()
-    return ARep.trivial(spec.A.nvars, spec.A.rank, cochain.rank)
+    return ARep(spec.A.nvars, spec.A.rank, cochain.rank)
 
 
 def _need(spec, field, what):
@@ -230,10 +230,7 @@ def cmd_fixture(args):
         if p < 0 or q < 0:
             raise SpecError("--with-cochain", "expected a nonnegative bidegree 'p,q'")
         degree = _nonnegative(args.degree, "--degree")
-        c = random_cochain(fix.A, fix.rep, p, q, degree, args.seed)
-        if p == 0:
-            c = WeilCochain.from_vform(fix.A, c)
-        cochains.append(c)
+        cochains.append(random_cochain(fix.A, fix.rep, p, q, degree, args.seed))
     spec = Spec(
         [f"x{i + 1}" for i in range(fix.A.nvars)],
         fix.A,

@@ -94,10 +94,6 @@ class ARep:
                 self.psi[(i, b, c)] = p
         self._endo_cache = {}
 
-    @classmethod
-    def trivial(cls, nvars, secrank, rank):
-        return cls(nvars, secrank, rank)
-
     def endo(self, i):
         """psi_i = nabla^A_{e_i} - rho(e_i) as a (cached) degree-0 End-form."""
         psi = self._endo_cache.get(i)

@@ -120,7 +120,8 @@ def random_section(A, seed, bound=1):
 
 
 def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
-    """Deterministic random cochain; a plain form when p = 0.
+    """Deterministic random W^{p,q} cochain; at p = 0 its single cell
+    (0, (), ()) is a plain form.
 
     Every stored component table is filled with small random rational
     coefficients up to the polynomial degree bound.
@@ -128,8 +129,6 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
     if p < 0 or q < 0:
         raise StructureError("cochain bidegree must be nonnegative")
     rng = random.Random(f"cochain:{p}:{q}:{degree_bound}:{seed}")
-    if p == 0:
-        return random_vform(rng, A.nvars, rep.rank, q, degree_bound)
     comps = {}
     for k, I, Js in frame_rows(A, p, q):
         for J in Js:

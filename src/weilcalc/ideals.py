@@ -40,13 +40,20 @@ class IdealBundle:
             for a in range(1, A.nvars + 1):
                 if (k, a) in A.anchor:
                     raise StructureError(f"anchor does not vanish on ideal index {k}")
+        # closure under [e_i, .] and the adjoint action psi_(i, b, a), the
+        # u_b component of [e_i, u_a], are read off the same brackets
+        psi = {}
         for i in range(1, A.rank + 1):
-            for k in self.indices:
-                outside = [l for l, _ in A.bracket_basis(i, k).comps if l not in self._pos]
+            for a, k in enumerate(self.indices, start=1):
+                comps = A.bracket_basis(i, k).comps
+                outside = [l for l, _ in comps if l not in self._pos]
                 if outside:
                     raise StructureError(
                         f"[e_{i}, e_{k}] leaves the ideal (component {min(outside)})")
-        self._adjoint = None
+                for b, l in enumerate(self.indices, start=1):
+                    if (p := comps.get((l, ()))) is not None:
+                        psi[(i, b, a)] = p
+        self._adjoint = ARep(A.nvars, A.rank, self.m, psi)
         self._fibre = None
 
     def embed(self, xi):
@@ -86,13 +93,6 @@ class IdealBundle:
 
     def adjoint_rep(self):
         """The representation nabla^A_alpha xi = [alpha, xi] in coefficient form."""
-        if self._adjoint is None:
-            psi = {}
-            for i in range(1, self.A.rank + 1):
-                for a, k in enumerate(self.indices, start=1):
-                    for (b, _), p in self.restrict(self.A.bracket_basis(i, k)).comps.items():
-                        psi[(i, b, a)] = p
-            self._adjoint = ARep(self.A.nvars, self.A.rank, self.m, psi)
         return self._adjoint
 
     def ad_endform(self, vf):
@@ -128,6 +128,8 @@ class IMConnection:
         A = ideal.A
         if cochain.p != 1 or cochain.q != 1 or cochain.rank != ideal.m:
             raise StructureError("IM connection needs an ideal-valued W^{1,1} cochain")
+        if cochain.A != A:
+            raise StructureError("cochain lives over a different algebroid")
         self.ideal = ideal
         self.cochain = cochain
         self._conn = None
@@ -180,10 +182,6 @@ class IMConnection:
     def U_of_h(self, alpha):
         """U(h alpha) = -C(h alpha) as an ideal-valued 1-form."""
         return -evaluate(self.cochain, [self.h_section(alpha)])
-
-    def deformed(self, L, lam=1):
-        """This connection plus lam * L for a horizontal IM 1-form L."""
-        return deform(self, L, lam)
 
 
 # -- the pairing --------------------------------------------------------------
@@ -557,21 +555,6 @@ def build_coupled(B, m, fibre, conn, F):
 
 
 # -- curvings -------------------------------------------------------------------
-
-
-class Curving:
-    """A base 2-form trivializing the curvature, with its 3-form curvature."""
-
-    __slots__ = ("F", "G")
-
-    def __init__(self, imc, F):
-        if F.degree != 2 or F.rank != imc.ideal.m:
-            raise StructureError("curving must be an ideal-valued 2-form")
-        omega = curvature(imc)
-        if delta(imc.A, imc.ideal.adjoint_rep(), F) != omega:
-            raise ContractError("delta^0 F does not equal the curvature")
-        self.F = F
-        self.G = imc.coupling_connection().dnabla(F)
 
 
 def curving_suite(imc, F, gamma=None):

@@ -218,19 +218,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
     def diff(self, i):
         """Formal partial derivative with respect to variable ``i`` (0-based)."""
         n = self.nvars

@@ -48,8 +48,6 @@ def increasing_tuples(r, length):
 
 
 def monomials_upto(nvars, bound):
-    if nvars == 0:
-        return [()]
     out = []
     for exps in itertools.product(range(bound + 1), repeat=nvars):
         if sum(exps) <= bound:
@@ -237,6 +235,8 @@ def delta(A, rep, c):
     """
     if isinstance(c, VForm):
         c = WeilCochain.from_vform(A, c)
+    elif c.A != A:
+        raise StructureError("cochain lives over a different algebroid")
     if rep.rank != c.rank or rep.secrank != A.rank:
         raise StructureError("representation does not match cochain")
     r = A.rank
@@ -346,6 +346,8 @@ def wedge_Ttheta(inv, c):
     if isinstance(c, VForm):
         raise StructureError("wrap plain forms with WeilCochain.from_vform first")
     A, m = c.A, c.rank
+    if inv.A != A:
+        raise StructureError("cochain lives over a different algebroid")
     if inv.rank != m * m or (inv.p, inv.q) != (1, 1):
         raise StructureError("invariance form acts on a different bundle")
     T = {i: EndForm.from_flat(inv.lookup(0, (i,), ()), m) for i in range(1, A.rank + 1)}
@@ -389,11 +391,11 @@ def validate_algebroid(A):
     one = Poly.const(n, 1)
     coframe = WeilCochain(A, r, 1, 0, {(0, (i,), ()): VForm(n, r, 0, {(i, ()): one})
                                        for i in range(1, r + 1)})
-    _record_cells(report, _delta2(A, ARep.trivial(n, r, r), coframe), "jacobi",
+    _record_cells(report, _delta2(A, ARep(n, r, r), coframe), "jacobi",
                   ((I, (0, I, ())) for I in increasing_tuples(r, 3)),
                   "Jacobiator nonzero on this basis triple")
     x = VForm(n, n, 0, {(a, ()): Poly.var(n, a - 1) for a in range(1, n + 1)})
-    _record_cells(report, _delta2(A, ARep.trivial(n, r, n), x), "anchor_morphism",
+    _record_cells(report, _delta2(A, ARep(n, r, n), x), "anchor_morphism",
                   ((I, (0, I, ())) for I in increasing_tuples(r, 2)),
                   "rho[e_i,e_j] != [rho e_i, rho e_j]")
     return report

@@ -37,16 +37,12 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed {suffix}"
 
 
-def as_cochain(fix, c, p):
-    return WeilCochain.from_vform(fix.A, c) if p == 0 else c
-
-
 def test_criterion_01_complex_axiom(all_fixtures):
     checked = 0
     for p, q in itertools.product((0, 1, 2), repeat=2):
         for fix in all_fixtures:
             for seed in (0, 1):
-                c = as_cochain(fix, random_cochain(fix.A, fix.rep, p, q, 1, seed), p)
+                c = random_cochain(fix.A, fix.rep, p, q, 1, seed)
                 d2 = delta(fix.A, fix.rep, delta(fix.A, fix.rep, c))
                 if not d2.is_zero:
                     report(1, "delta^2 = 0", False, f"{fix.name} p={p} q={q} seed={seed}")
@@ -60,7 +56,7 @@ def test_criterion_02_commutator_law(f1, f2):
         inv = invariance_form(fix.A, fix.conn, fix.rep)
         for p, q in ((0, 1), (1, 1), (2, 1), (1, 2)):
             for seed in range(7):
-                c = as_cochain(fix, random_cochain(fix.A, fix.rep, p, q, 1, seed), p)
+                c = random_cochain(fix.A, fix.rep, p, q, 1, seed)
                 lhs = dnabla_cochain(fix.conn, delta(fix.A, fix.rep, c)) \
                     - delta(fix.A, fix.rep, dnabla_cochain(fix.conn, c))
                 if lhs != wedge_Ttheta(inv, c):

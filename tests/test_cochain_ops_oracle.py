@@ -159,8 +159,6 @@ def case(request):
 
 def _inputs(A, rep, p, q):
     c = random_cochain(A, rep, p, q, 1, seed=p * 4 + q)
-    if p == 0:
-        c = WeilCochain.from_vform(A, c)
     rng = random.Random(f"ops-one-cells:{p}:{q}")
     return [c, WeilCochain(A, rep.rank, p, q)] + _one_cells(c, 3, rng)
 
@@ -218,7 +216,7 @@ def imc_case(request):
 @pytest.mark.parametrize("p,q", BIDEGREES)
 def test_hstar_matches_row_driven_reference(imc_case, p, q):
     A, m = imc_case.A, imc_case.ideal.m
-    other = _inputs(A, ARep.trivial(A.nvars, A.rank, m + 1), p, q)[0]
+    other = _inputs(A, ARep(A.nvars, A.rank, m + 1), p, q)[0]
     for x in _inputs(A, imc_case.ideal.adjoint_rep(), p, q) + [other]:
         assert hstar(imc_case, x) == hstar_rows(imc_case, x), sorted(x.comps)
 

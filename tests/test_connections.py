@@ -216,7 +216,7 @@ def test_T_explicit_matches_dnabla_theta_minus_iota_R(all_fixtures):
 def test_flat_connection_with_pullback_rep_is_invariant(f1):
     # nabla trivial and nabla^A := nabla_rho gives theta = 0, R = 0
     conn = LinearConnection.trivial(2, 1)
-    rep = ARep.trivial(2, 3, 1)
+    rep = ARep(2, 3, 1)
     assert is_A_invariant(f1.A, conn, rep)
 
 

@@ -80,8 +80,6 @@ def test_eval_row_matches_leibniz_reference(case, p):
     rng = random.Random(f"eval-row:{p}")
     for q in range(4):
         c = random_cochain(A, rep, p, q, 1, seed=10 * p + q)
-        if p == 0:
-            c = WeilCochain.from_vform(A, c)
         for k in range(min(p, q) + 1):
             if q - k > A.nvars:
                 continue

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
-from weilcalc import (VForm, build_fixture, check_IM,
+from weilcalc import (VForm, WeilCochain, build_fixture, check_IM,
                       coupling_checks, curving_suite, delta, random_cochain,
                       validate_algebroid, validate_rep)
-from weilcalc.fixtures import FIXTURE_NAMES
+from weilcalc.fixtures import FIXTURE_NAMES, random_vform
 
 
 def test_unknown_fixture_rejected():
@@ -50,10 +52,12 @@ def test_random_cochain_deterministic(f2):
     assert a != c
 
 
-def test_random_cochain_p0_is_plain_form(f1):
+def test_random_cochain_p0_is_the_level0_cochain_of_a_random_vform(f1):
+    # the single cell (0, (), ()) is drawn as a plain form on the same rng
     out = random_cochain(f1.A, f1.rep, 0, 2, 1, seed=7)
-    assert isinstance(out, VForm)
-    assert out.degree == 2
+    rng = random.Random("cochain:0:2:1:7")
+    assert out == WeilCochain.from_vform(f1.A, random_vform(rng, 2, 1, 2, 1))
+    assert not out.is_zero and out.as_vform().degree == 2
 
 
 def test_delta_squared_sweep_100_seeds(f1):

@@ -56,6 +56,36 @@ def test_ideal_closure_names_the_least_component():
         IdealBundle(A, (1,))
 
 
+def test_ideal_closure_names_the_first_pair():
+    # [e_3, e_2] = -e_4 and [e_4, e_1] = -e_3 both leave the ideal spanned
+    # by e_1, e_2; the pairs are read i first, then k
+    one = Poly.const(0, 1)
+    A = AlgebroidPresentation(0, 4, {(2, 3, 4): one, (1, 4, 3): one})
+    with pytest.raises(StructureError, match=r"\[e_3, e_2\] leaves the ideal \(component 4\)"):
+        IdealBundle(A, (1, 2))
+
+
+def _two_pass_adjoint(ideal):
+    """psi_(i, b, a), the u_b component of [e_i, u_a], by a second walk
+    through the brackets after the closure check, in insertion order."""
+    A = ideal.A
+    return [((i, b, a), p) for i in range(1, A.rank + 1)
+            for a, k in enumerate(ideal.indices, start=1)
+            for (b, _), p in ideal.restrict(A.bracket_basis(i, k)).comps.items()]
+
+
+def test_adjoint_rep_matches_a_two_pass_reference(all_fixtures):
+    from test_weil import affine_algebroid
+    ideals = [fix.ideal for fix in all_fixtures] + [IdealBundle(affine_algebroid(), (3,))]
+    fibres = [(G, IdealBundle(G, range(1, ideal.m + 1)), adj)
+              for ideal in ideals for G, adj in [ideal.fibre()]]
+    cases = [(ideal.A, ideal, ideal.adjoint_rep()) for ideal in ideals] + fibres
+    for A, ideal, rep in cases:
+        assert (rep.nvars, rep.secrank, rep.rank) == (A.nvars, A.rank, ideal.m)
+        assert list(rep.psi.items()) == _two_pass_adjoint(ideal)
+    assert any(rep.psi for _, _, rep in fibres)
+
+
 def _section_consumers(fix):
     """Each consumer of a section, and whether it takes a section of the ideal."""
     A, ideal, c = fix.A, fix.ideal, fix.imc.cochain
@@ -234,7 +264,7 @@ def test_pairing_alternating_and_linear(f2):
 def test_insert_needs_a_symmetric_slot(f2):
     c = random_cochain(f2.A, f2.rep, 0, 1, 1, seed=12)
     with pytest.raises(StructureError, match="no symmetric slot to fill"):
-        WeilCochain.from_vform(f2.A, c).insert(f2.A.basis(1))
+        c.insert(f2.A.basis(1))
 
 
 def test_pairing_slot_underflow(f2):
@@ -585,17 +615,6 @@ def test_c2_rejects_non_horizontal_deformation(f1, f2):
             c2(fix.ideal, fix.imc.cochain)
 
 
-def test_curving_holder_and_deformed_method(f1, f2):
-    from weilcalc import Curving
-    cur = Curving(f1.imc, f1.curving)
-    assert cur.G == f1.conn.dnabla(f1.curving)
-    with pytest.raises(ContractError):
-        Curving(f1.imc, f1.curving + VForm(2, 1, 2, {(1, (1, 2)): Poly.const(2, 1)}))
-    gamma = rvform(f2, 1, seed=90)
-    L = delta(f2.A, f2.rep, gamma)
-    assert f2.imc.deformed(L, 2).cochain == deform(f2.imc, L, 2).cochain
-
-
 def test_deform_rejects_bad_input(f2):
     c = random_cochain(f2.A, f2.rep, 1, 1, 1, seed=71)   # not IM
     with pytest.raises(ContractError):
@@ -604,6 +623,20 @@ def test_deform_rejects_bad_input(f2):
         2, 3, 0, {(1, ()): Poly.const(2, 1)})})          # not horizontal
     with pytest.raises(ContractError):
         deform(f2.imc, vertical, 1)
+
+
+def test_im_connection_rejects_a_cochain_over_another_algebroid(f1):
+    # the coupling of F1 with curving 2x dx^dy: the same ideal indices and
+    # symbol over another algebroid
+    from weilcalc.fixtures import _tangent_presentation
+    from weilcalc.ideals import IMConnection
+    F = VForm(2, 1, 2, {(1, (1, 2)): Poly.var(2, 0) * 2})
+    A, _, other, _ = build_coupled(_tangent_presentation(2), 1, {},
+                                   LinearConnection.trivial(2, 1), F)
+    assert A != f1.A and other.ideal.indices == f1.ideal.indices
+    for validate in (True, False):
+        with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
+            IMConnection(f1.ideal, other.cochain, validate=validate)
 
 
 @pytest.mark.parametrize("lam", [0.1, 2.0, True])

@@ -14,7 +14,7 @@ def rand(seed, nvars=3, bound=3):
 
 def test_difference_of_squares():
     x = Poly.var(1, 0)
-    assert (x + 1) * (x - 1) == x ** 2 - 1
+    assert (x + 1) * (x - 1) == x * x - 1
 
 
 def test_multiplication_by_zero_absorbs():
@@ -35,7 +35,7 @@ def test_exact_rational_scaling():
 
 def test_partial_derivative_examples():
     x, y = Poly.var(2, 0), Poly.var(2, 1)
-    assert (x ** 2 * y).diff(0) == 2 * x * y
+    assert (x * x * y).diff(0) == 2 * x * y
     assert Poly.const(2, 7).diff(1).is_zero
     f, g = x, x * y
     assert (f * g).diff(0) == f.diff(0) * g + f * g.diff(0)
@@ -77,13 +77,13 @@ def test_zero_vars_polynomials_are_constants():
 
 def test_printer_is_graded_lex_descending():
     x, y = Poly.var(2, 0), Poly.var(2, 1)
-    p = y + x ** 2 * y * Fraction(1, 2) - 3 + x * y
+    p = y + x * x * y * Fraction(1, 2) - 3 + x * y
     assert poly_to_str(p) == "1/2*x1^2*x2 + x1*x2 + x2 - 3"
 
 
 def test_printer_uses_chart_names():
     x = Poly.var(2, 0)
-    assert poly_to_str(x ** 2 * -1, ["x", "y"]) == "-x^2"
+    assert poly_to_str(x * x * -1, ["x", "y"]) == "-x^2"
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -116,14 +116,14 @@ def test_no_zero_terms_stored():
 
 def test_product_past_the_degree_limit_raises():
     x, y = Poly.var(2, 0), Poly.var(2, 1)
-    top = x ** MAX_DEGREE
+    top = Poly.monomial(2, (MAX_DEGREE, 0))
     assert top.coeff((MAX_DEGREE, 0)) == 1
-    assert (top * 3).diff(0) == 3 * MAX_DEGREE * x ** (MAX_DEGREE - 1)
+    assert (top * 3).diff(0) == Poly.monomial(2, (MAX_DEGREE - 1, 0), 3 * MAX_DEGREE)
     for factor in (x, y):
         with pytest.raises(StructureError):
             top * factor
     with pytest.raises(StructureError):
-        x ** 40000 * y ** 30000
+        Poly.monomial(2, (40000, 0)) * Poly.monomial(2, (0, 30000))
     with pytest.raises(StructureError):
         Poly.monomial(2, (MAX_DEGREE, 1))
 

@@ -54,14 +54,13 @@ _oracle = settings(max_examples=40, deadline=None, derandomize=True, database=No
 
 
 @_oracle
-@given(poly_pairs(), st.integers(0, 3))
-def test_arithmetic_matches_sympy(pair, k):
+@given(poly_pairs())
+def test_arithmetic_matches_sympy(pair):
     n, a, b = pair
     sa, sb = to_sympy(a), to_sympy(b)
     assert same(sa + sb, a + b)
     assert same(sa - sb, a - b)
     assert same(sa * sb, a * b)
-    assert same(sa ** k, a ** k)
     for i in range(n):
         assert same(sympy.diff(sa, _SYMS[i]), a.diff(i))
 

@@ -87,7 +87,7 @@ def test_column_past_max_degree_raises_like_delta():
     # a rank-1 algebroid on Q^1 with anchor x^MAX_DEGREE: rho(x^alpha) =
     # alpha x^(alpha - 1 + MAX_DEGREE) passes the limit at alpha = 2
     A = AlgebroidPresentation(1, 1, {}, {(1, 1): Poly.monomial(1, (MAX_DEGREE,))})
-    rep = ARep.trivial(1, 1, 1)
+    rep = ARep(1, 1, 1)
     cells, columns = _delta_columns(A, rep, 1, 0, 0, 1, None)
     assert columns == list(_per_cell(A, rep, 0, 0, cells).values())
     with pytest.raises(StructureError):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ContractError, EndForm, IdealBundle,
+from weilcalc import (AlgebroidPresentation, ARep, ContractError, EndForm, IdealBundle,
                       LinearConnection, Poly, Section, StructureError, VForm,
                       WeilCochain, bounded_kernel, bracket, check_IM, delta,
                       dnabla_cochain, evaluate, induced_end_rep, invariance_form,
@@ -11,6 +11,7 @@ from weilcalc import (AlgebroidPresentation, ContractError, EndForm, IdealBundle
 from weilcalc.algebroid import d_scalar
 from weilcalc.connections import lieA_vform
 from weilcalc.fixtures import random_cochain, random_endform, random_poly, random_section
+from weilcalc.weil import monomials_upto
 
 from test_connections import random_christoffel
 
@@ -148,8 +149,6 @@ def test_delta_squared_zero_across_fixtures(all_fixtures):
     for fix in all_fixtures:
         for p, q in [(0, 1), (1, 1), (2, 2)]:
             c = random_cochain(fix.A, fix.rep, p, q, 1, seed=13)
-            if p == 0:
-                c = WeilCochain.from_vform(fix.A, c)
             assert delta(fix.A, fix.rep, delta(fix.A, fix.rep, c)).is_zero
 
 
@@ -158,8 +157,6 @@ def test_delta_squared_zero_polynomial_anchor():
     rep = affine_rep(A)
     for p, q in [(0, 1), (1, 1), (2, 1)]:
         c = random_cochain(A, rep, p, q, 2, seed=5)
-        if p == 0:
-            c = WeilCochain.from_vform(A, c)
         assert delta(A, rep, delta(A, rep, c)).is_zero
 
 
@@ -311,15 +308,26 @@ def test_wedge_Ttheta_zero_invariance_form(f1):
 
 
 def test_cochain_operators_reject_plain_vform(f2):
-    # random_cochain gives a plain VForm at p = 0; d-nabla and (T, theta)^
-    # both ask for the WeilCochain wrapper, with the same error
+    # delta takes a plain form as the level-0 cochain; d-nabla and
+    # (T, theta)^ both ask for the WeilCochain wrapper, with the same error
     inv = invariance_form(f2.A, f2.conn, f2.rep)
-    vf = random_cochain(f2.A, f2.rep, 0, 1, 1, seed=0)
-    assert isinstance(vf, VForm)
+    vf = random_cochain(f2.A, f2.rep, 0, 1, 1, seed=0).as_vform()
     for op in (lambda c: dnabla_cochain(f2.conn, c), lambda c: wedge_Ttheta(inv, c)):
         with pytest.raises(StructureError, match="WeilCochain.from_vform"):
             op(vf)
     assert wedge_Ttheta(inv, WeilCochain.from_vform(f2.A, vf)).p == 1
+
+
+def test_cochain_operators_reject_a_cochain_over_another_algebroid(f1, f3):
+    # a cochain over F3's four variables read on a two-variable algebroid,
+    # and F3's invariance pair against a cochain over F1
+    c = random_cochain(f3.A, f3.rep, 1, 1, 1, seed=0)
+    B2 = AlgebroidPresentation(2, 2, {}, {(1, 1): Poly.const(2, 1), (2, 2): Poly.const(2, 1)})
+    with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
+        delta(B2, ARep(2, 2, 1), c)
+    inv = invariance_form(f3.A, f3.conn, f3.rep)
+    with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
+        wedge_Ttheta(inv, random_cochain(f1.A, f1.rep, 1, 1, 1, seed=0))
 
 
 def test_wedge_Ttheta_rejects_a_cochain_that_is_not_a_pair(f2):
@@ -338,8 +346,6 @@ def test_commutator_law(pq, seed, f2):
     A, rep, conn = f2.A, f2.rep, f2.conn
     inv = invariance_form(A, conn, rep)
     c = random_cochain(A, rep, p, q, 1, seed=seed)
-    if p == 0:
-        c = WeilCochain.from_vform(A, c)
     lhs = dnabla_cochain(conn, delta(A, rep, c)) - delta(A, rep, dnabla_cochain(conn, c))
     assert lhs == wedge_Ttheta(inv, c)
 
@@ -440,6 +446,20 @@ def test_bounded_kernel_contains_coboundaries(f1):
     assert basis
     for b in basis:
         assert delta(f1.A, f1.rep, b).is_zero
+
+
+def test_negative_degree_bound_admits_no_unknown_on_any_chart(f0, f1):
+    # F0 has no variables and F1 two; below bound 0 neither chart has a monomial
+    assert monomials_upto(0, -1) == monomials_upto(2, -1) == []
+    assert monomials_upto(0, 2) == [()]
+    for fix in (f0, f1):
+        A, rep, n = fix.A, fix.rep, fix.A.nvars
+        xi = VForm(n, rep.rank, 0, {(1, ()): Poly.var(n, 0) if n else Poly.const(n, 1)})
+        target = delta(A, rep, xi)
+        assert not target.is_zero
+        assert solve_coboundary(A, rep, target, 1) is not None
+        assert solve_coboundary(A, rep, target, -1) is None
+        assert bounded_kernel(A, rep, 1, 0, -1) == []
 
 
 # -- (T, theta) as a cochain -----------------------------------------------
