@@ -194,6 +194,8 @@ def wedgedot(gamma, theta, ideal):
     degrees add. A cell (k, I, J) with value v sends theta^a ^ v to
     (k - 1, I, J - u_a) for each distinct ideal index u_a in J."""
     A = gamma.A
+    if A != ideal.A:
+        raise StructureError("cochain lives over a different algebroid")
     if gamma.p < 1:
         raise StructureError("no symmetric slot left for the pairing")
     if theta.rank != ideal.m or theta.nvars != A.nvars:

@@ -8,7 +8,8 @@ degree in the top field, then ``e1``, ..., ``en`` in fixed-width fields
 below it (Monagan & Pearce, CASC 2007). A monomial product is then one int
 addition, and descending key order is descending graded lex order. The
 layout is private to this module: other code reads exponent tuples through
-:meth:`Poly.items` and builds terms from them with the public constructors.
+:meth:`Poly.items` and builds terms from them with the public constructors,
+or, where it only multiplies monomials, adds the keys of :func:`key_layout`.
 No term may have total degree above :data:`MAX_DEGREE`, so no field can
 carry into its neighbour; a product that would exceed it raises
 :class:`StructureError`. All arithmetic is exact and values are immutable.
@@ -18,6 +19,7 @@ e.g. ``1/2*x1^2*x2 - 3``; ``poly_to_str`` emits terms in descending
 graded lexicographic order, so output is canonical.
 """
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd
@@ -45,6 +47,16 @@ def _pack(nvars, exps):
 
 def _unpack(nvars, key):
     return tuple((key >> s) & _MASK for s in range(_BITS * (nvars - 1), -1, -_BITS))
+
+
+def key_layout(nvars):
+    """The packed keys of monomials in ``nvars`` variables, for code that
+    multiplies monomials by adding keys without reading their fields:
+    ``(key, width)``, with ``key(exps)`` the key of an exponent tuple
+    (checked as by ``Poly``) and every key below ``1 << width``. A sum of
+    keys is the key of the product exactly when it stays below
+    ``1 << width``; past that the product's degree exceeds MAX_DEGREE."""
+    return functools.partial(_pack, nvars), _BITS * (nvars + 1)
 
 
 def _pair(c):

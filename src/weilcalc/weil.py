@@ -39,7 +39,7 @@ from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, EndForm, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
-from .polyring import MAX_DEGREE, Poly
+from .polyring import MAX_DEGREE, Poly, key_layout
 from .report import CheckReport
 
 
@@ -437,6 +437,8 @@ def check_IM(A, rep, c):
 
 def is_horizontal(c, ideal):
     """Correction terms vanish whenever a symmetric slot carries an ideal index."""
+    if c.A != ideal.A:
+        raise StructureError("cochain lives over a different algebroid")
     forbidden = set(ideal.indices)
     return not any(k and forbidden.intersection(J) for k, _, J in c.comps)
 
@@ -444,15 +446,19 @@ def is_horizontal(c, ideal):
 # -- bounded-degree linear solving -------------------------------------------
 
 
-def _flatten(c):
-    """The coefficients of c keyed (k, I, J, b, idx, exps): an int where the
-    coefficient is integral, a Fraction otherwise, so the solver's columns
-    stay in int arithmetic."""
+def _flatten(c, rows):
+    """The coefficients of c keyed by one int each: the index of the frame
+    head (k, I, J, b, idx) in ``rows``, which gains the heads it lacks,
+    above the packed key of the monomial. A coefficient is an int where it
+    is integral, a Fraction otherwise, so the solver's columns stay in int
+    arithmetic."""
+    width = key_layout(c.A.nvars)[1]
     flat = {}
     for (k, I, J), vf in c.comps.items():
         for (b, idx), poly in vf.comps.items():
-            for exps, (num, den) in poly.items():
-                flat[(k, I, J, b, idx, exps)] = num if den == 1 else Fraction(num, den)
+            base = rows.setdefault((k, I, J, b, idx), len(rows)) << width
+            for mk, (num, den) in poly.terms.items():
+                flat[base + mk] = num if den == 1 else Fraction(num, den)
     return flat
 
 
@@ -478,81 +484,103 @@ def _cell_cochain(A, rank, p, q, cell):
     return WeilCochain(A, rank, p, q, {(k, I, J): vf})
 
 
-def _symbols(A, head):
+def _symbols(A, head, rows):
     """The symbols S_a(e) = delta(x_a e) - x_a delta(e), a = 1..n, of the frame
-    cell e = (k, I, J, b, idx), flattened. Only the anchor term rho(e_i)(f)
-    of the leading Lie derivatives is not C^infty-linear in the coefficient
-    f of e, so S_a(e) is (-1)^(k+pos) rho^a_i at (k, I', J, b, idx), where
-    I' is I with i inserted at position pos, for each i not in I."""
+    cell e = (k, I, J, b, idx), flattened with row keys from ``rows``. Only
+    the anchor term rho(e_i)(f) of the leading Lie derivatives is not
+    C^infty-linear in the coefficient f of e, so S_a(e) is (-1)^(k+pos)
+    rho^a_i at (k, I', J, b, idx), where I' is I with i inserted at
+    position pos, for each i not in I; the anchor is read from the table
+    that delta reads."""
     k, I, J, b, idx = head
+    width = key_layout(A.nvars)[1]
     out = [{} for _ in range(A.nvars)]
-    for i in range(1, A.rank + 1):
+    for i, rhos in A.delta_tables()[3].items():
         if i in I:
             continue
         pos = sum(1 for t in I if t < i)
-        head_i = (k, I[:pos] + (i,) + I[pos:], J, b, idx)
+        base = rows.setdefault((k, I[:pos] + (i,) + I[pos:], J, b, idx), len(rows)) << width
         sign = -1 if (k + pos) % 2 else 1
-        for a, sym in enumerate(out, start=1):
-            rho = A.anchor.get((i, a))
-            if rho is not None:
-                for exps, (num, den) in rho.items():
-                    sym[head_i + (exps,)] = sign * num if den == 1 else Fraction(sign * num, den)
+        for a, rho, _ in rhos:
+            sym = out[a - 1]
+            for mk, (num, den) in rho.terms.items():
+                sym[base + mk] = sign * num if den == 1 else Fraction(sign * num, den)
     return out
 
 
-def _top_degree(flat):
-    return max((sum(key[5]) for key in flat), default=0)
-
-
-def _shift_into(col, flat, top, beta, scale):
-    """Add scale * x^beta * flat to the flat column ``col``; ``top`` is the
-    highest total degree in ``flat``."""
-    if top + sum(beta) > MAX_DEGREE:
-        raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
-    for key, v in flat.items():
-        key = key[:5] + (tuple(map(operator.add, key[5], beta)),)
-        cur = col.get(key)
-        col[key] = v * scale if cur is None else cur + v * scale
-
-
-def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal):
-    """The unknown cells of W^{p,q} and the flattened delta of each.
+def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, rows):
+    """The unknown cells of W^{p,q} and the flattened delta of each, keyed
+    by the rows of ``rows``.
 
     delta is first order in the coefficients, so by the Leibniz rule
 
         delta(x^alpha e) = x^alpha delta(e) + sum_a alpha_a x^(alpha - eps_a) S_a(e)
 
     for a frame cell e: one delta per frame cell, and the symbols S_a read
-    off the anchor. Cells come grouped by frame cell, monomials innermost.
+    off the anchor. A row key holds the monomial key in its low bits, so
+    x^beta shifts a flattened cochain by adding key(beta) to every key; a
+    shift past MAX_DEGREE raises StructureError, as delta does, before any
+    monomial field carries into the frame head above it. Cells come
+    grouped by frame cell, monomials innermost.
     """
     cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
+    key, width = key_layout(A.nvars)
+    limit = 1 << width
+    low = limit - 1
+    shifts = {alpha: key(alpha) for alpha in {cell[5] for cell in cells}}
+    units = [key(tuple(int(a == b) for b in range(A.nvars))) for a in range(A.nvars)]
     columns = []
     origin = (0,) * A.nvars
     for head, group in itertools.groupby(cells, key=operator.itemgetter(slice(5))):
-        frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))))
-        frame_top = _top_degree(frame)
-        symbols = [(a, sym, _top_degree(sym))
-                   for a, sym in enumerate(_symbols(A, head)) if sym]
+        frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))), rows)
+        top = max((r & low for r in frame), default=0)
+        symbols = [(a, units[a], max(r & low for r in sym), sym)
+                   for a, sym in enumerate(_symbols(A, head, rows)) if sym]
         for cell in group:
             alpha = cell[5]
-            col = {}
-            _shift_into(col, frame, frame_top, alpha, 1)
-            for a, sym, top in symbols:
-                if alpha[a]:
-                    beta = alpha[:a] + (alpha[a] - 1,) + alpha[a + 1:]
-                    _shift_into(col, sym, top, beta, alpha[a])
-            columns.append({key: v for key, v in col.items() if v})
+            s = shifts[alpha]
+            if top + s >= limit:
+                raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
+            col = {r + s: v for r, v in frame.items()}
+            for a, unit, sym_top, sym in symbols:
+                scale = alpha[a]
+                if not scale:
+                    continue
+                t = s - unit
+                if sym_top + t >= limit:
+                    raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
+                for r, v in sym.items():
+                    r += t
+                    cur = col.get(r)
+                    if cur is None:
+                        col[r] = scale * v
+                        continue
+                    cur += scale * v
+                    if cur:
+                        col[r] = cur
+                    else:
+                        del col[r]
+            columns.append(col)
     return cells, columns
 
 
-def _assemble(A, rank, p, q, cells, coeffs):
-    """The cochain sum of x * cell over the sparse {cell index: x} coeffs,
-    built in one pass."""
-    acc = {}
-    for i, x in coeffs.items():
-        k, I, J, b, idx, exps = cells[i]
-        _add_into(acc, (k, I, J), {(b, idx): Poly.monomial(A.nvars, exps, x).terms}, 1)
-    return _cochain(A, rank, p, q, acc)
+def _assemble(A, rank, p, q, cells, vectors):
+    """For each sparse {cell index: x} of ``vectors``, the cochain sum of
+    x * cell, each coefficient written straight into the term dict of its
+    entry. A kernel vector has about one coefficient, so the monomial keys
+    are packed once for all the vectors."""
+    key, keys, out = key_layout(A.nvars)[0], {}, []
+    for coeffs in vectors:
+        acc = {}
+        for i, x in coeffs.items():
+            k, I, J, b, idx, exps = cells[i]
+            mk = keys.get(exps)
+            if mk is None:
+                mk = keys[exps] = key(exps)
+            acc.setdefault((k, I, J), {}).setdefault((b, idx), {})[mk] = \
+                (x.numerator, x.denominator)
+        out.append(_cochain(A, rank, p, q, acc))
+    return out
 
 
 def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
@@ -573,12 +601,13 @@ def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
     if target.p == 0:
         raise ContractError("no level below a level-0 cochain")
     p, q = target.p - 1, target.q
+    rows = {}
     cells, columns = _delta_columns(A, rep, target.rank, p, q, degree_bound,
-                                    horizontal_ideal)
-    x = _linsolve.solve_sparse(columns, _flatten(target))
+                                    horizontal_ideal, rows)
+    x = _linsolve.solve_sparse(columns, _flatten(target, rows))
     if x is None:
         return None
-    out = _assemble(A, target.rank, p, q, cells, x)
+    out, = _assemble(A, target.rank, p, q, cells, [x])
     if delta(A, rep, out) != target:
         raise ContractError("solve_coboundary solution does not satisfy delta b = target")
     return out
@@ -587,6 +616,6 @@ def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
 def bounded_kernel(A, rep, p, q, degree_bound, horizontal_ideal=None):
     """Basis of delta-cocycles at level p with coefficient degree <= bound."""
     rank = rep.rank
-    cells, columns = _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal)
+    cells, columns = _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, {})
     basis = _linsolve.nullspace_sparse(columns)
-    return [_assemble(A, rank, p, q, cells, x) for x in basis]
+    return _assemble(A, rank, p, q, cells, basis)

@@ -625,6 +625,25 @@ def test_deform_rejects_bad_input(f2):
         deform(f2.imc, vertical, 1)
 
 
+def test_is_horizontal_rejects_a_cochain_over_another_algebroid(f1, f3):
+    # F3's cochain has no correction term on F1's ideal index, so a check
+    # that did not compare the algebroids would call it horizontal
+    c = random_cochain(f3.A, f3.rep, 1, 1, 1, seed=0)
+    with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
+        is_horizontal(c, f1.ideal)
+    assert is_horizontal(random_cochain(f1.A, f1.rep, 1, 1, 1, seed=0).scaled(0), f1.ideal)
+
+
+def test_wedgedot_rejects_a_row_over_another_algebroid(f1, f2):
+    # an F2 row paired with an F1 ideal-valued form through F1's ideal: the
+    # chart and the ideal rank agree, the algebroids do not
+    gamma = random_symform(f2, 1, 1, 0)
+    theta = rvform(f1, 1, 0)
+    assert theta.rank == f1.ideal.m and theta.nvars == f2.A.nvars
+    with pytest.raises(StructureError, match="cochain lives over a different algebroid"):
+        wedgedot(gamma, theta, f1.ideal)
+
+
 def test_im_connection_rejects_a_cochain_over_another_algebroid(f1):
     # the coupling of F1 with curving 2x dx^dy: the same ideal indices and
     # symbol over another algebroid

@@ -6,7 +6,10 @@ referenced somewhere in ``src`` outside its own definition, and every
 public module-level function and class is referenced outside its own
 definition from ``src``, ``tests`` or ``perfbench``. A re-export in
 ``__init__`` is not a use; a string equal to the name is, because the
-benchmark's tracer names its targets by string.
+benchmark's tracer names its targets by string. The packed monomial layout
+(``_BITS``, ``_MASK``, ``_pack``, ``_unpack``) is read only in ``polyring``:
+no other module of ``src`` or ``perfbench`` imports or reaches for it;
+tests may, to decode keys.
 """
 
 import ast
@@ -80,3 +83,24 @@ def test_every_public_definition_is_referenced(module):
     orphans = [node.name for node in public if node.name not in elsewhere
                and node.name not in _references(TREES[module], skip=node, strings=True)]
     assert orphans == []
+
+
+_LAYOUT = {"_BITS", "_MASK", "_pack", "_unpack"}
+
+
+def _layout_reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names if alias.name in _LAYOUT)
+        elif isinstance(node, ast.Attribute) and node.attr in _LAYOUT:
+            yield node.attr
+
+
+def test_only_polyring_reads_the_packed_layout():
+    # other modules get monomial keys and their width from
+    # polyring.key_layout and only add them
+    trees = {f"src/weilcalc/{name}": tree for name, tree in TREES.items() if name != "polyring.py"}
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        trees[str(path.relative_to(ROOT))] = ast.parse(path.read_text(), filename=str(path))
+    assert sorted((where, name) for where, tree in trees.items()
+                  for name in _layout_reads(tree)) == []

@@ -52,7 +52,8 @@ def test_tracer_counts_the_solver_system():
     A, rep = fix.A, fix.rep
     w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
     target = weil.delta(A, rep, w)
-    _, columns = weil._delta_columns(A, rep, 3, 0, 0, 0, None)
+    rows = {}
+    _, columns = weil._delta_columns(A, rep, 3, 0, 0, 0, None, rows)
     col_rows = set().union(*columns)
     nonzeros = sum(len(col) for col in columns)
     assert nonzeros
@@ -67,7 +68,7 @@ def test_tracer_counts_the_solver_system():
         assert tracer.calls("_linsolve.solve") == 2
         assert tracer.calls("_linsolve.eliminate") == 2
         assert tracer.counts["_linsolve.rows"] == (
-            len(col_rows | set(weil._flatten(target))) + len(col_rows))
+            len(col_rows | set(weil._flatten(target, rows))) + len(col_rows))
         assert tracer.counts["_linsolve.nonzeros"] == 2 * nonzeros
     finally:
         tracer.uninstall()
@@ -83,7 +84,7 @@ def test_tracer_counts_one_delta_per_frame_cell():
     try:
         tracer.install()
         tracer.on = True
-        weil._delta_columns(A, rep, rep.rank, 1, 1, 2, fix.ideal)
+        weil._delta_columns(A, rep, rep.rank, 1, 1, 2, fix.ideal, {})
         tracer.on = False
         assert tracer.calls("weil.delta") == len({cell[:5] for cell in cells}) > 1
     finally:
