@@ -329,7 +329,7 @@ class AlgebroidPresentation:
     """
 
     __slots__ = ("nvars", "rank", "structure", "anchor", "_basis_cache",
-                 "_rho_cache", "_bracket_cache", "_delta_tables")
+                 "_rho_cache", "_bracket_cache", "_delta_tables", "_frame_memo")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
         self.nvars = nvars
@@ -354,6 +354,7 @@ class AlgebroidPresentation:
         self._rho_cache = {}
         self._bracket_cache = {}
         self._delta_tables = None
+        self._frame_memo = {}
 
     def basis(self, i):
         """The frame section e_i (cached: sections are immutable)."""
@@ -377,7 +378,9 @@ class AlgebroidPresentation:
         brackets[l] lists (s, t, c^l_{st}) on s < t, frame_lie[(i, l)] lists
         (j, c^l_{ij}), leibniz[l] lists (s, t, d c^l_{st}) for the
         non-constant c^l_{st}, anchor[i] holds the ``_field`` entries of
-        rho(e_i), and axes the chart indices the anchor reaches."""
+        rho(e_i), and axes the chart indices the anchor reaches. The solver
+        reads the anchor entries for its symbols, and keeps the delta of
+        each frame cell beside these tables, in ``frame_memo``."""
         if self._delta_tables is None:
             n, brackets, frame_lie = self.nvars, {}, {}
             for (s, t, l), cst in self.structure.items():
@@ -392,6 +395,17 @@ class AlgebroidPresentation:
             axes = sorted({a for _, a in self.anchor})
             self._delta_tables = brackets, frame_lie, leibniz, anchor, axes
         return self._delta_tables
+
+    def frame_memo(self, p, q, rep, build):
+        """The solver's memo of the frame columns of W^{p,q} over ``rep``:
+        ``build()`` the first time, and again whenever another representation
+        (by identity) asks, so one rep's columns never serve another's. Like
+        ``delta_tables`` it holds while the presentation and the
+        representation are left unchanged, as every caller does."""
+        entry = self._frame_memo.get((p, q))
+        if entry is None or entry[0] is not rep:
+            entry = self._frame_memo[(p, q)] = rep, build()
+        return entry[1]
 
     def rho(self, alpha):
         """Anchor image of a section as a vector field."""

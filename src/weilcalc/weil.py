@@ -39,7 +39,7 @@ from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, EndForm, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
-from .polyring import MAX_DEGREE, Poly, key_layout
+from .polyring import MAX_DEGREE, Poly, _make, key_layout
 from .report import CheckReport
 
 
@@ -446,36 +446,43 @@ def is_horizontal(c, ideal):
 # -- bounded-degree linear solving -------------------------------------------
 
 
+def _frame_heads(A, rank, p, q):
+    """The frame heads (k, I, J, b, idx) of W^{p,q} with a rank-``rank``
+    value bundle, in ``frame_rows`` order."""
+    n = A.nvars
+    for k, I, Js in frame_rows(A, p, q):
+        for J in Js:
+            for b in range(1, rank + 1):
+                for idx in itertools.combinations(range(1, n + 1), q - k):
+                    yield k, I, J, b, idx
+
+
+def _row_index(A, rank, p, q):
+    """{head: index} for every frame head of W^{p,q}: every cochain there
+    and every delta of W^{p-1,q} flattens into these rows without adding one."""
+    return {head: i for i, head in enumerate(_frame_heads(A, rank, p, q))}
+
+
 def _flatten(c, rows):
     """The coefficients of c keyed by one int each: the index of the frame
-    head (k, I, J, b, idx) in ``rows``, which gains the heads it lacks,
-    above the packed key of the monomial. A coefficient is an int where it
-    is integral, a Fraction otherwise, so the solver's columns stay in int
-    arithmetic."""
+    head (k, I, J, b, idx) in ``rows`` above the packed key of the
+    monomial. A coefficient is an int where it is integral, a Fraction
+    otherwise, so the solver's columns stay in int arithmetic."""
     width = key_layout(c.A.nvars)[1]
     flat = {}
     for (k, I, J), vf in c.comps.items():
         for (b, idx), poly in vf.comps.items():
-            base = rows.setdefault((k, I, J, b, idx), len(rows)) << width
+            base = rows[(k, I, J, b, idx)] << width
             for mk, (num, den) in poly.terms.items():
                 flat[base + mk] = num if den == 1 else Fraction(num, den)
     return flat
 
 
 def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
-    cells = []
-    n = A.nvars
     forbidden = set(horizontal_ideal.indices) if horizontal_ideal is not None else set()
-    monomials = monomials_upto(n, degree_bound)
-    for k, I, Js in frame_rows(A, p, q):
-        for J in Js:
-            if k > 0 and forbidden.intersection(J):
-                continue
-            for b in range(1, rank + 1):
-                for idx in itertools.combinations(range(1, n + 1), q - k):
-                    for exps in monomials:
-                        cells.append((k, I, J, b, idx, exps))
-    return cells
+    tails = [(exps,) for exps in monomials_upto(A.nvars, degree_bound)]
+    return [head + tail for head in _frame_heads(A, rank, p, q)
+            if not (head[0] and forbidden.intersection(head[2])) for tail in tails]
 
 
 def _cell_cochain(A, rank, p, q, cell):
@@ -499,7 +506,7 @@ def _symbols(A, head, rows):
         if i in I:
             continue
         pos = sum(1 for t in I if t < i)
-        base = rows.setdefault((k, I[:pos] + (i,) + I[pos:], J, b, idx), len(rows)) << width
+        base = rows[(k, I[:pos] + (i,) + I[pos:], J, b, idx)] << width
         sign = -1 if (k + pos) % 2 else 1
         for a, rho, _ in rhos:
             sym = out[a - 1]
@@ -508,22 +515,28 @@ def _symbols(A, head, rows):
     return out
 
 
-def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, rows):
-    """The unknown cells of W^{p,q} and the flattened delta of each, keyed
-    by the rows of ``rows``.
+def _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal):
+    """The unknown cells of W^{p,q}, the flattened delta of each, and the
+    rows of W^{p+1,q} that key them.
 
     delta is first order in the coefficients, so by the Leibniz rule
 
         delta(x^alpha e) = x^alpha delta(e) + sum_a alpha_a x^(alpha - eps_a) S_a(e)
 
     for a frame cell e: one delta per frame cell, and the symbols S_a read
-    off the anchor. A row key holds the monomial key in its low bits, so
-    x^beta shifts a flattened cochain by adding key(beta) to every key; a
-    shift past MAX_DEGREE raises StructureError, as delta does, before any
-    monomial field carries into the frame head above it. Cells come
-    grouped by frame cell, monomials innermost.
+    off the anchor. Neither depends on the degree bound, so each frame
+    cell's flattened delta, its top monomial key and its symbols are kept
+    in ``A.frame_memo`` for (p, q) and ``rep``, with the rows
+    (``_row_index``); delta runs only for a frame cell the memo lacks. A
+    row key holds the monomial key in its low bits, so x^beta shifts a
+    flattened cochain by adding key(beta) to every key; a shift past
+    MAX_DEGREE raises StructureError, as delta does, before any monomial
+    field carries into the frame head above it. Cells come grouped by frame
+    cell, monomials innermost.
     """
+    rank = rep.rank
     cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
+    rows, frames = A.frame_memo(p, q, rep, lambda: (_row_index(A, rank, p + 1, q), {}))
     key, width = key_layout(A.nvars)
     limit = 1 << width
     low = limit - 1
@@ -532,10 +545,13 @@ def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, rows):
     columns = []
     origin = (0,) * A.nvars
     for head, group in itertools.groupby(cells, key=operator.itemgetter(slice(5))):
-        frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))), rows)
-        top = max((r & low for r in frame), default=0)
-        symbols = [(a, units[a], max(r & low for r in sym), sym)
-                   for a, sym in enumerate(_symbols(A, head, rows)) if sym]
+        memo = frames.get(head)
+        if memo is None:
+            frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))), rows)
+            memo = frames[head] = frame, max((r & low for r in frame), default=0), [
+                (a, units[a], max(r & low for r in sym), sym)
+                for a, sym in enumerate(_symbols(A, head, rows)) if sym]
+        frame, top, symbols = memo
         for cell in group:
             alpha = cell[5]
             s = shifts[alpha]
@@ -561,25 +577,40 @@ def _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, rows):
                     else:
                         del col[r]
             columns.append(col)
-    return cells, columns
+    return cells, columns, rows
 
 
 def _assemble(A, rank, p, q, cells, vectors):
     """For each sparse {cell index: x} of ``vectors``, the cochain sum of
-    x * cell, each coefficient written straight into the term dict of its
-    entry. A kernel vector has about one coefficient, so the monomial keys
-    are packed once for all the vectors."""
-    key, keys, out = key_layout(A.nvars)[0], {}, []
+    x * cell, built straight from its entries: each coefficient goes into
+    the term dict of its entry, and each entry and row is wrapped as it
+    first appears. The cells are distinct frame cells of W^{p,q} and every
+    x is nonzero, so no entry is empty and no term is written twice. A
+    kernel vector has about one coefficient, so the monomial keys are
+    packed once for all the vectors, and only a vector over several rows
+    sorts them."""
+    n, key, keys, out = A.nvars, key_layout(A.nvars)[0], {}, []
+    new = object.__new__
     for coeffs in vectors:
-        acc = {}
+        comps = {}
         for i, x in coeffs.items():
             k, I, J, b, idx, exps = cells[i]
             mk = keys.get(exps)
             if mk is None:
                 mk = keys[exps] = key(exps)
-            acc.setdefault((k, I, J), {}).setdefault((b, idx), {})[mk] = \
-                (x.numerator, x.denominator)
-        out.append(_cochain(A, rank, p, q, acc))
+            vf = comps.get((k, I, J))
+            if vf is None:
+                vf = comps[(k, I, J)] = new(VForm)
+                vf.nvars, vf.rank, vf.degree, vf.comps = n, rank, q - k, {}
+            poly = vf.comps.get((b, idx))
+            if poly is None:
+                vf.comps[(b, idx)] = _make(n, {mk: (x.numerator, x.denominator)})
+            else:
+                poly.terms[mk] = x.numerator, x.denominator
+        c = new(WeilCochain)
+        c.A, c.rank, c.p, c.q = A, rank, p, q
+        c.comps = {cell: comps[cell] for cell in sorted(comps)} if len(comps) > 1 else comps
+        out.append(c)
     return out
 
 
@@ -600,10 +631,10 @@ def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
     """``solve_coboundary`` for a target known to be a delta-cocycle."""
     if target.p == 0:
         raise ContractError("no level below a level-0 cochain")
+    if target.rank != rep.rank:
+        raise StructureError("representation does not match cochain")
     p, q = target.p - 1, target.q
-    rows = {}
-    cells, columns = _delta_columns(A, rep, target.rank, p, q, degree_bound,
-                                    horizontal_ideal, rows)
+    cells, columns, rows = _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal)
     x = _linsolve.solve_sparse(columns, _flatten(target, rows))
     if x is None:
         return None
@@ -615,7 +646,5 @@ def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
 
 def bounded_kernel(A, rep, p, q, degree_bound, horizontal_ideal=None):
     """Basis of delta-cocycles at level p with coefficient degree <= bound."""
-    rank = rep.rank
-    cells, columns = _delta_columns(A, rep, rank, p, q, degree_bound, horizontal_ideal, {})
-    basis = _linsolve.nullspace_sparse(columns)
-    return _assemble(A, rank, p, q, cells, basis)
+    cells, columns, _ = _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal)
+    return _assemble(A, rep.rank, p, q, cells, _linsolve.nullspace_sparse(columns))

@@ -9,7 +9,10 @@ definition from ``src``, ``tests`` or ``perfbench``. A re-export in
 benchmark's tracer names its targets by string. The packed monomial layout
 (``_BITS``, ``_MASK``, ``_pack``, ``_unpack``) is read only in ``polyring``:
 no other module of ``src`` or ``perfbench`` imports or reaches for it;
-tests may, to decode keys.
+tests may, to decode keys. No module of ``src`` memoizes through a
+``functools.lru_cache`` or ``functools.cache`` decorator or rebinds a
+module global with a ``global`` statement: a memo lives on the object whose
+data it depends on (``delta_tables``, ``frame_memo``, ``ARep.endo``).
 """
 
 import ast
@@ -104,3 +107,49 @@ def test_only_polyring_reads_the_packed_layout():
         trees[str(path.relative_to(ROOT))] = ast.parse(path.read_text(), filename=str(path))
     assert sorted((where, name) for where, tree in trees.items()
                   for name in _layout_reads(tree)) == []
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _module_memos(tree):
+    """The functools cache decorators and ``global`` statements of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield f"global {', '.join(node.names)} (line {node.lineno})"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if name in _CACHES:
+                    yield f"@{name} on {node.name} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_level_memo(module):
+    assert list(_module_memos(TREES[module])) == []
+
+
+def test_module_memo_finder_sees_each_spelling():
+    source = """
+import functools
+from functools import cache, lru_cache
+
+@functools.lru_cache(maxsize=None)
+def a(): pass
+
+@lru_cache
+def b(): pass
+
+@functools.cache
+def c(): pass
+
+@cache
+def d(): pass
+
+def e():
+    global COUNT
+"""
+    assert [found.split(" (")[0] for found in _module_memos(ast.parse(source))] == [
+        "@lru_cache on a", "@lru_cache on b", "@cache on c", "@cache on d", "global COUNT"]

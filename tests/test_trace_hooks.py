@@ -52,8 +52,7 @@ def test_tracer_counts_the_solver_system():
     A, rep = fix.A, fix.rep
     w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
     target = weil.delta(A, rep, w)
-    rows = {}
-    _, columns = weil._delta_columns(A, rep, 3, 0, 0, 0, None, rows)
+    _, columns, rows = weil._delta_columns(A, rep, 0, 0, 0, None)
     col_rows = set().union(*columns)
     nonzeros = sum(len(col) for col in columns)
     assert nonzeros
@@ -75,8 +74,9 @@ def test_tracer_counts_the_solver_system():
 
 
 def test_tracer_counts_one_delta_per_frame_cell():
-    # weil.delta.calls stays the number of frame cells of the column build:
-    # a build that called an inner helper of delta directly would read lower
+    # weil.delta.calls stays the number of frame cells of a cold column
+    # build: a build that called an inner helper of delta directly would
+    # read lower. A warm build reads its frames from the memo and makes none.
     fix = build_fixture("F1_abelian_2d")
     A, rep = fix.A, fix.ideal.adjoint_rep()
     cells = weil._unknown_cells(A, rep.rank, 1, 1, 2, fix.ideal)
@@ -84,9 +84,11 @@ def test_tracer_counts_one_delta_per_frame_cell():
     try:
         tracer.install()
         tracer.on = True
-        weil._delta_columns(A, rep, rep.rank, 1, 1, 2, fix.ideal, {})
-        tracer.on = False
+        weil._delta_columns(A, rep, 1, 1, 2, fix.ideal)
         assert tracer.calls("weil.delta") == len({cell[:5] for cell in cells}) > 1
+        weil._delta_columns(A, rep, 1, 1, 3, fix.ideal)
+        tracer.on = False
+        assert tracer.calls("weil.delta") == len({cell[:5] for cell in cells})
     finally:
         tracer.uninstall()
 
