@@ -11,7 +11,7 @@ obstruction machinery, and a spec-file CLI.
 from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
 from .algebroid import AlgebroidPresentation, Section, VForm, bracket, scalar_wedge
-from .connections import (ARep, EndForm, LinearConnection, induced_end_connection,
+from .connections import (ARep, LinearConnection, act, compose, induced_end_connection,
                           induced_end_rep, lieA_derivative, lieA_vform)
 from .weil import (WeilCochain, bounded_kernel, check_IM, delta, dnabla_cochain,
                    eval_row, evaluate, invariance_form, is_A_invariant,

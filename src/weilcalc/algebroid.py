@@ -8,12 +8,16 @@ of Poly. A section of a trivialized bundle is its degree-0 form, keyed
 (i, ()); a vector field is a section of TM, the rank-n degree-0 form with
 components X^a over d_1..d_n.
 
+An End(V)-valued form of a rank-m bundle V is a VForm of rank m^2 over
+End(V), with E^b_c at the index (b - 1) m + c; ``end_index`` and
+``end_entry`` are the one encoding of that layout.
+
 The chart calculus lives here as cell maps on term-dict tables keyed
 (value head..., form index): d, iota_{d_a}, L_X, the exterior product and
-the action of End-valued forms each add their terms in place into one
+the action of End(V)-valued forms each add their terms in place into one
 cell of an accumulator {cell: {key: term dict}} through ``_add_into``.
-Forms and End-forms use the single cell () and wrap it once; the Weil
-complex uses one cell (k, I, J) per frame layout.
+Forms use the single cell () and wrap it once; the Weil complex uses one
+cell (k, I, J) per frame layout.
 """
 
 import bisect
@@ -155,8 +159,7 @@ class VForm(SparseTable):
         return p if sign > 0 else -p
 
     def __repr__(self):
-        name = type(self).__name__
-        return f"{name}(q={self.degree}, m={self.rank}, {len(self.comps)} comps)"
+        return f"VForm(q={self.degree}, m={self.rank}, {len(self.comps)} comps)"
 
     # -- Cartan calculus ----------------------------------------------------
 
@@ -164,7 +167,7 @@ class VForm(SparseTable):
         """Exterior derivative with trivial coefficients."""
         acc = {}
         _d_into(acc, (), self.comps, self.nvars)
-        return _form(type(self), self.nvars, self.rank, self.degree + 1, acc)
+        return _form(self.nvars, self.rank, self.degree + 1, acc)
 
     def iota(self, x):
         """Interior product with a vector field x; on a 0-form, the zero form
@@ -172,13 +175,13 @@ class VForm(SparseTable):
         acc, table = {}, _terms(self.comps)
         for a, xa, _ in _field(x, self.nvars, False):
             _add_into(acc, (), _iota_axis(table, a), xa)
-        return _form(type(self), self.nvars, self.rank, self.degree - 1, acc)
+        return _form(self.nvars, self.rank, self.degree - 1, acc)
 
     def lie(self, x):
         """Lie derivative along a vector field x (trivial coefficients)."""
         acc, field = {}, _field(x, self.nvars, self.degree > 0)
         _lie_into(acc, (), _axes(self.comps, [a for a, _, _ in field]), field)
-        return _form(type(self), self.nvars, self.rank, self.degree, acc)
+        return _form(self.nvars, self.rank, self.degree, acc)
 
 
 def Section(nvars, comps):
@@ -209,7 +212,7 @@ def scalar_wedge(sf, vf):
     acc, table = {}, _terms(vf.comps)
     for (_, idx), f in sf.comps.items():
         _add_into(acc, (), table, f, 1, idx)
-    return _form(VForm, vf.nvars, vf.rank, sf.degree + vf.degree, acc)
+    return _form(vf.nvars, vf.rank, sf.degree + vf.degree, acc)
 
 
 def d_scalar(p, nvars):
@@ -250,11 +253,10 @@ def _add_into(acc, cell, table, coef, scale=1, left=()):
         _axpy(out, a, t)
 
 
-def _form(cls, nvars, rank, degree, acc, cell=()):
-    """The form of class cls (VForm or EndForm) from the row acc[cell], each
-    term dict wrapped once as it is, keys not validated again; empty
-    entries are dropped."""
-    f = object.__new__(cls)
+def _form(nvars, rank, degree, acc, cell=()):
+    """The form from the row acc[cell], each term dict wrapped once as it
+    is, keys not validated again; empty entries are dropped."""
+    f = object.__new__(VForm)
     f.nvars, f.rank, f.degree = nvars, rank, degree
     f.comps = {key: _make(nvars, t) for key, t in acc.get(cell, {}).items() if t}
     return f
@@ -285,13 +287,39 @@ def _d_into(acc, cell, comps, nvars, scale=1):
         _add_into(acc, cell, _partial(comps, a, True), scale, 1, (a,))
 
 
-def _act_into(acc, cell, entries, table, scale=1):
-    """acc[cell] += scale * E ^ v for an End-valued form E given by its
-    entries ((b, c, idx), f) and v by its term-dict table keyed
-    (c, value head..., form index): the matrix acts on the first value index."""
-    for (b, c, idx), f in entries:
-        _add_into(acc, cell, {(b,) + key[1:]: t for key, t in table.items() if key[0] == c},
-                  f, scale, idx)
+def end_index(m, b, c):
+    """The index (b - 1) m + c of E^b_c in End(V), V of rank m."""
+    if not (1 <= b <= m and 1 <= c <= m):
+        raise StructureError(f"End(V) entry {(b, c)} out of range 1..{m}")
+    return (b - 1) * m + c
+
+
+def end_entry(m, f):
+    """The (row, column) pair (b, c) of the End(V) index f = (b - 1) m + c."""
+    b, c = divmod(f - 1, m)
+    return b + 1, c + 1
+
+
+def _act_into(acc, cell, entries, table, m, scale=1, stride=1):
+    """acc[cell] += scale * E ^ v for an End(V)-valued form E, V of rank m,
+    given by its entries ((f, idx), E_f), and v by its term-dict table
+    keyed (value index, head..., form index). The matrix acts on the V
+    factor of the value index: the index itself at stride 1 (v V-valued),
+    its row at stride m (v End(V)-valued, E^b_e v^e_c at b's row). The
+    table is grouped by that factor once per call, and E^b_c moves the
+    group of c to b by adding (b - c) * stride to each value index."""
+    if not entries:
+        return
+    groups = {}
+    for key, t in table.items():
+        groups.setdefault((key[0] - 1) // stride, []).append((key, t))
+    for (f, idx), coef in entries:
+        b, c = divmod(f - 1, m)  # 0-based E^b_c, as in end_entry
+        group = groups.get(c)
+        if group:
+            shift = (b - c) * stride
+            _add_into(acc, cell, {(key[0] + shift,) + key[1:]: t for key, t in group},
+                      coef, scale, idx)
 
 
 def _field(x, nvars, forms=True):
@@ -413,7 +441,7 @@ class AlgebroidPresentation:
         acc = {}
         for (i, _), ai in alpha.comps.items():
             _add_into(acc, (), _terms(self.rho_basis(i).comps), ai)
-        return _form(VForm, self.nvars, self.nvars, 0, acc)
+        return _form(self.nvars, self.nvars, 0, acc)
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a (cached) section."""
@@ -445,4 +473,4 @@ def bracket(A, alpha, beta):
     for (i, j, k), c in A.structure.items():
         coef = alpha.get(i, ()) * beta.get(j, ()) - alpha.get(j, ()) * beta.get(i, ())
         _add_into(acc, (), {(k, ()): coef.terms}, c)
-    return beta.lie(ra) - alpha.lie(rb) + _form(VForm, A.nvars, A.rank, 0, acc)
+    return beta.lie(ra) - alpha.lie(rb) + _form(A.nvars, A.rank, 0, acc)

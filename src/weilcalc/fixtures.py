@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
-from .connections import EndForm, LinearConnection
+from .connections import LinearConnection
 from .errors import StructureError
 from .ideals import (IdealBundle, IMConnection, build_coupled, frame_splitting,
                      splitting_cochain)
@@ -147,12 +147,8 @@ def random_symform(fix, arity, degree, seed, bound=1):
 
 
 def random_endform(fix, degree, seed, bound=1):
-    """Random End-valued form on a fixture's ideal bundle."""
+    """Random End(V)-valued form on a fixture's ideal bundle V."""
+    # E^b_c at (b - 1) m + c: random_vform draws the entries in the (b, c, idx)
+    # order of the matrix
     rng = random.Random(f"endform:{fix.name}:{degree}:{seed}")
-    n, m = fix.A.nvars, fix.ideal.m
-    comps = {}
-    for b in range(1, m + 1):
-        for c in range(1, m + 1):
-            for idx in increasing_tuples(n, degree):
-                comps[(b, c, idx)] = random_poly(rng, n, bound)
-    return EndForm(n, m, degree, comps)
+    return random_vform(rng, fix.A.nvars, fix.ideal.m ** 2, degree, bound)

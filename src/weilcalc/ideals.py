@@ -14,8 +14,8 @@ import operator
 from fractions import Fraction
 
 from .algebroid import (AlgebroidPresentation, VForm, _add_into, _form, _terms, bracket,
-                        check_section, symmetric_slots)
-from .connections import ARep, EndForm, LinearConnection
+                        check_section, end_entry, end_index, symmetric_slots)
+from .connections import ARep, LinearConnection, act, compose
 from .errors import ContractError, StructureError
 from .report import CheckReport
 from .weil import (WeilCochain, _cochain, _insert, _solve, bounded_kernel, check_IM, delta,
@@ -96,24 +96,24 @@ class IdealBundle:
         return self._adjoint
 
     def ad_endform(self, vf):
-        """ad(F) for an ideal-valued form F, as an End-valued form."""
+        """ad(F) for an ideal-valued form F, as an End(V)-valued form."""
         return _ad(self.fibre()[1], vf)
 
 
 def _ad(adj, vf):
     """ad(F) = sum_e F^e psi_e for a fibre-valued form F, with psi_e = ad(u_e)
-    read off the fibre's adjoint representation adj, as an End-form."""
+    read off the fibre's adjoint representation adj, as an End(V)-valued form."""
     if vf.nvars != adj.nvars:
         raise StructureError("ad of a form over another chart")
-    acc, table = {}, _terms(vf.comps)
-    for (e, b, c), p in adj.psi.items():
-        _add_into(acc, (), {(b, c, key[-1]): t for key, t in table.items() if key[0] == e}, p)
-    return _form(EndForm, adj.nvars, adj.rank, vf.degree, acc)
+    acc = {}
+    for (e, idx), f in vf.comps.items():
+        _add_into(acc, (), _terms(adj.endo(e).comps), f, 1, idx)
+    return _form(adj.nvars, adj.rank ** 2, vf.degree, acc)
 
 
 def bracket_of_forms(ideal, w1, w2):
     """Fibre-bracket-induced bracket of ideal-valued forms, [w1 ^ w2] = ad(w1) ^ w2."""
-    return ideal.ad_endform(w1).wedge_vform(w2)
+    return act(ideal.ad_endform(w1), w2)
 
 
 class IMConnection:
@@ -328,15 +328,16 @@ def c2(ideal, L):
         raise ContractError("c2 needs a horizontal ideal-valued W^{1,1} cochain")
     M = _on_ideal(ideal, L)
     return WeilCochain(ideal.A, ideal.m, 1, 2, {
-        (k, I, J): M.wedge_vform(v) if k == 0 else -M.wedge_vform(v)
+        (k, I, J): act(M, v) if k == 0 else -act(M, v)
         for (k, I, J), v in L.comps.items()})
 
 
 def _on_ideal(ideal, c):
     """The level-0 part of an ideal-valued W^{1,1} cochain on the ideal, as
-    the End-valued 1-form M with entries (b, a, idx) = c_0(u_a)^b_idx."""
-    return EndForm(ideal.A.nvars, ideal.m, 1, {
-        (b, a, idx): p for a, k in enumerate(ideal.indices, start=1)
+    the End(V)-valued 1-form M with M^b_a dx^idx = c_0(u_a)^b_idx dx^idx."""
+    m = ideal.m
+    return VForm(ideal.A.nvars, m * m, 1, {
+        (end_index(m, b, a), idx): p for a, k in enumerate(ideal.indices, start=1)
         for (b, idx), p in c.lookup(0, (k,), ()).comps.items()})
 
 
@@ -403,17 +404,18 @@ def _bracket_failure(G, adj, conn):
     nabla[u_a, u_b] - [nabla u_a, u_b] - [u_a, nabla u_b]
     = (d psi_a + Gamma psi_a - psi_a Gamma - ad(Gamma u_a)) u_b.
     G has zero anchor, so T_a = d psi_a + Gamma psi_a - psi_a Gamma is the
-    T part of its invariance pair against adj, and the entry (d, b, (x,)) of
+    T part of its invariance pair against adj, and the entry E^d_b dx^x of
     T_a - ad(Gamma u_a) is the u_d component of the defect along d_x.
     """
     gam = conn.form
     failing = []
     for a in range(1, G.rank + 1):
         psi = adj.endo(a)
-        T = psi.d() + gam.compose(psi) - psi.compose(gam)
-        gamma_u = VForm(G.nvars, G.rank, 1, {(b, idx): p for (b, c, idx), p
-                                             in gam.comps.items() if c == a})
-        failing += [(x, a, b) for _, b, (x,) in (T - _ad(adj, gamma_u)).comps if a < b]
+        T = psi.d() + compose(gam, psi) - compose(psi, gam)
+        for f, (x,) in (T - _ad(adj, act(gam, G.basis(a)))).comps:
+            b = end_entry(G.rank, f)[1]
+            if a < b:
+                failing.append((x, a, b))
     return min(failing, default=None)
 
 
@@ -424,7 +426,7 @@ def _induces_orbit_derivative(A, ideal, conn, sigma):
     reads iota_{rho(e_i)} Gamma = sum_j sigma(i)^j psi_j, psi the adjoint
     representation."""
     psi = [ideal.adjoint_rep().endo(j) for j in range(1, A.rank + 1)]
-    zero = EndForm(A.nvars, ideal.m, 0)
+    zero = VForm(A.nvars, ideal.m ** 2, 0)
     return all(
         conn.form.iota(A.rho_basis(i))
         == sum((psi[j - 1].scaled(s) for (j, _), s in sigma(i).comps.items()), zero)
@@ -503,7 +505,7 @@ def _check_coupling_inputs(B, m, fibre, conn, F):
     # (ii) R = -ad F
     defect = conn.curvature_R() + _ad(adj, F)
     if not defect.is_zero:
-        a1, a2 = min(idx for _, _, idx in defect.comps)
+        a1, a2 = min(idx for _, idx in defect.comps)
         raise ContractError("coupling condition (ii) fails: R-nabla != -ad F "
                             f"at (d_{a1}, d_{a2})")
     # (iii) iota_{rho_B} d-nabla F = 0
@@ -530,7 +532,7 @@ def coupled_presentation(B, m, fibre, conn, F):
         g = conn.form.iota(B.rho_basis(i))
         for a in range(1, m + 1):
             for b in range(1, m + 1):
-                structure[(i, rB + a, rB + b)] = g.get(b, a, ())
+                structure[(i, rB + a, rB + b)] = g.get(end_index(m, b, a), ())
     for (a, b, c), p in fibre.items():
         structure[(rB + a, rB + b, rB + c)] = p
     anchor = {(i, x): p for (i, x), p in B.anchor.items()}
@@ -620,7 +622,7 @@ def check_semisimple(ideal):
 def ad_inverse(ideal, D):
     """Solve [xi, gamma] = D . xi for gamma.
 
-    D is an End-valued form with values in ad(ideal); the solution is the
+    D is an End(V)-valued form with values in ad(ideal); the solution is the
     unique form with -ad(gamma) = D. Rejects fibres that fail
     ``check_semisimple`` and values outside the image of ad.
     """
@@ -637,17 +639,15 @@ def _ad_solve(ideal, D):
     T(u_d) = D(u_d). With zero anchor delta is C^infty-linear, so the
     largest coefficient degree of D bounds gamma's exactly.
     """
-    if D.nvars != ideal.A.nvars or D.rank != ideal.m:
-        raise StructureError("End-form does not act on the ideal bundle over its chart")
+    m = ideal.m
+    if D.nvars != ideal.A.nvars or D.rank != m * m:
+        raise StructureError("End(V)-valued form does not act on the ideal bundle over its chart")
     G, adj = _constant_fibre(ideal)
-    rows = {}
-    for (b, d, idx), p in D.comps.items():
-        _add_into(rows, (0, (d,), ()), {(b, idx): p.terms}, 1)
-    T = _cochain(G, ideal.m, 1, D.degree, rows)
+    T = WeilCochain(G, m, 1, D.degree, {(0, (d,), ()): act(D, G.basis(d)) for d in range(1, m + 1)})
     bound = max((sum(exps) for p in D.comps.values() for exps, _ in p.items()), default=0)
     gamma = _solve(G, adj, T, bound) if delta(G, adj, T).is_zero else None
     if gamma is None:
-        raise ContractError("End-valued form is not ad of an ideal-valued form")
+        raise ContractError("End(V)-valued form is not ad of an ideal-valued form")
     return gamma.as_vform()
 
 

@@ -196,7 +196,7 @@ def connection_to_dict(conn, names):
     return {
         "bundle_rank": conn.rank,
         "christoffels": {f"{a},{b},{c}": poly_to_str(p, names)
-                         for (b, c, (a,)), p in conn.form.comps.items()},
+                         for (a, b, c), p in conn.christoffels().items()},
     }
 
 

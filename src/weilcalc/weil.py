@@ -21,7 +21,9 @@ the level-k row of iota_{a_s} ... iota_{a_1} c; it is C^infty-multilinear
 in the symmetric arguments, which ``WeilCochain.insert`` fills one at a
 time. A form with k open symmetric slots is such a row, the cells
 (k, (), J) of a W^{k,q} cochain. Any table respecting the symmetry constraints
-is accepted; evaluation-order consistency is a tested property.
+is accepted; evaluation-order consistency is a tested property. A
+W(A; End V) cochain, such as the invariance pair, has End(V)-valued forms
+as values, and ``wedge_Ttheta`` acts with its cells through ``_act_into``.
 
 The axiom checkers read ``delta``: the algebroid axioms and the flatness
 of a representation are delta^2 = 0, the IM conditions are delta c = 0.
@@ -37,7 +39,7 @@ from . import _linsolve
 from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
                         _lie_into, _terms, check_section, d_scalar, sort_sign,
                         sorted_multisets, symmetric_slots)
-from .connections import ARep, EndForm, LinearConnection, _dnabla_into, induced_end_rep
+from .connections import ARep, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
 from .polyring import MAX_DEGREE, Poly, _make, key_layout
 from .report import CheckReport
@@ -179,7 +181,7 @@ def _cochain(A, rank, p, q, acc):
     degree above the chart dimension are dropped."""
     n, comps = A.nvars, {}
     for cell in sorted(acc):
-        if q - cell[0] <= n and (vf := _form(VForm, n, rank, q - cell[0], acc, cell)).comps:
+        if q - cell[0] <= n and (vf := _form(n, rank, q - cell[0], acc, cell)).comps:
             comps[cell] = vf
     c = object.__new__(WeilCochain)
     c.A, c.rank, c.p, c.q, c.comps = A, rank, p, q, comps
@@ -239,7 +241,7 @@ def delta(A, rep, c):
         raise StructureError("cochain lives over a different algebroid")
     if rep.rank != c.rank or rep.secrank != A.rank:
         raise StructureError("representation does not match cochain")
-    r = A.rank
+    r, m = A.rank, rep.rank
     brackets, frame_lie, leibniz, anchor, axes = A.delta_tables()
     psi = {i: rep.endo(i).comps.items() for i in range(1, r + 1)}
     acc = {}
@@ -255,7 +257,7 @@ def delta(A, rep, c):
             sgn = -sign if pos % 2 else sign
             cell = (k, out, J)
             _lie_into(acc, cell, jet, anchor.get(i, ()), sgn)
-            _act_into(acc, cell, psi[i], table, sgn)
+            _act_into(acc, cell, psi[i], table, m, sgn)
             for l, rest, _ in slots:
                 for j, cij in frame_lie.get((i, l), ()):
                     Jout, _ = _insert(rest, j)
@@ -315,15 +317,14 @@ def invariance_form(A, conn, rep):
     """The pair (T, theta) of a connection as the W^{1,1}(A; End V) cochain
     d Psi - delta_End Gamma, Psi the W^{1,0} cochain e_i -> psi_i: the mixed
     part of the curvature of delta + d-nabla. Its cells (0, (i,), ()) and
-    (1, (), (j,)) are the flattened T(e_i) = d psi_i + [Gamma, psi_i]
+    (1, (), (j,)) are the End(V)-valued forms T(e_i) = d psi_i + [Gamma, psi_i]
     - L_{rho e_i} Gamma and theta(e_j) = psi_j - iota_{rho e_j} Gamma."""
     if conn.rank != rep.rank:
         raise StructureError("connection and representation act on different bundles")
     m2 = rep.rank * rep.rank
-    psi = WeilCochain(A, m2, 1, 0, {(0, (i,), ()): rep.endo(i).to_flat()
-                                   for i in range(1, A.rank + 1)})
+    psi = WeilCochain(A, m2, 1, 0, {(0, (i,), ()): rep.endo(i) for i in range(1, A.rank + 1)})
     return dnabla_cochain(LinearConnection.trivial(A.nvars, m2), psi) \
-        - delta(A, induced_end_rep(rep), conn.form.to_flat())
+        - delta(A, induced_end_rep(rep), conn.form)
 
 
 def is_A_invariant(A, conn, rep):
@@ -350,18 +351,18 @@ def wedge_Ttheta(inv, c):
         raise StructureError("cochain lives over a different algebroid")
     if inv.rank != m * m or (inv.p, inv.q) != (1, 1):
         raise StructureError("invariance form acts on a different bundle")
-    T = {i: EndForm.from_flat(inv.lookup(0, (i,), ()), m) for i in range(1, A.rank + 1)}
-    theta = {j: EndForm.from_flat(inv.lookup(1, (), (j,)), m) for j in range(1, A.rank + 1)}
+    T = {i: inv.lookup(0, (i,), ()).comps.items() for i in range(1, A.rank + 1)}
+    theta = {j: inv.lookup(1, (), (j,)).comps.items() for j in range(1, A.rank + 1)}
     acc = {}
     for (k, I, J), v in c.comps.items():
         table = _terms(v.comps)
         for i in range(1, A.rank + 1):
             if i not in I:
                 out, pos = _insert(I, i)
-                _act_into(acc, (k, out, J), T[i].comps.items(), table, -1 if pos % 2 else 1)
+                _act_into(acc, (k, out, J), T[i], table, m, -1 if pos % 2 else 1)
         for j in range(1, A.rank + 1):
             Jout, _ = _insert(J, j)
-            _act_into(acc, (k + 1, I, Jout), theta[j].comps.items(), table, Jout.count(j))
+            _act_into(acc, (k + 1, I, Jout), theta[j], table, m, Jout.count(j))
     return _cochain(A, m, c.p + 1, c.q + 1, acc)
 
 

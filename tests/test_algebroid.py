@@ -2,10 +2,17 @@ import random
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, EndForm, Poly, Section, StructureError,
-                      VForm, WeilCochain, bracket, scalar_wedge, validate_algebroid)
-from weilcalc.algebroid import d_scalar
+from weilcalc import (AlgebroidPresentation, Poly, Section, StructureError, VForm,
+                      WeilCochain, act, bracket, compose, scalar_wedge, validate_algebroid)
+from weilcalc.algebroid import d_scalar, end_index
 from weilcalc.fixtures import random_poly, random_section, random_vform
+
+
+def end_form(nvars, m, degree, entries):
+    """The End(V)-valued form, V of rank m, with entries (b, c, idx) -> the
+    coefficient of E^b_c dx^idx."""
+    return VForm(nvars, m * m, degree,
+                 {(end_index(m, b, c), idx): p for (b, c, idx), p in entries.items()})
 
 
 def apply_field(X, f):
@@ -162,8 +169,8 @@ def test_fields_and_forms_over_another_chart_are_rejected(f2):
     z = Poly.var(3, 2)
     with pytest.raises(StructureError, match="form component over wrong chart"):
         VForm(2, 1, 1, {(1, (1,)): z})
-    with pytest.raises(StructureError, match="End-form component over wrong chart"):
-        EndForm(2, 1, 0, {(1, 1, ()): z})
+    with pytest.raises(StructureError, match="form component over wrong chart"):
+        VForm(2, 4, 0, {(end_index(2, 2, 1), ()): z})  # E^2_1 of End(V), V of rank 2
     with pytest.raises(StructureError, match="form component over wrong chart"):
         Section(2, [z])
     with pytest.raises(StructureError, match="table entry has wrong shape"):
@@ -176,8 +183,11 @@ def test_fields_and_forms_over_another_chart_are_rejected(f2):
         f2.A.rho(VForm(3, f2.A.rank, 0, {(1, ()): z}))
     with pytest.raises(StructureError, match="ad of a form over another chart"):
         f2.ideal.ad_endform(VForm(3, 3, 1, {(1, (1,)): z}))
-    with pytest.raises(StructureError, match="End-form and form bundles differ"):
-        EndForm(2, 3, 0, {(1, 1, ()): Poly.var(2, 0)}).wedge_vform(VForm(3, 3, 0, {(1, ()): z}))
+    E = VForm(2, 9, 0, {(end_index(3, 1, 1), ()): Poly.var(2, 0)})
+    with pytest.raises(StructureError, match=r"End\(V\)-valued form and form bundles differ"):
+        act(E, VForm(3, 3, 0, {(1, ()): z}))
+    with pytest.raises(StructureError, match=r"End\(V\)-valued forms act on different bundles"):
+        compose(E, VForm(3, 9, 0, {(1, ()): z}))
 
 
 def test_degree_overflow_is_zero_object():
@@ -191,14 +201,15 @@ def _mismatched_pair(kind, A):
     one = Poly.const(2, 1)
     if kind == "VForm":
         return VForm(2, 1, 1, {(1, (1,)): one}), VForm(2, 2, 1, {(1, (1,)): one})
-    if kind == "EndForm":
-        return (EndForm(2, 3, 1, {(1, 1, (1,)): one}),
-                EndForm(2, 2, 1, {(1, 1, (1,)): one}))
+    if kind == "End(V)-valued":
+        # E^1_1 dx^1 of End(V) for V of rank 3 and of rank 2
+        return (VForm(2, 9, 1, {(end_index(3, 1, 1), (1,)): one}),
+                VForm(2, 4, 1, {(end_index(2, 1, 1), (1,)): one}))
     return (WeilCochain(A, 1, 1, 1, {(0, (1,), ()): VForm(2, 1, 1, {(1, (1,)): one})}),
             WeilCochain(A, 1, 1, 2, {(0, (1,), ()): VForm(2, 1, 2, {(1, (1, 2)): one})}))
 
 
-@pytest.mark.parametrize("kind", ["VForm", "EndForm", "WeilCochain"])
+@pytest.mark.parametrize("kind", ["VForm", "End(V)-valued", "WeilCochain"])
 def test_adding_mismatched_shapes_is_rejected(kind, f1):
     left, right = _mismatched_pair(kind, f1.A)
     with pytest.raises(StructureError):

@@ -8,7 +8,7 @@ the defining formulas:
 - jacobi(i,j,k): the Jacobiator of the frame through ``bracket``;
 - anchor_morphism(i,j): rho[e_i, e_j] against the vector-field bracket;
 - flatness(i,j): sum_k [e_i, e_j]^k psi_k against
-  L_{rho_i} psi_j - L_{rho_j} psi_i + [psi_i, psi_j] as End-forms;
+  L_{rho_i} psi_j - L_{rho_j} psi_i + [psi_i, psi_j] as End(V)-valued forms;
 - C.1-C.3: evaluation, the Lie derivative of forms and slot insertion.
 
 The inputs are the fixtures and seeded tamperings of them (structure,
@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ARep, EndForm, bracket, check_IM,
+from weilcalc import (AlgebroidPresentation, ARep, VForm, bracket, check_IM, compose,
                       evaluate, lieA_vform, validate_algebroid, validate_rep)
 from weilcalc.fixtures import random_cochain, random_poly
 from weilcalc.weil import eval_row
@@ -68,11 +68,11 @@ def rep_reference(A, rep):
     psi = {i: rep.endo(i) for i in range(1, A.rank + 1)}
     out = [("leibniz", True)]
     for i, j in itertools.combinations(range(1, A.rank + 1), 2):
-        lhs = EndForm.zero(A.nvars, rep.rank, 0)
+        lhs = VForm.zero(A.nvars, rep.rank ** 2, 0)
         for (k, _), wk in A.bracket_basis(i, j).comps.items():
             lhs = lhs + psi[k].scaled(wk)
         rhs = psi[j].lie(A.rho_basis(i)) - psi[i].lie(A.rho_basis(j)) \
-            + psi[i].compose(psi[j]) - psi[j].compose(psi[i])
+            + compose(psi[i], psi[j]) - compose(psi[j], psi[i])
         out.append((f"flatness({i},{j})", lhs == rhs))
     return out
 

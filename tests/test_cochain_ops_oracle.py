@@ -30,7 +30,7 @@ import random
 
 import pytest
 
-from weilcalc import (ARep, EndForm, LinearConnection, VForm, WeilCochain, build_fixture,
+from weilcalc import (ARep, LinearConnection, VForm, WeilCochain, act, build_fixture,
                       deform, delta, hstar, invariance_form, wedgedot_multi)
 from weilcalc.algebroid import sort_sign, symmetric_slots
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly, random_vform
@@ -76,8 +76,7 @@ def wedge_Ttheta_rows(inv, c):
                 sub = c.lookup(k, I[:pos] + I[pos + 1:], J)
                 if sub.is_zero:
                     continue
-                T = EndForm.from_flat(inv.lookup(0, (I[pos],), ()), c.rank)
-                term = T.wedge_vform(sub)
+                term = act(inv.lookup(0, (I[pos],), ()), sub)
                 if term.is_zero:
                     continue
                 acc = acc + term if pos % 2 == 0 else acc - term
@@ -85,8 +84,7 @@ def wedge_Ttheta_rows(inv, c):
                 sub = c.lookup(k - 1, I, rest)
                 if sub.is_zero:
                     continue
-                theta = EndForm.from_flat(inv.lookup(1, (), (j,)), c.rank)
-                term = theta.wedge_vform(sub)
+                term = act(inv.lookup(1, (), (j,)), sub)
                 if term.is_zero:
                     continue
                 acc = acc + term.scaled(mult)

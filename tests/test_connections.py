@@ -1,16 +1,20 @@
+import itertools
+import json
 import random
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ARep, EndForm, LinearConnection, Poly,
-                      StructureError, VForm, WeilCochain, induced_end_connection,
+from weilcalc import (AlgebroidPresentation, ARep, LinearConnection, Poly, StructureError,
+                      VForm, WeilCochain, act, ad_inverse, compose, induced_end_connection,
                       induced_end_rep, invariance_form, is_A_invariant, lieA_derivative,
                       lieA_vform, validate_rep)
 from weilcalc.algebroid import Section, bracket
+from weilcalc.polyring import default_names
+from weilcalc.specfile import connection_from_dict, connection_to_dict, dumps_canonical
 from weilcalc.fixtures import (random_endform, random_poly, random_section,
                                random_symform, random_vform)
 
-from test_algebroid import apply_field
+from test_algebroid import apply_field, end_form
 
 
 def rvf(seed, degree, nvars=2, rank=1):
@@ -37,7 +41,7 @@ def test_dnabla_squared_is_curvature_wedge(seed, f2):
     conn = f2.conn
     w = random_vform(random.Random(f"dn2:{seed}"), 2, 3, seed % 2, 1)
     lhs = conn.dnabla(conn.dnabla(w))
-    rhs = conn.curvature_R().wedge_vform(w)
+    rhs = act(conn.curvature_R(), w)
     assert lhs == rhs
 
 
@@ -47,21 +51,74 @@ def test_curvature_trivial_is_flat():
 
 def test_curvature_f2_is_ad_e3(f2):
     R = f2.conn.curvature_R()
-    want = EndForm(2, 3, 2, {(2, 1, (1, 2)): Poly.const(2, 1),
-                             (1, 2, (1, 2)): Poly.const(2, -1)})
+    want = end_form(2, 3, 2, {(2, 1, (1, 2)): Poly.const(2, 1),
+                              (1, 2, (1, 2)): Poly.const(2, -1)})
     assert R == want
 
 
 @pytest.mark.parametrize("idx", [(2, 1), (1, 7)], ids=["unsorted", "out_of_chart"])
-def test_endform_rejects_bad_form_index(idx):
+def test_end_valued_form_rejects_bad_form_index(idx):
     with pytest.raises(StructureError):
-        EndForm(2, 1, 2, {(1, 1, idx): Poly.var(2, 0)})
+        end_form(2, 1, 2, {(1, 1, idx): Poly.var(2, 0)})
 
 
 def test_bianchi_for_any_connection(f2):
     R = f2.conn.curvature_R()
     end_conn = induced_end_connection(f2.conn)
-    assert end_conn.dnabla(R.to_flat()).is_zero
+    assert end_conn.dnabla(R).is_zero
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_connection_spec_round_trip_keeps_every_christoffel(rank):
+    # Gamma^b_{a c} = (100 a + 10 b + c) x1^b x2^c: every entry differs, and
+    # none equals its (b, c) transpose, so a row/column swap anywhere in the
+    # End(V) layout moves an entry onto another key
+    n, names = 2, default_names(2)
+    table = {(a, b, c): Poly.monomial(n, (b, c), 100 * a + 10 * b + c)
+             for a, b, c in itertools.product(range(1, n + 1), range(1, rank + 1),
+                                              range(1, rank + 1))}
+    conn = LinearConnection(n, rank, table)
+    assert conn.christoffels() == table
+    doc = json.loads(dumps_canonical(connection_to_dict(conn, names)))
+    assert set(doc["christoffels"]) == {f"{a},{b},{c}" for a, b, c in table}
+    back = connection_from_dict(doc, n, names, "connection")
+    assert back == conn
+    for (a, b, c), p in table.items():
+        assert conn.gamma(a, b, c) == p and back.gamma(a, b, c) == p
+    # an index past the bundle never aliases another entry of the layout
+    for b, c in ((1, rank + 1), (rank + 1, 1), (0, 1)):
+        with pytest.raises(StructureError, match="out of range"):
+            conn.gamma(1, b, c)
+
+
+def _shape_cases(f2):
+    """Each End(V)-valued operation on F2's rank-3 ideal bundle V given a
+    form of the wrong rank, with the error it must raise."""
+    x = Poly.var(2, 0)
+    v = VForm(2, 3, 1, {(1, (1,)): x, (2, (1,)): -x})  # V-valued, rank m
+    e = end_form(2, 3, 1, {(1, 2, (1,)): x})  # End(V)-valued, rank m^2
+    e2 = end_form(2, 2, 1, {(1, 2, (1,)): x})  # End of a rank-2 bundle
+    acts = r"End\(V\)-valued form and form bundles differ"
+    return {
+        "act_on_V_valued_as_End": (lambda: act(v, v), acts),
+        "act_with_End_of_other_rank": (lambda: act(e2, v), acts),
+        "compose_rank_not_square": (lambda: compose(v, v), "not a perfect square"),
+        "compose_other_ranks": (lambda: compose(e, e2), "act on different bundles"),
+        "compose_other_ranks_reversed": (lambda: compose(e2, e), "act on different bundles"),
+        "shifted_by_rank_m": (lambda: f2.conn.shifted(v), "shift must be an End"),
+        "shifted_by_End_of_other_rank": (lambda: f2.conn.shifted(e2), "shift must be an End"),
+        "ad_inverse_of_rank_m": (lambda: ad_inverse(f2.ideal, v), "does not act on the ideal"),
+    }
+
+
+@pytest.mark.parametrize("name", ["act_on_V_valued_as_End", "act_with_End_of_other_rank",
+                                  "compose_rank_not_square", "compose_other_ranks",
+                                  "compose_other_ranks_reversed", "shifted_by_rank_m",
+                                  "shifted_by_End_of_other_rank", "ad_inverse_of_rank_m"])
+def test_end_valued_operations_reject_a_form_of_the_wrong_rank(f2, name):
+    call, message = _shape_cases(f2)[name]
+    with pytest.raises(StructureError, match=message):
+        call()
 
 
 def test_dnabla_graded_leibniz_over_scalars(f2):
@@ -171,15 +228,15 @@ def test_invariance_form_zero_for_F1(f1):
 def test_theta_of_vertical_basis_is_ad(f2):
     inv = invariance_form(f2.A, f2.conn, f2.rep)
     # e3 sits at frame index 5; theta(e3) = ad(e3)
-    want = EndForm(2, 3, 0, {(2, 1, ()): Poly.const(2, 1),
-                             (1, 2, ()): Poly.const(2, -1)})
-    assert EndForm.from_flat(inv.lookup(1, (), (5,)), 3) == want
+    want = end_form(2, 3, 0, {(2, 1, ()): Poly.const(2, 1),
+                              (1, 2, ()): Poly.const(2, -1)})
+    assert inv.lookup(1, (), (5,)) == want
     assert not is_A_invariant(f2.A, f2.conn, f2.rep)
 
 
 def random_christoffel(fix, seed):
     """A connection on the fixture's ideal bundle whose Christoffel table is
-    a seeded random End-valued 1-form of degree <= 1."""
+    a seeded random End(V)-valued 1-form of degree <= 1."""
     trivial = LinearConnection.trivial(fix.A.nvars, fix.rep.rank)
     return trivial.shifted(random_endform(fix, 1, 100 + seed))
 
@@ -196,15 +253,14 @@ def test_T_explicit_matches_dnabla_theta_minus_iota_R(all_fixtures):
     # and R has no component along the orbits
     verdicts = set()
     for fix in all_fixtures:
-        A, m = fix.A, fix.rep.rank
+        A = fix.A
         for conn in christoffel_connections(fix):
             inv = invariance_form(A, conn, fix.rep)
             end_conn = induced_end_connection(conn)
             R = conn.curvature_R()
             for i in range(1, A.rank + 1):
                 direct = end_conn.dnabla(inv.lookup(1, (), (i,)))
-                want = EndForm.from_flat(direct, m) - R.iota(A.rho_basis(i))
-                assert EndForm.from_flat(inv.lookup(0, (i,), ()), m) == want
+                assert inv.lookup(0, (i,), ()) == direct - R.iota(A.rho_basis(i))
             theta_free = not any(k == 1 for k, _, _ in inv.comps)
             orbit_flat = all(R.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))
             verdict = is_A_invariant(A, conn, fix.rep)
@@ -229,7 +285,7 @@ def test_invariant_curvature_is_invariant_form(f3):
     assert not R.is_zero
     endrep = induced_end_rep(f3.rep)
     for i in range(1, f3.A.rank + 1):
-        assert lieA_vform(f3.A, endrep, f3.A.basis(i), R.to_flat()).is_zero
+        assert lieA_vform(f3.A, endrep, f3.A.basis(i), R).is_zero
         assert R.iota(f3.A.rho_basis(i)).is_zero
 
 
@@ -243,35 +299,35 @@ def test_trivial_connection_induces_trivial_end():
 def test_end_connection_acts_by_commutator(f2):
     end_conn = induced_end_connection(f2.conn)
     T = random_endform(f2, 0, seed=4)
-    lhs = EndForm.from_flat(end_conn.dnabla(T.to_flat()), 3)
+    lhs = end_conn.dnabla(T)
     # direct: dT + [Gamma_a, T] dx^a
     direct = {}
     for a in range(1, 3):
-        gam = EndForm(2, 3, 0, {(b, c, ()): f2.conn.gamma(a, b, c)
-                                for b in range(1, 4) for c in range(1, 4)})
-        comm = gam.compose(T) - T.compose(gam)
-        for (b, c, ()), p in comm.comps.items():
-            key = (b, c, (a,))
+        gam = end_form(2, 3, 0, {(b, c, ()): f2.conn.gamma(a, b, c)
+                                 for b in range(1, 4) for c in range(1, 4)})
+        comm = compose(gam, T) - compose(T, gam)
+        for (f, ()), p in comm.comps.items():
+            key = (f, (a,))
             direct[key] = direct.get(key, Poly.zero(2)) + p
-    for (b, c, ()), p in T.comps.items():
+    for (f, ()), p in T.comps.items():
         for a in range(1, 3):
             dp = p.diff(a - 1)
             if not dp.is_zero:
-                key = (b, c, (a,))
+                key = (f, (a,))
                 direct[key] = direct.get(key, Poly.zero(2)) + dp
-    assert lhs == EndForm(2, 3, 1, direct)
+    assert lhs == VForm(2, 9, 1, direct)
 
 
 def test_end_connection_example_f2(f2):
     # covariant y-derivative of ad(e1) is x ad([e3, e1])
-    ad_e1 = EndForm(2, 3, 0, {(3, 2, ()): Poly.const(2, 1),
-                              (2, 3, ()): Poly.const(2, -1)})
+    ad_e1 = end_form(2, 3, 0, {(3, 2, ()): Poly.const(2, 1),
+                               (2, 3, ()): Poly.const(2, -1)})
     end_conn = induced_end_connection(f2.conn)
-    out = EndForm.from_flat(end_conn.dnabla(ad_e1.to_flat()), 3)
+    out = end_conn.dnabla(ad_e1)
     dy = Section(2, [Poly.zero(2), Poly.const(2, 1)])
     got = out.iota(dy)
     x = Poly.var(2, 0)
-    ad_e2 = EndForm(2, 3, 0, {(1, 3, ()): x, (3, 1, ()): -x})  # x ad(e2)
+    ad_e2 = end_form(2, 3, 0, {(1, 3, ()): x, (3, 1, ()): -x})  # x ad(e2)
     assert got == ad_e2
 
 

@@ -1,6 +1,6 @@
 """Forms layer against an independent oracle: exterior derivative, interior
 product, wedge, the Lie derivative and the algebroid Lie derivative of
-random bundle-valued forms, the End-form layer (End-form wedge, Lie
+random bundle-valued forms, the End(V)-valued layer (composition, Lie
 derivative, d-nabla, the curvature and the invariance pair (T, theta) of
 random connections), the symmetric-slot layer (slot insertion, the pairing
 with ideal-valued forms, the bracket of ideal-valued forms) and the
@@ -9,12 +9,13 @@ their component formulas evaluated in sympy."""
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, EndForm, IdealBundle, LinearConnection, Poly,
-                      Section, VForm, WeilCochain, bracket_of_forms, build_fixture,
+from weilcalc import (AlgebroidPresentation, IdealBundle, LinearConnection, Poly, Section,
+                      VForm, WeilCochain, bracket_of_forms, build_fixture, compose,
                       invariance_form, lieA_vform, scalar_wedge, wedgedot)
 from weilcalc.ideals import _bracket_failure
 
@@ -201,17 +202,20 @@ def test_lieA_vform_is_cartan_plus_representation(name, data):
             assert matches(want, lieA_vform(A, rep, alpha, w))
 
 
-# -- End-form layer: the index formulas of a connection Gamma^b_{a c} --------------
+# -- End(V)-valued layer: the index formulas of a connection Gamma^b_{a c} ---------
+#
+# An End(V)-valued form is a VForm over End(V), rank m^2, with E^b_c at the
+# index (b - 1) m + c; the oracle encodes and decodes that layout itself.
 
 _CHARTS = ["F1_abelian_2d", "F2_semisimple_2d"]
 
 
 @st.composite
 def endforms(draw, n, rank, degree):
-    comps = {(b, c, idx): draw(polys(n))
+    comps = {((b - 1) * rank + c, idx): draw(polys(n))
              for b in range(1, rank + 1) for c in range(1, rank + 1)
              for idx in itertools.combinations(range(1, n + 1), degree)}
-    return EndForm(n, rank, degree, comps)
+    return VForm(n, rank * rank, degree, comps)
 
 
 @st.composite
@@ -223,7 +227,10 @@ def connections(draw, n, rank):
 
 
 def sym_end(E):
-    return {(b, c, idx): to_ring(p) for (b, c, idx), p in E.comps.items()}
+    m = math.isqrt(E.rank)
+    assert m * m == E.rank
+    return {(1 + (f - 1) // m, 1 + (f - 1) % m, idx): to_ring(p)
+            for (f, idx), p in E.comps.items()}
 
 
 def end_matches(oracle, E):
@@ -243,7 +250,7 @@ def vf_apply(X, f, n):
 
 @_oracle
 @given(st.sampled_from(_CHARTS), st.sampled_from([0, 1]), st.data())
-def test_endform_compose_matches_component_formula(name, s, data):
+def test_compose_matches_component_formula(name, s, data):
     n, m = 2, _fixture(name).rep.rank
     S, T = data.draw(endforms(n, m, s)), data.draw(endforms(n, m, 1))
     sS, sT = sym_end(S), sym_end(T)
@@ -257,18 +264,18 @@ def test_endform_compose_matches_component_formula(name, s, data):
                     (end_comp(sS, b, e, I) * end_comp(sT, e, c, J)
                      for e in range(1, m + 1)), _R.zero)
             want[(b, c, K)] = acc
-    assert end_matches(want, S.compose(T))
+    assert end_matches(want, compose(S, T))
 
 
 @_oracle
 @given(st.integers(1, 3), st.integers(1, 2), st.data())
-def test_endform_lie_matches_cartan_formula_at_every_degree(n, m, data):
+def test_end_valued_lie_matches_cartan_formula_at_every_degree(n, m, data):
     X = [data.draw(polys(n)) for _ in range(n)]
     sX = [to_ring(x) for x in X]
     for degree in range(n + 1):
         E = data.draw(endforms(n, m, degree))
-        want = sym_lie(sX, sym_form(E.to_flat()), n, m * m, degree)
-        assert matches(want, E.lie(Section(n, X)).to_flat())
+        want = sym_lie(sX, sym_form(E), n, m * m, degree)
+        assert matches(want, E.lie(Section(n, X)))
 
 
 @_oracle
@@ -328,8 +335,8 @@ def test_invariance_form_matches_christoffel_formula(name, data):
                            for e in range(1, m + 1)), _R.zero) \
                     - sum((rho[be - 1].diff(_GENS[al - 1]) * g(be, b, c)
                            for be in range(1, n + 1)), _R.zero)
-        assert end_matches(theta, EndForm.from_flat(inv.lookup(1, (), (i,)), m))
-        assert end_matches(T, EndForm.from_flat(inv.lookup(0, (i,), ()), m))
+        assert end_matches(theta, inv.lookup(1, (), (i,)))
+        assert end_matches(T, inv.lookup(0, (i,), ()))
 
 
 # -- symmetric slots: insertion, the pairing, the bracket of forms -----------------

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ContractError, Dhor, EndForm, IdealBundle,
+from weilcalc import (AlgebroidPresentation, ContractError, Dhor, IdealBundle,
                       LinearConnection, Poly, Section, StructureError, VForm, WeilCochain,
-                      abelian_primitive_check, ad_inverse, bianchi_check, bracket, bracket_of_forms,
-                      build_coupled, c2, check_IM, check_semisimple,
+                      abelian_primitive_check, act, ad_inverse, bianchi_check, bracket,
+                      bracket_of_forms, build_coupled, c2, check_IM, check_semisimple,
                       coupled_presentation, coupling_checks, curvature,
                       curving_suite, deform, delta, evaluate,
                       frame_splitting, hstar, invariance_form, is_horizontal,
@@ -21,6 +21,7 @@ from weilcalc.fixtures import (random_cochain, random_poly, random_section,
                                random_symform, random_vform)
 from weilcalc.weil import eval_row
 
+from test_algebroid import end_form
 from test_semisimple_oracle import ALGEBRAS, fibre_bundle
 
 
@@ -209,11 +210,10 @@ def test_pairing_leibniz_interaction(seed, f2):
 
 
 def test_pairing_sign_relation(f2):
-    # g . t = (-1)^{k l} g ^ t with g viewed End-valued via the ideal slot
+    # g . t = (-1)^{k l} g ^ t with g viewed End(V)-valued via the ideal slot
     for k, l, seed in [(1, 1, 0), (2, 1, 1), (0, 1, 2), (1, 2, 3), (2, 2, 4)]:
         gamma = random_symform(f2, 1, k, seed=seed)
         theta = rvform(f2, l, seed=seed + 40)
-        end = EndForm(2, 3, k, {})
         comps = {}
         for (_, _, (j,)), vf in gamma.comps.items():
             if j not in f2.ideal.indices:
@@ -221,9 +221,9 @@ def test_pairing_sign_relation(f2):
             col = f2.ideal.indices.index(j) + 1
             for (b, idx), p in vf.comps.items():
                 comps[(b, col, idx)] = p
-        end = EndForm(2, 3, k, comps)
+        end = end_form(2, 3, k, comps)
         lhs = wedgedot(gamma, theta, f2.ideal).as_vform()
-        rhs = end.wedge_vform(theta)
+        rhs = act(end, theta)
         if (k * l) % 2 == 1:
             rhs = -rhs
         assert lhs == rhs
@@ -402,7 +402,7 @@ def test_curvature_explicit_formula(all_fixtures):
         for i in range(1, A.rank + 1):
             v_i = imc.v_comps(i)
             u_i = imc.U_of_h(A.basis(i))
-            lead = R.wedge_vform(v_i) - conn.dnabla(u_i)
+            lead = act(R, v_i) - conn.dnabla(u_i)
             assert om.lookup(0, (i,), ()) == lead
             assert om.lookup(1, (), (i,)) == -u_i
 
@@ -695,7 +695,7 @@ def test_obstruction_triple_independence(f2):
     vsecs = {j: f2.imc.v_comps(j) for j in range(1, 6)}
     triples = [
         (vsecs, f2.conn, None),
-        (vsecs, f2.conn.shifted(EndForm(2, 3, 1, {(1, 1, (1,)): Poly.var(2, 1)})), None),
+        (vsecs, f2.conn.shifted(end_form(2, 3, 1, {(1, 1, (1,)): Poly.var(2, 1)})), None),
         (frame_splitting(ideal), LinearConnection.trivial(2, 3), None),
     ]
     cocycles = [obstruction_cocycle(A, ideal, v, c, u) for v, c, u in triples]
@@ -904,7 +904,7 @@ def test_nilpotent_fibre_is_not_semisimple():
 
 def test_ad_inverse_example(f2):
     one = Poly.const(2, 1)
-    D = EndForm(2, 3, 1, {(2, 1, (1,)): -one, (1, 2, (1,)): one})   # -ad(e3) dx
+    D = end_form(2, 3, 1, {(2, 1, (1,)): -one, (1, 2, (1,)): one})   # -ad(e3) dx
     out = ad_inverse(f2.ideal, D)
     assert out == VForm(2, 3, 1, {(3, (1,)): one})
 
@@ -958,20 +958,20 @@ def test_delta0_injective_on_so3(f0):
 
 def test_ad_inverse_rejects_abelian(f1):
     with pytest.raises(ContractError):
-        ad_inverse(f1.ideal, EndForm(2, 1, 1, {}))
+        ad_inverse(f1.ideal, end_form(2, 1, 1, {}))
 
 
-def test_ad_inverse_rejects_an_endform_over_another_chart(f2):
+def test_ad_inverse_rejects_an_end_valued_form_over_another_chart(f2):
     x3 = Poly.var(3, 2)
-    with pytest.raises(StructureError, match="End-form does not act on the ideal bundle"):
-        ad_inverse(f2.ideal, EndForm(3, 3, 0, {(3, 2, ()): x3, (2, 3, ()): -x3}))
+    with pytest.raises(StructureError, match=r"End\(V\)-valued form does not act on the ideal"):
+        ad_inverse(f2.ideal, end_form(3, 3, 0, {(3, 2, ()): x3, (2, 3, ()): -x3}))
 
 
 @pytest.mark.parametrize("rank", [2, 4])
-def test_ad_inverse_rejects_an_endform_of_another_rank(rank, f2):
+def test_ad_inverse_rejects_an_end_valued_form_of_another_rank(rank, f2):
     one = Poly.const(2, 1)
-    with pytest.raises(StructureError, match="End-form does not act on the ideal bundle"):
-        ad_inverse(f2.ideal, EndForm(2, rank, 1, {(2, 1, (1,)): -one, (1, 2, (1,)): one}))
+    with pytest.raises(StructureError, match=r"End\(V\)-valued form does not act on the ideal"):
+        ad_inverse(f2.ideal, end_form(2, rank, 1, {(2, 1, (1,)): -one, (1, 2, (1,)): one}))
 
 
 def test_primitive_from_pair_reconstructs_F2(f2):

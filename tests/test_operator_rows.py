@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from weilcalc import (Dhor, EndForm, Poly, Section, VForm, WeilCochain, bracket_of_forms,
-                      build_fixture, delta, dnabla_cochain, hstar, invariance_form,
+from weilcalc import (Dhor, Poly, Section, VForm, WeilCochain, act, bracket_of_forms,
+                      build_fixture, compose, delta, dnabla_cochain, hstar, invariance_form,
                       scalar_wedge, wedge_Ttheta)
 from weilcalc.errors import StructureError
 from weilcalc.fixtures import (random_cochain, random_endform, random_poly, random_section,
@@ -29,7 +29,7 @@ def f2():
 def operators(fix):
     """Each operator as (its inputs, a call on them): the cochain operators
     on one random cochain, the form operators on seeded ideal-valued and
-    End-valued 1-forms, a scalar 1-form and a vector field."""
+    End(V)-valued 1-forms, a scalar 1-form and a vector field."""
     inv = invariance_form(fix.A, fix.conn, fix.rep)
     alpha = random_section(fix.A, 1)
     c = random_cochain(fix.A, fix.rep, 2, 1, 2, seed=3)
@@ -48,8 +48,8 @@ def operators(fix):
         "VForm.d": ([v], VForm.d),
         "VForm.iota": ([v, X], VForm.iota),
         "VForm.lie": ([v, X], VForm.lie),
-        "EndForm.wedge_vform": ([E, v], EndForm.wedge_vform),
-        "EndForm.compose": ([E, E2], EndForm.compose),
+        "act": ([E, v], act),
+        "compose": ([E, E2], compose),
         "scalar_wedge": ([s, v], scalar_wedge),
         "LinearConnection.dnabla": ([v], fix.conn.dnabla),
         "bracket_of_forms": ([v, w], lambda a, b: bracket_of_forms(fix.ideal, a, b)),
@@ -65,7 +65,7 @@ def snapshot(x):
 
 @pytest.mark.parametrize("name", ["delta", "dnabla_cochain", "wedge_Ttheta", "_contract",
                                   "hstar", "Dhor", "VForm.d", "VForm.iota", "VForm.lie",
-                                  "EndForm.wedge_vform", "EndForm.compose", "scalar_wedge",
+                                  "act", "compose", "scalar_wedge",
                                   "LinearConnection.dnabla", "bracket_of_forms"])
 def test_output_terms_survive_every_operator(f2, name):
     ops = operators(f2)
@@ -112,10 +112,9 @@ _CASES = {
     "VForm.iota": lambda fix, e: _u(3, 1, 1, (1,), _x1(e)).iota(Section(2, [_x1(), _x1(0)])),
     # L_X v = dX^2 ^ iota_{d_2} v for X = x1^2 d_2 and v = x1^e dx2
     "VForm.lie": lambda fix, e: _u(3, 1, 1, (2,), _x1(e)).lie(Section(2, [_x1(0), _x1(2)])),
-    "EndForm.wedge_vform": lambda fix, e: EndForm(2, 3, 0, {(1, 1, ()): _x1()}).wedge_vform(
-        _u(3, 0, 1, (), _x1(e))),
-    "EndForm.compose": lambda fix, e: EndForm(2, 3, 0, {(1, 1, ()): _x1(e)}).compose(
-        EndForm(2, 3, 1, {(1, 1, (1,)): _x1()})),
+    # E^1_1 of End(V), V of rank 3, is the index 1 of the rank-9 bundle
+    "act": lambda fix, e: act(_u(9, 0, 1, (), _x1()), _u(3, 0, 1, (), _x1(e))),
+    "compose": lambda fix, e: compose(_u(9, 0, 1, (), _x1(e)), _u(9, 1, 1, (1,), _x1())),
     "scalar_wedge": lambda fix, e: scalar_wedge(_u(1, 1, 1, (1,), _x1()),
                                                 _u(3, 0, 1, (), _x1(e))),
     "LinearConnection.dnabla": lambda fix, e: fix.conn.dnabla(_u(3, 0, 1, (), _x1(e))),

@@ -24,10 +24,12 @@ from fractions import Fraction
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ContractError, EndForm, IdealBundle, Poly,
+from weilcalc import (AlgebroidPresentation, ContractError, IdealBundle, Poly,
                       VForm, ad_inverse, check_semisimple, primitive_from_pair)
 from weilcalc import _linsolve
 from weilcalc.fixtures import _SO3 as SO3, random_vform
+
+from test_algebroid import end_form
 
 
 # -- references ------------------------------------------------------------------
@@ -113,16 +115,17 @@ def semisimple_ad_ref(ideal):
 
 def ad_solve_ref(ideal, cols, D):
     """The form gamma with -ad(gamma) = D, given the ad columns of the fibre."""
-    n = ideal.A.nvars
+    n, m = ideal.A.nvars, ideal.m
     groups = {}
-    for (b, d, idx), p in D.comps.items():
+    for (f, idx), p in D.comps.items():
+        b, d = divmod(f - 1, m)  # E^b_d sits at the End(V) index (b - 1) m + d
         for exps, (num, den) in p.items():
-            groups.setdefault((idx, exps), {})[(b, d)] = Fraction(num, den)
+            groups.setdefault((idx, exps), {})[(b + 1, d + 1)] = Fraction(num, den)
     comps = {}
     for (idx, exps), rhs in groups.items():
         x = _linsolve.solve_sparse(cols, {k: -v for k, v in rhs.items()})
         if x is None:
-            raise ContractError("End-valued form is not ad of an ideal-valued form")
+            raise ContractError("End(V)-valued form is not ad of an ideal-valued form")
         for a, v in sorted(x.items()):
             key = (a + 1, idx)
             q = Poly.monomial(n, exps, v)
@@ -231,16 +234,16 @@ def test_ad_inverse_rejects_non_inner(name):
     ideal = fibre_bundle(m, table, nvars=2)
     x = Poly.var(2, 0)
     # x times the identity: not a derivation, so not ad of anything
-    D = EndForm(2, m, 1, {(a, a, (2,)): x for a in range(1, m + 1)})
+    D = end_form(2, m, 1, {(a, a, (2,)): x for a in range(1, m + 1)})
     assert _same_error(ad_inverse, ad_inverse_ref, ideal, D) \
-        == "End-valued form is not ad of an ideal-valued form"
+        == "End(V)-valued form is not ad of an ideal-valued form"
 
 
 @pytest.mark.parametrize("name", ["abelian2", "r31"])
 def test_ad_inverse_rejects_incomplete_fibre(name):
     m, table, _ = ALGEBRAS[name]
     ideal = fibre_bundle(m, table, nvars=2)
-    assert _same_error(ad_inverse, ad_inverse_ref, ideal, EndForm(2, m, 1, {})) \
+    assert _same_error(ad_inverse, ad_inverse_ref, ideal, end_form(2, m, 1, {})) \
         == "fibre is not semisimple: ad is not invertible onto Der"
 
 
@@ -251,6 +254,6 @@ def test_non_constant_fibre_is_rejected():
     ideal = IdealBundle(A, (1, 2, 3))
     want = "semisimple tools need constant fibre structure"
     assert _same_error(check_semisimple, semisimple_ad_ref, ideal) == want
-    assert _same_error(ad_inverse, ad_inverse_ref, ideal, EndForm(2, 3, 1, {})) == want
+    assert _same_error(ad_inverse, ad_inverse_ref, ideal, end_form(2, 3, 1, {})) == want
     with pytest.raises(ContractError, match=want):
         primitive_from_pair(A, ideal, {}, None)

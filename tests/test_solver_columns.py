@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ARep, EndForm, IdealBundle, Poly,
+from weilcalc import (AlgebroidPresentation, ARep, IdealBundle, Poly,
                       StructureError, WeilCochain, build_fixture, weil)
 from weilcalc._linsolve import _eliminate, nullspace_sparse, solve_sparse
 from weilcalc.fixtures import random_cochain, random_poly
@@ -33,6 +33,7 @@ from weilcalc.polyring import MAX_DEGREE, _unpack, key_layout
 from weilcalc.weil import (_cell_cochain, _delta_columns, _flatten, _row_index, _symbols,
                            _unknown_cells, bounded_kernel, delta, solve_coboundary)
 
+from test_algebroid import end_form
 from test_weil import affine_algebroid, affine_rep
 
 pytest.importorskip("hypothesis")
@@ -394,8 +395,8 @@ def test_endo_memo_returns_equal_forms(case):
     _, A, rep, _ = case
     fresh = ARep(rep.nvars, rep.secrank, rep.rank, rep.psi)
     for i in range(1, A.rank + 1):
-        want = EndForm(rep.nvars, rep.rank, 0,
-                       {(b, c, ()): p for (j, b, c), p in rep.psi.items() if j == i})
+        want = end_form(rep.nvars, rep.rank, 0,
+                        {(b, c, ()): p for (j, b, c), p in rep.psi.items() if j == i})
         first = fresh.endo(i)
         assert first == want and fresh.endo(i) is first and rep.endo(i) == want
 

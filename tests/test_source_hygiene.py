@@ -9,7 +9,11 @@ definition from ``src``, ``tests`` or ``perfbench``. A re-export in
 benchmark's tracer names its targets by string. The packed monomial layout
 (``_BITS``, ``_MASK``, ``_pack``, ``_unpack``) is read only in ``polyring``:
 no other module of ``src`` or ``perfbench`` imports or reaches for it;
-tests may, to decode keys. No module of ``src`` memoizes through a
+tests may, to decode keys. Likewise the End(V) index layout
+E^b_c <-> (b - 1) m + c is encoded and decoded only in ``algebroid``, by
+``end_index``, ``end_entry`` and ``_act_into``, and the retired second
+spelling of End(V)-valued forms names nothing in ``src``, ``tests`` or
+``perfbench``. No module of ``src`` memoizes through a
 ``functools.lru_cache`` or ``functools.cache`` decorator or rebinds a
 module global with a ``global`` statement: a memo lives on the object whose
 data it depends on (``delta_tables``, ``frame_memo``, ``ARep.endo``).
@@ -107,6 +111,75 @@ def test_only_polyring_reads_the_packed_layout():
         trees[str(path.relative_to(ROOT))] = ast.parse(path.read_text(), filename=str(path))
     assert sorted((where, name) for where, tree in trees.items()
                   for name in _layout_reads(tree)) == []
+
+
+def _is_minus_one(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _is_scaled_minus_one(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (_is_minus_one(node.left) or _is_minus_one(node.right)))
+
+
+def _end_layout_arithmetic(tree):
+    """The spots that encode (b - 1) * m + c or decode divmod(f - 1, m),
+    (f - 1) // m or (f - 1) % m: the arithmetic of the End(V) index layout."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and (
+                isinstance(node.op, ast.Add)
+                and (_is_scaled_minus_one(node.left) or _is_scaled_minus_one(node.right))
+                or isinstance(node.op, (ast.FloorDiv, ast.Mod)) and _is_minus_one(node.left)):
+            yield f"{ast.unparse(node)} (line {node.lineno})"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod" \
+                and node.args and _is_minus_one(node.args[0]):
+            yield f"{ast.unparse(node)} (line {node.lineno})"
+
+
+def test_only_algebroid_does_end_layout_arithmetic():
+    # everyone else goes through algebroid.end_index and end_entry
+    assert sorted((name, spot) for name, tree in TREES.items() if name != "algebroid.py"
+                  for spot in _end_layout_arithmetic(tree)) == []
+    owners = [node.name for node in TREES["algebroid.py"].body
+              if isinstance(node, ast.FunctionDef) and any(_end_layout_arithmetic(node))]
+    assert owners == ["end_index", "end_entry", "_act_into"]
+
+
+def test_end_layout_finder_sees_each_spelling():
+    source = """
+f = (b - 1) * m + c
+f = c + m * (b - 1)
+b, c = divmod(f - 1, m)
+b = (f - 1) // m
+c = (f - 1) % m
+keep = (a - 1, p.diff(a - 1), 2 * (a + 1), divmod(v, f), range(_BITS * (nvars - 1), -1))
+"""
+    assert [spot.rsplit(" (line", 1)[0] for spot in _end_layout_arithmetic(ast.parse(source))] == [
+        "(b - 1) * m + c", "c + m * (b - 1)", "divmod(f - 1, m)", "(f - 1) // m",
+        "(f - 1) % m"]
+
+
+# the retired spelling of End(V)-valued forms, assembled so that a text
+# search of the tree finds it nowhere, this test included
+_RETIRED = {"End" + "Form", "to" + "_flat", "from" + "_flat"}
+
+
+def _identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_no_second_spelling_of_end_valued_forms_is_left():
+    found = {name for tree in [*TREES.values(), *USERS] for name in _identifiers(tree)}
+    assert sorted(found & _RETIRED) == []
 
 
 _CACHES = {"lru_cache", "cache"}

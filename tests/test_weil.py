@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, ARep, ContractError, EndForm, IdealBundle,
+from weilcalc import (AlgebroidPresentation, ARep, ContractError, IdealBundle,
                       LinearConnection, Poly, Section, StructureError, VForm,
                       WeilCochain, bounded_kernel, bracket, check_IM, delta,
                       dnabla_cochain, evaluate, induced_end_rep, invariance_form,
@@ -488,7 +488,7 @@ def test_invariant_connection_is_found_by_solve(f1, f3):
     # the shift law (T, theta)(conn + gamma) = (T, theta)(conn) - delta gamma:
     # a gamma with delta gamma = (T, theta)(conn) makes conn + gamma invariant
     for fix in (f1, f3):
-        A, rep, m = fix.A, fix.rep, fix.rep.rank
+        A, rep = fix.A, fix.rep
         endrep = induced_end_rep(rep)
         conns = [fix.conn.shifted(random_endform(fix, 1, seed)) for seed in range(3)] \
             + [random_christoffel(fix, seed) for seed in range(4)]
@@ -497,7 +497,7 @@ def test_invariant_connection_is_found_by_solve(f1, f3):
             assert not inv.is_zero
             gamma = solve_coboundary(A, endrep, inv, 2)
             assert gamma is not None, fix.name
-            fixed = conn.shifted(EndForm.from_flat(gamma.as_vform(), m))
+            fixed = conn.shifted(gamma.as_vform())
             assert invariance_form(A, fixed, rep).is_zero
             assert is_A_invariant(A, fixed, rep)
 
@@ -514,7 +514,7 @@ def test_no_invariant_connection_where_psi_survives_on_ker_rho(f0, f2):
                      random_christoffel(fix, 0)):
             inv = invariance_form(A, conn, rep)
             for i in vertical:
-                assert inv.lookup(1, (), (i,)) == rep.endo(i).to_flat()
+                assert inv.lookup(1, (), (i,)) == rep.endo(i)
             for bound in range(3):
                 assert solve_coboundary(A, endrep, inv, bound) is None, (fix.name, bound)
 
