@@ -306,20 +306,13 @@ def _act_into(acc, cell, entries, table, m, scale=1, stride=1):
     keyed (value index, head..., form index). The matrix acts on the V
     factor of the value index: the index itself at stride 1 (v V-valued),
     its row at stride m (v End(V)-valued, E^b_e v^e_c at b's row). The
-    table is grouped by that factor once per call, and E^b_c moves the
-    group of c to b by adding (b - c) * stride to each value index."""
-    if not entries:
-        return
-    groups = {}
-    for key, t in table.items():
-        groups.setdefault((key[0] - 1) // stride, []).append((key, t))
+    value indices of factor c fill the block ((c - 1) stride, c stride],
+    and E^b_c moves that block to b's by adding (b - c) * stride."""
     for (f, idx), coef in entries:
-        b, c = divmod(f - 1, m)  # 0-based E^b_c, as in end_entry
-        group = groups.get(c)
-        if group:
-            shift = (b - c) * stride
-            _add_into(acc, cell, {(key[0] + shift,) + key[1:]: t for key, t in group},
-                      coef, scale, idx)
+        b, c = end_entry(m, f)
+        lo, hi, shift = (c - 1) * stride, c * stride, (b - c) * stride
+        _add_into(acc, cell, {(key[0] + shift,) + key[1:]: t for key, t in table.items()
+                              if lo < key[0] <= hi}, coef, scale, idx)
 
 
 def _field(x, nvars, forms=True):

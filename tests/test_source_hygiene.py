@@ -11,7 +11,7 @@ benchmark's tracer names its targets by string. The packed monomial layout
 no other module of ``src`` or ``perfbench`` imports or reaches for it;
 tests may, to decode keys. Likewise the End(V) index layout
 E^b_c <-> (b - 1) m + c is encoded and decoded only in ``algebroid``, by
-``end_index``, ``end_entry`` and ``_act_into``, and the retired second
+``end_index`` and ``end_entry``, and the retired second
 spelling of End(V)-valued forms names nothing in ``src``, ``tests`` or
 ``perfbench``. No module of ``src`` memoizes through a
 ``functools.lru_cache`` or ``functools.cache`` decorator or rebinds a
@@ -143,7 +143,7 @@ def test_only_algebroid_does_end_layout_arithmetic():
                   for spot in _end_layout_arithmetic(tree)) == []
     owners = [node.name for node in TREES["algebroid.py"].body
               if isinstance(node, ast.FunctionDef) and any(_end_layout_arithmetic(node))]
-    assert owners == ["end_index", "end_entry", "_act_into"]
+    assert owners == ["end_index", "end_entry"]
 
 
 def test_end_layout_finder_sees_each_spelling():
