@@ -11,9 +11,9 @@ benchmark's tracer names its targets by string. The packed monomial layout
 no other module of ``src`` or ``perfbench`` imports or reaches for it;
 tests may, to decode keys. Likewise the End(V) index layout
 E^b_c <-> (b - 1) m + c is encoded and decoded only in ``algebroid``, by
-``end_index`` and ``end_entry``, and the retired second
-spelling of End(V)-valued forms names nothing in ``src``, ``tests`` or
-``perfbench``. No module of ``src`` memoizes through a
+``end_index`` and ``end_entry``, and the retired second spelling of
+End(V)-valued forms names nothing in ``src``, ``tests`` or ``perfbench``.
+No module of ``src`` memoizes through a
 ``functools.lru_cache`` or ``functools.cache`` decorator or rebinds a
 module global with a ``global`` statement: a memo lives on the object whose
 data it depends on (``delta_tables``, ``frame_memo``, ``ARep.endo``).
