@@ -349,8 +349,8 @@ class AlgebroidPresentation:
     ``weil.validate_algebroid`` checks them separately, as delta^2 = 0.
     """
 
-    __slots__ = ("nvars", "rank", "structure", "anchor", "_basis_cache",
-                 "_rho_cache", "_bracket_cache", "_delta_tables", "_frame_memo")
+    __slots__ = ("nvars", "rank", "structure", "anchor", "_rho_cache", "_bracket_cache",
+                 "_delta_tables", "_frame_memo")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
         self.nvars = nvars
@@ -371,19 +371,14 @@ class AlgebroidPresentation:
                 raise StructureError("anchor polynomial over wrong chart")
             if not p.is_zero:
                 self.anchor[(i, a)] = p
-        self._basis_cache = {}
         self._rho_cache = {}
         self._bracket_cache = {}
         self._delta_tables = None
         self._frame_memo = {}
 
     def basis(self, i):
-        """The frame section e_i (cached: sections are immutable)."""
-        e = self._basis_cache.get(i)
-        if e is None:
-            e = VForm(self.nvars, self.rank, 0, {(i, ()): Poly.const(self.nvars, 1)})
-            self._basis_cache[i] = e
-        return e
+        """The frame section e_i."""
+        return VForm(self.nvars, self.rank, 0, {(i, ()): Poly.const(self.nvars, 1)})
 
     def rho_basis(self, i):
         """rho(e_i) as a (cached) vector field."""

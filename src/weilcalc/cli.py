@@ -139,9 +139,11 @@ def cmd_bianchi(spec, args):
 def cmd_deform(spec, args):
     rep = CheckReport("deform")
     try:
+        if "e" in args.lam.lower():  # Fraction expands 1eN into N digits, without bound
+            raise ValueError
         lam = Fraction(args.lam)
     except (ValueError, ZeroDivisionError):
-        raise SpecError("--lambda", f"expected a rational number, got {args.lam!r}")
+        raise SpecError("--lambda", f"expected p/q or a decimal without exponent, got {args.lam!r}")
     imc = _imc(spec)
     if args.with_index is None or not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
@@ -297,9 +299,7 @@ def _parser():
     p.add_argument("--use-coupling-u", action="store_true",
                    help="take U from the IM connection's coupling data")
     p = spec_cmd("curving", "check or solve for a curving")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--check", action="store_true", default=True)
-    group.add_argument("--solve", action="store_true", default=False)
+    p.add_argument("--solve", action="store_true", help="solve for a curving; else check")
     p.add_argument("--bound", type=int, default=2, help="solver degree bound")
     p = sub.add_parser("fixture", help="build a named fixture and emit its spec")
     p.add_argument("--name", required=True, choices=FIXTURE_NAMES)

@@ -1,9 +1,11 @@
 """Canonical example builders and seeded random generators.
 
-The named fixtures are produced by the coupling construction, so they are
-consistent by construction and exercise it at the same time:
+The named fixtures are produced by the coupling construction from one table
+of coupling data (B, m, fibre, nabla, F), checked on the raw presentation's
+ideal before the IM connection is built, so they are consistent by
+construction and exercise it at the same time:
 
-  F0_so3          so(3) over a point (all positive-degree forms vanish)
+  F0_so3          so(3) over a point, B the rank-0 algebroid (no positive-degree forms)
   F1_abelian_2d   Q^2, TM (+) rank-1 abelian ideal, curving x dx^dy
   F2_semisimple_2d Q^2, TM (+) so(3), nabla = d + x ad(e3) dy, curving -e3 dx^dy
   F3_foliation_4d Q^4, rank-1 foliation (+) rank-1 abelian ideal,
@@ -16,8 +18,7 @@ from fractions import Fraction
 from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
 from .connections import LinearConnection
 from .errors import StructureError
-from .ideals import (IdealBundle, IMConnection, build_coupled, frame_splitting,
-                     splitting_cochain)
+from .ideals import build_coupled, frame_splitting
 from .polyring import Poly
 from .weil import WeilCochain, frame_rows, increasing_tuples, monomials_upto
 
@@ -51,37 +52,23 @@ def _so3_fibre(nvars):
 
 
 def build_fixture(name):
-    if name == "F0_so3":
-        A = AlgebroidPresentation(0, 3, _so3_fibre(0), {})
-        ideal = IdealBundle(A, (1, 2, 3))
-        vsecs = frame_splitting(ideal)
-        imc = IMConnection(ideal, splitting_cochain(A, ideal, vsecs,
-                                                    LinearConnection.trivial(0, 3)))
-        return Fixture(name, A, ideal, imc, VForm.zero(0, 3, 2), vsecs)
-
-    if name == "F1_abelian_2d":
-        B = _tangent_presentation(2)
-        conn = LinearConnection.trivial(2, 1)
-        F = VForm(2, 1, 2, {(1, (1, 2)): Poly.var(2, 0)})
-        A, ideal, imc, curving = build_coupled(B, 1, {}, conn, F)
-        return Fixture(name, A, ideal, imc, curving, frame_splitting(ideal))
-
-    if name == "F2_semisimple_2d":
-        B = _tangent_presentation(2)
-        x = Poly.var(2, 0)
-        conn = LinearConnection(2, 3, {(2, 2, 1): x, (2, 1, 2): -x})
-        F = VForm(2, 3, 2, {(3, (1, 2)): Poly.const(2, -1)})
-        A, ideal, imc, curving = build_coupled(B, 3, _so3_fibre(2), conn, F)
-        return Fixture(name, A, ideal, imc, curving, frame_splitting(ideal))
-
-    if name == "F3_foliation_4d":
-        B = AlgebroidPresentation(4, 1, {}, {(1, 1): Poly.const(4, 1)})
-        conn = LinearConnection.trivial(4, 1)
-        F = VForm(4, 1, 2, {(1, (3, 4)): Poly.var(4, 1)})
-        A, ideal, imc, curving = build_coupled(B, 1, {}, conn, F)
-        return Fixture(name, A, ideal, imc, curving, frame_splitting(ideal))
-
-    raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    x, tangent = Poly.var(2, 0), _tangent_presentation(2)
+    B, m, fibre, conn, F = {
+        "F0_so3": (AlgebroidPresentation(0, 0), 3, _so3_fibre(0),
+                   LinearConnection.trivial(0, 3), VForm.zero(0, 3, 2)),
+        "F1_abelian_2d": (tangent, 1, {}, LinearConnection.trivial(2, 1),
+                          VForm(2, 1, 2, {(1, (1, 2)): x})),
+        "F2_semisimple_2d": (tangent, 3, _so3_fibre(2),
+                             LinearConnection(2, 3, {(2, 2, 1): x, (2, 1, 2): -x}),
+                             VForm(2, 3, 2, {(3, (1, 2)): Poly.const(2, -1)})),
+        "F3_foliation_4d": (AlgebroidPresentation(4, 1, {}, {(1, 1): Poly.const(4, 1)}), 1, {},
+                            LinearConnection.trivial(4, 1),
+                            VForm(4, 1, 2, {(1, (3, 4)): Poly.var(4, 1)})),
+    }[name]
+    A, ideal, imc, curving = build_coupled(B, m, fibre, conn, F)
+    return Fixture(name, A, ideal, imc, curving, frame_splitting(ideal))
 
 
 def _tangent_presentation(n):

@@ -133,7 +133,7 @@ class IMConnection:
         self.ideal = ideal
         self.cochain = cochain
         self._conn = None
-        self._hsec = {}
+        self._hsec = None
         for k in ideal.indices:
             if cochain.lookup(1, (), (k,)) != ideal.restrict(A.basis(k)):
                 raise ContractError(f"symbol does not restrict to the identity at e_{k}")
@@ -166,11 +166,10 @@ class IMConnection:
         return alpha - self.ideal.embed(self.v_section(alpha))
 
     def h_basis(self, i):
-        sec = self._hsec.get(i)
-        if sec is None:
-            sec = self.h_section(self.A.basis(i))
-            self._hsec[i] = sec
-        return sec
+        if self._hsec is None:
+            self._hsec = _horizontal_frame(self.A, self.ideal, {
+                j: self.v_comps(j) for j in range(1, self.A.rank + 1)})
+        return self._hsec[i]
 
     def coupling_connection(self):
         """nabla = d + M_C, C restricted to the ideal."""
@@ -264,7 +263,7 @@ def hstar(imc, c):
             fill = fills.get(J)
             if fill is None:
                 fill = fills[J] = {}
-                for ls in sorted(set(itertools.permutations(J))):
+                for ls in set(itertools.permutations(J)):
                     for picks in itertools.product(*(hrow.get(l, ()) for l in ls)):
                         bs = tuple(b for b, _ in picks)
                         if all(map(operator.le, bs, bs[1:])):
@@ -492,18 +491,16 @@ def coupling_checks(imc):
 # -- the coupling construction --------------------------------------------------
 
 
-def _check_coupling_inputs(B, m, fibre, conn, F):
-    G = AlgebroidPresentation(B.nvars, m, fibre)
-    adj = IdealBundle(G, range(1, m + 1)).adjoint_rep()
+def _check_coupling_inputs(B, ideal, conn, F):
     # (i) nabla preserves the fibre bracket
-    failure = _bracket_failure(G, adj, conn)
+    failure = _bracket_failure(*ideal.fibre(), conn)
     if failure is not None:
         x, a, b = failure
         raise ContractError(
             "coupling condition (i) fails: connection does not "
             f"preserve the fibre bracket at (x={x}, {a},{b})")
     # (ii) R = -ad F
-    defect = conn.curvature_R() + _ad(adj, F)
+    defect = conn.curvature_R() + ideal.ad_endform(F)
     if not defect.is_zero:
         a1, a2 = min(idx for _, idx in defect.comps)
         raise ContractError("coupling condition (ii) fails: R-nabla != -ad F "
@@ -534,6 +531,9 @@ def coupled_presentation(B, m, fibre, conn, F):
             for b in range(1, m + 1):
                 structure[(i, rB + a, rB + b)] = g.get(end_index(m, b, a), ())
     for (a, b, c), p in fibre.items():
+        # a shifted key with a < 1 would overwrite an entry of B or of nabla
+        if not (1 <= a < b <= m and 1 <= c <= m):
+            raise StructureError(f"bad structure key {(a, b, c)} (need 1 <= a < b <= m)")
         structure[(rB + a, rB + b, rB + c)] = p
     anchor = {(i, x): p for (i, x), p in B.anchor.items()}
     return AlgebroidPresentation(n, r, structure, anchor)
@@ -543,15 +543,15 @@ def build_coupled(B, m, fibre, conn, F):
     """The coupled algebroid B (+) ideal with its primitive IM connection.
 
     ``fibre`` maps (a, b, c) with a < b to the fibre bracket coefficients;
-    the conditions (i)-(iii) are checked exactly before construction and a
-    violation is rejected with the failed condition named. Returns
-    (presentation, ideal, im_connection, curving).
+    the conditions (i)-(iii) are checked exactly on the raw presentation's
+    ideal before the IM connection is built, and a violation is rejected with
+    the failed condition named. Returns (presentation, ideal, im_connection, curving).
     """
     if F.rank != m or F.degree != 2:
         raise StructureError("curving candidate must be an ideal-valued 2-form")
-    _check_coupling_inputs(B, m, fibre, conn, F)
     A = coupled_presentation(B, m, fibre, conn, F)
     ideal = IdealBundle(A, range(B.rank + 1, B.rank + m + 1))
+    _check_coupling_inputs(B, ideal, conn, F)
     U = {i: -F.iota(B.rho_basis(i)) for i in range(1, B.rank + 1)}
     cochain = splitting_cochain(A, ideal, frame_splitting(ideal), conn, U)
     imc = IMConnection(ideal, cochain)

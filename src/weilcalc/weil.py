@@ -147,12 +147,7 @@ def evaluate(c, antis, syms=()):
     The arity pair (len(antis), len(syms)) must match a correction level:
     len(antis) = p - k and len(syms) = k.
     """
-    k0 = len(syms)
-    if len(antis) != c.p - k0:
-        raise StructureError(
-            f"arity mismatch: got {len(antis)} antisymmetric and {k0} symmetric "
-            f"arguments for a level-{c.p} cochain")
-    row = eval_row(c, k0, antis)
+    row = eval_row(c, len(syms), antis)
     return functools.reduce(WeilCochain.insert, syms, row).as_vform()
 
 
@@ -161,7 +156,9 @@ def eval_row(c, k, sections):
     W^{k,q} cochain: the level-k cells of the contractions by the sections,
     the first one first, times (-1)^(k s) for s sections."""
     if len(sections) != c.p - k:
-        raise StructureError("wrong number of antisymmetric arguments")
+        raise StructureError(
+            f"arity mismatch: got {len(sections)} antisymmetric and {k} symmetric "
+            f"arguments for a level-{c.p} cochain")
     for alpha in sections:
         c = _contract(c, alpha)
     odd = k * len(sections) % 2
@@ -180,7 +177,7 @@ def _cochain(A, rank, p, q, acc):
     each row wrapped once by ``algebroid._form``; empty entries and cells of
     degree above the chart dimension are dropped."""
     n, comps = A.nvars, {}
-    for cell in sorted(acc):
+    for cell in acc:
         if q - cell[0] <= n and (vf := _form(n, rank, q - cell[0], acc, cell)).comps:
             comps[cell] = vf
     c = object.__new__(WeilCochain)
@@ -588,8 +585,7 @@ def _assemble(A, rank, p, q, cells, vectors):
     first appears. The cells are distinct frame cells of W^{p,q} and every
     x is nonzero, so no entry is empty and no term is written twice. A
     kernel vector has about one coefficient, so the monomial keys are
-    packed once for all the vectors, and only a vector over several rows
-    sorts them."""
+    packed once for all the vectors."""
     n, key, keys, out = A.nvars, key_layout(A.nvars)[0], {}, []
     new = object.__new__
     for coeffs in vectors:
@@ -609,8 +605,7 @@ def _assemble(A, rank, p, q, cells, vectors):
             else:
                 poly.terms[mk] = x.numerator, x.denominator
         c = new(WeilCochain)
-        c.A, c.rank, c.p, c.q = A, rank, p, q
-        c.comps = {cell: comps[cell] for cell in sorted(comps)} if len(comps) > 1 else comps
+        c.A, c.rank, c.p, c.q, c.comps = A, rank, p, q, comps
         out.append(c)
     return out
 

@@ -7,11 +7,14 @@ bounds), on seed 1, and every recorded ``cli`` spec command and fixture emission
 ``cli.main`` in this process. Every output must pass its workload's check
 and hash to the digest recorded in ``perfbench/digests.json``, so the byte
 identity of operator and solver outputs and of the CLI reports is part of
-the test suite.
+the test suite. The operators slice runs a second time with the cells of
+its input cochains inserted in reverse order, which pins that no output
+depends on the order of a cochain's cells.
 """
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -33,8 +36,23 @@ def cli_plan():
     return [specs]
 
 
+def reversed_cells_slice(workdir):
+    """The operators slice with the cells of every input cochain inserted in
+    reverse order. delta, dnabla_cochain, hstar and Dhor read no cell order,
+    so their outputs, and the bytes of those, must not change."""
+    build = workloads.fixtures.random_cochain
+
+    def reversed_cochain(*args, **kwargs):
+        c = build(*args, **kwargs)
+        c.comps = dict(reversed(c.comps.items()))
+        return c
+    with mock.patch.object(workloads.fixtures, "random_cochain", reversed_cochain):
+        return _SLICES["operators"](workdir)
+
+
 _SLICES = {
     "operators": lambda workdir: workloads.operators_setup(workloads.operators_plan(1, 1)),
+    "operators/reversed_cells": reversed_cells_slice,
     "solver": lambda workdir: workloads.solver_setup(
         workloads.solver_plan(1, 1)),
     "cli": lambda workdir: workloads.cli_setup(cli_plan(), workdir)[0],

@@ -211,13 +211,15 @@ def test_cochain_component_key_without_bar_exits_two(f1_path, tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["deform", "SPEC", "--with", "0", "--lambda", "1/0"], "--lambda"),
     (["deform", "SPEC", "--with", "0", "--lambda", "abc"], "--lambda"),
+    (["deform", "SPEC", "--with", "0", "--lambda", "1e400"], "--lambda"),
     (["obstruction", "SPEC", "--bound", "-1"], "--bound"),
     (["curving", "SPEC", "--solve", "--bound", "-1"], "--bound"),
     (["fixture", "--name", "F1_abelian_2d", "--with-cochain=-1,1"], "--with-cochain"),
     (["fixture", "--name", "F1_abelian_2d", "--with-cochain=1,1", "--degree", "-1"],
      "--degree"),
-], ids=["lambda_zero_denominator", "lambda_not_rational", "obstruction_negative_bound",
-        "curving_negative_bound", "negative_bidegree", "negative_degree"])
+], ids=["lambda_zero_denominator", "lambda_not_rational", "lambda_exponent",
+        "obstruction_negative_bound", "curving_negative_bound", "negative_bidegree",
+        "negative_degree"])
 def test_bad_numeric_flag_is_located(tmp_path, capsys, argv, flag):
     path = tmp_path / "f1c.json"
     invoke(["fixture", "--name", "F1_abelian_2d", "--emit", str(path),
@@ -265,10 +267,13 @@ def test_deform_command(tmp_path, capsys):
     spec.cochains = [L]
     path2 = tmp_path / "f1d.json"
     path2.write_text(dumps_canonical(spec.to_dict()))
-    code, out = invoke(["deform", str(path2), "--lambda", "2", "--with", "0"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert {c["name"]: c["status"] for c in doc["checks"]}["quadratic expansion exact"] == "pass"
+    # an integer, p/q and a decimal without exponent are each exact rationals
+    for lam in ("2", "3/4", "0.5"):
+        code, out = invoke(["deform", str(path2), "--lambda", lam, "--with", "0"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert {c["name"]: c["status"]
+                for c in doc["checks"]}["quadratic expansion exact"] == "pass"
 
 
 def test_deform_rejects_non_im(tmp_path, capsys):
@@ -291,7 +296,7 @@ def test_obstruction_command(f1_path, capsys):
 
 
 def test_curving_check_and_solve(f1_path, capsys):
-    code, out = invoke(["curving", str(f1_path), "--check"], capsys)
+    code, out = invoke(["curving", str(f1_path)], capsys)
     assert code == 0
     code, out = invoke(["curving", str(f1_path), "--solve", "--bound", "2"], capsys)
     assert code == 0

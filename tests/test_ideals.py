@@ -826,10 +826,12 @@ def test_build_coupled_names_the_first_non_preserving_direction(f2):
 
 def test_build_coupled_rejects_an_unordered_fibre_key():
     from weilcalc.fixtures import _tangent_presentation
-    fibre = {(2, 1, 1): Poly.const(2, 1)}
-    with pytest.raises(StructureError, match="bad structure key"):
-        build_coupled(_tangent_presentation(2), 2, fibre, LinearConnection.trivial(2, 2),
-                      VForm.zero(2, 2, 2))
+    # shifted by the rank of B, the key (0, 1, 1) would overwrite the
+    # connection's entry of [b_2, u_1]
+    for key in [(2, 1, 1), (0, 1, 1)]:
+        with pytest.raises(StructureError, match=r"bad structure key \(\d, 1, 1\)"):
+            build_coupled(_tangent_presentation(2), 2, {key: Poly.const(2, 1)},
+                          LinearConnection.trivial(2, 2), VForm.zero(2, 2, 2))
 
 
 def test_semidirect_product_case():
