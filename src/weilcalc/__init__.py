@@ -10,9 +10,9 @@ obstruction machinery, and a spec-file CLI.
 
 from .polyring import Poly, poly_from_str, poly_to_str
 from .errors import ContractError, SpecError, StructureError
-from .algebroid import AlgebroidPresentation, Section, VForm, bracket, scalar_wedge
+from .algebroid import AlgebroidPresentation, Section, VForm, bracket
 from .connections import (ARep, LinearConnection, act, compose, induced_end_connection,
-                          induced_end_rep, lieA_derivative, lieA_vform)
+                          induced_end_rep, lieA_derivative)
 from .weil import (WeilCochain, bounded_kernel, check_IM, delta, dnabla_cochain,
                    eval_row, evaluate, invariance_form, is_A_invariant,
                    is_horizontal, solve_coboundary, validate_algebroid,
@@ -22,9 +22,7 @@ from .ideals import (Dhor, IdealBundle, IMConnection, ad_inverse, abelian_primit
                      check_semisimple, coupled_presentation, coupling_checks,
                      curvature, curving_suite, deform, frame_splitting, hstar,
                      obstruction_cocycle, primitive_from_pair, splitting_cochain,
-                     splitting_curvature, unique_curving, wedgedot,
-                     wedgedot_multi)
-from .fixtures import (FIXTURE_NAMES, Fixture, build_fixture, random_cochain,
-                       random_endform, random_section, random_symform)
+                     splitting_curvature, unique_curving, wedgedot)
+from .fixtures import FIXTURE_NAMES, Fixture, build_fixture, random_cochain
 
 __version__ = "0.1.0"

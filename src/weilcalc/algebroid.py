@@ -31,23 +31,10 @@ from .polyring import Poly, _axpy, _make, _neg, _pair, _product
 def sort_sign(idx):
     """Sort an index tuple, returning (sorted tuple, sign); sign 0 on repeats."""
     idx = tuple(idx)
-    n = len(idx)
-    if len(set(idx)) != n:
+    if len(set(idx)) != len(idx):
         return idx, 0
-    perm = sorted(range(n), key=lambda t: idx[t])
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, t = 0, start
-        while not seen[t]:
-            seen[t] = True
-            t = perm[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(idx[t] for t in perm), sign
+    odd = sum(a > b for a, b in itertools.combinations(idx, 2)) % 2
+    return tuple(sorted(idx)), -1 if odd else 1
 
 
 def sorted_multisets(r, length):
@@ -201,18 +188,6 @@ def check_section(alpha, rank, nvars, bundle="algebroid"):
         raise StructureError(f"section rank does not match {bundle} rank")
     if alpha.nvars != nvars:
         raise StructureError("section over wrong chart")
-
-
-def scalar_wedge(sf, vf):
-    """Wedge a scalar form (rank-1 VForm) onto a bundle-valued form, sf ^ vf."""
-    if sf.rank != 1:
-        raise StructureError("left factor of scalar_wedge must be a scalar form")
-    if sf.nvars != vf.nvars:
-        raise StructureError("chart mismatch in scalar_wedge")
-    acc, table = {}, _terms(vf.comps)
-    for (_, idx), f in sf.comps.items():
-        _add_into(acc, (), table, f, 1, idx)
-    return _form(vf.nvars, vf.rank, sf.degree + vf.degree, acc)
 
 
 def d_scalar(p, nvars):

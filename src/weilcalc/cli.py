@@ -36,12 +36,6 @@ def _need(spec, field, what):
         raise SpecError(what, f"command needs the spec section {what!r}")
 
 
-def _nonnegative(value, flag):
-    if value < 0:
-        raise SpecError(flag, f"expected a nonnegative integer, got {value}")
-    return value
-
-
 def _imc(spec):
     _need(spec, "ideal_indices", "ideal")
     _need(spec, "im_cochain", "im_connection")
@@ -138,12 +132,6 @@ def cmd_bianchi(spec, args):
 
 def cmd_deform(spec, args):
     rep = CheckReport("deform")
-    try:
-        if "e" in args.lam.lower():  # Fraction expands 1eN into N digits, without bound
-            raise ValueError
-        lam = Fraction(args.lam)
-    except (ValueError, ZeroDivisionError):
-        raise SpecError("--lambda", f"expected p/q or a decimal without exponent, got {args.lam!r}")
     imc = _imc(spec)
     if args.with_index is None or not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
@@ -151,13 +139,13 @@ def cmd_deform(spec, args):
         raise SpecError("cochains", f"--with index {args.with_index} out of range")
     L = spec.cochains[args.with_index]
     try:
-        imc2 = deform(imc, L, lam)
+        imc2 = deform(imc, L, args.lam)
     except ContractError as exc:
         rep.record("deformation admissible", False, str(exc))
         return rep, {}
     rep.record("deformation admissible", True)
     om, om2 = curvature(imc), curvature(imc2)
-    expansion = om + Dhor(imc, L).scaled(lam) + c2(imc.ideal, L).scaled(lam * lam)
+    expansion = om + Dhor(imc, L).scaled(args.lam) + c2(imc.ideal, L).scaled(args.lam ** 2)
     rep.record("quadratic expansion exact", om2 == expansion)
     return rep, {
         "connection": cochain_to_dict(imc2.cochain, spec.names),
@@ -167,7 +155,6 @@ def cmd_deform(spec, args):
 
 def cmd_obstruction(spec, args):
     rep = CheckReport("obstruction")
-    bound = _nonnegative(args.bound, "--bound")
     _need(spec, "ideal_indices", "ideal")
     ideal = spec.build_ideal()
     adjoint = ideal.adjoint_rep()
@@ -190,8 +177,8 @@ def cmd_obstruction(spec, args):
     rep.record("cocycle is horizontal", is_horizontal(obs, ideal))
     rep.record("cocycle is delta-closed", delta(spec.A, adjoint, obs).is_zero)
     result = {"cocycle": cochain_to_dict(obs, spec.names)}
-    corr = solve_coboundary(spec.A, adjoint, obs, bound, horizontal_ideal=ideal)
-    rep.record(f"horizontal corrector at degree bound {bound}",
+    corr = solve_coboundary(spec.A, adjoint, obs, args.bound, horizontal_ideal=ideal)
+    rep.record(f"horizontal corrector at degree bound {args.bound}",
                corr is not None,
                "" if corr is not None else "bound-relative verdict: infeasible")
     if corr is not None:
@@ -206,10 +193,9 @@ def cmd_curving(spec, args):
     rep = CheckReport("curving")
     imc = _imc(spec)
     if args.solve:
-        bound = _nonnegative(args.bound, "--bound")
         om = curvature(imc)
-        sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, bound)
-        rep.record(f"curving found at degree bound {bound}", sol is not None,
+        sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, args.bound)
+        rep.record(f"curving found at degree bound {args.bound}", sol is not None,
                    "" if sol is not None else "bound-relative verdict: infeasible")
         if sol is None:
             return rep, {}
@@ -225,14 +211,8 @@ def cmd_fixture(args):
     fix = build_fixture(args.name)
     cochains = []
     if args.with_cochain:
-        try:
-            p, q = (int(t) for t in args.with_cochain.split(","))
-        except ValueError:
-            raise SpecError("--with-cochain", "expected 'p,q'")
-        if p < 0 or q < 0:
-            raise SpecError("--with-cochain", "expected a nonnegative bidegree 'p,q'")
-        degree = _nonnegative(args.degree, "--degree")
-        cochains.append(random_cochain(fix.A, fix.rep, p, q, degree, args.seed))
+        p, q = args.with_cochain
+        cochains.append(random_cochain(fix.A, fix.rep, p, q, args.degree, args.seed))
     spec = Spec(
         [f"x{i + 1}" for i in range(fix.A.nvars)],
         fix.A,
@@ -272,8 +252,50 @@ def _selected(spec, args):
     return [spec.cochains[idx]]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors (exit 2): each is
+    located at the option argparse names ("argument --bound: ..."), or else
+    at the first argument its message lists, the first unrecognized or
+    missing one ("command" when no command is given)."""
+
+    def error(self, message):
+        head, _, rest = message.partition(": ")
+        if head.startswith("argument "):
+            raise SpecError(head.removeprefix("argument "), rest)
+        raise SpecError((rest.split() or ["command"])[0].rstrip(","), message)
+
+
+def _nonnegative(text):
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+
+
+def _rational(text):
+    # Fraction would expand 1eN into N digits, without bound
+    try:
+        if "e" not in text.lower():
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected p/q or a decimal without exponent, got {text!r}")
+
+
+def _bidegree(text):
+    try:
+        p, q = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected 'p,q'")
+    if p < 0 or q < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative bidegree 'p,q'")
+    return p, q
+
+
 def _parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="weilcalc",
         description="Exact checks and computations for algebroid connection calculus.")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -291,26 +313,33 @@ def _parser():
     spec_cmd("curvature", "curvature of the IM connection")
     spec_cmd("bianchi", "check the infinitesimal Bianchi identity")
     p = spec_cmd("deform", "affine deformation of the IM connection")
-    p.add_argument("--lambda", dest="lam", default="1", help="rational scale factor")
+    p.add_argument("--lambda", dest="lam", type=_rational, default="1",
+                   help="rational scale factor")
     p.add_argument("--with", dest="with_index", type=int, required=True,
                    help="index of the deformation cochain in the spec")
     p = spec_cmd("obstruction", "obstruction cocycle of a splitting triple")
-    p.add_argument("--bound", type=int, default=2, help="solver degree bound")
+    p.add_argument("--bound", type=_nonnegative, default=2, help="solver degree bound")
     p.add_argument("--use-coupling-u", action="store_true",
                    help="take U from the IM connection's coupling data")
     p = spec_cmd("curving", "check or solve for a curving")
     p.add_argument("--solve", action="store_true", help="solve for a curving; else check")
-    p.add_argument("--bound", type=int, default=2, help="solver degree bound")
+    p.add_argument("--bound", type=_nonnegative, default=2, help="solver degree bound")
     p = sub.add_parser("fixture", help="build a named fixture and emit its spec")
     p.add_argument("--name", required=True, choices=FIXTURE_NAMES)
     p.add_argument("--emit", nargs="?", const="-", default="-",
                    help="output path ('-' for stdout)")
-    p.add_argument("--with-cochain", default=None, metavar="P,Q",
+    p.add_argument("--with-cochain", type=_bidegree, default=None, metavar="P,Q",
                    help="embed a seeded random cochain of bidegree p,q")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=1,
+    p.add_argument("--degree", type=_nonnegative, default=1,
                    help="polynomial degree bound for the random cochain")
     return ap
+
+
+def _input_error(doc, exc):
+    doc["status"] = "input_error"
+    doc["error"] = {"path": exc.path, "reason": exc.reason}
+    return doc
 
 
 def _dispatch(args):
@@ -322,9 +351,7 @@ def _dispatch(args):
             spec = load_spec_path(args.spec)
             rep, result = _COMMANDS[args.command](spec, args)
     except SpecError as exc:
-        doc["status"] = "input_error"
-        doc["error"] = {"path": exc.path, "reason": exc.reason}
-        return doc, 2
+        return _input_error(doc, exc), 2
     except (ContractError, StructureError) as exc:
         doc["status"] = "math_fail"
         doc["error"] = {"reason": str(exc)}
@@ -336,7 +363,13 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SpecError as exc:
+        command = argv[0] if argv and argv[0] in (*_COMMANDS, "fixture") else None
+        sys.stdout.write(dumps_canonical(_input_error({"command": command}, exc)))
+        return 2
     doc, code = _dispatch(args)
     if args.command == "fixture" and code == 0 and "spec" in doc:
         payload = dumps_canonical(doc["spec"])

@@ -136,14 +136,6 @@ def compose(S, T):
     return _form(S.nvars, S.rank, S.degree + T.degree, acc)
 
 
-def lieA_vform(A, rep, alpha, vf):
-    """L^A_alpha on a plain V-valued form, delta vf evaluated on alpha; a
-    zero form (also the degree -1 form iota leaves on a 0-form) is kept."""
-    # weil imports this module, so its operators are imported at call time
-    from .weil import delta, evaluate
-    return vf if vf.is_zero else evaluate(delta(A, rep, vf), [alpha])
-
-
 def lieA_derivative(A, rep, alpha, gamma):
     """L^A_alpha on S^k(A*)-valued forms by the Cartan formula
     L^A_alpha = iota_alpha delta + delta iota_alpha on the Weil complex:

@@ -15,10 +15,10 @@ construction and exercise it at the same time:
 import random
 from fractions import Fraction
 
-from .algebroid import AlgebroidPresentation, Section, VForm, sorted_multisets
+from .algebroid import AlgebroidPresentation, VForm
 from .connections import LinearConnection
 from .errors import StructureError
-from .ideals import build_coupled, frame_splitting
+from .ideals import build_coupled
 from .polyring import Poly
 from .weil import WeilCochain, frame_rows, increasing_tuples, monomials_upto
 
@@ -30,13 +30,12 @@ _SO3 = {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1}
 class Fixture:
     """Validated object graph for one named example."""
 
-    def __init__(self, name, A, ideal, imc, curving, vsecs):
+    def __init__(self, name, A, ideal, imc, curving):
         self.name = name
         self.A = A
         self.ideal = ideal
         self.imc = imc
         self.curving = curving
-        self.vsecs = vsecs
 
     @property
     def rep(self):
@@ -68,7 +67,7 @@ def build_fixture(name):
                             VForm(4, 1, 2, {(1, (3, 4)): Poly.var(4, 1)})),
     }[name]
     A, ideal, imc, curving = build_coupled(B, m, fibre, conn, F)
-    return Fixture(name, A, ideal, imc, curving, frame_splitting(ideal))
+    return Fixture(name, A, ideal, imc, curving)
 
 
 def _tangent_presentation(n):
@@ -100,12 +99,6 @@ def random_vform(rng, nvars, rank, degree, bound):
     return VForm(nvars, rank, degree, comps)
 
 
-def random_section(A, seed, bound=1):
-    rng = random.Random(f"section:{seed}")
-    return Section(A.nvars, [random_poly(rng, A.nvars, bound)
-                             for _ in range(A.rank)])
-
-
 def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
     """Deterministic random W^{p,q} cochain; at p = 0 its single cell
     (0, (), ()) is a plain form.
@@ -121,21 +114,3 @@ def random_cochain(A, rep, p, q, degree_bound=1, seed=0):
         for J in Js:
             comps[(k, I, J)] = random_vform(rng, A.nvars, rep.rank, q - k, degree_bound)
     return WeilCochain(A, rep.rank, p, q, comps)
-
-
-def random_symform(fix, arity, degree, seed, bound=1):
-    """Random ideal-valued form with open symmetric slots (pairing tests),
-    as the level-``arity`` row of a W^{arity, arity + degree} cochain."""
-    rng = random.Random(f"symform:{fix.name}:{arity}:{degree}:{seed}")
-    A = fix.A
-    return WeilCochain(A, fix.ideal.m, arity, arity + degree, {
-        (arity, (), J): random_vform(rng, A.nvars, fix.ideal.m, degree, bound)
-        for J in sorted_multisets(A.rank, arity)})
-
-
-def random_endform(fix, degree, seed, bound=1):
-    """Random End(V)-valued form on a fixture's ideal bundle V."""
-    # E^b_c at (b - 1) m + c: random_vform draws the entries in the (b, c, idx)
-    # order of the matrix
-    rng = random.Random(f"endform:{fix.name}:{degree}:{seed}")
-    return random_vform(rng, fix.A.nvars, fix.ideal.m ** 2, degree, bound)

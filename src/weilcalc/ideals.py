@@ -4,8 +4,9 @@ The ideal is frame-aligned: it is spanned by a designated subset of the
 algebroid frame, so the symbol v, the horizontal projection h, and all
 restriction operators act at index level. The adjoint action
 nabla^A_a xi = [a, xi] is generated from the structure polynomials.
-ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2, the slot pairing and h* add
-their terms through the term-dict cell maps of ``algebroid``.
+ad(F), the bracket [w1 ^ w2] = ad(w1) ^ w2 and h* add their terms through
+the term-dict cell maps of ``algebroid``; the slot pairing is the
+symmetric-slot fill ``weil._fill_into``.
 """
 
 import functools
@@ -18,8 +19,8 @@ from .algebroid import (AlgebroidPresentation, VForm, _add_into, _form, _terms, 
 from .connections import ARep, LinearConnection, act, compose
 from .errors import ContractError, StructureError
 from .report import CheckReport
-from .weil import (WeilCochain, _cochain, _insert, _solve, bounded_kernel, check_IM, delta,
-                   dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
+from .weil import (WeilCochain, _cochain, _fill_into, _insert, _solve, bounded_kernel,
+                   check_IM, delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
 
 
 class IdealBundle:
@@ -199,24 +200,11 @@ def wedgedot(gamma, theta, ideal):
         raise StructureError("no symmetric slot left for the pairing")
     if theta.rank != ideal.m or theta.nvars != A.nvars:
         raise StructureError("pairing expects an ideal-valued form on the same chart")
-    # thetas[l]: the entries (idx, theta^a_idx) of theta^a, l = u_a
-    thetas = {k: [(idx, p) for (b, idx), p in theta.comps.items() if b == a]
-              for a, k in enumerate(ideal.indices, start=1)}
-    acc = {}
-    for (k, I, J), v in gamma.comps.items():
-        for j, rest, _ in symmetric_slots(J):
-            for idx, p in thetas.get(j, ()):
-                _add_into(acc, (k - 1, I, rest), _terms(v.comps), p, 1, idx)
+    # theta as an A-valued form: theta^a at the frame index u_a
+    acc, ind = {}, ideal.indices
+    _fill_into(acc, gamma.comps, VForm(A.nvars, A.rank, theta.degree, {
+        (ind[a - 1], idx): p for (a, idx), p in theta.comps.items()}))
     return _cochain(A, gamma.rank, gamma.p - 1, gamma.q - 1 + theta.degree, acc)
-
-
-def wedgedot_multi(gamma, thetas, ideal):
-    """Iterated pairing, last form first: gamma . (t_1, ..., t_l)
-    = gamma . t_l . t_{l-1} ... . t_1."""
-    out = gamma
-    for theta in reversed(thetas):
-        out = wedgedot(out, theta, ideal)
-    return out
 
 
 # -- horizontal projection and derivative -------------------------------------
@@ -449,29 +437,15 @@ def coupling_checks(imc):
     # S.2: iota_{rho(a)} R = [U(h a), .]
     U = {i: imc.U_of_h(A.basis(i)) for i in range(1, r + 1)}
     R = conn.curvature_R()
-    ok = True
-    for i in range(1, r + 1):
-        lhs = R.iota(A.rho_basis(i))
-        rhs = ideal.ad_endform(U[i])
-        if lhs != rhs:
-            ok = False
-    report.record("S.2 curvature vs U", ok)
+    report.record("S.2 curvature vs U", all(
+        R.iota(A.rho_basis(i)) == ideal.ad_endform(U[i]) for i in range(1, r + 1)))
 
     # S.3: U(h[a,b]) = L_{rho a} U(h b) - L_{rho b} U(h a) + nabla(U(h a)(rho b))
-    ok = True
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            if i == j:
-                continue
-            w = A.bracket_basis(i, j)
-            lhs = imc.U_of_h(w)
-            ua, ub = U[i], U[j]
-            rhs = conn.lie_nabla(A.rho_basis(i), ub) \
-                - conn.lie_nabla(A.rho_basis(j), ua) \
-                + conn.dnabla(ua.iota(A.rho_basis(j)))
-            if lhs != rhs:
-                ok = False
-    report.record("S.3 U on brackets", ok)
+    report.record("S.3 U on brackets", all(
+        imc.U_of_h(A.bracket_basis(i, j))
+        == conn.lie_nabla(A.rho_basis(i), U[j]) - conn.lie_nabla(A.rho_basis(j), U[i])
+        + conn.dnabla(U[i].iota(A.rho_basis(j)))
+        for i, j in itertools.permutations(range(1, r + 1), 2)))
 
     # nabla_{rho(a)} xi = [h(a), xi]
     report.record("orbit connection identity",
@@ -574,11 +548,8 @@ def curving_suite(imc, F, gamma=None):
     omega = curvature(imc)
     report.record("delta0(F) == curvature", delta(A, rep, F) == omega)
     report.record("R == -ad(F)", conn.curvature_R() == -ideal.ad_endform(F))
-    ok = True
-    for i in range(1, A.rank + 1):
-        if imc.U_of_h(A.basis(i)) != -F.iota(A.rho_basis(i)):
-            ok = False
-    report.record("U == -iota_rho(F)", ok)
+    report.record("U == -iota_rho(F)", all(
+        imc.U_of_h(A.basis(i)) == -F.iota(A.rho_basis(i)) for i in range(1, A.rank + 1)))
     G = conn.dnabla(F)
     report.record("delta0(G) == 0", delta(A, rep, G).is_zero)
     report.record("dnabla(G) == 0", conn.dnabla(G).is_zero)
@@ -654,9 +625,7 @@ def _ad_solve(ideal, D):
 def unique_curving(imc):
     """The unique curving of an IM connection with semisimple fibre, solved
     from R = -ad(F); uniqueness holds because ad has trivial kernel."""
-    R = imc.coupling_connection().curvature_R()
-    F = ad_inverse(imc.ideal, R)
-    return F
+    return ad_inverse(imc.ideal, imc.coupling_connection().curvature_R())
 
 
 def primitive_from_pair(A, ideal, vsecs, conn):

@@ -19,9 +19,12 @@ which fills the first antisymmetric slot by the Leibniz identity
 and signs level k by (-1)^k, so c_k(a_1..a_s || .) is (-1)^(k s) times
 the level-k row of iota_{a_s} ... iota_{a_1} c; it is C^infty-multilinear
 in the symmetric arguments, which ``WeilCochain.insert`` fills one at a
-time. A form with k open symmetric slots is such a row, the cells
-(k, (), J) of a W^{k,q} cochain. Any table respecting the symmetry constraints
-is accepted; evaluation-order consistency is a tested property. A
+time. ``_fill_into`` is the one symmetric-slot fill: ``insert``, the
+Leibniz term of ``_contract`` and the pairing ``ideals.wedgedot`` fill a
+slot with a section, with d alpha and with an ideal-valued form. A form
+with k open symmetric slots is such a row, the cells (k, (), J) of a
+W^{k,q} cochain. Any table respecting the symmetry constraints is
+accepted; evaluation-order consistency is a tested property. A
 W(A; End V) cochain, such as the invariance pair, has End(V)-valued forms
 as values, and ``wedge_Ttheta`` acts with its cells through ``_act_into``.
 
@@ -37,7 +40,7 @@ from fractions import Fraction
 
 from . import _linsolve
 from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
-                        _lie_into, _terms, check_section, d_scalar, sort_sign,
+                        _lie_into, _terms, check_section, sort_sign,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
@@ -122,9 +125,7 @@ class WeilCochain(SparseTable):
         A = self.A
         check_section(section, A.rank, A.nvars)
         acc = {}
-        for (k, I, J), v in self.comps.items():
-            for j, rest, _ in symmetric_slots(J):
-                _add_into(acc, (k - 1, I, rest), _terms(v.comps), section.get(j, ()))
+        _fill_into(acc, self.comps, section)
         return _cochain(A, self.rank, self.p - 1, self.q - 1, acc)
 
     # -- access --------------------------------------------------------------
@@ -185,16 +186,33 @@ def _cochain(A, rank, p, q, acc):
     return c
 
 
+def _fill_into(acc, comps, w, level_sign=False):
+    """Fill one symmetric slot with the A-valued form w, given the cells
+    ``comps`` of a cochain: a cell (k, I, J) with value v adds w^j ^ v to
+    (k - 1, I, J - j), once for each distinct j in J, signed by (-1)^(k-1)
+    of the output level with ``level_sign``."""
+    rows = {}
+    for (j, idx), f in w.comps.items():
+        rows.setdefault(j, []).append((idx, f))
+    for (k, I, J), v in comps.items():
+        # a cell's term-dict table is built only where w fills one of its slots
+        slots = [(rest, rows[j]) for j, rest, _ in symmetric_slots(J) if j in rows]
+        if slots:
+            table, scale = _terms(v.comps), -1 if level_sign and k % 2 == 0 else 1
+            for rest, entries in slots:
+                for idx, f in entries:
+                    _add_into(acc, (k - 1, I, rest), table, f, scale, idx)
+
+
 def _contract(c, alpha):
     """The contraction iota_alpha: W^{p,q} -> W^{p-1,q}. It fills the first
     antisymmetric slot with the section alpha and signs level k by (-1)^k:
     a cell (k, I, J) with value v sends (-1)^(k+t) alpha^i v to
-    (k, I - i, J) for i = I[t], and, for each distinct i in J with
-    alpha^i not constant, (-1)^(k-1) d(alpha^i) ^ v to (k - 1, I, J - i)."""
+    (k, I - i, J) for i = I[t], and its Leibniz term fills a symmetric slot
+    with d alpha, signed by the output level."""
     A = c.A
     check_section(alpha, A.rank, A.nvars)
     coefs = {i: ai for (i, _), ai in alpha.comps.items()}
-    dcoefs = {i: d_scalar(ai, A.nvars).comps for i, ai in coefs.items() if not ai.is_constant}
     acc = {}
     for (k, I, J), v in c.comps.items():
         table = _terms(v.comps)
@@ -202,9 +220,7 @@ def _contract(c, alpha):
             ai = coefs.get(i)
             if ai is not None:
                 _add_into(acc, (k, I[:t] + I[t + 1:], J), table, ai, -1 if (k + t) % 2 else 1)
-        for i, rest, _ in symmetric_slots(J):
-            for (_, idx), f in dcoefs.get(i, {}).items():
-                _add_into(acc, (k - 1, I, rest), table, f, 1 if k % 2 else -1, idx)
+    _fill_into(acc, c.comps, alpha.d(), level_sign=True)
     return _cochain(A, c.rank, c.p - 1, c.q, acc)
 
 

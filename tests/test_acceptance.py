@@ -20,13 +20,13 @@ from weilcalc import (Dhor, LinearConnection, Poly, Section, VForm,
                       invariance_form, is_A_invariant, is_horizontal,
                       obstruction_cocycle, solve_coboundary,
                       unique_curving, validate_algebroid,
-                      wedge_Ttheta, wedgedot, wedgedot_multi)
-from weilcalc.algebroid import scalar_wedge
-from weilcalc.connections import lieA_derivative, lieA_vform
-from weilcalc.fixtures import (random_cochain, random_endform, random_poly,
-                               random_section, random_symform, random_vform)
+                      wedge_Ttheta, wedgedot)
+from weilcalc.connections import lieA_derivative
+from weilcalc.fixtures import random_cochain, random_poly, random_vform
 from weilcalc.weil import eval_row
 
+from helpers import (lieA_vform, random_endform, random_section, random_symform, scalar_wedge,
+                     wedgedot_multi)
 from test_algebroid import end_form
 from test_ideals import row_iota
 

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from weilcalc import (AlgebroidPresentation, Poly, Section, StructureError, VForm,
-                      WeilCochain, act, bracket, compose, scalar_wedge, validate_algebroid)
-from weilcalc.algebroid import d_scalar, end_index
-from weilcalc.fixtures import random_poly, random_section, random_vform
+                      WeilCochain, act, bracket, compose, validate_algebroid)
+from weilcalc.algebroid import d_scalar, end_index, sort_sign
+from weilcalc.fixtures import random_poly, random_vform
+
+from helpers import random_section, scalar_wedge
 
 
 def end_form(nvars, m, degree, entries):
@@ -238,3 +241,17 @@ def test_frame_sections_are_cached_units(fix, request):
     for i in range(1, A.rank + 1):
         assert A.basis(i) == Section(A.nvars, [Poly.const(A.nvars, 1 if t == i else 0)
                                                for t in range(1, A.rank + 1)])
+
+
+def test_sort_sign_is_the_permutation_signature():
+    # every tuple over 1..6 of length at most 5: a repeat gives the tuple as
+    # it came and sign 0, distinct entries the signature of their ranks
+    Permutation = pytest.importorskip("sympy.combinatorics").Permutation
+    for length in range(6):
+        for idx in itertools.product(range(1, 7), repeat=length):
+            srt = tuple(sorted(idx))
+            if len(set(idx)) < length:
+                assert sort_sign(idx) == (idx, 0)
+            else:
+                sign = Permutation([srt.index(i) for i in idx]).signature()
+                assert sort_sign(idx) == (srt, sign)

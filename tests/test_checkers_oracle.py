@@ -22,10 +22,11 @@ import random
 import pytest
 
 from weilcalc import (AlgebroidPresentation, ARep, VForm, bracket, check_IM, compose,
-                      evaluate, lieA_vform, validate_algebroid, validate_rep)
+                      evaluate, validate_algebroid, validate_rep)
 from weilcalc.fixtures import random_cochain, random_poly
 from weilcalc.weil import eval_row
 
+from helpers import lieA_vform
 from test_algebroid import field_bracket
 
 SEEDS = range(6)

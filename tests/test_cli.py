@@ -217,9 +217,13 @@ def test_cochain_component_key_without_bar_exits_two(f1_path, tmp_path, capsys):
     (["fixture", "--name", "F1_abelian_2d", "--with-cochain=-1,1"], "--with-cochain"),
     (["fixture", "--name", "F1_abelian_2d", "--with-cochain=1,1", "--degree", "-1"],
      "--degree"),
+    # argparse takes -3/4 for an option, so --lambda has no value
+    (["deform", "SPEC", "--with", "0", "--lambda", "-3/4"], "--lambda"),
+    (["delta", "SPEC", "--index", "x"], "--index"),
+    (["curving", "SPEC", "--check"], "--check"),
 ], ids=["lambda_zero_denominator", "lambda_not_rational", "lambda_exponent",
         "obstruction_negative_bound", "curving_negative_bound", "negative_bidegree",
-        "negative_degree"])
+        "negative_degree", "lambda_negative", "index_not_int", "unknown_flag"])
 def test_bad_numeric_flag_is_located(tmp_path, capsys, argv, flag):
     path = tmp_path / "f1c.json"
     invoke(["fixture", "--name", "F1_abelian_2d", "--emit", str(path),
@@ -229,6 +233,25 @@ def test_bad_numeric_flag_is_located(tmp_path, capsys, argv, flag):
     doc = json.loads(out)
     assert doc["status"] == "input_error"
     assert doc["error"]["path"] == flag
+
+
+@pytest.mark.parametrize("argv, where", [
+    ([], "command"),
+    (["frobnicate"], "command"),
+    (["delta"], "spec"),
+    (["deform", "spec.json"], "--with"),
+    (["fixture", "--name", "F9"], "--name"),
+    (["delta", "spec.json", "extra"], "extra"),
+], ids=["no_command", "unknown_command", "missing_spec", "missing_option", "bad_choice",
+        "extra_argument"])
+def test_argument_error_is_located(capsys, argv, where):
+    # argparse rejects these before any spec file is read
+    code, out = invoke(argv, capsys)
+    assert code == 2
+    assert out == dumps_canonical(json.loads(out))
+    doc = json.loads(out)
+    assert doc["status"] == "input_error"
+    assert doc["error"]["path"] == where
 
 
 def test_delta_and_dhor_on_embedded_cochain(tmp_path, capsys):

@@ -31,11 +31,12 @@ import random
 import pytest
 
 from weilcalc import (ARep, LinearConnection, VForm, WeilCochain, act, build_fixture,
-                      deform, delta, hstar, invariance_form, wedgedot_multi)
+                      deform, delta, hstar, invariance_form)
 from weilcalc.algebroid import sort_sign, symmetric_slots
 from weilcalc.fixtures import FIXTURE_NAMES, random_cochain, random_poly, random_vform
 from weilcalc.weil import dnabla_cochain, eval_row, frame_rows, wedge_Ttheta
 
+from helpers import wedgedot_multi
 from test_delta_oracle import BIDEGREES, CASES, _one_cells, build_case
 from test_ideals import build_affine_coupled
 

@@ -7,13 +7,14 @@ import pytest
 from weilcalc import (AlgebroidPresentation, ARep, LinearConnection, Poly, StructureError,
                       VForm, WeilCochain, act, ad_inverse, compose, induced_end_connection,
                       induced_end_rep, invariance_form, is_A_invariant, lieA_derivative,
-                      lieA_vform, validate_rep)
+                      validate_rep)
 from weilcalc.algebroid import Section, bracket
 from weilcalc.polyring import default_names
 from weilcalc.specfile import connection_from_dict, connection_to_dict, dumps_canonical
-from weilcalc.fixtures import (random_endform, random_poly, random_section,
-                               random_symform, random_vform)
+from weilcalc.fixtures import random_poly, random_vform
 
+from helpers import (lieA_vform, random_endform, random_section, random_symform,
+                     scalar_wedge)
 from test_algebroid import apply_field, end_form
 
 
@@ -122,7 +123,6 @@ def test_end_valued_operations_reject_a_form_of_the_wrong_rank(f2, name):
 
 
 def test_dnabla_graded_leibniz_over_scalars(f2):
-    from weilcalc import scalar_wedge
     conn = f2.conn
     s = rvf(3, 1)
     w = random_vform(random.Random("gl"), 2, 3, 1, 1)

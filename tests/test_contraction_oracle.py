@@ -2,7 +2,7 @@
 references they replaced.
 
 ``weil.eval_row`` reads the level-k row of iterated contractions
-iota_alpha, and ``connections.lieA_vform`` and ``lieA_derivative`` are the
+iota_alpha, and ``helpers.lieA_vform`` and ``connections.lieA_derivative`` are the
 Cartan formula L_alpha = iota_alpha delta + delta iota_alpha on W. The
 references are the forms they replaced: the recursive Leibniz expansion
 of the antisymmetric arguments (below), and the Lie derivative of values
@@ -26,11 +26,12 @@ import random
 import pytest
 
 from weilcalc import VForm, WeilCochain
-from weilcalc.algebroid import d_scalar, scalar_wedge, sorted_multisets
-from weilcalc.connections import lieA_derivative, lieA_vform
-from weilcalc.fixtures import random_cochain, random_section, random_vform
+from weilcalc.algebroid import d_scalar, sorted_multisets
+from weilcalc.connections import lieA_derivative
+from weilcalc.fixtures import random_cochain, random_vform
 from weilcalc.weil import eval_row, evaluate
 
+from helpers import lieA_vform, random_section, scalar_wedge
 from test_delta_oracle import CASES, build_case, lieA_derivative_ref, lieA_vform_ref
 
 

@@ -5,8 +5,8 @@ output cells it reaches. The reference below is the row-driven form it
 replaced: it loops over every output row (k, I, J) of W^{p+1,q} and reads
 the input there through the Lie derivative of symmetric-slot forms, the
 bracket insertions and the slot interior products. The Lie derivatives
-are the slot-by-slot forms that ``connections.lieA_vform`` and
-``lieA_derivative`` replaced (those now read ``delta``), on top of the
+are the slot-by-slot forms that ``lieA_vform`` (now in ``helpers``) and
+``connections.lieA_derivative`` replaced (those now read ``delta``), on top of the
 chain-rule Lie derivative of forms ``_lie`` that ``VForm.lie`` replaced
 (that one now shares delta's Lie cell map); the rows and the
 bracket insertions are read with ``weil.eval_row``, which contracts and

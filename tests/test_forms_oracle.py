@@ -16,8 +16,10 @@ import pytest
 
 from weilcalc import (AlgebroidPresentation, IdealBundle, LinearConnection, Poly, Section,
                       VForm, WeilCochain, bracket_of_forms, build_fixture, compose,
-                      invariance_form, lieA_vform, scalar_wedge, wedgedot)
+                      invariance_form, wedgedot)
 from weilcalc.ideals import _bracket_failure
+
+from helpers import lieA_vform, scalar_wedge
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")

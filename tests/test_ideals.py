@@ -13,14 +13,14 @@ from weilcalc import (AlgebroidPresentation, ContractError, Dhor, IdealBundle,
                       frame_splitting, hstar, invariance_form, is_horizontal,
                       obstruction_cocycle, primitive_from_pair,
                       solve_coboundary, splitting_cochain, splitting_curvature,
-                      unique_curving, validate_algebroid, wedgedot,
-                      wedgedot_multi)
-from weilcalc.algebroid import scalar_wedge, sort_sign
-from weilcalc.connections import lieA_derivative, lieA_vform
-from weilcalc.fixtures import (random_cochain, random_poly, random_section,
-                               random_symform, random_vform)
+                      unique_curving, validate_algebroid, wedgedot)
+from weilcalc.algebroid import sort_sign
+from weilcalc.connections import lieA_derivative
+from weilcalc.fixtures import random_cochain, random_poly, random_vform
 from weilcalc.weil import eval_row
 
+from helpers import (lieA_vform, random_section, random_symform, scalar_wedge,
+                     wedgedot_multi)
 from test_algebroid import end_form
 from test_semisimple_oracle import ALGEBRAS, fibre_bundle
 
@@ -749,7 +749,8 @@ def _non_preserving_connection():
 def test_coupling_checks_catch_non_preserving_connection(f2):
     # F2's splitting cochain rebuilt with that connection and F2's U
     U = {i: -f2.curving.iota(f2.A.rho_basis(i)) for i in (1, 2)}
-    cv = splitting_cochain(f2.A, f2.ideal, f2.vsecs, _non_preserving_connection(), U)
+    cv = splitting_cochain(f2.A, f2.ideal, frame_splitting(f2.ideal),
+                           _non_preserving_connection(), U)
     from weilcalc.ideals import IMConnection
     report = coupling_checks(IMConnection(f2.ideal, cv, validate=False))
     assert [label for label, _ in report.failures] == [
@@ -994,7 +995,7 @@ def test_primitive_from_pair_rejects_bad_connection(f2):
 
 def test_abelian_checks_pass(f1, f3):
     for fix in (f1, f3):
-        report = abelian_primitive_check(fix.A, fix.ideal, fix.vsecs,
+        report = abelian_primitive_check(fix.A, fix.ideal, frame_splitting(fix.ideal),
                                          fix.conn, fix.curving)
         assert report.passed, report.failures
 
@@ -1002,24 +1003,24 @@ def test_abelian_checks_pass(f1, f3):
 def test_abelian_check_detects_curved_connection(f1):
     x = Poly.var(2, 0)
     conn = LinearConnection(2, 1, {(2, 1, 1): x})   # d + x dy, R != 0
-    report = abelian_primitive_check(f1.A, f1.ideal, f1.vsecs, conn, f1.curving)
+    report = abelian_primitive_check(f1.A, f1.ideal, frame_splitting(f1.ideal), conn, f1.curving)
     assert not report.passed
     assert any("flat" in label for label, _ in report.failures)
 
 
 def test_abelian_check_detects_a_flat_connection_off_the_quotient_action(f1):
     conn = LinearConnection(2, 1, {(1, 1, 1): Poly.const(2, 1)})   # d + dx, flat
-    report = abelian_primitive_check(f1.A, f1.ideal, f1.vsecs, conn, f1.curving)
+    report = abelian_primitive_check(f1.A, f1.ideal, frame_splitting(f1.ideal), conn, f1.curving)
     assert [label for label, _ in report.failures] == ["nabla induces the quotient action"]
 
 
 def test_abelian_check_rejects_nonabelian(f2):
     with pytest.raises(ContractError):
-        abelian_primitive_check(f2.A, f2.ideal, f2.vsecs, f2.conn, f2.curving)
+        abelian_primitive_check(f2.A, f2.ideal, frame_splitting(f2.ideal), f2.conn, f2.curving)
 
 
 def test_splitting_curvature_matches_pullback(f1):
-    fv = splitting_curvature(f1.A, f1.ideal, f1.vsecs)
+    fv = splitting_curvature(f1.A, f1.ideal, frame_splitting(f1.ideal))
     x = Poly.var(2, 0)
     assert fv[(1, 2)] == Section(2, [x])   # sigma[b1,b2] - [sigma b1, sigma b2] = x e
 

@@ -13,12 +13,13 @@ import pytest
 
 from weilcalc import (Dhor, Poly, Section, VForm, WeilCochain, act, bracket_of_forms,
                       build_fixture, compose, delta, dnabla_cochain, hstar, invariance_form,
-                      scalar_wedge, wedge_Ttheta)
+                      wedge_Ttheta)
 from weilcalc.errors import StructureError
-from weilcalc.fixtures import (random_cochain, random_endform, random_poly, random_section,
-                               random_vform)
+from weilcalc.fixtures import random_cochain, random_poly, random_vform
 from weilcalc.polyring import MAX_DEGREE
 from weilcalc.weil import _contract
+
+from helpers import random_endform, random_section, scalar_wedge
 
 
 @pytest.fixture(scope="module")

@@ -6,13 +6,13 @@ from weilcalc import (AlgebroidPresentation, ARep, ContractError, IdealBundle,
                       LinearConnection, Poly, Section, StructureError, VForm,
                       WeilCochain, bounded_kernel, bracket, check_IM, delta,
                       dnabla_cochain, evaluate, induced_end_rep, invariance_form,
-                      is_A_invariant, scalar_wedge, solve_coboundary,
+                      is_A_invariant, solve_coboundary,
                       validate_algebroid, validate_rep, wedge_Ttheta)
 from weilcalc.algebroid import d_scalar
-from weilcalc.connections import lieA_vform
-from weilcalc.fixtures import random_cochain, random_endform, random_poly, random_section
+from weilcalc.fixtures import random_cochain, random_poly
 from weilcalc.weil import monomials_upto
 
+from helpers import lieA_vform, random_endform, random_section, scalar_wedge
 from test_connections import random_christoffel
 
 
