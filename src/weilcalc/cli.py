@@ -136,7 +136,7 @@ def cmd_deform(spec, args):
     if args.with_index is None or not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
     if not 0 <= args.with_index < len(spec.cochains):
-        raise SpecError("cochains", f"--with index {args.with_index} out of range")
+        raise SpecError("--with", f"--with index {args.with_index} out of range")
     L = spec.cochains[args.with_index]
     try:
         imc2 = deform(imc, L, args.lam)
@@ -248,7 +248,7 @@ def _selected(spec, args):
     if idx is None:
         return spec.cochains
     if not 0 <= idx < len(spec.cochains):
-        raise SpecError("cochains", f"--index {idx} out of range")
+        raise SpecError("--index", f"--index {idx} out of range")
     return [spec.cochains[idx]]
 
 

@@ -35,7 +35,6 @@ of a representation are delta^2 = 0, the IM conditions are delta c = 0.
 import bisect
 import functools
 import itertools
-import operator
 from fractions import Fraction
 
 from . import _linsolve
@@ -53,11 +52,11 @@ def increasing_tuples(r, length):
 
 
 def monomials_upto(nvars, bound):
-    out = []
-    for exps in itertools.product(range(bound + 1), repeat=nvars):
-        if sum(exps) <= bound:
-            out.append(exps)
-    return sorted(out)
+    """The exponent tuples of total degree <= bound, in increasing order."""
+    out = [()] if bound >= 0 else []
+    for _ in range(nvars):
+        out = [exps + (e,) for exps in out for e in range(bound + 1 - sum(exps))]
+    return out
 
 
 def frame_rows(A, p, q):
@@ -492,11 +491,18 @@ def _flatten(c, rows):
     return flat
 
 
-def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
+def _heads(A, rank, p, q, horizontal_ideal):
+    """The frame heads of the unknowns of W^{p,q}, in ``frame_rows`` order;
+    with ``horizontal_ideal``, only those whose symmetric slots carry no
+    ideal index at a correction level."""
     forbidden = set(horizontal_ideal.indices) if horizontal_ideal is not None else set()
+    return [head for head in _frame_heads(A, rank, p, q)
+            if not (head[0] and forbidden.intersection(head[2]))]
+
+
+def _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal=None):
     tails = [(exps,) for exps in monomials_upto(A.nvars, degree_bound)]
-    return [head + tail for head in _frame_heads(A, rank, p, q)
-            if not (head[0] and forbidden.intersection(head[2])) for tail in tails]
+    return [head + tail for head in _heads(A, rank, p, q, horizontal_ideal) for tail in tails]
 
 
 def _cell_cochain(A, rank, p, q, cell):
@@ -529,69 +535,148 @@ def _symbols(A, head, rows):
     return out
 
 
-def _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal):
-    """The unknown cells of W^{p,q}, the flattened delta of each, and the
-    rows of W^{p+1,q} that key them.
+def _frames(A, rep, p, q, heads, degree_bound):
+    """The solver's memo for W^{p,q} over ``rep``, filled for ``heads``, and
+    the shifts of the bound: (rows, frames, reach, shifts).
 
     delta is first order in the coefficients, so by the Leibniz rule
 
         delta(x^alpha e) = x^alpha delta(e) + sum_a alpha_a x^(alpha - eps_a) S_a(e)
 
     for a frame cell e: one delta per frame cell, and the symbols S_a read
-    off the anchor. Neither depends on the degree bound, so each frame
-    cell's flattened delta, its top monomial key and its symbols are kept
-    in ``A.frame_memo`` for (p, q) and ``rep``, with the rows
-    (``_row_index``); delta runs only for a frame cell the memo lacks. A
-    row key holds the monomial key in its low bits, so x^beta shifts a
-    flattened cochain by adding key(beta) to every key; a shift past
+    off the anchor. Neither depends on the degree bound, so ``frames``
+    keeps, per frame head, the flattened delta, the symbols, and the top
+    monomial key of each, keyed by the rows of W^{p+1,q} (``_row_index``);
+    delta runs only for a frame cell the memo lacks. ``reach`` is the
+    inverse: for each row head index, the (frame head, offset) pairs of
+    the frame and symbol entries on it, such that the column of x^alpha e
+    can reach the row with monomial key m only where key(alpha) =
+    m - offset. It does not depend on the bound either. ``shifts`` maps
+    each alpha of degree <= bound, in ``monomials_upto`` order, to
+    key(alpha), the sum of alpha_a key(eps_a).
+
+    A row key holds the monomial key in its low bits, so x^beta shifts a
+    flattened cochain by adding key(beta) to every key. A shift past
     MAX_DEGREE raises StructureError, as delta does, before any monomial
-    field carries into the frame head above it. Cells come grouped by frame
-    cell, monomials innermost.
+    field carries into the frame head above it: checked here for every
+    head and every alpha within the bound, so that whole systems and
+    blocks raise alike.
     """
-    rank = rep.rank
-    cells = _unknown_cells(A, rank, p, q, degree_bound, horizontal_ideal)
-    rows, frames = A.frame_memo(p, q, rep, lambda: (_row_index(A, rank, p + 1, q), {}))
-    key, width = key_layout(A.nvars)
+    rank, n = rep.rank, A.nvars
+    rows, frames, reach = A.frame_memo(
+        p, q, rep, lambda: (_row_index(A, rank, p + 1, q), {}, {}))
+    key, width = key_layout(n)
     limit = 1 << width
     low = limit - 1
-    shifts = {alpha: key(alpha) for alpha in {cell[5] for cell in cells}}
-    units = [key(tuple(int(a == b) for b in range(A.nvars))) for a in range(A.nvars)]
-    columns = []
-    origin = (0,) * A.nvars
-    for head, group in itertools.groupby(cells, key=operator.itemgetter(slice(5))):
+    units = [key(tuple(int(a == b) for b in range(n))) for a in range(n)]
+    shifts = {alpha: sum(e * u for e, u in zip(alpha, units))
+              for alpha in monomials_upto(n, degree_bound)}
+    # a frame shifts by key(alpha); a symbol S_a, where alpha_a >= 1, by
+    # key(alpha) - key(eps_a), the key of a monomial of degree < bound
+    top_shift = max(shifts.values(), default=0)
+    sym_shift = max((s for alpha, s in shifts.items() if sum(alpha) < degree_bound),
+                    default=None)
+    origin = (0,) * n
+    for head in heads:
         memo = frames.get(head)
         if memo is None:
             frame = _flatten(delta(A, rep, _cell_cochain(A, rank, p, q, head + (origin,))), rows)
-            memo = frames[head] = frame, max((r & low for r in frame), default=0), [
-                (a, units[a], max(r & low for r in sym), sym)
-                for a, sym in enumerate(_symbols(A, head, rows)) if sym]
-        frame, top, symbols = memo
-        for cell in group:
-            alpha = cell[5]
-            s = shifts[alpha]
-            if top + s >= limit:
-                raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
-            col = {r + s: v for r, v in frame.items()}
-            for a, unit, sym_top, sym in symbols:
-                scale = alpha[a]
-                if not scale:
-                    continue
-                t = s - unit
-                if sym_top + t >= limit:
-                    raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
-                for r, v in sym.items():
-                    r += t
-                    cur = col.get(r)
-                    if cur is None:
-                        col[r] = scale * v
-                        continue
-                    cur += scale * v
-                    if cur:
-                        col[r] = cur
-                    else:
-                        del col[r]
-            columns.append(col)
-    return cells, columns, rows
+            symbols = [(a, units[a], sym)
+                       for a, sym in enumerate(_symbols(A, head, rows)) if sym]
+            memo = frames[head] = (frame, max((r & low for r in frame), default=0),
+                                   max((r & low for _, _, sym in symbols for r in sym), default=0),
+                                   symbols)
+            for r in frame:
+                reach.setdefault(r >> width, []).append((head, r & low))
+            for _, unit, sym in symbols:
+                for r in sym:
+                    reach.setdefault(r >> width, []).append((head, (r & low) - unit))
+        _, top, sym_top, _ = memo
+        if top + top_shift >= limit or sym_shift is not None and sym_top + sym_shift >= limit:
+            raise StructureError(f"product degree exceeds the limit {MAX_DEGREE}")
+    return rows, frames, reach, shifts
+
+
+def _column(memo, alpha, shift):
+    """The flattened delta of x^alpha e from the memo of the frame cell e:
+    its frame shifted by ``shift`` = key(alpha), plus alpha_a S_a(e) shifted
+    by key(alpha) - key(eps_a), deleting a cancelled entry in place."""
+    frame, _, _, symbols = memo
+    col = {r + shift: v for r, v in frame.items()}
+    for a, unit, sym in symbols:
+        scale = alpha[a]
+        if not scale:
+            continue
+        t = shift - unit
+        for r, v in sym.items():
+            r += t
+            cur = col.get(r)
+            if cur is None:
+                col[r] = scale * v
+                continue
+            cur += scale * v
+            if cur:
+                col[r] = cur
+            else:
+                del col[r]
+    return col
+
+
+def _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal):
+    """The unknown cells of W^{p,q}, the flattened delta of each (built by
+    ``_column`` from the memo of ``_frames``), and the rows of W^{p+1,q}
+    that key them: the whole bounded-degree system, which a kernel needs.
+
+    A solve needs only the target's block (``_target_block``): the blocks
+    of this system, the connected components of its row-column graph,
+    have disjoint row supports, so its greedy pivots are the union of each
+    block's, and the solution with the free variables at zero vanishes on
+    every block the target does not reach. Cells come grouped by frame
+    cell, monomials innermost.
+    """
+    cells = _unknown_cells(A, rep.rank, p, q, degree_bound, horizontal_ideal)
+    heads = dict.fromkeys(cell[:5] for cell in cells)
+    rows, frames, _, shifts = _frames(A, rep, p, q, heads, degree_bound)
+    return cells, [_column(frames[cell[:5]], cell[5], shifts[cell[5]]) for cell in cells], rows
+
+
+def _target_block(A, rep, target, degree_bound, horizontal_ideal):
+    """The block of the bounded-degree system of W^{p,q}, p + 1 = target.p,
+    that the target reaches: its cells in ``_unknown_cells`` order (the
+    greedy pivot choice depends on the column order), their columns, and
+    the flattened target.
+
+    The search starts from the target's rows. For each reached row it
+    finds, through ``reach``, every cell within the bound and the
+    horizontal filter whose column can touch it, builds that column and
+    pushes its rows. A candidate whose column misses the row only brings in
+    its own whole block, so the result is a union of whole blocks, and
+    ``solve_sparse`` on it gives the solution and the verdict of the whole
+    system.
+    """
+    p, q = target.p - 1, target.q
+    heads = _heads(A, rep.rank, p, q, horizontal_ideal)
+    rows, frames, reach, shifts = _frames(A, rep, p, q, heads, degree_bound)
+    rhs = _flatten(target, rows)
+    width = key_layout(A.nvars)[1]
+    low = (1 << width) - 1
+    alphas = {s: alpha for alpha, s in shifts.items()}
+    order = {head: i for i, head in enumerate(heads)}
+    found, seen, stack = {}, set(rhs), list(rhs)
+    while stack:
+        r = stack.pop()
+        m = r & low
+        for head, offset in reach.get(r >> width, ()):
+            alpha = alphas.get(m - offset)
+            if alpha is None or head not in order or (cell := head + (alpha,)) in found:
+                continue
+            col = found[cell] = _column(frames[head], alpha, m - offset)
+            for row in col:
+                if row not in seen:
+                    seen.add(row)
+                    stack.append(row)
+    cells = sorted(found, key=lambda cell: (order[cell[:5]], cell[5]))
+    return cells, [found[cell] for cell in cells], rhs
 
 
 def _assemble(A, rank, p, q, cells, vectors):
@@ -640,17 +725,23 @@ def solve_coboundary(A, rep, target, degree_bound, horizontal_ideal=None):
 
 
 def _solve(A, rep, target, degree_bound, horizontal_ideal=None):
-    """``solve_coboundary`` for a target known to be a delta-cocycle."""
+    """``solve_coboundary`` for a target known to be a delta-cocycle.
+
+    It eliminates only the target's block of the bounded-degree system
+    (``_target_block``). Blocks have disjoint row supports, so the greedy
+    pivot set of the whole system is the union of the blocks' pivot sets,
+    and with the free variables at zero the solution vanishes on every
+    block the target does not reach: the solution and the infeasible
+    verdict are those of the whole system."""
     if target.p == 0:
         raise ContractError("no level below a level-0 cochain")
     if target.rank != rep.rank:
         raise StructureError("representation does not match cochain")
-    p, q = target.p - 1, target.q
-    cells, columns, rows = _delta_columns(A, rep, p, q, degree_bound, horizontal_ideal)
-    x = _linsolve.solve_sparse(columns, _flatten(target, rows))
+    cells, columns, rhs = _target_block(A, rep, target, degree_bound, horizontal_ideal)
+    x = _linsolve.solve_sparse(columns, rhs)
     if x is None:
         return None
-    out, = _assemble(A, target.rank, p, q, cells, [x])
+    out, = _assemble(A, target.rank, target.p - 1, target.q, cells, [x])
     if delta(A, rep, out) != target:
         raise ContractError("solve_coboundary solution does not satisfy delta b = target")
     return out

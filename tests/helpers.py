@@ -1,13 +1,17 @@
 """Spellings the tests share, each a few lines on the public API of weilcalc.
 
 The seeded draws reproduce the strings the tests have always seeded with,
-so every random input is the one it was.
+so every random input is the one it was. ``whole_solution`` and
+``block_ref`` are the solver's references: the solve over the whole
+bounded-degree system that ``weil._solve`` ran before it searched out the
+target's block, and that block found from the whole system's columns.
 """
 
 import itertools
 import random
 
-from weilcalc import VForm, WeilCochain, act, delta, evaluate, wedgedot
+from weilcalc import VForm, WeilCochain, act, delta, evaluate, wedgedot, weil
+from weilcalc._linsolve import solve_sparse
 from weilcalc.algebroid import end_index
 from weilcalc.fixtures import random_vform
 
@@ -53,3 +57,31 @@ def random_symform(fix, arity, degree, seed, bound=1):
     return WeilCochain(A, m, arity, arity + degree, {
         (arity, (), J): random_vform(rng, A.nvars, m, degree, bound)
         for J in itertools.combinations_with_replacement(range(1, A.rank + 1), arity)})
+
+
+def whole_solution(A, rep, target, bound, horizontal_ideal=None):
+    """The solution of delta b = target over every column of
+    ``_delta_columns``, as {cell: value} in the order back substitution
+    writes it, or None when the bounded-degree system is infeasible."""
+    cells, columns, rows = weil._delta_columns(A, rep, target.p - 1, target.q, bound,
+                                               horizontal_ideal)
+    x = solve_sparse(columns, weil._flatten(target, rows))
+    return None if x is None else {cells[i]: v for i, v in x.items()}
+
+
+def block_ref(columns, rhs):
+    """The sorted indices of the columns in the connected components of the
+    row-column graph of ``columns`` that the rows of ``rhs`` reach."""
+    touching = {}
+    for j, col in enumerate(columns):
+        for row in col:
+            touching.setdefault(row, []).append(j)
+    found, seen, stack = set(), set(rhs), list(rhs)
+    while stack:
+        for j in touching.get(stack.pop(), ()):
+            if j not in found:
+                found.add(j)
+                new = set(columns[j]) - seen
+                seen |= new
+                stack.extend(new)
+    return sorted(found)

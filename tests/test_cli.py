@@ -357,8 +357,27 @@ def test_index_selects_one_cochain(tmp_path, capsys):
     code, out = invoke(["delta", str(path), "--index", "0"], capsys)
     assert code == 0
     assert len(json.loads(out)["delta"]) == 1
-    code, out = invoke(["delta", str(path), "--index", "3"], capsys)
+    for index in ("3", "-1"):
+        code, out = invoke(["delta", str(path), "--index", index], capsys)
+        assert code == 2
+        # the error names the flag that carries the bad value
+        assert json.loads(out)["error"] == {"path": "--index",
+                                            "reason": f"--index {index} out of range"}
+
+
+def test_deform_with_out_of_range_is_located(f1_path, tmp_path, capsys):
+    path = tmp_path / "f1c.json"
+    invoke(["fixture", "--name", "F1_abelian_2d", "--emit", str(path),
+            "--with-cochain", "1,1"], capsys)
+    code, out = invoke(["deform", str(path), "--with", "5", "--lambda", "1"], capsys)
     assert code == 2
+    assert json.loads(out)["error"] == {"path": "--with",
+                                        "reason": "--with index 5 out of range"}
+    # a spec without cochains is located at its cochains
+    code, out = invoke(["delta", str(f1_path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": "cochains",
+                                        "reason": "command needs at least one cochain"}
 
 
 def test_console_entry_point(f1_path):

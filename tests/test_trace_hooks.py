@@ -16,6 +16,8 @@ from weilcalc.fixtures import random_cochain
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench.tracing import _FUNCTIONS, Tracer  # noqa: E402
 
+from helpers import block_ref  # noqa: E402
+
 
 def test_tracer_targets_resolve():
     # install looks each (module, attribute) up in turn, so a function that
@@ -47,7 +49,9 @@ def test_tracer_counts_constructors_and_uninstalls():
 
 def test_tracer_counts_the_solver_system():
     # the benchmark's _linsolve spans and row/nonzero counts read the
-    # columns and rhs that weil hands to _eliminate
+    # columns and rhs that weil hands to _eliminate: for the solve, the
+    # block of the system that the target reaches; for the kernel, the
+    # whole system
     fix = build_fixture("F0_so3")
     A, rep = fix.A, fix.rep
     w = WeilCochain.from_vform(A, VForm(0, 3, 0, {(1, ()): Poly.const(0, 1)}))
@@ -56,6 +60,10 @@ def test_tracer_counts_the_solver_system():
     col_rows = set().union(*columns)
     nonzeros = sum(len(col) for col in columns)
     assert nonzeros
+    rhs = weil._flatten(target, rows)
+    block = [columns[j] for j in block_ref(columns, rhs)]
+    block_nonzeros = sum(len(col) for col in block)
+    assert 0 < block_nonzeros < nonzeros
     tracer = Tracer()
     try:
         tracer.install()
@@ -67,8 +75,8 @@ def test_tracer_counts_the_solver_system():
         assert tracer.calls("_linsolve.solve") == 2
         assert tracer.calls("_linsolve.eliminate") == 2
         assert tracer.counts["_linsolve.rows"] == (
-            len(col_rows | set(weil._flatten(target, rows))) + len(col_rows))
-        assert tracer.counts["_linsolve.nonzeros"] == 2 * nonzeros
+            len(set(rhs).union(*block)) + len(col_rows))
+        assert tracer.counts["_linsolve.nonzeros"] == block_nonzeros + nonzeros
     finally:
         tracer.uninstall()
 
