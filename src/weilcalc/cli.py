@@ -133,7 +133,7 @@ def cmd_bianchi(spec, args):
 def cmd_deform(spec, args):
     rep = CheckReport("deform")
     imc = _imc(spec)
-    if args.with_index is None or not spec.cochains:
+    if not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
     if not 0 <= args.with_index < len(spec.cochains):
         raise SpecError("--with", f"--with index {args.with_index} out of range")
@@ -263,6 +263,14 @@ class _Parser(argparse.ArgumentParser):
         if head.startswith("argument "):
             raise SpecError(head.removeprefix("argument "), rest)
         raise SpecError((rest.split() or ["command"])[0].rstrip(","), message)
+
+    def _check_value(self, action, value):
+        # one wording on every interpreter: argparse quotes the choices up
+        # to 3.12.1, and 3.13 prints them bare
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
 
 
 def _nonnegative(text):

@@ -21,6 +21,7 @@ graded lexicographic order, so output is canonical.
 
 import functools
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +31,9 @@ _BITS = 16
 _MASK = (1 << _BITS) - 1
 MAX_DEGREE = _MASK
 """Largest total degree of a term (the width of one exponent field)."""
+_MAX_DIGITS = 4300
+"""Longest numeral the textual syntax reads (Python's default limit for
+int conversion): reading a digit string takes time quadratic in its length."""
 
 
 def _pack(nvars, exps):
@@ -296,6 +300,12 @@ def default_names(n):
     return [f"x{i + 1}" for i in range(n)]
 
 
+def _digits(n):
+    """The decimal digits of an int n >= 0 of any length: unlike str(n),
+    Decimal's conversion has no digit limit."""
+    return str(Decimal(n))
+
+
 def poly_to_str(p, names=None):
     """Canonical string form: descending graded lex term order."""
     if not p.terms:
@@ -305,8 +315,8 @@ def poly_to_str(p, names=None):
     for k in sorted(p.terms, reverse=True):
         num, den = p.terms[k]
         mag = []
-        c = abs(num)
-        coeff = str(c) if den == 1 else f"{c}/{den}"
+        c = _digits(abs(num))
+        coeff = c if den == 1 else f"{c}/{_digits(den)}"
         factors = [names[i] + (f"^{e}" if e > 1 else "")
                    for i, e in enumerate(_unpack(p.nvars, k)) if e > 0]
         if not factors:
@@ -362,14 +372,23 @@ def poly_from_str(s, nvars, names=None):
             factor = factor.strip()
             m = _RAT_RE.match(factor)
             if m:
-                den = int(m.group(2) or 1)
+                num, den = m.group(1), m.group(2) or "1"
+                longest = max(len(num.lstrip("-")), len(den))
+                if longest > _MAX_DIGITS:
+                    raise ValueError(f"numeral of {longest} digits exceeds the limit "
+                                     f"of {_MAX_DIGITS} digits")
+                den = int(den)
                 if den == 0:
                     raise ValueError(f"zero denominator in polynomial {s!r}")
-                coeff *= Fraction(int(m.group(1)), den)
+                coeff *= Fraction(int(num), den)
                 continue
             m = _VAR_RE.match(factor)
             if m and m.group(1) in index:
-                exps[index[m.group(1)]] += int(m.group(2) or 1)
+                e = m.group(2) or "1"
+                if len(e) > len(str(MAX_DEGREE)):
+                    raise ValueError(f"exponent of {len(e)} digits exceeds the degree "
+                                     f"limit {MAX_DEGREE}")
+                exps[index[m.group(1)]] += int(e)
                 continue
             raise ValueError(f"unknown factor {factor!r} in polynomial {s!r}")
         key = _pack(nvars, exps)  # a zero term past the degree limit still raises

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,18 @@ def invoke(args, capsys):
     code = main(list(args))
     out = capsys.readouterr().out
     return code, out
+
+
+def _run_cli(argv, *options, **env):
+    """(exit code, stdout) of a child interpreter running the CLI with the
+    given interpreter options and extra environment; the child imports the
+    same weilcalc, installed or not."""
+    src = str(Path(weilcalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    proc = subprocess.run([sys.executable, *options, "-m", "weilcalc.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
 
 
 @pytest.fixture()
@@ -254,6 +268,69 @@ def test_argument_error_is_located(capsys, argv, where):
     assert doc["error"]["path"] == where
 
 
+def _bare_choices(self, action, value):
+    # argparse's own check as 3.13 words it: the choices unquoted
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["this_interpreter", "bare_choices"])
+@pytest.mark.parametrize("argv, where, reason", [
+    (["frobnicate"], "command",
+     "invalid choice: 'frobnicate' (choose from 'validate', 'delta', 'dnabla', 'hproj', "
+     "'dhor', 'curvature', 'bianchi', 'deform', 'obstruction', 'curving', 'fixture')"),
+    (["fixture", "--name", "F9"], "--name",
+     "invalid choice: 'F9' (choose from 'F0_so3', 'F1_abelian_2d', 'F2_semisimple_2d', "
+     "'F3_foliation_4d')"),
+], ids=["unknown_command", "bad_choice"])
+def test_invalid_choice_reason_is_pinned(capsys, monkeypatch, bare, argv, where, reason):
+    # the report quotes the choices whatever the interpreter's argparse prints
+    if bare:
+        monkeypatch.setattr(argparse.ArgumentParser, "_check_value", _bare_choices)
+    code, out = invoke(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": where, "reason": reason}
+
+
+def _one_cochain_spec(path, anchor, entry):
+    """A rank-1 algebroid on a line with one W^{0,0} cochain."""
+    path.write_text(json.dumps({
+        "chart": {"dim": 1},
+        "algebroid": {"rank": 1, "anchor": {"1,1": anchor}},
+        "cochains": [{"p": 0, "q": 0, "bundle_rank": 1,
+                      "tables": {"0": {"|": {"1|": entry}}}}]}))
+    return path
+
+
+def test_coefficients_past_the_int_digits_limit_are_printed(tmp_path):
+    # delta of a 3000-digit cochain has 6000-digit coefficients, past the
+    # 4300 digits that str(int) converts by default
+    sevens = "7" * 3000
+    path = _one_cochain_spec(tmp_path / "big.json", sevens, sevens + "*x1")
+    code, out = _run_cli(["delta", str(path)])
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    assert (code, out) == _run_cli(["delta", str(path)], "-X", "int_max_str_digits=0")
+    assert f'"{Decimal(int(sevens) ** 2)}"' in out
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("x1^" + "1" * 5000, "exponent of 5000 digits exceeds the degree limit 65535"),
+    ("x1^000001", "exponent of 6 digits exceeds the degree limit 65535"),
+    ("7" * 4301 + "*x1", "numeral of 4301 digits exceeds the limit of 4300 digits"),
+    ("1/" + "7" * 5000, "numeral of 5000 digits exceeds the limit of 4300 digits"),
+], ids=["exponent_5000_digits", "exponent_6_digits", "numeral_4301_digits",
+        "denominator_5000_digits"])
+def test_long_numerals_are_input_errors(tmp_path, capsys, entry, reason):
+    # the digit string is measured before it is converted, whatever the
+    # interpreter's int-digits limit
+    path = _one_cochain_spec(tmp_path / "long.json", "1", entry)
+    code, out = invoke(["delta", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": "cochains[0].tables.0.|.1|", "reason": reason}
+    assert _run_cli(["delta", str(path)], "-X", "int_max_str_digits=0") == (code, out)
+
+
 def test_delta_and_dhor_on_embedded_cochain(tmp_path, capsys):
     path = tmp_path / "f2c.json"
     code, _ = invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path),
@@ -381,14 +458,9 @@ def test_deform_with_out_of_range_is_located(f1_path, tmp_path, capsys):
 
 
 def test_console_entry_point(f1_path):
-    # the child imports the same weilcalc, installed or not
-    src = str(Path(weilcalc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "weilcalc.cli", "bianchi",
-                           str(f1_path)], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["status"] == "ok"
+    code, out = _run_cli(["bianchi", str(f1_path)])
+    assert code == 0
+    assert json.loads(out)["status"] == "ok"
 
 
 def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
@@ -398,16 +470,11 @@ def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, capsys):
     code, _ = invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path),
                       "--with-cochain", "1,1"], capsys)
     assert code == 0
-    src = str(Path(weilcalc.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for argv in (["validate"], ["hproj"], ["dhor"], ["obstruction", "--bound", "1"]):
-        runs = [subprocess.run([sys.executable, "-m", "weilcalc.cli", argv[0], str(path)]
-                               + argv[1:], capture_output=True,
-                               env=dict(os.environ, PYTHONPATH=pythonpath,
-                                        PYTHONHASHSEED=seed))
+        runs = [_run_cli([argv[0], str(path), *argv[1:]], PYTHONHASHSEED=seed)
                 for seed in ("0", "3")]
-        assert runs[0].stdout, argv
-        assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout), argv
+        assert runs[0][1], argv
+        assert runs[0] == runs[1], argv
 
 
 def test_validate_checks_a_non_im_cochain_once(tmp_path, capsys, monkeypatch):

@@ -102,9 +102,10 @@ def test_row_order_changes_no_result(data):
 
 
 def test_row_only_the_rhs_touches_ends_elimination_at_once():
+    # the rhs is column 2: row "c" pivots there before any other row is read
     assert _eliminate([{"a": 1, "b": 2}, {"b": 1}], {"a": 1, "c": 3}) == ([], {}, False)
-    # a zero there is consistent
-    assert _eliminate([{"a": 2}], {"a": 2, "c": 0}) == ([0], {0: ({}, 1)}, True)
+    # a zero there is consistent; the pivot row keeps the rhs at column 1
+    assert _eliminate([{"a": 2}], {"a": 2, "c": 0}) == ([0], {0: {1: 1}}, True)
 
 
 def test_empty_and_zero_systems():
@@ -113,6 +114,25 @@ def test_empty_and_zero_systems():
     assert nullspace_sparse([]) == []
     assert nullspace_sparse([{}, {"r": 0}]) == [{0: 1}, {1: 1}]
     assert solve_sparse([{"r": 2}, {"r": 0}], {"r": 1}) == {0: Fraction(1, 2)}
+
+
+@_oracle
+@given(systems())
+def test_solution_is_the_kernel_vector_at_the_rhs_column(system):
+    # columns . x = rhs exactly when (x, -1) is in the kernel of the
+    # augmented matrix: the solution is minus the kernel vector with its 1
+    # at the rhs column, and there is none when the system is inconsistent.
+    # The other basis vectors are 0 there: at a free column, by their
+    # normalization; at a pivot, since nothing follows it in its row.
+    _, columns, rhs = system
+    last = len(columns)
+    at_rhs = [v for v in nullspace_sparse(columns + [rhs]) if v.get(last) == 1]
+    x = solve_sparse(columns, rhs)
+    if x is None:
+        assert at_rhs == []
+    else:
+        vec, = at_rhs
+        assert x == {c: -v for c, v in vec.items() if c != last}
 
 
 @_oracle
@@ -133,14 +153,15 @@ def test_elimination_values_are_ints_or_fractions(system):
     _, columns, rhs = system
     for b in (rhs, {}):
         _, pivots, _ = _eliminate(columns, b)
-        for row, pb in pivots.values():
-            assert _exact(pb) and all(_exact(v) for v in row.values())
+        for row in pivots.values():
+            assert all(_exact(v) for v in row.values())
 
 
 def test_exact_division_stays_int():
     # the pivot 2 divides 4 and 6 but leaves a remainder on 3
     _, pivots, ok = _eliminate([{"r": 2}, {"r": 4}, {"r": 3}], {"r": 6})
-    row, b = pivots[0]
+    row = pivots[0]
+    b = row[3]  # the rhs column
     assert ok and b == 3 and type(b) is int
     assert type(row[1]) is int and row[2] == Fraction(3, 2)
     assert solve_sparse([{"r": 2}], {"r": 6}) == {0: Fraction(3)}

@@ -368,7 +368,7 @@ def test_fixture_kernel_pivot_rows_are_plain_ints(name):
         for horizontal in (None, fix.ideal):
             _, columns, _ = _delta_columns(A, rep, 1, 1, bound, horizontal)
             _, pivots, _ = _eliminate(columns, {})
-            assert pivots and all(type(v) is int for row, _ in pivots.values()
+            assert pivots and all(type(v) is int for row in pivots.values()
                                   for v in row.values()), (bound, horizontal)
 
 
