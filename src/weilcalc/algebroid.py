@@ -328,6 +328,9 @@ class AlgebroidPresentation:
                  "_delta_tables", "_frame_memo")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
+        if nvars < 0 or rank < 0:
+            raise StructureError(
+                f"chart dimension and rank must be nonnegative, got {nvars} and {rank}")
         self.nvars = nvars
         self.rank = rank
         self.structure = {}

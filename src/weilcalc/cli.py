@@ -17,7 +17,7 @@ from .ideals import (Dhor, IMConnection, bianchi_check, c2, coupling_checks,
                      curvature, curving_suite, deform, frame_splitting, hstar,
                      obstruction_cocycle, splitting_cochain)
 from .report import CheckReport
-from .specfile import (Spec, cochain_to_dict, dumps_canonical, load_spec_path,
+from .specfile import (Spec, _need, cochain_to_dict, dumps_canonical, load_spec_path,
                        vform_to_dict)
 from .weil import (check_IM, delta, dnabla_cochain, is_horizontal, solve_coboundary,
                    validate_algebroid, validate_rep)
@@ -29,17 +29,6 @@ def _adjoint_or_trivial(spec, cochain):
         if cochain.rank == ideal.m:
             return ideal.adjoint_rep()
     return ARep(spec.A.nvars, spec.A.rank, cochain.rank)
-
-
-def _need(spec, field, what):
-    if getattr(spec, field) is None:
-        raise SpecError(what, f"command needs the spec section {what!r}")
-
-
-def _imc(spec):
-    _need(spec, "ideal_indices", "ideal")
-    _need(spec, "im_cochain", "im_connection")
-    return spec.build_imc()
 
 
 def cmd_validate(spec, args):
@@ -87,7 +76,7 @@ def cmd_delta(spec, args):
 
 def cmd_dnabla(spec, args):
     rep = CheckReport("dnabla")
-    _need(spec, "conn", "connection")
+    _need(spec.conn, "connection")
     out = [cochain_to_dict(dnabla_cochain(spec.conn, c), spec.names)
            for c in _selected(spec, args)]
     rep.record("computed", True)
@@ -96,7 +85,7 @@ def cmd_dnabla(spec, args):
 
 def cmd_hproj(spec, args):
     rep = CheckReport("hproj")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     out = []
     for c in _selected(spec, args):
         h = hstar(imc, c)
@@ -107,7 +96,7 @@ def cmd_hproj(spec, args):
 
 def cmd_dhor(spec, args):
     rep = CheckReport("dhor")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     out = [cochain_to_dict(Dhor(imc, c), spec.names) for c in _selected(spec, args)]
     rep.record("computed", True)
     return rep, {"dhor": out}
@@ -115,7 +104,7 @@ def cmd_dhor(spec, args):
 
 def cmd_curvature(spec, args):
     rep = CheckReport("curvature")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     om = curvature(imc)
     rep.record("curvature is IM",
                check_IM(spec.A, imc.ideal.adjoint_rep(), om).passed)
@@ -125,14 +114,14 @@ def cmd_curvature(spec, args):
 
 def cmd_bianchi(spec, args):
     rep = CheckReport("bianchi")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     rep.record("D(Omega) == 0", bianchi_check(imc))
     return rep, {}
 
 
 def cmd_deform(spec, args):
     rep = CheckReport("deform")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     if not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
     if not 0 <= args.with_index < len(spec.cochains):
@@ -155,7 +144,6 @@ def cmd_deform(spec, args):
 
 def cmd_obstruction(spec, args):
     rep = CheckReport("obstruction")
-    _need(spec, "ideal_indices", "ideal")
     ideal = spec.build_ideal()
     adjoint = ideal.adjoint_rep()
     imc = None
@@ -191,7 +179,7 @@ def cmd_obstruction(spec, args):
 
 def cmd_curving(spec, args):
     rep = CheckReport("curving")
-    imc = _imc(spec)
+    imc = spec.build_imc()
     if args.solve:
         om = curvature(imc)
         sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, args.bound)
@@ -202,7 +190,7 @@ def cmd_curving(spec, args):
         F = sol.as_vform()
         rep.extend(curving_suite(imc, F))
         return rep, {"curving": vform_to_dict(F, spec.names)}
-    _need(spec, "curving", "curving")
+    _need(spec.curving, "curving")
     rep.extend(curving_suite(imc, spec.curving))
     return rep, {}
 

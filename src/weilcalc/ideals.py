@@ -20,7 +20,7 @@ from .connections import ARep, LinearConnection, act, compose
 from .errors import ContractError, StructureError
 from .report import CheckReport
 from .weil import (WeilCochain, _cochain, _fill_into, _insert, _solve, bounded_kernel,
-                   check_IM, delta, dnabla_cochain, evaluate, is_A_invariant, is_horizontal)
+                   check_IM, delta, dnabla_cochain, evaluate, invariance_form, is_horizontal)
 
 
 class IdealBundle:
@@ -72,20 +72,17 @@ class IdealBundle:
             (a, ()): p for a, k in enumerate(self.indices, start=1)
             if (p := section.comps.get((k, ()))) is not None})
 
-    def fibre_bracket(self, a, b):
-        """[u_a, u_b] as a section of the ideal."""
-        return self.restrict(self.A.bracket_basis(self.indices[a - 1], self.indices[b - 1]))
-
     def fibre(self):
         """The fibre g as (G, adj): G the zero-anchor algebroid over the chart
         with structure [u_a, u_b] for a < b, adj its adjoint representation,
-        psi_a = ad(u_a)."""
+        psi_a = ad(u_a). Both are slices of the adjoint table: [u_a, u_b] =
+        psi_(u_a) u_b, so each is read at the rows of ideal frame indices."""
         if self._fibre is None:
-            fibre = range(1, self.m + 1)
+            psi = {(self._pos[i], c, b): p for (i, c, b), p in self._adjoint.psi.items()
+                   if i in self._pos}
             G = AlgebroidPresentation(self.A.nvars, self.m, {
-                (a, b, c): p for a, b in itertools.combinations(fibre, 2)
-                for (c, _), p in self.fibre_bracket(a, b).comps.items()})
-            self._fibre = G, IdealBundle(G, fibre).adjoint_rep()
+                (a, b, c): p for (a, c, b), p in psi.items() if a < b})
+            self._fibre = G, ARep(self.A.nvars, self.m, self.m, psi)
         return self._fibre
 
     @property
@@ -406,18 +403,12 @@ def _bracket_failure(G, adj, conn):
     return min(failing, default=None)
 
 
-def _induces_orbit_derivative(A, ideal, conn, sigma):
-    """True iff nabla_{rho(e_i)} u_d = [sigma(i), u_d] for every frame index i
-    and ideal frame vector u_d. The ideal frame is constant and lies in
-    ker rho, so [sigma, u_d] = sum_j sigma^j [e_j, u_d], and the identity
-    reads iota_{rho(e_i)} Gamma = sum_j sigma(i)^j psi_j, psi the adjoint
-    representation."""
-    psi = [ideal.adjoint_rep().endo(j) for j in range(1, A.rank + 1)]
-    zero = VForm(A.nvars, ideal.m ** 2, 0)
-    return all(
-        conn.form.iota(A.rho_basis(i))
-        == sum((psi[j - 1].scaled(s) for (j, _), s in sigma(i).comps.items()), zero)
-        for i in range(1, A.rank + 1))
+def _theta_vanishes(inv, sections):
+    """True iff theta(sigma) = 0 for every section sigma, theta the level-1
+    half of the invariance pair ``inv`` of ``weil.invariance_form`` against
+    the adjoint representation: theta(sigma) = psi(sigma) - iota_{rho(sigma)}
+    Gamma, so on the ideal it says nabla_{rho(sigma)} u_d = [sigma, u_d]."""
+    return all(evaluate(inv, [], [sigma]).is_zero for sigma in sections)
 
 
 def coupling_checks(imc):
@@ -427,7 +418,6 @@ def coupling_checks(imc):
     ideal = imc.ideal
     r = A.rank
     conn = imc.coupling_connection()
-    rep = ideal.adjoint_rep()
     report = CheckReport("coupling data")
 
     # S.1: nabla preserves the fibre bracket
@@ -447,18 +437,19 @@ def coupling_checks(imc):
         + conn.dnabla(U[i].iota(A.rho_basis(j)))
         for i, j in itertools.permutations(range(1, r + 1), 2)))
 
-    # nabla_{rho(a)} xi = [h(a), xi]
+    # nabla_{rho(a)} xi = [h(a), xi]: theta(h a) = 0, as rho(h a) = rho(a)
+    inv = invariance_form(A, conn, ideal.adjoint_rep())
     report.record("orbit connection identity",
-                  _induces_orbit_derivative(A, ideal, conn, imc.h_basis))
+                  _theta_vanishes(inv, map(imc.h_basis, range(1, r + 1))))
 
     # v[h a, h b] = U(h a)(rho b)
     report.record("U along orbits", all(
         imc.v_section(bracket(A, imc.h_basis(i), imc.h_basis(j))) == U[i].iota(A.rho_basis(j))
         for i, j in itertools.permutations(range(1, r + 1), 2)))
 
-    inv = is_A_invariant(A, conn, rep)
-    report.record("abelian iff A-invariant", inv == ideal.is_abelian,
-                  f"is_A_invariant={inv}, abelian={ideal.is_abelian}")
+    invariant = inv.is_zero
+    report.record("abelian iff A-invariant", invariant == ideal.is_abelian,
+                  f"is_A_invariant={invariant}, abelian={ideal.is_abelian}")
     return report
 
 
@@ -637,7 +628,7 @@ def primitive_from_pair(A, ideal, vsecs, conn):
     if _bracket_failure(*ideal.fibre(), conn) is not None:
         raise ContractError("connection does not preserve the fibre bracket")
     hsec = _horizontal_frame(A, ideal, vsecs)
-    if not _induces_orbit_derivative(A, ideal, conn, hsec.get):
+    if not _theta_vanishes(invariance_form(A, conn, ideal.adjoint_rep()), hsec.values()):
         raise ContractError(
             "connection does not induce the orbit derivative nabla^A_h")
     F = _ad_solve(ideal, conn.curvature_R())
@@ -673,8 +664,8 @@ def abelian_primitive_check(A, ideal, vsecs, conn, F):
         raise ContractError("abelian criteria need an abelian ideal")
     report = CheckReport("abelian primitive criteria")
     report.record("nabla is flat", conn.curvature_R().is_zero)
-    report.record("nabla induces the quotient action",
-                  _induces_orbit_derivative(A, ideal, conn, A.basis))
+    report.record("nabla induces the quotient action", _theta_vanishes(
+        invariance_form(A, conn, ideal.adjoint_rep()), map(A.basis, range(1, A.rank + 1))))
 
     # F(rho e_i, rho e_j)
     report.record("splitting curvature is the anchor pullback of F", all(

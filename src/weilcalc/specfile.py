@@ -14,7 +14,7 @@ from .algebroid import AlgebroidPresentation, VForm
 from .connections import LinearConnection
 from .errors import SpecError, StructureError
 from .ideals import IMConnection, IdealBundle
-from .polyring import default_names, poly_from_str, poly_to_str
+from .polyring import _MAX_DIGITS, default_names, poly_from_str, poly_to_str
 from .weil import WeilCochain
 
 
@@ -57,13 +57,22 @@ def _require(data, key, path, typ, default=None):
     return val
 
 
+def _need(value, section):
+    """The value of a spec section that a command needs, or a SpecError at
+    the section when the spec has none."""
+    if value is None:
+        raise SpecError(section, f"command needs the spec section {section!r}")
+    return value
+
+
 class Spec:
     """Parsed spec file contents; raw dict round-trips canonically.
 
     The ideal and the IM connection are kept raw (indices, cochain) so that
     failures of their mathematical invariants surface as failed checks, not
     as parse errors; ``build_ideal``/``build_imc`` construct the validated
-    objects on demand.
+    objects on demand, and raise a SpecError at the first section they
+    need that the spec lacks (the ideal before the IM connection).
     """
 
     def __init__(self, names, A, ideal_indices=None, conn=None, im_cochain=None,
@@ -77,14 +86,12 @@ class Spec:
         self.curving = curving
 
     def build_ideal(self):
-        if self.ideal_indices is None:
-            raise StructureError("spec has no ideal section")
-        return IdealBundle(self.A, self.ideal_indices)
+        return IdealBundle(self.A, _need(self.ideal_indices, "ideal"))
 
     def build_imc(self, ideal=None):
-        if self.im_cochain is None:
-            raise StructureError("spec has no im_connection section")
-        return IMConnection(ideal or self.build_ideal(), self.im_cochain)
+        _need(self.ideal_indices, "ideal")
+        cochain = _need(self.im_cochain, "im_connection")
+        return IMConnection(ideal or self.build_ideal(), cochain)
 
     def to_dict(self):
         n = self.A.nvars
@@ -282,15 +289,24 @@ def load_spec(data):
     return Spec(names, A, ideal_indices, conn, im_cochain, cochains, curving)
 
 
+def _json_int(text):
+    """An integer literal of the spec file, its digit string measured before
+    it is converted, whatever the interpreter's int-digits limit."""
+    if (digits := len(text.lstrip("-"))) > _MAX_DIGITS:
+        raise ValueError(f"integer literal of {digits} digits exceeds the limit "
+                         f"of {_MAX_DIGITS} digits")
+    return int(text)
+
+
 def load_spec_path(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise SpecError(str(path), f"cannot read file: {exc}")
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an integer literal past
-        # Python's int-digits limit, or nesting past the recursion limit
+        # the digit limit, or nesting past the recursion limit
         raise SpecError(str(path), f"invalid JSON: {exc}")
     return load_spec(data)
 

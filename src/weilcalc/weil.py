@@ -78,6 +78,9 @@ class WeilCochain(SparseTable):
     __slots__ = ("A", "rank", "p", "q", "comps")
 
     def __init__(self, A, rank, p, q, comps=None):
+        if p < 0 or q < 0 or rank < 0:
+            raise StructureError(
+                f"bidegree and rank must be nonnegative, got W^{{{p},{q}}} of rank {rank}")
         self.A = A
         self.rank = rank
         self.p = p

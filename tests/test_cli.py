@@ -10,6 +10,7 @@ import pytest
 
 import weilcalc
 from weilcalc.cli import main
+from weilcalc.fixtures import FIXTURE_NAMES
 from weilcalc.specfile import dumps_canonical, load_spec_path
 
 
@@ -187,11 +188,17 @@ _TABLES = ("im_connection", "cochain", "tables")
     ("F2_semisimple_2d", ("algebroid", "rank"), False, "algebroid.rank"),
     ("F2_semisimple_2d", ("connection", "bundle_rank"), True, "connection.bundle_rank"),
     ("F2_semisimple_2d", ("im_connection", "cochain", "p"), True, "im_connection.cochain.p"),
+    ("F1_abelian_2d", ("algebroid", "structure", "1,x,3"), "1", "algebroid.structure.1,x,3"),
+    ("F1_abelian_2d", ("algebroid", "structure", "1,2"), "1", "algebroid.structure.1,2"),
+    ("F1_abelian_2d", _TABLES + ("a",), {}, "im_connection.cochain.tables.a"),
+    ("F1_abelian_2d", _TABLES + ("1", "3"), {}, "im_connection.cochain.tables.1.3"),
 ], ids=["malformed", "zero_denominator", "anchor_not_object", "structure_not_object",
         "table_level_not_object", "table_entry_not_object", "ideal_not_object",
         "connection_null", "im_connection_bool", "curving_not_object",
         "cochain_not_object", "exponent_too_large", "ideal_index_bool", "chart_dim_bool",
-        "algebroid_rank_bool", "connection_rank_bool", "cochain_level_bool"])
+        "algebroid_rank_bool", "connection_rank_bool", "cochain_level_bool",
+        "key_not_integers", "key_index_count", "table_level_not_integer",
+        "entry_key_without_bar"])
 def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, name, field, value, where):
     path = tmp_path / "spec.json"
     invoke(["fixture", "--name", name, "--emit", str(path)], capsys)
@@ -331,6 +338,38 @@ def test_long_numerals_are_input_errors(tmp_path, capsys, entry, reason):
     assert _run_cli(["delta", str(path)], "-X", "int_max_str_digits=0") == (code, out)
 
 
+def test_long_integer_literals_are_input_errors(tmp_path, capsys):
+    # JSON integer literals are measured against the same digit limit
+    # before they are converted, whatever the interpreter's limit
+    path = tmp_path / "long.json"
+    path.write_text('{"chart": {"dim": ' + "1" * 5001 + '}, "algebroid": {"rank": 1}}')
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "path": str(path),
+        "reason": "invalid JSON: integer literal of 5001 digits exceeds the limit of 4300 digits"}
+    assert _run_cli(["validate", str(path)], "-X", "int_max_str_digits=0") == (code, out)
+
+
+@pytest.mark.parametrize("command, section, where, reason", [
+    ("validate", {"algebroid": {"rank": -1}}, "algebroid",
+     "chart dimension and rank must be nonnegative, got 2 and -1"),
+    ("delta", {"cochains": [{"p": -2, "q": 0, "bundle_rank": 1, "tables": {}}]}, "cochains[0]",
+     "bidegree and rank must be nonnegative, got W^{-2,0} of rank 1"),
+    ("delta", {"cochains": [{"p": 0, "q": 0, "bundle_rank": -1, "tables": {}}]}, "cochains[0]",
+     "bidegree and rank must be nonnegative, got W^{0,0} of rank -1"),
+    ("delta", {"cochains": [{"p": 1, "q": -1, "bundle_rank": 1, "tables": {}}]}, "cochains[0]",
+     "bidegree and rank must be nonnegative, got W^{1,-1} of rank 1"),
+], ids=["algebroid_rank", "cochain_p", "cochain_rank", "cochain_q"])
+def test_negative_sizes_are_input_errors(tmp_path, capsys, command, section, where, reason):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"chart": {"dim": 2}, "algebroid": {
+        "rank": 2, "anchor": {"1,1": "1", "2,2": "1"}}, **section}))
+    code, out = invoke([command, str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": where, "reason": reason}
+
+
 def test_delta_and_dhor_on_embedded_cochain(tmp_path, capsys):
     path = tmp_path / "f2c.json"
     code, _ = invoke(["fixture", "--name", "F2_semisimple_2d", "--emit", str(path),
@@ -393,6 +432,65 @@ def test_obstruction_command(f1_path, capsys):
     assert names["cocycle is horizontal"] == "pass"
     assert names["cocycle is delta-closed"] == "pass"
     assert names["horizontal corrector at degree bound 2"] == "pass"
+
+
+def _emit(name, capsys):
+    """The emitted spec document of a fixture."""
+    code, out = invoke(["fixture", "--name", name], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_obstruction_of_the_coupling_triple_is_zero(name, tmp_path, capsys):
+    # v, nabla and U read off the IM connection rebuild its own cochain,
+    # so the cocycle and its corrector are both zero
+    data = _emit(name, capsys)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke(["obstruction", str(path), "--use-coupling-u"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    assert doc["cocycle"]["tables"] == {} and doc["corrector"]["tables"] == {}
+    # the frame splitting, with no IM connection in the spec
+    del data["im_connection"]
+    path.write_text(json.dumps(data))
+    code, out = invoke(["obstruction", str(path)], capsys)
+    assert code == 0 and json.loads(out)["status"] == "ok"
+    code, out = invoke(["obstruction", str(path), "--use-coupling-u"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "path": "im_connection", "reason": "--use-coupling-u needs an IM connection"}
+
+
+def test_document_level_errors_are_located(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    # a file that cannot be read (here, a path with no file); the reason carries the
+    # operating system's own text
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2 and json.loads(out)["error"]["path"] == str(path)
+    path.write_text("[]")
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": "$", "reason": "spec document must be a JSON object"}
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda d: d["ideal"].update({"indices": [3, 3]}), "bad ideal index set (3, 3)"),
+    (lambda d: d["algebroid"]["anchor"].update({"3,1": "1"}),
+     "anchor does not vanish on ideal index 3"),
+], ids=["repeated_index", "anchored_index"])
+def test_invalid_ideal_fails_its_structure_check(tmp_path, capsys, edit, detail):
+    data = _emit("F1_abelian_2d", capsys)
+    edit(data)
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "math_fail"
+    assert {"name": "ideal.structure", "status": "fail", "detail": detail} in doc["checks"]
 
 
 def test_curving_check_and_solve(f1_path, capsys):

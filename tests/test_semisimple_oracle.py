@@ -54,7 +54,7 @@ def constant_fibre_ref(ideal):
     zero_exp = (0,) * n
     out = {}
     for a, b in itertools.combinations(range(1, ideal.m + 1), 2):
-        f = ideal.fibre_bracket(a, b)
+        f = ideal.restrict(ideal.A.bracket_basis(ideal.indices[a - 1], ideal.indices[b - 1]))
         for (c, _), p in f.comps.items():
             if not p.is_constant:
                 raise ContractError("semisimple tools need constant fibre structure")
