@@ -45,9 +45,10 @@ def cmd_validate(spec, args):
         rep.extend(validate_rep(spec.A, ideal.adjoint_rep()), "adjoint_rep.")
         c = spec.im_cochain
         if c is not None:
-            # delta needs the ideal's rank; off level 1, check_IM raises
+            # delta needs the ideal's rank and check_IM level 1; IMConnection
+            # rejects every other shape, and the report records it
             im = check_IM(spec.A, ideal.adjoint_rep(), c) \
-                if c.p != 1 or c.rank == ideal.m else None
+                if c.p == 1 and c.rank == ideal.m else None
             try:
                 imc = IMConnection(ideal, c, im_report=im)
                 rep.record("im_connection.multiplicative", True)
@@ -370,8 +371,13 @@ def main(argv=None):
     if args.command == "fixture" and code == 0 and "spec" in doc:
         payload = dumps_canonical(doc["spec"])
         if args.emit and args.emit != "-":
-            with open(args.emit, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            try:
+                with open(args.emit, "w", encoding="utf-8") as handle:
+                    handle.write(payload)
+            except OSError as exc:
+                error = SpecError("--emit", f"cannot write file: {exc}")
+                sys.stdout.write(dumps_canonical(_input_error({"command": "fixture"}, error)))
+                return 2
             print(f"wrote {args.emit}", file=sys.stderr)
         else:
             sys.stdout.write(payload)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebroid import (AlgebroidPresentation, VForm, _add_into, _form, _terms, bracket,
                         check_section, end_entry, end_index, symmetric_slots)
-from .connections import ARep, LinearConnection, act, compose
+from .connections import ARep, LinearConnection, act
 from .errors import ContractError, StructureError
 from .report import CheckReport
 from .weil import (WeilCochain, _cochain, _fill_into, _insert, _solve, bounded_kernel,
@@ -94,19 +94,15 @@ class IdealBundle:
         return self._adjoint
 
     def ad_endform(self, vf):
-        """ad(F) for an ideal-valued form F, as an End(V)-valued form."""
-        return _ad(self.fibre()[1], vf)
-
-
-def _ad(adj, vf):
-    """ad(F) = sum_e F^e psi_e for a fibre-valued form F, with psi_e = ad(u_e)
-    read off the fibre's adjoint representation adj, as an End(V)-valued form."""
-    if vf.nvars != adj.nvars:
-        raise StructureError("ad of a form over another chart")
-    acc = {}
-    for (e, idx), f in vf.comps.items():
-        _add_into(acc, (), _terms(adj.endo(e).comps), f, 1, idx)
-    return _form(adj.nvars, adj.rank ** 2, vf.degree, acc)
+        """ad(F) = sum_e F^e psi_e for an ideal-valued form F, psi_e = ad(u_e)
+        read off the fibre's adjoint representation, as an End(V)-valued form."""
+        adj = self.fibre()[1]
+        if vf.nvars != adj.nvars:
+            raise StructureError("ad of a form over another chart")
+        acc = {}
+        for (e, idx), f in vf.comps.items():
+            _add_into(acc, (), _terms(adj.endo(e).comps), f, 1, idx)
+        return _form(adj.nvars, adj.rank ** 2, vf.degree, acc)
 
 
 def bracket_of_forms(ideal, w1, w2):
@@ -380,27 +376,32 @@ def frame_splitting(ideal):
 # -- coupling data -------------------------------------------------------------
 
 
-def _bracket_failure(G, adj, conn):
+def _bracket_failure(ideal, inv, conn):
     """First (x, a, b) with a < b at which nabla_{d_x} is not a derivation of
-    the bracket of the fibre algebroid G, or None when nabla preserves it.
+    the fibre bracket, or None; ``inv`` is the invariance pair of nabla
+    against the adjoint representation.
 
-    With [u_a, u_b] = psi_a u_b and nabla u_b = Gamma u_b, the defect is
-    nabla[u_a, u_b] - [nabla u_a, u_b] - [u_a, nabla u_b]
-    = (d psi_a + Gamma psi_a - psi_a Gamma - ad(Gamma u_a)) u_b.
-    G has zero anchor, so T_a = d psi_a + Gamma psi_a - psi_a Gamma is the
-    T part of its invariance pair against adj, and the entry E^d_b dx^x of
-    T_a - ad(Gamma u_a) is the u_d component of the defect along d_x.
+    With [u_a, u_b] = psi_a u_b and nabla u_b = Gamma u_b, the defect
+    nabla[u_a, u_b] - [nabla u_a, u_b] - [u_a, nabla u_b] is
+    (T(u_a) - ad(Gamma u_a)) u_b: rho kills the ideal, so the pair's T cell
+    at u_a is d psi_a + Gamma psi_a - psi_a Gamma. The entry E^d_b dx^x of
+    T(u_a) - ad(Gamma u_a) is the u_d component of the defect along d_x.
     """
-    gam = conn.form
+    G = ideal.fibre()[0]
     failing = []
-    for a in range(1, G.rank + 1):
-        psi = adj.endo(a)
-        T = psi.d() + compose(gam, psi) - compose(psi, gam)
-        for f, (x,) in (T - _ad(adj, act(gam, G.basis(a)))).comps:
-            b = end_entry(G.rank, f)[1]
+    for a, k in enumerate(ideal.indices, start=1):
+        defect = inv.lookup(0, (k,), ()) - ideal.ad_endform(act(conn.form, G.basis(a)))
+        for f, (x,) in defect.comps:
+            b = end_entry(ideal.m, f)[1]
             if a < b:
                 failing.append((x, a, b))
     return min(failing, default=None)
+
+
+def _transverse_failure(A, dF):
+    """The first frame index i with iota_{rho(e_i)} dF != 0, or None."""
+    return next((i for i in range(1, A.rank + 1) if not dF.iota(A.rho_basis(i)).is_zero),
+                None)
 
 
 def _theta_vanishes(inv, sections):
@@ -419,10 +420,10 @@ def coupling_checks(imc):
     r = A.rank
     conn = imc.coupling_connection()
     report = CheckReport("coupling data")
+    inv = invariance_form(A, conn, ideal.adjoint_rep())
 
     # S.1: nabla preserves the fibre bracket
-    report.record("S.1 bracket-preserving",
-                  _bracket_failure(*ideal.fibre(), conn) is None)
+    report.record("S.1 bracket-preserving", _bracket_failure(ideal, inv, conn) is None)
 
     # S.2: iota_{rho(a)} R = [U(h a), .]
     U = {i: imc.U_of_h(A.basis(i)) for i in range(1, r + 1)}
@@ -438,7 +439,6 @@ def coupling_checks(imc):
         for i, j in itertools.permutations(range(1, r + 1), 2)))
 
     # nabla_{rho(a)} xi = [h(a), xi]: theta(h a) = 0, as rho(h a) = rho(a)
-    inv = invariance_form(A, conn, ideal.adjoint_rep())
     report.record("orbit connection identity",
                   _theta_vanishes(inv, map(imc.h_basis, range(1, r + 1))))
 
@@ -456,9 +456,9 @@ def coupling_checks(imc):
 # -- the coupling construction --------------------------------------------------
 
 
-def _check_coupling_inputs(B, ideal, conn, F):
+def _check_coupling_inputs(ideal, conn, F):
     # (i) nabla preserves the fibre bracket
-    failure = _bracket_failure(*ideal.fibre(), conn)
+    failure = _bracket_failure(ideal, invariance_form(ideal.A, conn, ideal.adjoint_rep()), conn)
     if failure is not None:
         x, a, b = failure
         raise ContractError(
@@ -470,12 +470,18 @@ def _check_coupling_inputs(B, ideal, conn, F):
         a1, a2 = min(idx for _, idx in defect.comps)
         raise ContractError("coupling condition (ii) fails: R-nabla != -ad F "
                             f"at (d_{a1}, d_{a2})")
-    # (iii) iota_{rho_B} d-nabla F = 0
-    dF = conn.dnabla(F)
-    for i in range(1, B.rank + 1):
-        if not dF.iota(B.rho_basis(i)).is_zero:
-            raise ContractError(
-                f"coupling condition (iii) fails: iota_rho(b_{i}) d-nabla F != 0")
+    # (iii) iota_rho d-nabla F = 0; rho kills the ideal, so i indexes B's frame
+    i = _transverse_failure(ideal.A, conn.dnabla(F))
+    if i is not None:
+        raise ContractError(f"coupling condition (iii) fails: iota_rho(b_{i}) d-nabla F != 0")
+
+
+def _primitive(ideal, vsecs, conn, F):
+    """The primitive IM connection of a triple (v, nabla, F): the splitting
+    cochain with U(h e_i) = -iota_{rho(e_i)} F on the horizontal frame."""
+    A = ideal.A
+    U = {i: -F.iota(A.rho_basis(i)) for i in range(1, A.rank + 1) if i not in ideal.indices}
+    return IMConnection(ideal, splitting_cochain(A, ideal, vsecs, conn, U))
 
 
 def coupled_presentation(B, m, fibre, conn, F):
@@ -516,11 +522,8 @@ def build_coupled(B, m, fibre, conn, F):
         raise StructureError("curving candidate must be an ideal-valued 2-form")
     A = coupled_presentation(B, m, fibre, conn, F)
     ideal = IdealBundle(A, range(B.rank + 1, B.rank + m + 1))
-    _check_coupling_inputs(B, ideal, conn, F)
-    U = {i: -F.iota(B.rho_basis(i)) for i in range(1, B.rank + 1)}
-    cochain = splitting_cochain(A, ideal, frame_splitting(ideal), conn, U)
-    imc = IMConnection(ideal, cochain)
-    return A, ideal, imc, F
+    _check_coupling_inputs(ideal, conn, F)
+    return A, ideal, _primitive(ideal, frame_splitting(ideal), conn, F), F
 
 
 # -- curvings -------------------------------------------------------------------
@@ -625,18 +628,14 @@ def primitive_from_pair(A, ideal, vsecs, conn):
     if not check_semisimple(ideal):
         raise ContractError("pair construction needs a semisimple fibre")
     # nabla must be bracket-preserving and induce the orbit derivative
-    if _bracket_failure(*ideal.fibre(), conn) is not None:
+    inv = invariance_form(A, conn, ideal.adjoint_rep())
+    if _bracket_failure(ideal, inv, conn) is not None:
         raise ContractError("connection does not preserve the fibre bracket")
-    hsec = _horizontal_frame(A, ideal, vsecs)
-    if not _theta_vanishes(invariance_form(A, conn, ideal.adjoint_rep()), hsec.values()):
+    if not _theta_vanishes(inv, _horizontal_frame(A, ideal, vsecs).values()):
         raise ContractError(
             "connection does not induce the orbit derivative nabla^A_h")
     F = _ad_solve(ideal, conn.curvature_R())
-    U = {i: -F.iota(A.rho_basis(i)) for i in range(1, A.rank + 1)
-         if i not in ideal.indices}
-    cv = splitting_cochain(A, ideal, vsecs, conn, U)
-    imc = IMConnection(ideal, cv)
-    return imc, F
+    return _primitive(ideal, vsecs, conn, F), F
 
 
 # -- the abelian case -------------------------------------------------------------
@@ -672,8 +671,6 @@ def abelian_primitive_check(A, ideal, vsecs, conn, F):
         sigma == F.iota(A.rho_basis(i)).iota(A.rho_basis(j))
         for (i, j), sigma in splitting_curvature(A, ideal, vsecs).items()))
 
-    dF = conn.dnabla(F)
-    ok = all(dF.iota(A.rho_basis(i)).is_zero for i in range(1, A.rank + 1))
-    report.record("transverse coboundary", ok)
+    report.record("transverse coboundary", _transverse_failure(A, conn.dnabla(F)) is None)
     return report
 

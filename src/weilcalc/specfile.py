@@ -304,6 +304,9 @@ def load_spec_path(path):
             data = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise SpecError(str(path), f"cannot read file: {exc}")
+    except json.JSONDecodeError:
+        # the decoder's own message and position differ between interpreters
+        raise SpecError(str(path), "invalid JSON: not a well-formed JSON document")
     except (ValueError, RecursionError) as exc:
         # malformed JSON, bytes that are not UTF-8, an integer literal past
         # the digit limit, or nesting past the recursion limit

@@ -126,6 +126,36 @@ def test_wrong_rank_im_cochain_fails_only_multiplicative(name, rank, tmp_path, c
          "detail": "IM connection needs an ideal-valued W^{1,1} cochain"}]
 
 
+def test_off_level_im_cochain_fails_only_multiplicative(f1_path, capsys):
+    # a W^{2,1} cochain is rejected by the IM connection's shape check, not
+    # by the level-1 IM check, so the report keeps every earlier check
+    _, out = invoke(["validate", str(f1_path)], capsys)
+    good = json.loads(out)["checks"]
+    data = json.loads(f1_path.read_text())
+    data["im_connection"]["cochain"] = {"p": 2, "q": 1, "bundle_rank": 1, "tables": {}}
+    f1_path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(f1_path)], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert any(c["name"].startswith("algebroid.") for c in checks)
+    shape = [c["name"] for c in good].index("im_connection.multiplicative")
+    assert checks == good[:shape] + [
+        {"name": "im_connection.multiplicative", "status": "fail",
+         "detail": "IM connection needs an ideal-valued W^{1,1} cochain"}]
+
+
+@pytest.mark.parametrize("target", ["directory", "missing_directory"])
+def test_unwritable_emit_path_exits_two(tmp_path, target):
+    # the reason carries the operating system's text, so only the path is pinned
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "f1.json"
+    code, out = _run_cli(["fixture", "--name", "F1_abelian_2d", "--emit", str(path)])
+    assert code == 2
+    assert out == dumps_canonical(json.loads(out))
+    doc = json.loads(out)
+    assert (doc["command"], doc["status"]) == ("fixture", "input_error")
+    assert doc["error"]["path"] == "--emit"
+
+
 def test_malformed_spec_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"chart": {"dim": 2}}')
@@ -150,6 +180,27 @@ def test_undecodable_spec_file_exits_two(tmp_path, capsys, content):
     assert doc["status"] == "input_error"
     assert doc["error"]["path"] == str(path)
     assert doc["error"]["reason"].startswith("invalid JSON: ")
+
+
+def _trailing_comma_as_313(handle, **kwargs):
+    # json's decoder as 3.13 words a trailing comma, at its own position
+    doc = handle.read()
+    raise json.JSONDecodeError("Illegal trailing comma before end of object", doc,
+                               doc.index(",}"))
+
+
+@pytest.mark.parametrize("worded_as_313", [False, True], ids=["this_interpreter", "py313"])
+def test_malformed_json_reason_is_pinned(tmp_path, capsys, monkeypatch, worded_as_313):
+    # the reason does not carry the decoder's message, which differs between
+    # interpreters
+    if worded_as_313:
+        monkeypatch.setattr(json, "load", _trailing_comma_as_313)
+    path = tmp_path / "spec.json"
+    path.write_text('{"chart": {"dim": 1,}}')
+    code, out = invoke(["validate", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "path": str(path), "reason": "invalid JSON: not a well-formed JSON document"}
 
 
 def test_duplicate_variable_names_exit_two(f1_path, tmp_path, capsys):

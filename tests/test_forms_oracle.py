@@ -477,7 +477,8 @@ def test_bracket_failure_matches_christoffel_formula(data):
                                           Poly.zero(n))
             table[(x, b, c)] = p + data.draw(polys(n)) if (b, c) in noisy else p
     conn = LinearConnection(n, m, table)
-    assert _bracket_failure(*fix.ideal.fibre(), conn) == bracket_failure_ref(n, m, fib, table)
+    inv = invariance_form(fix.A, conn, fix.ideal.adjoint_rep())
+    assert _bracket_failure(fix.ideal, inv, conn) == bracket_failure_ref(n, m, fib, table)
 
 
 def _only_in(p, variables):
@@ -512,5 +513,6 @@ def test_bracket_failure_on_polynomial_fibre_tables(data):
         return G.bracket_basis(a, b).get(c, ())
 
     conn = LinearConnection(n, m, table)
-    got = _bracket_failure(*IdealBundle(G, range(1, m + 1)).fibre(), conn)
+    ideal = IdealBundle(G, range(1, m + 1))
+    got = _bracket_failure(ideal, invariance_form(G, conn, ideal.adjoint_rep()), conn)
     assert got == bracket_failure_ref(n, m, fib, table)

@@ -804,6 +804,20 @@ def test_build_coupled_rejects_nontransversal_dF():
     assert not validate_algebroid(raw).passed
 
 
+def tq4_nontransversal():
+    """TQ^4 with a rank-1 abelian ideal, the trivial connection and
+    F = x4 dx2^dx3: dF = dx4^dx2^dx3, so iota_{d1} dF = 0 and iota_{d2} dF != 0."""
+    from weilcalc.fixtures import _tangent_presentation
+    return (_tangent_presentation(4), 1, {}, LinearConnection.trivial(4, 1),
+            VForm(4, 1, 2, {(1, (2, 3)): Poly.var(4, 3)}))
+
+
+def test_build_coupled_names_the_first_nontransversal_index():
+    with pytest.raises(ContractError) as err:
+        build_coupled(*tq4_nontransversal())
+    assert str(err.value) == "coupling condition (iii) fails: iota_rho(b_2) d-nabla F != 0"
+
+
 def test_build_coupled_rejects_nonpreserving_connection():
     from weilcalc.fixtures import _so3_fibre, _tangent_presentation
     B = _tangent_presentation(2)
@@ -1012,6 +1026,14 @@ def test_abelian_check_detects_a_flat_connection_off_the_quotient_action(f1):
     conn = LinearConnection(2, 1, {(1, 1, 1): Poly.const(2, 1)})   # d + dx, flat
     report = abelian_primitive_check(f1.A, f1.ideal, frame_splitting(f1.ideal), conn, f1.curving)
     assert [label for label, _ in report.failures] == ["nabla induces the quotient action"]
+
+
+def test_abelian_check_detects_a_nontransversal_coboundary():
+    B, m, fibre, conn, F = tq4_nontransversal()
+    A = coupled_presentation(B, m, fibre, conn, F)
+    ideal = IdealBundle(A, [5])
+    report = abelian_primitive_check(A, ideal, frame_splitting(ideal), conn, F)
+    assert "transverse coboundary" in [label for label, _ in report.failures]
 
 
 def test_abelian_check_rejects_nonabelian(f2):
