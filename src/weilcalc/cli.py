@@ -1,9 +1,21 @@
 """Batch command-line interface.
 
-Every command reads a JSON spec file, runs computations or checker suites,
-and prints a canonical JSON report. Exit codes: 0 all checks passed or the
-computation succeeded, 1 a mathematical check failed, 2 the input could not
-be parsed or is structurally invalid.
+Every spec command reads a JSON spec file, runs computations or checker
+suites, and prints one canonical JSON report. The report carries
+``command`` (null when the first argument names no command) and
+``status``; a command that ran to its end reports its ``checks`` and
+results, and one stopped by an error reports ``error`` alone. Exit codes:
+0 all checks passed or the computation succeeded; 1 a mathematical check
+failed (``math_fail``; a failure outside any named check has
+``error.reason``); 2 the arguments or the input could not be parsed or are
+structurally invalid (``input_error``, located at ``error.path``).
+``fixture`` writes a fixture's canonical spec instead, and reports only
+its errors.
+
+A spec command is one subparser in ``_parser`` with its handler as
+``run``. A handler takes the loaded spec, the parsed arguments and the
+report, records its checks in the report and returns its results; ``main``
+is the one place that builds a report, from those or from an error.
 """
 
 import argparse
@@ -15,7 +27,7 @@ from .errors import ContractError, SpecError, StructureError
 from .fixtures import FIXTURE_NAMES, build_fixture, random_cochain
 from .ideals import (Dhor, IMConnection, bianchi_check, c2, coupling_checks,
                      curvature, curving_suite, deform, frame_splitting, hstar,
-                     obstruction_cocycle, splitting_cochain)
+                     splitting_cochain)
 from .report import CheckReport
 from .specfile import (Spec, _need, cochain_to_dict, dumps_canonical, load_spec_path,
                        vform_to_dict)
@@ -23,105 +35,91 @@ from .weil import (check_IM, delta, dnabla_cochain, is_horizontal, solve_cobound
                    validate_algebroid, validate_rep)
 
 
-def _adjoint_or_trivial(spec, cochain):
+def cmd_validate(spec, args, rep):
+    rep.extend(validate_algebroid(spec.A), "algebroid.")
+    if spec.ideal_indices is None:
+        return {}
+    try:
+        ideal = spec.build_ideal()
+    except StructureError as exc:
+        rep.record("ideal.structure", False, str(exc))
+        return {}
+    rep.record("ideal.structure", True)
+    rep.extend(validate_rep(spec.A, ideal.adjoint_rep()), "adjoint_rep.")
+    c = spec.im_cochain
+    if c is None:
+        return {}
+    # only an ideal-valued W^{1,1} cochain has C.x items to list; IMConnection
+    # rejects every other shape, and the report records that failure alone
+    im = check_IM(spec.A, ideal.adjoint_rep(), c) \
+        if (c.p, c.q, c.rank) == (1, 1, ideal.m) else None
+    try:
+        imc = IMConnection(ideal, c, im_report=im)
+    except (ContractError, StructureError) as exc:
+        rep.record("im_connection.multiplicative", False, str(exc))
+        for label, detail in im.failures if im is not None else ():
+            rep.record(f"im_connection.{label}", False, detail)
+        return {}
+    rep.record("im_connection.multiplicative", True)
+    rep.extend(coupling_checks(imc), "coupling.")
+    if spec.curving is not None:
+        rep.extend(curving_suite(imc, spec.curving), "curving.")
+    return {}
+
+
+def _computed(spec, args, rep, outputs):
+    """The result of a command that maps each selected cochain to one output."""
+    rep.record("computed", True)
+    return {args.command: [cochain_to_dict(c, spec.names) for c in outputs]}
+
+
+def cmd_delta(spec, args, rep):
+    cochains = _selected(spec, args)
+    # a cochain valued in the ideal takes its adjoint representation, any
+    # other the trivial representation of its rank
+    reps = {c.rank: ARep(spec.A.nvars, spec.A.rank, c.rank) for c in cochains}
     if spec.ideal_indices is not None:
         ideal = spec.build_ideal()
-        if cochain.rank == ideal.m:
-            return ideal.adjoint_rep()
-    return ARep(spec.A.nvars, spec.A.rank, cochain.rank)
+        reps[ideal.m] = ideal.adjoint_rep()
+    return _computed(spec, args, rep, [delta(spec.A, reps[c.rank], c) for c in cochains])
 
 
-def cmd_validate(spec, args):
-    rep = CheckReport("validate")
-    rep.extend(validate_algebroid(spec.A), "algebroid.")
-    ideal = None
-    if spec.ideal_indices is not None:
-        try:
-            ideal = spec.build_ideal()
-            rep.record("ideal.structure", True)
-        except StructureError as exc:
-            rep.record("ideal.structure", False, str(exc))
-    if ideal is not None:
-        rep.extend(validate_rep(spec.A, ideal.adjoint_rep()), "adjoint_rep.")
-        c = spec.im_cochain
-        if c is not None:
-            # delta needs the ideal's rank and check_IM level 1; IMConnection
-            # rejects every other shape, and the report records it
-            im = check_IM(spec.A, ideal.adjoint_rep(), c) \
-                if c.p == 1 and c.rank == ideal.m else None
-            try:
-                imc = IMConnection(ideal, c, im_report=im)
-                rep.record("im_connection.multiplicative", True)
-            except (ContractError, StructureError) as exc:
-                imc = None
-                rep.record("im_connection.multiplicative", False, str(exc))
-                if im is not None:
-                    for label, detail in im.failures:
-                        rep.record(f"im_connection.{label}", False, detail)
-            if imc is not None:
-                rep.extend(coupling_checks(imc), "coupling.")
-                if spec.curving is not None:
-                    rep.extend(curving_suite(imc, spec.curving), "curving.")
-    return rep, {}
+def cmd_dnabla(spec, args, rep):
+    conn = _need(spec.conn, "connection")
+    return _computed(spec, args, rep, [dnabla_cochain(conn, c) for c in _selected(spec, args)])
 
 
-def cmd_delta(spec, args):
-    rep = CheckReport("delta")
-    out = []
-    for c in _selected(spec, args):
-        rep_obj = _adjoint_or_trivial(spec, c)
-        out.append(cochain_to_dict(delta(spec.A, rep_obj, c), spec.names))
-    rep.record("computed", True)
-    return rep, {"delta": out}
-
-
-def cmd_dnabla(spec, args):
-    rep = CheckReport("dnabla")
-    _need(spec.conn, "connection")
-    out = [cochain_to_dict(dnabla_cochain(spec.conn, c), spec.names)
-           for c in _selected(spec, args)]
-    rep.record("computed", True)
-    return rep, {"dnabla": out}
-
-
-def cmd_hproj(spec, args):
-    rep = CheckReport("hproj")
+def cmd_hproj(spec, args, rep):
     imc = spec.build_imc()
     out = []
     for c in _selected(spec, args):
         h = hstar(imc, c)
         rep.record("output horizontal", is_horizontal(h, imc.ideal))
         out.append(cochain_to_dict(h, spec.names))
-    return rep, {"hproj": out}
+    return {"hproj": out}
 
 
-def cmd_dhor(spec, args):
-    rep = CheckReport("dhor")
+def cmd_dhor(spec, args, rep):
     imc = spec.build_imc()
-    out = [cochain_to_dict(Dhor(imc, c), spec.names) for c in _selected(spec, args)]
-    rep.record("computed", True)
-    return rep, {"dhor": out}
+    return _computed(spec, args, rep, [Dhor(imc, c) for c in _selected(spec, args)])
 
 
-def cmd_curvature(spec, args):
-    rep = CheckReport("curvature")
+def cmd_curvature(spec, args, rep):
     imc = spec.build_imc()
     om = curvature(imc)
     rep.record("curvature is IM",
                check_IM(spec.A, imc.ideal.adjoint_rep(), om).passed)
     rep.record("curvature is horizontal", is_horizontal(om, imc.ideal))
-    return rep, {"curvature": cochain_to_dict(om, spec.names)}
+    return {"curvature": cochain_to_dict(om, spec.names)}
 
 
-def cmd_bianchi(spec, args):
-    rep = CheckReport("bianchi")
+def cmd_bianchi(spec, args, rep):
     imc = spec.build_imc()
     rep.record("D(Omega) == 0", bianchi_check(imc))
-    return rep, {}
+    return {}
 
 
-def cmd_deform(spec, args):
-    rep = CheckReport("deform")
+def cmd_deform(spec, args, rep):
     imc = spec.build_imc()
     if not spec.cochains:
         raise SpecError("cochains", "deform needs --with pointing at a spec cochain")
@@ -132,28 +130,25 @@ def cmd_deform(spec, args):
         imc2 = deform(imc, L, args.lam)
     except ContractError as exc:
         rep.record("deformation admissible", False, str(exc))
-        return rep, {}
+        return {}
     rep.record("deformation admissible", True)
     om, om2 = curvature(imc), curvature(imc2)
     expansion = om + Dhor(imc, L).scaled(args.lam) + c2(imc.ideal, L).scaled(args.lam ** 2)
     rep.record("quadratic expansion exact", om2 == expansion)
-    return rep, {
+    return {
         "connection": cochain_to_dict(imc2.cochain, spec.names),
         "curvature": cochain_to_dict(om2, spec.names),
     }
 
 
-def cmd_obstruction(spec, args):
-    rep = CheckReport("obstruction")
-    ideal = spec.build_ideal()
-    adjoint = ideal.adjoint_rep()
-    imc = None
-    if spec.im_cochain is not None:
-        imc = spec.build_imc(ideal)
+def cmd_obstruction(spec, args, rep):
+    imc = spec.build_imc() if spec.im_cochain is not None else None
     if imc is not None:
+        ideal = imc.ideal
         vsecs = {j: imc.v_comps(j) for j in range(1, spec.A.rank + 1)}
         conn = spec.conn or imc.coupling_connection()
     else:
+        ideal = spec.build_ideal()
         vsecs = frame_splitting(ideal)
         conn = spec.conn or LinearConnection.trivial(spec.A.nvars, ideal.m)
     U = None
@@ -162,41 +157,38 @@ def cmd_obstruction(spec, args):
             raise SpecError("im_connection", "--use-coupling-u needs an IM connection")
         U = {i: imc.U_of_h(spec.A.basis(i)) for i in range(1, spec.A.rank + 1)
              if i not in ideal.indices}
-    obs = obstruction_cocycle(spec.A, ideal, vsecs, conn, U)
+    adjoint = ideal.adjoint_rep()
+    # the obstruction cocycle is delta of the splitting cochain
+    split = splitting_cochain(spec.A, ideal, vsecs, conn, U)
+    obs = delta(spec.A, adjoint, split)
     rep.record("cocycle is horizontal", is_horizontal(obs, ideal))
     rep.record("cocycle is delta-closed", delta(spec.A, adjoint, obs).is_zero)
     result = {"cocycle": cochain_to_dict(obs, spec.names)}
     corr = solve_coboundary(spec.A, adjoint, obs, args.bound, horizontal_ideal=ideal)
-    rep.record(f"horizontal corrector at degree bound {args.bound}",
-               corr is not None,
-               "" if corr is not None else "bound-relative verdict: infeasible")
-    if corr is not None:
-        fixed = splitting_cochain(spec.A, ideal, vsecs, conn, U) - corr
+    if _bounded(rep, "horizontal corrector", args.bound, corr):
         rep.record("corrected splitting is an IM connection",
-                   check_IM(spec.A, adjoint, fixed).passed)
+                   check_IM(spec.A, adjoint, split - corr).passed)
         result["corrector"] = cochain_to_dict(corr, spec.names)
-    return rep, result
+    return result
 
 
-def cmd_curving(spec, args):
-    rep = CheckReport("curving")
+def cmd_curving(spec, args, rep):
     imc = spec.build_imc()
     if args.solve:
         om = curvature(imc)
         sol = solve_coboundary(spec.A, imc.ideal.adjoint_rep(), om, args.bound)
-        rep.record(f"curving found at degree bound {args.bound}", sol is not None,
-                   "" if sol is not None else "bound-relative verdict: infeasible")
-        if sol is None:
-            return rep, {}
+        if not _bounded(rep, "curving found", args.bound, sol):
+            return {}
         F = sol.as_vform()
         rep.extend(curving_suite(imc, F))
-        return rep, {"curving": vform_to_dict(F, spec.names)}
+        return {"curving": vform_to_dict(F, spec.names)}
     _need(spec.curving, "curving")
     rep.extend(curving_suite(imc, spec.curving))
-    return rep, {}
+    return {}
 
 
 def cmd_fixture(args):
+    """Write a named fixture's canonical spec to stdout or to the --emit path."""
     fix = build_fixture(args.name)
     cochains = []
     if args.with_cochain:
@@ -211,34 +203,33 @@ def cmd_fixture(args):
         cochains=cochains,
         curving=fix.curving,
     )
-    rep = CheckReport("fixture")
-    rep.record("built", True)
-    return rep, {"spec": spec.to_dict()}
+    payload = dumps_canonical(spec.to_dict())
+    if args.emit in ("", "-"):
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(args.emit, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        raise SpecError("--emit", f"cannot write file: {exc}")
+    print(f"wrote {args.emit}", file=sys.stderr)
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "delta": cmd_delta,
-    "dnabla": cmd_dnabla,
-    "hproj": cmd_hproj,
-    "dhor": cmd_dhor,
-    "curvature": cmd_curvature,
-    "bianchi": cmd_bianchi,
-    "deform": cmd_deform,
-    "obstruction": cmd_obstruction,
-    "curving": cmd_curving,
-}
+def _bounded(rep, what, bound, solution):
+    """Record whether a solve to degree ``bound`` found ``solution``; no
+    solution is a verdict relative to the bound, and the detail says so."""
+    return rep.record(f"{what} at degree bound {bound}", solution is not None,
+                      "" if solution is not None else "bound-relative verdict: infeasible")
 
 
 def _selected(spec, args):
     if not spec.cochains:
         raise SpecError("cochains", "command needs at least one cochain")
-    idx = getattr(args, "index", None)
-    if idx is None:
+    if args.index is None:
         return spec.cochains
-    if not 0 <= idx < len(spec.cochains):
-        raise SpecError("--index", f"--index {idx} out of range")
-    return [spec.cochains[idx]]
+    if not 0 <= args.index < len(spec.cochains):
+        raise SpecError("--index", f"--index {args.index} out of range")
+    return [spec.cochains[args.index]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,33 +283,37 @@ def _bidegree(text):
 
 
 def _parser():
+    """The argument parser, and its commands in the order they were added
+    (the order an invalid-choice reason lists them in)."""
     ap = _Parser(
         prog="weilcalc",
         description="Exact checks and computations for algebroid connection calculus.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def spec_cmd(name, help_text):
+    def spec_cmd(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to a JSON spec file")
+        p.set_defaults(run=run)
         return p
 
-    spec_cmd("validate", "run every applicable checker suite")
-    for name in ("delta", "dnabla", "hproj", "dhor"):
-        p = spec_cmd(name, f"apply {name} to the spec cochains")
+    spec_cmd("validate", cmd_validate, "run every applicable checker suite")
+    for name, run in (("delta", cmd_delta), ("dnabla", cmd_dnabla), ("hproj", cmd_hproj),
+                      ("dhor", cmd_dhor)):
+        p = spec_cmd(name, run, f"apply {name} to the spec cochains")
         p.add_argument("--index", type=int, default=None,
                        help="operate on one cochain only")
-    spec_cmd("curvature", "curvature of the IM connection")
-    spec_cmd("bianchi", "check the infinitesimal Bianchi identity")
-    p = spec_cmd("deform", "affine deformation of the IM connection")
+    spec_cmd("curvature", cmd_curvature, "curvature of the IM connection")
+    spec_cmd("bianchi", cmd_bianchi, "check the infinitesimal Bianchi identity")
+    p = spec_cmd("deform", cmd_deform, "affine deformation of the IM connection")
     p.add_argument("--lambda", dest="lam", type=_rational, default="1",
                    help="rational scale factor")
     p.add_argument("--with", dest="with_index", type=int, required=True,
                    help="index of the deformation cochain in the spec")
-    p = spec_cmd("obstruction", "obstruction cocycle of a splitting triple")
+    p = spec_cmd("obstruction", cmd_obstruction, "obstruction cocycle of a splitting triple")
     p.add_argument("--bound", type=_nonnegative, default=2, help="solver degree bound")
     p.add_argument("--use-coupling-u", action="store_true",
                    help="take U from the IM connection's coupling data")
-    p = spec_cmd("curving", "check or solve for a curving")
+    p = spec_cmd("curving", cmd_curving, "check or solve for a curving")
     p.add_argument("--solve", action="store_true", help="solve for a curving; else check")
     p.add_argument("--bound", type=_nonnegative, default=2, help="solver degree bound")
     p = sub.add_parser("fixture", help="build a named fixture and emit its spec")
@@ -330,58 +325,30 @@ def _parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--degree", type=_nonnegative, default=1,
                    help="polynomial degree bound for the random cochain")
-    return ap
-
-
-def _input_error(doc, exc):
-    doc["status"] = "input_error"
-    doc["error"] = {"path": exc.path, "reason": exc.reason}
-    return doc
-
-
-def _dispatch(args):
-    doc = {"command": args.command}
-    try:
-        if args.command == "fixture":
-            rep, result = cmd_fixture(args)
-        else:
-            spec = load_spec_path(args.spec)
-            rep, result = _COMMANDS[args.command](spec, args)
-    except SpecError as exc:
-        return _input_error(doc, exc), 2
-    except (ContractError, StructureError) as exc:
-        doc["status"] = "math_fail"
-        doc["error"] = {"reason": str(exc)}
-        return doc, 1
-    doc["checks"] = rep.to_json()["checks"]
-    doc.update(result)
-    doc["status"] = "ok" if rep.passed else "math_fail"
-    return doc, 0 if rep.passed else 1
+    return ap, sub.choices
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    doc = {"command": argv[0] if argv and argv[0] in commands else None}
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "fixture":
+            cmd_fixture(args)
+            return 0
+        rep = CheckReport(args.command)
+        result = args.run(load_spec_path(args.spec), args, rep)
     except SpecError as exc:
-        command = argv[0] if argv and argv[0] in (*_COMMANDS, "fixture") else None
-        sys.stdout.write(dumps_canonical(_input_error({"command": command}, exc)))
-        return 2
-    doc, code = _dispatch(args)
-    if args.command == "fixture" and code == 0 and "spec" in doc:
-        payload = dumps_canonical(doc["spec"])
-        if args.emit and args.emit != "-":
-            try:
-                with open(args.emit, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-            except OSError as exc:
-                error = SpecError("--emit", f"cannot write file: {exc}")
-                sys.stdout.write(dumps_canonical(_input_error({"command": "fixture"}, error)))
-                return 2
-            print(f"wrote {args.emit}", file=sys.stderr)
-        else:
-            sys.stdout.write(payload)
-        return 0
+        doc.update(status="input_error", error={"path": exc.path, "reason": exc.reason})
+        code = 2
+    except (ContractError, StructureError) as exc:
+        doc.update(status="math_fail", error={"reason": str(exc)})
+        code = 1
+    else:
+        code = 0 if rep.passed else 1
+        doc.update(checks=rep.to_json()["checks"], **result,
+                   status="ok" if rep.passed else "math_fail")
     sys.stdout.write(dumps_canonical(doc))
     return code
 

@@ -41,6 +41,28 @@ def _poly(path, text, nvars, names):
         raise SpecError(path, str(exc))
 
 
+def _table_from_dict(data, key, path, nvars, names, count, default=None, in_range=None,
+                     reason="index out of range"):
+    """The polynomial table ``data[key]`` (``default`` when an optional one
+    is absent) as {(i1, ..., i_count): Poly}, read from keys 'i1,...,i_count'.
+    An entry's errors are reported at path.key.entry; ``in_range``, given an
+    entry's indices, rejects it with ``reason`` before its polynomial is read.
+    The structure, anchor and Christoffel tables are all read here."""
+    out = {}
+    for entry, text in _require(data, key, path, dict, default).items():
+        epath = f"{path}.{key}.{entry}"
+        idx = _ints(epath, entry, count)
+        if in_range is not None and not in_range(*idx):
+            raise SpecError(epath, reason)
+        out[idx] = _poly(epath, text, nvars, names)
+    return out
+
+
+def _table_to_dict(table, names):
+    """The JSON table of {(i1, ..., ic): Poly}, keyed 'i1,...,ic'."""
+    return {",".join(map(str, idx)): poly_to_str(p, names) for idx, p in sorted(table.items())}
+
+
 def _require(data, key, path, typ, default=None):
     if not isinstance(data, (dict, list, str)):
         raise SpecError(path, "expected an object")
@@ -88,10 +110,10 @@ class Spec:
     def build_ideal(self):
         return IdealBundle(self.A, _need(self.ideal_indices, "ideal"))
 
-    def build_imc(self, ideal=None):
+    def build_imc(self):
         _need(self.ideal_indices, "ideal")
         cochain = _need(self.im_cochain, "im_connection")
-        return IMConnection(ideal or self.build_ideal(), cochain)
+        return IMConnection(self.build_ideal(), cochain)
 
     def to_dict(self):
         n = self.A.nvars
@@ -100,10 +122,8 @@ class Spec:
             "chart": {"dim": n, "variables": list(names)},
             "algebroid": {
                 "rank": self.A.rank,
-                "structure": {f"{i},{j},{k}": poly_to_str(p, names)
-                              for (i, j, k), p in sorted(self.A.structure.items())},
-                "anchor": {f"{i},{a}": poly_to_str(p, names)
-                           for (i, a), p in sorted(self.A.anchor.items())},
+                "structure": _table_to_dict(self.A.structure, names),
+                "anchor": _table_to_dict(self.A.anchor, names),
             },
         }
         if self.ideal_indices is not None:
@@ -202,18 +222,14 @@ def cochain_from_dict(data, A, names, path):
 def connection_to_dict(conn, names):
     return {
         "bundle_rank": conn.rank,
-        "christoffels": {f"{a},{b},{c}": poly_to_str(p, names)
-                         for (a, b, c), p in conn.christoffels().items()},
+        "christoffels": _table_to_dict(conn.christoffels(), names),
     }
 
 
 def connection_from_dict(data, nvars, names, path):
     rank = _require(data, "bundle_rank", path, int)
-    table = {}
-    for key, text in _require(data, "christoffels", path, dict).items():
-        kpath = f"{path}.christoffels.{key}"
-        a, b, c = _ints(kpath, key, 3)
-        table[(a, b, c)] = _poly(kpath, text, nvars, names)
+    # LinearConnection rejects a key past the bundle, located at path
+    table = _table_from_dict(data, "christoffels", path, nvars, names, 3)
     try:
         return LinearConnection(nvars, rank, table)
     except StructureError as exc:
@@ -237,20 +253,11 @@ def load_spec(data):
 
     alg = _require(data, "algebroid", "$", dict)
     r = _require(alg, "rank", "algebroid", int)
-    structure = {}
-    for key, text in _require(alg, "structure", "algebroid", dict, {}).items():
-        kpath = f"algebroid.structure.{key}"
-        i, j, k = _ints(kpath, key, 3)
-        if not (1 <= i < j <= r and 1 <= k <= r):
-            raise SpecError(kpath, f"index out of range (need 1 <= i < j <= {r})")
-        structure[(i, j, k)] = _poly(kpath, text, n, names)
-    anchor = {}
-    for key, text in _require(alg, "anchor", "algebroid", dict, {}).items():
-        kpath = f"algebroid.anchor.{key}"
-        i, a = _ints(kpath, key, 2)
-        if not (1 <= i <= r and 1 <= a <= n):
-            raise SpecError(kpath, "index out of range")
-        anchor[(i, a)] = _poly(kpath, text, n, names)
+    structure = _table_from_dict(alg, "structure", "algebroid", n, names, 3, {},
+                                 lambda i, j, k: 1 <= i < j <= r and 1 <= k <= r,
+                                 f"index out of range (need 1 <= i < j <= {r})")
+    anchor = _table_from_dict(alg, "anchor", "algebroid", n, names, 2, {},
+                              lambda i, a: 1 <= i <= r and 1 <= a <= n)
     try:
         A = AlgebroidPresentation(n, r, structure, anchor)
     except StructureError as exc:

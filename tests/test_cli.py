@@ -144,6 +144,23 @@ def test_off_level_im_cochain_fails_only_multiplicative(f1_path, capsys):
          "detail": "IM connection needs an ideal-valued W^{1,1} cochain"}]
 
 
+def test_level_one_im_cochain_off_q_one_fails_only_multiplicative(f1_path, capsys):
+    # a W^{1,2} cochain is at level 1 but has no C.1-C.3 items: the shape
+    # check fails alone, and the report keeps every earlier check
+    _, out = invoke(["validate", str(f1_path)], capsys)
+    good = json.loads(out)["checks"]
+    data = json.loads(f1_path.read_text())
+    data["im_connection"]["cochain"] = {"p": 1, "q": 2, "bundle_rank": 1,
+                                        "tables": {"0": {"1|": {"1|1,2": "x1"}}}}
+    f1_path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(f1_path)], capsys)
+    assert code == 1
+    shape = [c["name"] for c in good].index("im_connection.multiplicative")
+    assert json.loads(out)["checks"] == good[:shape] + [
+        {"name": "im_connection.multiplicative", "status": "fail",
+         "detail": "IM connection needs an ideal-valued W^{1,1} cochain"}]
+
+
 @pytest.mark.parametrize("target", ["directory", "missing_directory"])
 def test_unwritable_emit_path_exits_two(tmp_path, target):
     # the reason carries the operating system's text, so only the path is pinned
@@ -265,6 +282,29 @@ def test_bad_polynomial_diagnostic_is_located(tmp_path, capsys, name, field, val
     assert where in json.loads(out)["error"]["path"]
 
 
+@pytest.mark.parametrize("table, key, where, reason", [
+    ("structure", "2,1,3", "algebroid.structure.2,1,3",
+     "index out of range (need 1 <= i < j <= 3)"),
+    ("structure", "1,2,9", "algebroid.structure.1,2,9",
+     "index out of range (need 1 <= i < j <= 3)"),
+    ("structure", "1,2", "algebroid.structure.1,2", "expected 3 indices, got 2"),
+    ("anchor", "9,1", "algebroid.anchor.9,1", "index out of range"),
+    ("anchor", "1,9", "algebroid.anchor.1,9", "index out of range"),
+    ("anchor", "1,1,1", "algebroid.anchor.1,1,1", "expected 2 indices, got 3"),
+    # an index past the bundle is the connection's own check
+    ("christoffels", "9,1,1", "connection", "bad christoffel key (9, 1, 1)"),
+    ("christoffels", "1,1", "connection.christoffels.1,1", "expected 3 indices, got 2"),
+])
+def test_table_key_diagnostic_is_located(f1_path, capsys, table, key, where, reason):
+    data = json.loads(f1_path.read_text())
+    section = data["connection"] if table == "christoffels" else data["algebroid"]
+    section[table][key] = "x1"
+    f1_path.write_text(json.dumps(data))
+    code, out = invoke(["validate", str(f1_path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"path": where, "reason": reason}
+
+
 def test_cochain_component_key_without_bar_exits_two(f1_path, tmp_path, capsys):
     # cochain entries and forms share one component-table parser
     data = json.loads(f1_path.read_text())
@@ -324,6 +364,40 @@ def test_argument_error_is_located(capsys, argv, where):
     doc = json.loads(out)
     assert doc["status"] == "input_error"
     assert doc["error"]["path"] == where
+
+
+def _f1_with_cochain(path, capsys, **sections):
+    """The F1 spec with one (1, 1) cochain, its sections replaced by ``sections``."""
+    invoke(["fixture", "--name", "F1_abelian_2d", "--emit", str(path),
+            "--with-cochain", "1,1"], capsys)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **sections}))
+    return path
+
+
+@pytest.mark.parametrize("argv, command, code, error", [
+    (["frobnicate"], None, 2, None),
+    ([], None, 2, None),
+    (["delta"], "delta", 2, None),
+    (["deform", "SPEC", "--with", "5"], "deform", 2, None),
+    (["delta", "BAD_IDEAL"], "delta", 1, {"reason": "bad ideal index set (3, 3)"}),
+    (["hproj", "BAD_IDEAL"], "hproj", 1, {"reason": "bad ideal index set (3, 3)"}),
+    (["fixture", "--name", "F1_abelian_2d", "--emit", "DIR"], "fixture", 2, None),
+], ids=["unknown_command", "no_command", "missing_spec", "deform_with_out_of_range",
+        "delta_math_fail", "hproj_math_fail", "emit_to_directory"])
+def test_every_report_names_its_command(tmp_path, capsys, argv, command, code, error):
+    # argparse errors, input errors inside a command, failures outside any
+    # named check and --emit write errors all take one report path
+    paths = {"SPEC": _f1_with_cochain(tmp_path / "f1c.json", capsys),
+             "BAD_IDEAL": _f1_with_cochain(tmp_path / "bad.json", capsys,
+                                           ideal={"indices": [3, 3]}),
+             "DIR": tmp_path}
+    got, out = invoke([str(paths.get(a, a)) for a in argv], capsys)
+    doc = json.loads(out)
+    assert (got, doc["command"]) == (code, command)
+    if code == 2:
+        assert doc["status"] == "input_error" and "path" in doc["error"]
+    else:
+        assert doc == {"command": command, "status": "math_fail", "error": error}
 
 
 def _bare_choices(self, action, value):
