@@ -322,10 +322,14 @@ class AlgebroidPresentation:
     ``structure`` maps (i, j, k) with i < j to c^k_{ij}; ``anchor`` maps
     (i, a) to rho^a_i. The constructor never assumes the axioms:
     ``weil.validate_algebroid`` checks them separately, as delta^2 = 0.
+    It builds the frame data every operator reads, sized by the entries:
+    rho(e_i) per anchored index, [e_i, e_j] per bracketed pair in both
+    orders, and the tables of ``delta_tables``; an index without entries
+    reads one shared zero form.
     """
 
-    __slots__ = ("nvars", "rank", "structure", "anchor", "_rho_cache", "_bracket_cache",
-                 "_delta_tables", "_frame_memo")
+    __slots__ = ("nvars", "rank", "structure", "anchor", "_rho", "_brackets",
+                 "_zero_field", "_zero_section", "_delta_tables", "_frame_memo")
 
     def __init__(self, nvars, rank, structure=None, anchor=None):
         if nvars < 0 or rank < 0:
@@ -333,7 +337,7 @@ class AlgebroidPresentation:
                 f"chart dimension and rank must be nonnegative, got {nvars} and {rank}")
         self.nvars = nvars
         self.rank = rank
-        self.structure = {}
+        self.structure, pairs, brackets, frame_lie = {}, {}, {}, {}
         for (i, j, k), p in (structure or {}).items():
             if not (1 <= i < j <= rank and 1 <= k <= rank):
                 raise StructureError(f"bad structure key {(i, j, k)} (need 1 <= i < j <= r)")
@@ -341,7 +345,11 @@ class AlgebroidPresentation:
                 raise StructureError("structure polynomial over wrong chart")
             if not p.is_zero:
                 self.structure[(i, j, k)] = p
-        self.anchor = {}
+                pairs.setdefault((i, j), {})[(k, ())] = p
+                brackets.setdefault(k, []).append((i, j, p))
+                frame_lie.setdefault((i, k), []).append((j, p))
+                frame_lie.setdefault((j, k), []).append((i, -p))
+        self.anchor, fields = {}, {}
         for (i, a), p in (anchor or {}).items():
             if not (1 <= i <= rank and 1 <= a <= nvars):
                 raise StructureError(f"bad anchor key {(i, a)}")
@@ -349,9 +357,20 @@ class AlgebroidPresentation:
                 raise StructureError("anchor polynomial over wrong chart")
             if not p.is_zero:
                 self.anchor[(i, a)] = p
-        self._rho_cache = {}
-        self._bracket_cache = {}
-        self._delta_tables = None
+                fields.setdefault(i, {})[(a, ())] = p
+        self._rho = {i: VForm(nvars, nvars, 0, comps) for i, comps in fields.items()}
+        self._brackets = {}
+        for (i, j), comps in pairs.items():
+            w = self._brackets[(i, j)] = VForm(nvars, rank, 0, comps)
+            self._brackets[(j, i)] = -w
+        self._zero_field = VForm.zero(nvars, nvars, 0)
+        self._zero_section = VForm.zero(nvars, rank, 0)
+        leibniz = {l: [(s, t, d_scalar(cst, nvars).comps) for s, t, cst in terms
+                       if not cst.is_constant]
+                   for l, terms in brackets.items()}
+        self._delta_tables = (brackets, frame_lie, leibniz,
+                              {i: _field(self._rho[i], nvars) for i in sorted(self._rho)},
+                              sorted({a for _, a in self.anchor}))
         self._frame_memo = {}
 
     def basis(self, i):
@@ -359,43 +378,25 @@ class AlgebroidPresentation:
         return VForm(self.nvars, self.rank, 0, {(i, ()): Poly.const(self.nvars, 1)})
 
     def rho_basis(self, i):
-        """rho(e_i) as a (cached) vector field."""
-        x = self._rho_cache.get(i)
-        if x is None:
-            x = VForm(self.nvars, self.nvars, 0,
-                      {(a, ()): p for (j, a), p in self.anchor.items() if j == i})
-            self._rho_cache[i] = x
-        return x
+        """rho(e_i) as a vector field."""
+        return self._rho.get(i, self._zero_field)
 
     def delta_tables(self):
-        """The frame data ``weil.delta`` reads, built once per presentation:
+        """The frame data ``weil.delta`` reads, built with the presentation:
         brackets[l] lists (s, t, c^l_{st}) on s < t, frame_lie[(i, l)] lists
         (j, c^l_{ij}), leibniz[l] lists (s, t, d c^l_{st}) for the
         non-constant c^l_{st}, anchor[i] holds the ``_field`` entries of
         rho(e_i), and axes the chart indices the anchor reaches. The solver
         reads the anchor entries for its symbols, and keeps the delta of
         each frame cell beside these tables, in ``frame_memo``."""
-        if self._delta_tables is None:
-            n, brackets, frame_lie = self.nvars, {}, {}
-            for (s, t, l), cst in self.structure.items():
-                brackets.setdefault(l, []).append((s, t, cst))
-                frame_lie.setdefault((s, l), []).append((t, cst))
-                frame_lie.setdefault((t, l), []).append((s, -cst))
-            leibniz = {l: [(s, t, d_scalar(cst, n).comps) for s, t, cst in terms
-                           if not cst.is_constant]
-                       for l, terms in brackets.items()}
-            anchor = {i: _field(self.rho_basis(i), n)
-                      for i in sorted({i for i, _ in self.anchor})}
-            axes = sorted({a for _, a in self.anchor})
-            self._delta_tables = brackets, frame_lie, leibniz, anchor, axes
         return self._delta_tables
 
     def frame_memo(self, p, q, rep, build):
         """The solver's memo of the frame columns of W^{p,q} over ``rep``:
         ``build()`` the first time, and again whenever another representation
-        (by identity) asks, so one rep's columns never serve another's. Like
-        ``delta_tables`` it holds while the presentation and the
-        representation are left unchanged, as every caller does."""
+        (by identity) asks, so one rep's columns never serve another's. It
+        holds while the presentation and the representation are left
+        unchanged, as every caller does."""
         entry = self._frame_memo.get((p, q))
         if entry is None or entry[0] is not rep:
             entry = self._frame_memo[(p, q)] = rep, build()
@@ -410,16 +411,8 @@ class AlgebroidPresentation:
         return _form(self.nvars, self.nvars, 0, acc)
 
     def bracket_basis(self, i, j):
-        """[e_i, e_j] as a (cached) section."""
-        w = self._bracket_cache.get((i, j))
-        if w is None:
-            if i < j:
-                w = VForm(self.nvars, self.rank, 0, {(k, ()): p for (a, b, k), p
-                                                     in self.structure.items() if (a, b) == (i, j)})
-            else:
-                w = VForm.zero(self.nvars, self.rank, 0) if i == j else -self.bracket_basis(j, i)
-            self._bracket_cache[(i, j)] = w
-        return w
+        """[e_i, e_j] as a section."""
+        return self._brackets.get((i, j), self._zero_section)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebroidPresentation)

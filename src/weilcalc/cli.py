@@ -204,7 +204,7 @@ def cmd_fixture(args):
         curving=fix.curving,
     )
     payload = dumps_canonical(spec.to_dict())
-    if args.emit in ("", "-"):
+    if args.emit == "-":
         sys.stdout.write(payload)
         return
     try:

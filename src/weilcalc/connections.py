@@ -88,29 +88,26 @@ def _dnabla_into(acc, cell, conn, v, scale=1):
 class ARep:
     """Algebroid representation in coefficient form (flatness checked separately)."""
 
-    __slots__ = ("nvars", "secrank", "rank", "psi", "_endo_cache")
+    __slots__ = ("nvars", "secrank", "rank", "psi", "_endo", "_zero")
 
     def __init__(self, nvars, secrank, rank, psi=None):
         self.nvars = nvars
         self.secrank = secrank
         self.rank = rank
-        self.psi = {}
+        self.psi, endo = {}, {}
         for (i, b, c), p in (psi or {}).items():
             if not (1 <= i <= secrank and 1 <= b <= rank and 1 <= c <= rank):
                 raise StructureError(f"bad representation key {(i, b, c)}")
             if not p.is_zero:
                 self.psi[(i, b, c)] = p
-        self._endo_cache = {}
+                endo.setdefault(i, {})[(end_index(rank, b, c), ())] = p
+        self._endo = {i: VForm(nvars, rank * rank, 0, comps) for i, comps in endo.items()}
+        self._zero = VForm.zero(nvars, rank * rank, 0)
 
     def endo(self, i):
-        """psi_i = nabla^A_{e_i} - rho(e_i) as a (cached) End(V)-valued 0-form."""
-        psi = self._endo_cache.get(i)
-        if psi is None:
-            m = self.rank
-            psi = VForm(self.nvars, m * m, 0, {(end_index(m, b, c), ()): p
-                                               for (j, b, c), p in self.psi.items() if j == i})
-            self._endo_cache[i] = psi
-        return psi
+        """psi_i = nabla^A_{e_i} - rho(e_i) as an End(V)-valued 0-form; an
+        index without entries reads one shared zero form."""
+        return self._endo.get(i, self._zero)
 
 
 def act(E, vf):

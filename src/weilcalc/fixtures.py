@@ -36,14 +36,8 @@ class Fixture:
         self.ideal = ideal
         self.imc = imc
         self.curving = curving
-
-    @property
-    def rep(self):
-        return self.ideal.adjoint_rep()
-
-    @property
-    def conn(self):
-        return self.imc.coupling_connection()
+        self.rep = ideal.adjoint_rep()
+        self.conn = imc.coupling_connection()
 
 
 def _so3_fibre(nvars):

@@ -25,7 +25,9 @@ from .weil import (WeilCochain, _cochain, _fill_into, _insert, _solve, bounded_k
 
 class IdealBundle:
     """Constant subbundle of ker rho spanned by part of the frame and closed
-    under bracket with every section."""
+    under bracket with every section. The constructor builds the adjoint
+    representation and the fibre (``fibre``) from one walk of the frame
+    brackets."""
 
     __slots__ = ("A", "indices", "m", "_pos", "_adjoint", "_fibre")
 
@@ -42,8 +44,9 @@ class IdealBundle:
                 if (k, a) in A.anchor:
                     raise StructureError(f"anchor does not vanish on ideal index {k}")
         # closure under [e_i, .] and the adjoint action psi_(i, b, a), the
-        # u_b component of [e_i, u_a], are read off the same brackets
-        psi = {}
+        # u_b component of [e_i, u_a], are read off the same brackets; the
+        # fibre's adjoint action is psi at the rows of ideal indices
+        psi, fpsi = {}, {}
         for i in range(1, A.rank + 1):
             for a, k in enumerate(self.indices, start=1):
                 comps = A.bracket_basis(i, k).comps
@@ -54,8 +57,12 @@ class IdealBundle:
                 for b, l in enumerate(self.indices, start=1):
                     if (p := comps.get((l, ()))) is not None:
                         psi[(i, b, a)] = p
+                        if i in self._pos:
+                            fpsi[(self._pos[i], b, a)] = p
         self._adjoint = ARep(A.nvars, A.rank, self.m, psi)
-        self._fibre = None
+        G = AlgebroidPresentation(A.nvars, self.m, {
+            (a, b, c): p for (a, c, b), p in fpsi.items() if a < b})
+        self._fibre = G, ARep(A.nvars, self.m, self.m, fpsi)
 
     def embed(self, xi):
         """A section of the ideal (a rank-m 0-form) as a section of A."""
@@ -77,17 +84,11 @@ class IdealBundle:
         with structure [u_a, u_b] for a < b, adj its adjoint representation,
         psi_a = ad(u_a). Both are slices of the adjoint table: [u_a, u_b] =
         psi_(u_a) u_b, so each is read at the rows of ideal frame indices."""
-        if self._fibre is None:
-            psi = {(self._pos[i], c, b): p for (i, c, b), p in self._adjoint.psi.items()
-                   if i in self._pos}
-            G = AlgebroidPresentation(self.A.nvars, self.m, {
-                (a, b, c): p for (a, c, b), p in psi.items() if a < b})
-            self._fibre = G, ARep(self.A.nvars, self.m, self.m, psi)
         return self._fibre
 
     @property
     def is_abelian(self):
-        return not self.fibre()[0].structure
+        return not self._fibre[0].structure
 
     def adjoint_rep(self):
         """The representation nabla^A_alpha xi = [alpha, xi] in coefficient form."""
@@ -96,7 +97,7 @@ class IdealBundle:
     def ad_endform(self, vf):
         """ad(F) = sum_e F^e psi_e for an ideal-valued form F, psi_e = ad(u_e)
         read off the fibre's adjoint representation, as an End(V)-valued form."""
-        adj = self.fibre()[1]
+        adj = self._fibre[1]
         if vf.nvars != adj.nvars:
             raise StructureError("ad of a form over another chart")
         acc = {}
@@ -112,7 +113,9 @@ def bracket_of_forms(ideal, w1, w2):
 
 class IMConnection:
     """IM connection (C, v): a W^{1,1} ideal-valued cochain whose symbol
-    restricts to the identity on the ideal."""
+    restricts to the identity on the ideal. Once the cochain passes its
+    checks, the constructor builds the horizontal frame and the coupling
+    connection."""
 
     __slots__ = ("ideal", "cochain", "_conn", "_hsec")
 
@@ -126,8 +129,6 @@ class IMConnection:
             raise StructureError("cochain lives over a different algebroid")
         self.ideal = ideal
         self.cochain = cochain
-        self._conn = None
-        self._hsec = None
         for k in ideal.indices:
             if cochain.lookup(1, (), (k,)) != ideal.restrict(A.basis(k)):
                 raise ContractError(f"symbol does not restrict to the identity at e_{k}")
@@ -138,6 +139,10 @@ class IMConnection:
                 raise ContractError(
                     "cochain is not infinitesimally multiplicative: "
                     + "; ".join(label for label, _ in rep.failures[:3]))
+        self._hsec = _horizontal_frame(A, ideal, {
+            j: self.v_comps(j) for j in range(1, A.rank + 1)})
+        self._conn = LinearConnection.trivial(A.nvars, ideal.m).shifted(
+            _on_ideal(ideal, cochain))
 
     @property
     def A(self):
@@ -160,16 +165,11 @@ class IMConnection:
         return alpha - self.ideal.embed(self.v_section(alpha))
 
     def h_basis(self, i):
-        if self._hsec is None:
-            self._hsec = _horizontal_frame(self.A, self.ideal, {
-                j: self.v_comps(j) for j in range(1, self.A.rank + 1)})
+        """h(e_i) = e_i - v(e_i) as a section."""
         return self._hsec[i]
 
     def coupling_connection(self):
         """nabla = d + M_C, C restricted to the ideal."""
-        if self._conn is None:
-            self._conn = LinearConnection.trivial(self.A.nvars, self.ideal.m).shifted(
-                _on_ideal(self.ideal, self.cochain))
         return self._conn
 
     def U_of_h(self, alpha):

@@ -79,6 +79,14 @@ def _require(data, key, path, typ, default=None):
     return val
 
 
+def _built(path, make, *args):
+    """``make(*args)``, its StructureError raised as a SpecError at path."""
+    try:
+        return make(*args)
+    except StructureError as exc:
+        raise SpecError(path, str(exc))
+
+
 def _need(value, section):
     """The value of a spec section that a command needs, or a SpecError at
     the section when the spec has none."""
@@ -173,10 +181,7 @@ def vform_from_dict(data, nvars, names, path):
     degree = _require(data, "degree", path, int)
     comps = _components_from_dict(_require(data, "components", path, dict), nvars, names,
                                   f"{path}.components")
-    try:
-        return VForm(nvars, rank, degree, comps)
-    except StructureError as exc:
-        raise SpecError(path, str(exc))
+    return _built(path, VForm, nvars, rank, degree, comps)
 
 
 def cochain_to_dict(c, names):
@@ -209,14 +214,8 @@ def cochain_from_dict(data, A, names, path):
             I = _ints(epath, ipart)
             J = _ints(epath, jpart)
             vcomps = _components_from_dict(entry, A.nvars, names, epath)
-            try:
-                comps[(k, I, J)] = VForm(A.nvars, rank, q - k, vcomps)
-            except StructureError as exc:
-                raise SpecError(epath, str(exc))
-    try:
-        return WeilCochain(A, rank, p, q, comps)
-    except StructureError as exc:
-        raise SpecError(path, str(exc))
+            comps[(k, I, J)] = _built(epath, VForm, A.nvars, rank, q - k, vcomps)
+    return _built(path, WeilCochain, A, rank, p, q, comps)
 
 
 def connection_to_dict(conn, names):
@@ -230,10 +229,7 @@ def connection_from_dict(data, nvars, names, path):
     rank = _require(data, "bundle_rank", path, int)
     # LinearConnection rejects a key past the bundle, located at path
     table = _table_from_dict(data, "christoffels", path, nvars, names, 3)
-    try:
-        return LinearConnection(nvars, rank, table)
-    except StructureError as exc:
-        raise SpecError(path, str(exc))
+    return _built(path, LinearConnection, nvars, rank, table)
 
 
 def load_spec(data):
@@ -258,10 +254,7 @@ def load_spec(data):
                                  f"index out of range (need 1 <= i < j <= {r})")
     anchor = _table_from_dict(alg, "anchor", "algebroid", n, names, 2, {},
                               lambda i, a: 1 <= i <= r and 1 <= a <= n)
-    try:
-        A = AlgebroidPresentation(n, r, structure, anchor)
-    except StructureError as exc:
-        raise SpecError("algebroid", str(exc))
+    A = _built("algebroid", AlgebroidPresentation, n, r, structure, anchor)
 
     ideal_indices = None
     if "ideal" in data:

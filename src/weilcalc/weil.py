@@ -43,7 +43,7 @@ from .algebroid import (SparseTable, VForm, _act_into, _add_into, _axes, _form,
                         sorted_multisets, symmetric_slots)
 from .connections import ARep, LinearConnection, _dnabla_into, induced_end_rep
 from .errors import ContractError, StructureError
-from .polyring import MAX_DEGREE, Poly, _make, key_layout
+from .polyring import MAX_DEGREE, Poly, key_layout
 from .report import CheckReport
 
 
@@ -685,32 +685,22 @@ def _target_block(A, rep, target, degree_bound, horizontal_ideal):
 def _assemble(A, rank, p, q, cells, vectors):
     """For each sparse {cell index: x} of ``vectors``, the cochain sum of
     x * cell, built straight from its entries: each coefficient goes into
-    the term dict of its entry, and each entry and row is wrapped as it
-    first appears. The cells are distinct frame cells of W^{p,q} and every
-    x is nonzero, so no entry is empty and no term is written twice. A
-    kernel vector has about one coefficient, so the monomial keys are
-    packed once for all the vectors."""
-    n, key, keys, out = A.nvars, key_layout(A.nvars)[0], {}, []
-    new = object.__new__
+    the term dict of its entry in an accumulator, which ``_cochain`` wraps.
+    The cells are distinct frame cells of W^{p,q} and every x is nonzero,
+    so no entry is empty and no term is written twice. A kernel vector has
+    about one coefficient, so the monomial keys are packed once for all
+    the vectors."""
+    key, keys, out = key_layout(A.nvars)[0], {}, []
     for coeffs in vectors:
-        comps = {}
+        acc = {}
         for i, x in coeffs.items():
             k, I, J, b, idx, exps = cells[i]
             mk = keys.get(exps)
             if mk is None:
                 mk = keys[exps] = key(exps)
-            vf = comps.get((k, I, J))
-            if vf is None:
-                vf = comps[(k, I, J)] = new(VForm)
-                vf.nvars, vf.rank, vf.degree, vf.comps = n, rank, q - k, {}
-            poly = vf.comps.get((b, idx))
-            if poly is None:
-                vf.comps[(b, idx)] = _make(n, {mk: (x.numerator, x.denominator)})
-            else:
-                poly.terms[mk] = x.numerator, x.denominator
-        c = new(WeilCochain)
-        c.A, c.rank, c.p, c.q, c.comps = A, rank, p, q, comps
-        out.append(c)
+            row = acc.setdefault((k, I, J), {})
+            row.setdefault((b, idx), {})[mk] = x.numerator, x.denominator
+        out.append(_cochain(A, rank, p, q, acc))
     return out
 
 

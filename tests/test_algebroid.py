@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from weilcalc import (AlgebroidPresentation, Poly, Section, StructureError, VForm,
+from weilcalc import (ARep, AlgebroidPresentation, Poly, Section, StructureError, VForm,
                       WeilCochain, act, bracket, compose, validate_algebroid)
 from weilcalc.algebroid import d_scalar, end_index, sort_sign
 from weilcalc.fixtures import random_poly, random_vform
@@ -233,6 +234,20 @@ def test_d_scalar_matches_form_d():
     f = random_poly(rng, 2, 3)
     as_form = VForm(2, 1, 0, {(1, ()): f})
     assert d_scalar(f, 2) == as_form.d()
+
+
+def test_construction_scales_with_the_entries():
+    # a presentation and a representation build their frame tables per
+    # entry: a rank-10^5 build without entries allocates a few small objects
+    tracemalloc.start()
+    try:
+        A = AlgebroidPresentation(1, 10**5)
+        rep = ARep(1, 10**5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.rho_basis(10**5).is_zero and rep.endo(10**5).is_zero
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("fix", ["f0", "f1", "f2", "f3"])

@@ -173,6 +173,16 @@ def test_unwritable_emit_path_exits_two(tmp_path, target):
     assert doc["error"]["path"] == "--emit"
 
 
+def test_empty_emit_path_exits_two(capsys):
+    # only '-' names stdout; an empty path names no file
+    code, out = invoke(["fixture", "--name", "F1_abelian_2d", "--emit", ""], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    assert (doc["command"], doc["status"]) == ("fixture", "input_error")
+    assert doc["error"]["path"] == "--emit"
+    assert "chart" not in doc
+
+
 def test_malformed_spec_exits_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"chart": {"dim": 2}}')

@@ -15,8 +15,12 @@ E^b_c <-> (b - 1) m + c is encoded and decoded only in ``algebroid``, by
 End(V)-valued forms names nothing in ``src``, ``tests`` or ``perfbench``.
 No module of ``src`` memoizes through a
 ``functools.lru_cache`` or ``functools.cache`` decorator or rebinds a
-module global with a ``global`` statement: a memo lives on the object whose
-data it depends on (``delta_tables``, ``frame_memo``, ``ARep.endo``).
+module global with a ``global`` statement, and no method of a ``src`` class
+other than ``__init__`` assigns to an attribute or an item of its instance:
+an object's derived tables (``delta_tables``, ``ARep.endo``,
+``IdealBundle.fibre``, ...) are built by its constructor. The one lazy memo
+is ``AlgebroidPresentation.frame_memo``, whose entries depend on the
+(p, q, rep) that a solve asks for.
 """
 
 import ast
@@ -226,3 +230,85 @@ def e():
 """
     assert [found.split(" (")[0] for found in _module_memos(ast.parse(source))] == [
         "@lru_cache on a", "@lru_cache on b", "@cache on c", "@cache on d", "global COUNT"]
+
+
+# the one memo filled after construction: the solver's frame columns
+# depend on the (p, q, rep) that a solve asks for
+_LAZY = {("AlgebroidPresentation", "frame_memo")}
+
+
+def _root(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return getattr(node, "id", None)
+
+
+def _state_writes(tree):
+    """The assignments to an attribute or an item of the instance (or the
+    class) in a method other than ``__init__``, as "Class.method: target"."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name == "__init__" or (cls.name, fn.name) in _LAZY:
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Attribute, ast.Subscript)) \
+                        and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                        and params and _root(node) == params[0].arg:
+                    yield f"{cls.name}.{fn.name}: {ast.unparse(node)} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_objects_are_complete_when_built(module):
+    assert list(_state_writes(TREES[module])) == []
+
+
+def test_state_write_finder_sees_each_spelling():
+    source = """
+class A:
+    def __init__(self):
+        self.x = {}
+
+    def a(self):
+        self.x = 2
+
+    def b(self, i):
+        self._memo[i] = 2
+
+    def c(self):
+        self.n += 1
+
+    def d(self):
+        self.p, q = 1, 2
+
+    def e(this):
+        this.table.rows[0] = 1
+
+    @classmethod
+    def f(cls):
+        cls.count = 0
+
+    def g(self):
+        del self.x[1]
+
+    def keep(self, other):
+        other.x = self.y
+        x = self.z[1]
+        out = self.copy()
+        out.rows[x] = 1
+
+    @staticmethod
+    def h():
+        pass
+
+
+class AlgebroidPresentation:
+    def frame_memo(self, key):
+        self._frame_memo[key] = 2
+"""
+    assert [found.split(" (")[0] for found in _state_writes(ast.parse(source))] == [
+        "A.a: self.x", "A.b: self._memo[i]", "A.c: self.n", "A.d: self.p",
+        "A.e: this.table.rows[0]", "A.f: cls.count", "A.g: self.x[1]"]
